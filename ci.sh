@@ -6,7 +6,9 @@
 # Stages, in order (each must pass before the next runs):
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo build --release  — the workspace compiles with optimizations
-#   3. cargo test -q          — the tier-1 test suite
+#   3. cargo test -q          — the tier-1 test suite: the root package and
+#      every first-party crate (`default-members` in Cargo.toml); only
+#      the vendored stand-ins under vendor/ stay out
 #   4. pathix-lint check      — the R1-R7 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor

@@ -13,10 +13,9 @@
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
-use crate::instance::REnd;
 use crate::ops::Operator;
-use crate::plan::{build_plan_public, Method, PlanConfig};
-use crate::report::{buffer_delta, device_delta, ExecReport};
+use crate::plan::{build_plan, exec_report, io_abort, result_node, Meter, Method, PlanConfig};
+use crate::report::ExecReport;
 use pathix_tree::{NodeId, TreeStore};
 use pathix_xpath::LocationPath;
 
@@ -46,9 +45,7 @@ pub fn execute_interleaved(
 ) -> Result<(Vec<ConcurrentRun>, ExecReport), ExecError> {
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
-    let clock0 = store.clock().breakdown();
-    let buf0 = store.buffer.stats();
-    let dev0 = store.buffer.device_stats();
+    let meter = Meter::start(store);
 
     struct Slot<'a> {
         plan: Box<dyn Operator>,
@@ -62,22 +59,13 @@ pub fn execute_interleaved(
 
     let mut slots: Vec<Slot<'_>> = work
         .iter()
-        .map(|(path, method)| {
-            let path = if cfg.normalize {
-                path.normalize()
-            } else {
-                path.clone()
-            };
-            let cx = ExecCtx::new(store, cfg.costs, cfg.mem_limit);
-            let plan = build_plan_public(store, &path, vec![store.meta.root], *method);
-            Slot {
-                plan,
-                cx,
-                nodes: Vec::new(),
-                method: *method,
-                done: false,
-                acc: ExecReport::default(),
-            }
+        .map(|(path, method)| Slot {
+            cx: ExecCtx::new(store, cfg.costs, cfg.mem_limit),
+            plan: build_plan(store, &cfg.prepare(path), vec![store.meta.root], *method),
+            nodes: Vec::new(),
+            method: *method,
+            done: false,
+            acc: ExecReport::default(),
         })
         .collect();
 
@@ -90,56 +78,29 @@ pub fn execute_interleaved(
                 continue;
             }
             // Bracket this plan's turn so its share of clock/buffer/device
-            // activity can be attributed to it (satellite: per-plan report).
-            let t0 = store.clock().breakdown();
-            let b0 = store.buffer.stats();
-            let d0 = store.buffer.device_stats();
+            // activity can be attributed to it.
+            let turn = Meter::start(store);
             match slot.plan.next(&slot.cx) {
                 Some(p) => {
                     progressed = true;
-                    match &p.nr {
-                        REnd::Done { id, order } => slot.nodes.push((*id, *order)),
-                        REnd::Core {
-                            cluster,
-                            slot: s,
-                            order,
-                        } => slot.nodes.push((cluster.id(*s), *order)),
-                        REnd::Cold { id, .. } => match store.checked_fix(id.page) {
-                            Some(cluster) => {
-                                slot.nodes.push((*id, cluster.node(id.slot).order));
-                            }
-                            None => slot.done = true, // error recorded; abort below
-                        },
-                        other => {
-                            return Err(ExecError::unexpected_end("execute_interleaved", other))
-                        }
+                    match result_node(store, &p.nr, "execute_interleaved")? {
+                        Some(node) => slot.nodes.push(node),
+                        None => slot.done = true, // error recorded; abort below
                     }
                 }
                 None => slot.done = true,
             }
-            slot.acc.absorb(&ExecReport {
-                time: store.clock().breakdown().since(&t0),
-                buffer: buffer_delta(store.buffer.stats(), b0),
-                device: device_delta(store.buffer.device_stats(), d0),
-                ..Default::default()
-            });
+            slot.acc.absorb(&turn.delta(store));
         }
         if !progressed || store.io_failed() {
             break;
         }
     }
 
-    if let Some(e) = store.take_io_error() {
-        // Clean abort of the whole interleaved batch: the shared device is
-        // the failure domain here (unlike the forked per-worker devices of
-        // `execute_batch_parallel`, which contain failures per item).
-        drop(slots);
-        store.buffer.drain_inflight();
-        return Err(ExecError::Io {
-            page: e.page,
-            attempts: e.attempts,
-        });
-    }
+    // Clean abort of the whole interleaved batch: the shared device is the
+    // failure domain here (unlike the forked per-worker devices of
+    // `execute_batch_parallel`, which contain failures per item).
+    io_abort(store, store.take_io_error())?;
 
     let mut runs = Vec::with_capacity(slots.len());
     for mut slot in slots {
@@ -151,32 +112,17 @@ pub fn execute_interleaved(
         if cfg.sort {
             slot.nodes.sort_by_key(|&(_, o)| o);
         }
-        let mut report = slot.acc;
-        report.method = slot.method.label().to_owned();
-        report.nodes_visited = slot.cx.nav_counters.nodes_visited.get();
-        report.node_tests = slot.cx.nav_counters.node_tests.get();
-        report.borders = slot.cx.nav_counters.borders.get();
-        report.instances = slot.cx.stats.instances.get();
-        report.results = slot.nodes.len() as u64;
-        report.r_inserts = slot.cx.stats.r_inserts.get();
-        report.s_inserts = slot.cx.stats.s_inserts.get();
-        report.s_peak = slot.cx.stats.s_peak.get();
-        report.q_pushes = slot.cx.stats.q_pushes.get();
-        report.speculative_generated = slot.cx.stats.speculative_generated.get();
-        report.fallback = slot.cx.stats.fallback_entered.get();
+        let method = slot.method.label();
         runs.push(ConcurrentRun {
+            report: exec_report(&slot.cx, method, slot.nodes.len(), slot.acc),
             nodes: slot.nodes,
-            method: slot.method.label().to_owned(),
-            report,
+            method: method.to_owned(),
         });
     }
     let report = ExecReport {
         method: "interleaved".to_owned(),
-        time: store.clock().breakdown().since(&clock0),
-        buffer: buffer_delta(store.buffer.stats(), buf0),
-        device: device_delta(store.buffer.device_stats(), dev0),
         results: runs.iter().map(|r| r.nodes.len() as u64).sum(),
-        ..Default::default()
+        ..meter.delta(store)
     };
     Ok((runs, report))
 }

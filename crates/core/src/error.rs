@@ -1,10 +1,11 @@
 //! Execution errors surfaced by the physical plans.
 //!
-//! The executors in [`crate::plan`] and [`crate::concurrent`] consume
-//! assembled instances whose right end must be `Done`, `Core`, or (for
-//! zero-step plans) `Cold`. Anything else is a broken operator contract;
-//! instead of panicking in the hot path (DESIGN.md invariant R3), the
-//! violation is reported as a value.
+//! Every plan executor ([`crate::plan`], [`crate::concurrent`],
+//! [`crate::multi`]) consumes assembled instances through one output
+//! contract (`plan::result_node`): the right end must be `Done`, `Core`,
+//! or (for zero-step plans) `Cold`. Anything else is a broken operator
+//! contract; instead of panicking in the hot path (DESIGN.md invariant
+//! R3), the violation is reported as a value.
 
 use crate::instance::REnd;
 use std::fmt;

@@ -38,11 +38,8 @@ pub use governor::{CancelToken, Deadline, GovernorReport, MemLedger, QueryBudget
 pub use instance::{Pi, REnd};
 pub use multi::{execute_paths_shared_scan, MultiPathRun};
 pub use optimizer::{Optimizer, PlanEstimate};
-pub use plan::{
-    execute_path, execute_path_budgeted, execute_query, Method, PathRun, PlanConfig, QueryRun,
-};
+pub use plan::{execute_path, execute_query, Method, PathRun, PlanConfig, QueryRun};
 pub use report::ExecReport;
 pub use server::{
-    execute_batch_governed, execute_batch_parallel, AdmissionConfig, BatchRun, GovernedBatchRun,
-    WorkerSeed,
+    execute_batch_governed, execute_batch_parallel, AdmissionConfig, BatchRun, WorkerSeed,
 };

@@ -11,33 +11,46 @@
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
-use crate::instance::{Pi, REnd};
+use crate::instance::Pi;
 use crate::ops::{Operator, XAssembly, XStep};
-use crate::plan::PlanConfig;
-use crate::report::{buffer_delta, device_delta, ExecReport};
-use pathix_tree::{NodeId, ResolvedTest, TreeStore};
+use crate::plan::{
+    exec_report, io_abort, result_node, scan_all_reachable_step, stack_steps, Meter, PlanConfig,
+};
+use crate::report::ExecReport;
+use pathix_tree::{NodeId, TreeStore};
 use pathix_xpath::LocationPath;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Pull operator over a queue that the scan loop pushes into.
-struct QueueSource {
-    q: Rc<RefCell<VecDeque<Pi>>>,
-}
+struct QueueSource(Rc<RefCell<VecDeque<Pi>>>);
 
 impl Operator for QueueSource {
     fn next(&mut self, _cx: &ExecCtx<'_>) -> Option<Pi> {
-        self.q.borrow_mut().pop_front()
+        self.0.borrow_mut().pop_front()
     }
 }
 
 struct PathPipeline {
-    path: LocationPath,
     len: u16,
     queue: Rc<RefCell<VecDeque<Pi>>>,
     top: XAssembly,
     results: Vec<(NodeId, u64)>,
+}
+
+impl PathPipeline {
+    /// Collects every result the assembly can produce right now, under the
+    /// plan output contract.
+    fn drain(&mut self, cx: &ExecCtx<'_>) -> Result<(), ExecError> {
+        while let Some(p) = self.top.next(cx) {
+            match result_node(cx.store, &p.nr, "execute_paths_shared_scan")? {
+                Some(node) => self.results.push(node),
+                None => break, // error recorded; surfaced after the scan
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Result of a shared-scan multi-path run.
@@ -64,6 +77,9 @@ impl MultiPathRun {
 /// * `cfg.mem_limit` is not supported here (fallback would need a second
 ///   scan per path) — it is ignored;
 /// * `cfg.method` is ignored: the I/O operator is always the shared scan.
+///
+/// Fails with [`ExecError::UnexpectedEnd`] if an assembly breaks the plan
+/// output contract, and with [`ExecError::Io`] on an unrecovered read.
 pub fn execute_paths_shared_scan(
     store: &TreeStore,
     paths: &[LocationPath],
@@ -71,34 +87,21 @@ pub fn execute_paths_shared_scan(
 ) -> Result<MultiPathRun, ExecError> {
     store.clear_io_error();
     let cx = ExecCtx::new(store, cfg.costs, None);
-    let clock0 = store.clock().breakdown();
-    let buf0 = store.buffer.stats();
-    let dev0 = store.buffer.device_stats();
+    let meter = Meter::start(store);
 
     let root = store.meta.root;
     let mut pipelines: Vec<PathPipeline> = paths
         .iter()
         .map(|p| {
-            let path = if cfg.normalize {
-                p.normalize()
-            } else {
-                p.clone()
-            };
+            let path = cfg.prepare(p);
             let len = path.steps.len() as u16;
-            let queue: Rc<RefCell<VecDeque<Pi>>> = Rc::new(RefCell::new(VecDeque::new()));
-            let mut op: Box<dyn Operator> = Box::new(QueueSource {
-                q: Rc::clone(&queue),
-            });
-            for (idx, step) in path.steps.iter().enumerate() {
-                let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
-                op = Box::new(XStep::new(op, idx as u16 + 1, step.axis, test));
-            }
-            let all_reachable = crate::plan::scan_all_reachable_step(&path);
+            let queue = Rc::new(RefCell::new(VecDeque::new()));
+            let source = Box::new(QueueSource(Rc::clone(&queue)));
+            let steps = stack_steps(store, &path, source, XStep::new);
             PathPipeline {
-                path,
                 len,
                 queue,
-                top: XAssembly::new(op, len, None, all_reachable),
+                top: XAssembly::new(steps, len, None, scan_all_reachable_step(&path)),
                 results: Vec::new(),
             }
         })
@@ -131,13 +134,7 @@ pub fn execute_paths_shared_scan(
                 }
             }
             // Drain this path's assembly for the instances just pushed.
-            while let Some(p) = pl.top.next(&cx) {
-                if let REnd::Done { id, order } = p.nr {
-                    pl.results.push((id, order));
-                } else {
-                    debug_assert!(false, "non-result output {p:?}");
-                }
-            }
+            pl.drain(&cx)?;
         }
     }
 
@@ -145,11 +142,7 @@ pub fn execute_paths_shared_scan(
     for mut pl in pipelines {
         // Final drain: late firings are already handled inside next(), but
         // be thorough in case the last cluster produced cascades.
-        while let Some(p) = pl.top.next(&cx) {
-            if let REnd::Done { id, order } = p.nr {
-                pl.results.push((id, order));
-            }
-        }
+        pl.drain(&cx)?;
         // Zero-step path: the result is the context itself.
         if pl.len == 0 && pl.results.is_empty() {
             if let Some(cluster) = store.checked_fix(root.page) {
@@ -159,34 +152,12 @@ pub fn execute_paths_shared_scan(
         if cfg.sort {
             pl.results.sort_by_key(|&(_, o)| o);
         }
-        let _ = &pl.path;
         per_path.push(pl.results);
     }
 
-    let report = ExecReport {
-        method: "SharedScan".to_owned(),
-        time: store.clock().breakdown().since(&clock0),
-        buffer: buffer_delta(store.buffer.stats(), buf0),
-        device: device_delta(store.buffer.device_stats(), dev0),
-        nodes_visited: cx.nav_counters.nodes_visited.get(),
-        node_tests: cx.nav_counters.node_tests.get(),
-        borders: cx.nav_counters.borders.get(),
-        instances: cx.stats.instances.get(),
-        results: per_path.iter().map(|v| v.len() as u64).sum(),
-        r_inserts: cx.stats.r_inserts.get(),
-        s_inserts: cx.stats.s_inserts.get(),
-        s_peak: cx.stats.s_peak.get(),
-        q_pushes: cx.stats.q_pushes.get(),
-        speculative_generated: cx.stats.speculative_generated.get(),
-        fallback: false,
-        degraded: false,
-    };
-    if let Some(e) = store.take_io_error() {
-        return Err(ExecError::Io {
-            page: e.page,
-            attempts: e.attempts,
-        });
-    }
+    io_abort(store, store.take_io_error())?;
+    let results = per_path.iter().map(Vec::len).sum();
+    let report = exec_report(&cx, "SharedScan", results, meter.delta(store));
     Ok(MultiPathRun { per_path, report })
 }
 

@@ -9,14 +9,15 @@
 //!   (with the `Q` feedback edge),
 //! * **XScan** — `ContextSource → XScan → XStep* → XAssembly`.
 
-use crate::context::{AbortReason, CostParams, ExecCtx};
+use crate::context::{CostParams, ExecCtx};
 use crate::error::ExecError;
 use crate::governor::{MemLedger, QueryBudget};
 use crate::instance::REnd;
 use crate::ops::{
     ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
 };
-use crate::report::{buffer_delta, device_delta, ExecReport};
+use crate::report::ExecReport;
+use pathix_storage::{BufferStats, DeviceStats, IoError, TimeBreakdown};
 use pathix_tree::{NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
 use std::cell::RefCell;
@@ -86,6 +87,15 @@ impl PlanConfig {
             normalize: true,
         }
     }
+
+    /// `path` as the plans see it: `//`-collapsed if `normalize` is set.
+    pub(crate) fn prepare(&self, path: &LocationPath) -> LocationPath {
+        if self.normalize {
+            path.normalize()
+        } else {
+            path.clone()
+        }
+    }
 }
 
 /// Result of one path execution.
@@ -123,30 +133,27 @@ const SORT_CMP_NS: u64 = 30;
 pub(crate) fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
     let first = path.steps.first()?;
     let starts_dos = first.axis == Axis::DescendantOrSelf && first.test == NodeTest::AnyNode;
-    let second_ok = path
-        .steps
-        .get(1)
-        .map(|s| s.axis.is_downward())
-        .unwrap_or(true);
-    if starts_dos && second_ok {
-        Some(1)
-    } else {
-        None
-    }
+    let second_ok = path.steps.get(1).is_none_or(|s| s.axis.is_downward());
+    (starts_dos && second_ok).then_some(1)
 }
 
-/// Builds the operator tree for a (normalized) path — exposed for the
-/// concurrent executor.
-pub(crate) fn build_plan_public(
+/// Stacks one `step_op` operator (`UnnestMap` or `XStep`) per location
+/// step on `op`.
+pub(crate) fn stack_steps<S: Operator + 'static>(
     store: &TreeStore,
     path: &LocationPath,
-    contexts: Vec<NodeId>,
-    method: Method,
+    mut op: Box<dyn Operator>,
+    step_op: fn(Box<dyn Operator>, u16, Axis, ResolvedTest) -> S,
 ) -> Box<dyn Operator> {
-    build_plan(store, path, contexts, method)
+    for (idx, step) in path.steps.iter().enumerate() {
+        let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
+        op = Box::new(step_op(op, idx as u16 + 1, step.axis, test));
+    }
+    op
 }
 
-fn build_plan(
+/// Builds the operator tree for a (normalized) path.
+pub(crate) fn build_plan(
     store: &TreeStore,
     path: &LocationPath,
     contexts: Vec<NodeId>,
@@ -155,42 +162,20 @@ fn build_plan(
     let len = path.steps.len() as u16;
     let source: Box<dyn Operator> = Box::new(ContextSource::new(contexts.clone()));
     match method {
-        Method::Simple => {
-            let mut op = source;
-            for (idx, step) in path.steps.iter().enumerate() {
-                let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
-                op = Box::new(UnnestMap::new(op, idx as u16 + 1, step.axis, test));
-            }
-            op
-        }
+        Method::Simple => stack_steps(store, path, source, UnnestMap::new),
         Method::XSchedule { k, speculative } => {
             let shared = Rc::new(RefCell::new(SchedShared::default()));
-            let mut op: Box<dyn Operator> = Box::new(XSchedule::new(
-                source,
-                Rc::clone(&shared),
-                k,
-                speculative,
-                len,
-            ));
-            for (idx, step) in path.steps.iter().enumerate() {
-                let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
-                op = Box::new(XStep::new(op, idx as u16 + 1, step.axis, test));
-            }
-            Box::new(XAssembly::new(op, len, Some(shared), None))
+            let sched = XSchedule::new(source, Rc::clone(&shared), k, speculative, len);
+            let steps = stack_steps(store, path, Box::new(sched), XStep::new);
+            Box::new(XAssembly::new(steps, len, Some(shared), None))
         }
         Method::XScan => {
             let pages = store.meta.page_range().collect();
-            let mut op: Box<dyn Operator> = Box::new(XScan::new(source, pages, len));
-            for (idx, step) in path.steps.iter().enumerate() {
-                let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
-                op = Box::new(XStep::new(op, idx as u16 + 1, step.axis, test));
-            }
-            let all_reachable = if contexts == [store.meta.root] {
-                scan_all_reachable_step(path)
-            } else {
-                None
-            };
-            Box::new(XAssembly::new(op, len, None, all_reachable))
+            let scan = XScan::new(source, pages, len);
+            let steps = stack_steps(store, path, Box::new(scan), XStep::new);
+            let all_reachable =
+                scan_all_reachable_step(path).filter(|_| contexts == [store.meta.root]);
+            Box::new(XAssembly::new(steps, len, None, all_reachable))
         }
     }
 }
@@ -208,32 +193,105 @@ pub fn execute_path_from(
     run_path(store, path, contexts, cfg, None, None)
 }
 
-/// Executes `path` from the document root under a [`QueryBudget`]: the soft
-/// deadline degrades the plan into §5.4.6 fallback mode, the hard deadline
-/// (or the budget's cancel token) aborts it with a typed error, and S-set
-/// growth is charged to `ledger`, if one is given (batch-wide memory
-/// pressure degrades the query instead of growing S).
-///
-/// Running under [`QueryBudget::unlimited`] and no ledger is behaviorally
-/// identical to [`execute_path`].
-pub fn execute_path_budgeted(
-    store: &TreeStore,
-    path: &LocationPath,
-    cfg: &PlanConfig,
-    budget: &QueryBudget,
-    ledger: Option<&MemLedger>,
-) -> Result<PathRun, ExecError> {
-    run_path(
-        store,
-        path,
-        vec![store.meta.root],
-        cfg,
-        Some(budget),
-        ledger,
-    )
+/// Snapshot of the clock, buffer and device counters at the start of a
+/// measured interval.
+pub(crate) struct Meter {
+    time: TimeBreakdown,
+    buffer: BufferStats,
+    device: DeviceStats,
 }
 
-fn run_path(
+impl Meter {
+    pub(crate) fn start(store: &TreeStore) -> Self {
+        Self {
+            time: store.clock().breakdown(),
+            buffer: store.buffer.stats(),
+            device: store.buffer.device_stats(),
+        }
+    }
+
+    /// The time/buffer/device delta since [`Self::start`], as a report
+    /// whose other fields are empty.
+    pub(crate) fn delta(&self, store: &TreeStore) -> ExecReport {
+        ExecReport {
+            time: store.clock().breakdown() - self.time,
+            buffer: store.buffer.stats() - self.buffer,
+            device: store.buffer.device_stats() - self.device,
+            ..ExecReport::default()
+        }
+    }
+}
+
+/// The plan output contract: a result leaves a plan as a `Done` end
+/// (XAssembly), a swizzled `Core` end, or a raw `Cold` context (zero-step
+/// Simple plans). Returns the result's `(node, order)`, or `None` when a
+/// `Cold` end's cluster could not be read (the store recorded the error and
+/// the caller winds down). Any other end is a bug in the operator tree,
+/// reported as [`ExecError::UnexpectedEnd`] by `executor`.
+pub(crate) fn result_node(
+    store: &TreeStore,
+    end: &REnd,
+    executor: &'static str,
+) -> Result<Option<(NodeId, u64)>, ExecError> {
+    Ok(match end {
+        REnd::Done { id, order } => Some((*id, *order)),
+        REnd::Core {
+            cluster,
+            slot,
+            order,
+        } => Some((cluster.id(*slot), *order)),
+        REnd::Cold { id, .. } => store
+            .checked_fix(id.page)
+            .map(|cluster| (*id, cluster.node(id.slot).order)),
+        other => return Err(ExecError::unexpected_end(executor, other)),
+    })
+}
+
+/// Completes `io`, a [`Meter`] delta, with the algebra counters of `cx`.
+pub(crate) fn exec_report(
+    cx: &ExecCtx<'_>,
+    method: &str,
+    results: usize,
+    io: ExecReport,
+) -> ExecReport {
+    let (nav, stats) = (&cx.nav_counters, &cx.stats);
+    ExecReport {
+        method: method.to_owned(),
+        nodes_visited: nav.nodes_visited.get(),
+        node_tests: nav.node_tests.get(),
+        borders: nav.borders.get(),
+        instances: stats.instances.get(),
+        results: results as u64,
+        r_inserts: stats.r_inserts.get(),
+        s_inserts: stats.s_inserts.get(),
+        s_peak: stats.s_peak.get(),
+        q_pushes: stats.q_pushes.get(),
+        speculative_generated: stats.speculative_generated.get(),
+        fallback: stats.fallback_entered.get(),
+        degraded: cx.governor_degraded(),
+        ..io
+    }
+}
+
+/// Clean abort on the store's `recorded` read failure, if any: discards
+/// the asynchronous reads still queued, so the next run starts from an idle
+/// device, and surfaces the failure as a value.
+pub(crate) fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(), ExecError> {
+    let Some(e) = recorded else { return Ok(()) };
+    store.buffer.drain_inflight();
+    Err(ExecError::Io {
+        page: e.page,
+        attempts: e.attempts,
+    })
+}
+
+/// The single-path executor. With a `budget`, the soft deadline degrades the
+/// plan into §5.4.6 fallback mode, the hard deadline (or the budget's
+/// cancel token) aborts it with a typed error, and S-set growth is charged
+/// to `ledger`, if one is given (batch-wide memory pressure degrades the
+/// query instead of growing S). An unlimited budget without a ledger
+/// behaves exactly like no budget.
+pub(crate) fn run_path(
     store: &TreeStore,
     path: &LocationPath,
     contexts: Vec<NodeId>,
@@ -241,52 +299,26 @@ fn run_path(
     budget: Option<&QueryBudget>,
     ledger: Option<&MemLedger>,
 ) -> Result<PathRun, ExecError> {
-    let path = if cfg.normalize {
-        path.normalize()
-    } else {
-        path.clone()
-    };
+    let path = cfg.prepare(path);
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
     let cx = match budget {
         None => ExecCtx::new(store, cfg.costs, cfg.mem_limit),
-        Some(b) => {
-            let cx = ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b, ledger.cloned());
-            // Arm the buffer's governor gate: past the hard deadline no
-            // further device I/O is issued and retry backoff is clamped,
-            // even between operator checkpoints.
-            store.buffer.set_interrupted(false);
-            store.buffer.set_io_deadline(
-                b.deadline
-                    .and_then(|d| cx.governor_t0().map(|t0| t0.saturating_add(d.hard_ns))),
-            );
-            cx
-        }
+        Some(b) => ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b, ledger.cloned()),
     };
-    let clock0 = store.clock().breakdown();
-    let buf0 = store.buffer.stats();
-    let dev0 = store.buffer.device_stats();
+    let meter = Meter::start(store);
 
     let mut plan = build_plan(store, &path, contexts, cfg.method);
     let mut nodes: Vec<(NodeId, u64)> = Vec::new();
     let mut dedup: HashSet<NodeId> = HashSet::new();
-    let mut contract_err: Option<ExecError> = None;
+    let mut contract = Ok(());
     let simple = matches!(cfg.method, Method::Simple);
     while let Some(p) = plan.next(&cx) {
-        let (id, order) = match &p.nr {
-            REnd::Done { id, order } => (*id, *order),
-            REnd::Core {
-                cluster,
-                slot,
-                order,
-            } => (cluster.id(*slot), *order),
-            // Zero-step Simple plans emit the raw context instances.
-            REnd::Cold { id, .. } => match store.checked_fix(id.page) {
-                Some(cluster) => (*id, cluster.node(id.slot).order),
-                None => break, // error recorded; abort below
-            },
-            other => {
-                contract_err = Some(ExecError::unexpected_end("execute_path_from", other));
+        let (id, order) = match result_node(store, &p.nr, "execute_path_from") {
+            Ok(Some(node)) => node,
+            Ok(None) => break, // error recorded; abort below
+            Err(e) => {
+                contract = Err(e);
                 break;
             }
         };
@@ -301,55 +333,12 @@ fn run_path(
     }
     drop(plan);
 
-    // Governed epilogue: settle the ledger and disarm the buffer gate on
-    // every exit path, then surface the abort cause (a governor abort wins
-    // over the `Interrupted` I/O error it may have produced at the gate).
-    cx.release_ledger();
     let recorded_io = store.take_io_error();
-    if budget.is_some() {
-        store.buffer.set_io_deadline(None);
-        store.buffer.set_interrupted(false);
-        let abort = cx.governor_abort().or_else(|| {
-            // The gate refused a read but the plan wound down without
-            // another checkpoint: classify by the budget itself.
-            recorded_io
-                .filter(|e| e.kind == pathix_storage::IoErrorKind::Interrupted)
-                .map(|_| {
-                    if cx.governor_canceled() {
-                        AbortReason::Canceled
-                    } else {
-                        AbortReason::Deadline
-                    }
-                })
-        });
-        if let Some(reason) = abort {
-            store.buffer.drain_inflight();
-            return Err(match reason {
-                AbortReason::Canceled => ExecError::Canceled,
-                AbortReason::Deadline => ExecError::DeadlineExceeded {
-                    page_reads: device_delta(store.buffer.device_stats(), dev0).reads,
-                    elapsed: store
-                        .clock()
-                        .now_ns()
-                        .saturating_sub(cx.governor_t0().unwrap_or(0)),
-                },
-            });
-        }
+    if let Some(abort) = cx.governor_verdict(recorded_io.as_ref()) {
+        return Err(abort);
     }
-
-    if let Some(e) = contract_err {
-        return Err(e);
-    }
-    if let Some(e) = recorded_io {
-        // Clean abort: discard whatever asynchronous reads are still queued
-        // so the next run starts from an idle device, then surface the
-        // failure as a value.
-        store.buffer.drain_inflight();
-        return Err(ExecError::Io {
-            page: e.page,
-            attempts: e.attempts,
-        });
-    }
+    contract?;
+    io_abort(store, recorded_io)?;
 
     if cfg.sort {
         // §5.5: reordered evaluation needs a final sort into document order.
@@ -362,24 +351,7 @@ fn run_path(
         nodes.sort_by_key(|&(_, order)| order);
     }
 
-    let report = ExecReport {
-        method: cfg.method.label().to_owned(),
-        time: store.clock().breakdown().since(&clock0),
-        buffer: buffer_delta(store.buffer.stats(), buf0),
-        device: device_delta(store.buffer.device_stats(), dev0),
-        nodes_visited: cx.nav_counters.nodes_visited.get(),
-        node_tests: cx.nav_counters.node_tests.get(),
-        borders: cx.nav_counters.borders.get(),
-        instances: cx.stats.instances.get(),
-        results: nodes.len() as u64,
-        r_inserts: cx.stats.r_inserts.get(),
-        s_inserts: cx.stats.s_inserts.get(),
-        s_peak: cx.stats.s_peak.get(),
-        q_pushes: cx.stats.q_pushes.get(),
-        speculative_generated: cx.stats.speculative_generated.get(),
-        fallback: cx.stats.fallback_entered.get(),
-        degraded: cx.governor_degraded(),
-    };
+    let report = exec_report(&cx, cfg.method.label(), nodes.len(), meter.delta(store));
     Ok(PathRun { nodes, report })
 }
 
@@ -399,22 +371,15 @@ pub fn execute_query(
     cfg: &PlanConfig,
 ) -> Result<QueryRun, ExecError> {
     match query {
-        Query::Path(p) => {
-            let run = execute_path(store, p, cfg)?;
-            Ok(QueryRun {
-                value: run.nodes.len() as u64,
-                nodes: run.nodes,
-                report: run.report,
-            })
-        }
-        Query::Count(p) => {
+        Query::Path(p) | Query::Count(p) => {
             // Counting never needs document order (§5.5).
+            let count = matches!(query, Query::Count(_));
             let mut c = *cfg;
-            c.sort = false;
+            c.sort = cfg.sort && !count;
             let run = execute_path(store, p, &c)?;
             Ok(QueryRun {
                 value: run.nodes.len() as u64,
-                nodes: Vec::new(),
+                nodes: if count { Vec::new() } else { run.nodes },
                 report: run.report,
             })
         }
@@ -447,6 +412,7 @@ mod tests {
     use crate::ops::testutil::{mem_store, sample_doc};
     use pathix_tree::Placement;
     use pathix_xpath::{parse_path, parse_query};
+    use std::sync::Arc;
 
     fn all_methods() -> [Method; 4] {
         [
@@ -561,6 +527,56 @@ mod tests {
         )
         .expect("plan executes");
         assert_eq!(run.nodes.len(), run2.nodes.len());
+    }
+
+    #[test]
+    fn result_node_accepts_exactly_the_output_contract() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Sequential);
+        let root = store.meta.root;
+        let cluster = store.checked_fix(root.page).expect("root page reads");
+        let order = cluster.node(root.slot).order;
+        let accepted = [
+            REnd::Done { id: root, order },
+            REnd::Core {
+                cluster: Arc::clone(&cluster),
+                slot: root.slot,
+                order,
+            },
+            REnd::Cold {
+                id: root,
+                resume: false,
+            },
+        ];
+        for end in &accepted {
+            assert_eq!(
+                result_node(&store, end, "test"),
+                Ok(Some((root, order))),
+                "{end:?}"
+            );
+        }
+        let rejected = [
+            REnd::Entry {
+                cluster,
+                slot: root.slot,
+            },
+            REnd::Border {
+                proxy: root,
+                target: root,
+            },
+        ];
+        for end in &rejected {
+            assert!(
+                matches!(
+                    result_node(&store, end, "test"),
+                    Err(ExecError::UnexpectedEnd {
+                        executor: "test",
+                        ..
+                    })
+                ),
+                "{end:?}"
+            );
+        }
     }
 
     #[test]

@@ -30,12 +30,13 @@
 use crate::concurrent::ConcurrentRun;
 use crate::error::ExecError;
 use crate::governor::{GovernorReport, MemLedger, QueryBudget};
-use crate::plan::{execute_path_budgeted, execute_path_from, Method, PlanConfig};
+use crate::plan::{run_path, Method, PlanConfig};
 use crate::report::ExecReport;
 use parking_lot::{Condvar, Mutex};
 use pathix_storage::{BufferParams, Device, SimClock};
 use pathix_tree::{TreeMeta, TreeStore};
 use pathix_xpath::LocationPath;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -61,7 +62,9 @@ pub struct BatchRun {
     /// One result per work item, in batch order (independent of which
     /// worker executed it). An item fails alone, with [`ExecError::Io`]
     /// for an unrecovered page read or [`ExecError::WorkerLost`] if its
-    /// worker died before publishing a result.
+    /// worker died before publishing a result. Under governance, shed
+    /// items carry [`ExecError::Overloaded`] and aborted ones
+    /// [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`].
     pub runs: Vec<Result<ConcurrentRun, ExecError>>,
     /// Sum of the *successful* per-item reports. `time` is aggregate
     /// simulated time across all workers (simulated clocks run
@@ -69,6 +72,9 @@ pub struct BatchRun {
     /// wall-clock elapsed time is the harness's concern, not the
     /// engine's (R2 determinism).
     pub report: ExecReport,
+    /// Batch-level governor tally. Without governance every item counts
+    /// as admitted and nothing is shed, degraded or aborted.
+    pub governor: GovernorReport,
 }
 
 impl BatchRun {
@@ -81,92 +87,19 @@ impl BatchRun {
 /// Executes every `(path, method)` item of `work` across `seeds.len()`
 /// worker threads and returns per-item results in batch order.
 ///
-/// Each result is produced by [`execute_path_from`] on the worker's private
-/// store, so per-item nodes and reports have exactly the same shape as
-/// sequential execution. A panicking item is caught on its worker thread
-/// and recorded as [`ExecError::WorkerLost`]; the worker then resets its
-/// private engine state and keeps claiming items, so a single poisoned
-/// query costs exactly one batch slot. Panics if `seeds` is empty (the
-/// caller chooses the worker count; zero workers cannot run a batch).
+/// Each result is produced by [`crate::plan::execute_path_from`] on the
+/// worker's private store, so per-item nodes and reports have exactly the
+/// same shape as sequential execution. A panicking item is caught on its
+/// worker thread and recorded as [`ExecError::WorkerLost`]; the worker then
+/// resets its private engine state and keeps claiming items, so a single
+/// poisoned query costs exactly one batch slot. With no seeds there is no
+/// worker to run anything: every item fails with [`ExecError::WorkerLost`].
 pub fn execute_batch_parallel(
     seeds: Vec<WorkerSeed>,
     work: &[(LocationPath, Method)],
     cfg: &PlanConfig,
 ) -> BatchRun {
-    assert!(!seeds.is_empty(), "a batch needs at least one worker");
-    let cfg = *cfg;
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<ConcurrentRun, ExecError>>>> =
-        Mutex::new((0..work.len()).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for seed in seeds {
-            let next = &next;
-            let results = &results;
-            scope.spawn(move || {
-                // The whole single-threaded engine stack is private to this
-                // thread: fresh clock, fresh buffer, private device fork.
-                // If even opening the store panics, the catch below turns
-                // the thread into a no-op and the None→WorkerLost mapping
-                // at the bottom covers anything it would have claimed.
-                let body = std::panic::AssertUnwindSafe(|| {
-                    let store = TreeStore::open(
-                        seed.device,
-                        seed.meta,
-                        seed.params,
-                        Rc::new(SimClock::new()),
-                    );
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, method)) = work.get(i) else {
-                            break;
-                        };
-                        let mut item_cfg = cfg;
-                        item_cfg.method = *method;
-                        let item = std::panic::AssertUnwindSafe(|| {
-                            execute_path_from(&store, path, vec![store.meta.root], &item_cfg).map(
-                                |run| ConcurrentRun {
-                                    nodes: run.nodes,
-                                    method: method.label().to_owned(),
-                                    report: run.report,
-                                },
-                            )
-                        });
-                        let out = match std::panic::catch_unwind(item) {
-                            Ok(out) => out,
-                            Err(_) => {
-                                // The item unwound mid-plan. Scrub the
-                                // engine state it may have left behind so
-                                // the next item starts clean, and charge
-                                // the loss to this slot only.
-                                store.buffer.drain_inflight();
-                                store.clear_io_error();
-                                Err(ExecError::WorkerLost { item: i })
-                            }
-                        };
-                        if let Some(slot) = results.lock().get_mut(i) {
-                            *slot = Some(out);
-                        }
-                    }
-                });
-                let _ = std::panic::catch_unwind(body);
-            });
-        }
-    });
-
-    let mut runs = Vec::with_capacity(work.len());
-    for (i, slot) in results.into_inner().into_iter().enumerate() {
-        runs.push(slot.unwrap_or(Err(ExecError::WorkerLost { item: i })));
-    }
-
-    let mut report = ExecReport {
-        method: "parallel".to_owned(),
-        ..Default::default()
-    };
-    for run in runs.iter().flatten() {
-        report.absorb(&run.report);
-    }
-    BatchRun { runs, report }
+    run_batch(seeds, work, cfg, None, "parallel")
 }
 
 /// Admission-control knobs for [`execute_batch_governed`].
@@ -190,21 +123,6 @@ impl AdmissionConfig {
         Self::default()
     }
 }
-
-/// Result of a governed parallel batch.
-pub struct BatchGovernedOutcome {
-    /// Per-item results in batch order; shed items carry
-    /// [`ExecError::Overloaded`], aborted ones
-    /// [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`].
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
-    /// Sum of the successful per-item reports (as in [`BatchRun`]).
-    pub report: ExecReport,
-    /// Batch-level governor tally.
-    pub governor: GovernorReport,
-}
-
-/// Public alias matching the facade naming.
-pub type GovernedBatchRun = BatchGovernedOutcome;
 
 /// Counting semaphore over a [`Mutex`]/[`Condvar`] pair: caps how many
 /// admitted queries execute at once. Confined to this file like every other
@@ -261,36 +179,60 @@ impl Drop for GatePermit<'_> {
 ///   mode instead of failing them.
 ///
 /// `budgets` pairs with `work` by index; missing entries mean
-/// [`QueryBudget::unlimited`]. Panics if `seeds` is empty.
+/// [`QueryBudget::unlimited`]. With no seeds every item fails with
+/// [`ExecError::WorkerLost`], as in [`execute_batch_parallel`].
 pub fn execute_batch_governed(
     seeds: Vec<WorkerSeed>,
     work: &[(LocationPath, Method)],
     cfg: &PlanConfig,
     budgets: &[QueryBudget],
     admission: &AdmissionConfig,
-) -> GovernedBatchRun {
-    assert!(!seeds.is_empty(), "a batch needs at least one worker");
-    let cfg = *cfg;
-    let admitted_cap = admission.max_admitted.unwrap_or(usize::MAX);
-    let ledger = admission.ledger_cap_bytes.map(MemLedger::new);
-    let gate = Gate::new(if admission.max_in_flight == 0 {
-        seeds.len()
-    } else {
-        admission.max_in_flight
-    });
+) -> BatchRun {
+    let in_flight = match admission.max_in_flight {
+        0 => seeds.len(),
+        cap => cap,
+    };
+    let governance = Governance {
+        budgets,
+        admitted: admission.max_admitted.unwrap_or(usize::MAX),
+        gate: Gate::new(in_flight),
+        ledger: admission.ledger_cap_bytes.map(MemLedger::new),
+    };
+    run_batch(seeds, work, cfg, Some(governance), "governed")
+}
+
+/// The governed executor's front door, shared by all its workers.
+struct Governance<'a> {
+    budgets: &'a [QueryBudget],
+    /// Length of the admitted batch prefix; later items are shed.
+    admitted: usize,
+    /// The in-flight cap.
+    gate: Gate,
+    ledger: Option<MemLedger>,
+}
+
+/// The worker loop behind both entry points: `seeds.len()` scoped threads
+/// claim items off an atomic cursor and publish into per-item slots.
+fn run_batch(
+    seeds: Vec<WorkerSeed>,
+    work: &[(LocationPath, Method)],
+    cfg: &PlanConfig,
+    governance: Option<Governance<'_>>,
+    label: &str,
+) -> BatchRun {
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<ConcurrentRun, ExecError>>>> =
-        Mutex::new((0..work.len()).map(|_| None).collect());
+    let results = Mutex::new(vec![None; work.len()]);
 
     std::thread::scope(|scope| {
         for seed in seeds {
-            let next = &next;
-            let results = &results;
-            let gate = &gate;
-            let ledger = &ledger;
-            let budgets = &budgets;
+            let (next, results, gov) = (&next, &results, governance.as_ref());
             scope.spawn(move || {
-                let body = std::panic::AssertUnwindSafe(|| {
+                // The whole single-threaded engine stack is private to this
+                // thread: fresh clock, fresh buffer, private device fork.
+                // If even opening the store panics, the catch below turns
+                // the thread into a no-op and the None→WorkerLost mapping
+                // at the bottom covers anything it would have claimed.
+                let body = AssertUnwindSafe(|| {
                     let store = TreeStore::open(
                         seed.device,
                         seed.meta,
@@ -302,98 +244,112 @@ pub fn execute_batch_governed(
                         let Some((path, method)) = work.get(i) else {
                             break;
                         };
-                        let out = if i >= admitted_cap {
-                            // Deterministic load shedding: the overflow of
-                            // the admission prefix, independent of timing.
-                            Err(ExecError::Overloaded)
-                        } else {
-                            let budget = budgets.get(i).cloned().unwrap_or_default();
-                            let mut item_cfg = cfg;
-                            item_cfg.method = *method;
-                            // In-flight cap: hold a permit for the whole
-                            // execution of this admitted item.
-                            let _permit = gate.acquire();
-                            // Cold start (see the function docs): the item's
-                            // sim-timeline must not depend on claim order —
-                            // cold buffer, and the device head re-parked so
-                            // seek costs don't inherit the previous item's
-                            // final position.
-                            store.buffer.reset();
-                            store.buffer.device_mut().park();
-                            let item = std::panic::AssertUnwindSafe(|| {
-                                execute_path_budgeted(
-                                    &store,
-                                    path,
-                                    &item_cfg,
-                                    &budget,
-                                    ledger.as_ref(),
-                                )
-                                .map(|run| ConcurrentRun {
-                                    nodes: run.nodes,
-                                    method: method.label().to_owned(),
-                                    report: run.report,
-                                })
-                            });
-                            match std::panic::catch_unwind(item) {
-                                Ok(out) => out,
-                                Err(_) => {
-                                    store.buffer.drain_inflight();
-                                    store.buffer.set_io_deadline(None);
-                                    store.buffer.set_interrupted(false);
-                                    store.clear_io_error();
-                                    Err(ExecError::WorkerLost { item: i })
-                                }
-                            }
-                        };
+                        let out = run_item(&store, i, path, *method, cfg, gov);
                         if let Some(slot) = results.lock().get_mut(i) {
                             *slot = Some(out);
                         }
                     }
                 });
-                let _ = std::panic::catch_unwind(body);
+                let _ = catch_unwind(body);
             });
         }
     });
 
-    let mut runs = Vec::with_capacity(work.len());
-    for (i, slot) in results.into_inner().into_iter().enumerate() {
-        runs.push(slot.unwrap_or(Err(ExecError::WorkerLost { item: i })));
-    }
-
+    let runs: Vec<_> = results
+        .into_inner()
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.unwrap_or(Err(ExecError::WorkerLost { item: i })))
+        .collect();
     let mut report = ExecReport {
-        method: "governed".to_owned(),
+        method: label.to_owned(),
         ..Default::default()
     };
+    let ledger = governance.as_ref().and_then(|g| g.ledger.as_ref());
     let mut governor = GovernorReport {
-        peak_ledger_bytes: ledger.as_ref().map(|l| l.peak()).unwrap_or(0),
+        peak_ledger_bytes: ledger.map_or(0, MemLedger::peak),
         ..Default::default()
     };
     for run in &runs {
         match run {
+            Err(ExecError::Overloaded) => {
+                governor.shed += 1;
+                continue;
+            }
             Ok(r) => {
-                governor.admitted += 1;
-                if r.report.degraded {
-                    governor.degraded += 1;
-                }
+                governor.degraded += u64::from(r.report.degraded);
                 report.absorb(&r.report);
             }
-            Err(ExecError::Overloaded) => governor.shed += 1,
-            Err(ExecError::DeadlineExceeded { .. }) => {
-                governor.admitted += 1;
-                governor.deadline_aborted += 1;
-            }
-            Err(ExecError::Canceled) => {
-                governor.admitted += 1;
-                governor.canceled += 1;
-            }
-            Err(_) => governor.admitted += 1,
+            Err(ExecError::DeadlineExceeded { .. }) => governor.deadline_aborted += 1,
+            Err(ExecError::Canceled) => governor.canceled += 1,
+            Err(_) => {}
         }
+        governor.admitted += 1;
     }
-    GovernedBatchRun {
+    BatchRun {
         runs,
         report,
         governor,
     }
+}
+
+/// Runs batch item `i` on a worker's private `store`, containing a panic to
+/// this item's slot.
+fn run_item(
+    store: &TreeStore,
+    i: usize,
+    path: &LocationPath,
+    method: Method,
+    cfg: &PlanConfig,
+    gov: Option<&Governance<'_>>,
+) -> Result<ConcurrentRun, ExecError> {
+    let governed = match gov {
+        None => None,
+        // Deterministic load shedding: the overflow of the admission
+        // prefix, independent of timing.
+        Some(g) if i >= g.admitted => return Err(ExecError::Overloaded),
+        Some(g) => {
+            let budget = g.budgets.get(i).cloned().unwrap_or_default();
+            // In-flight cap: hold a permit for the whole execution of this
+            // admitted item.
+            let permit = g.gate.acquire();
+            // Cold start (see `execute_batch_governed`): the item's
+            // sim-timeline must not depend on claim order — cold buffer,
+            // and the device head re-parked so seek costs don't inherit
+            // the previous item's final position.
+            store.buffer.reset();
+            store.buffer.device_mut().park();
+            Some((budget, permit))
+        }
+    };
+    let budget = governed.as_ref().map(|(budget, _)| budget);
+    let ledger = gov.and_then(|g| g.ledger.as_ref());
+    let item_cfg = PlanConfig { method, ..*cfg };
+    let item = AssertUnwindSafe(|| {
+        let run = run_path(
+            store,
+            path,
+            vec![store.meta.root],
+            &item_cfg,
+            budget,
+            ledger,
+        )?;
+        Ok(ConcurrentRun {
+            nodes: run.nodes,
+            method: method.label().to_owned(),
+            report: run.report,
+        })
+    });
+    catch_unwind(item).unwrap_or_else(|_| {
+        // The item unwound mid-plan. Scrub the engine state it may have
+        // left behind so the next item starts clean, and charge the loss
+        // to this slot only.
+        store.buffer.drain_inflight();
+        store.buffer.set_io_deadline(None);
+        store.buffer.set_interrupted(false);
+        store.clear_io_error();
+        Err(ExecError::WorkerLost { item: i })
+    })
 }
 
 #[cfg(test)]
@@ -485,6 +441,22 @@ mod tests {
             execute_batch_parallel(seeds_for(&store, 2), &[], &PlanConfig::new(Method::XScan));
         assert!(batch.runs.is_empty());
         assert_eq!(batch.report.results, 0);
+    }
+
+    #[test]
+    fn zero_workers_lose_every_item_without_panicking() {
+        let work = governed_work();
+        let cfg = PlanConfig::new(Method::XScan);
+        let parallel = execute_batch_parallel(vec![], &work, &cfg);
+        let governed =
+            execute_batch_governed(vec![], &work, &cfg, &[], &AdmissionConfig::unlimited());
+        for batch in [parallel, governed] {
+            assert_eq!(batch.runs.len(), work.len());
+            for (i, run) in batch.runs.iter().enumerate() {
+                assert!(matches!(run, Err(ExecError::WorkerLost { item }) if *item == i));
+            }
+            assert_eq!(batch.report.results, 0);
+        }
     }
 
     /// Panics on the n-th `read_sync` (0-based), then behaves normally —

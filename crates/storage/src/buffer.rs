@@ -113,6 +113,16 @@ pub struct BufferStats {
     pub capacity_overflows: u64,
 }
 
+crate::clock::counter_algebra!(BufferStats {
+    fixes,
+    hits,
+    misses,
+    async_loads,
+    evictions,
+    prefetches,
+    capacity_overflows,
+});
+
 impl BufferStats {
     /// Buffer hit rate in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
@@ -199,19 +209,14 @@ impl<T> FrameTable<T> {
         };
         let slot = match victim.and_then(|i| self.slots.get_mut(i).map(|s| (i, s))) {
             Some((i, s)) => {
-                if let Some(old) = s.take() {
+                if let Some(old) = s.replace(frame) {
                     outcome.evicted = true;
-                    *s = Some(frame);
                     self.map.remove(&old.page);
-                } else {
-                    *s = Some(frame);
                 }
                 i
             }
             None => {
-                if self.slots.len() >= capacity {
-                    outcome.overflowed = true;
-                }
+                outcome.overflowed = self.slots.len() >= capacity;
                 self.slots.push(Some(frame));
                 self.slots.len() - 1
             }
@@ -307,17 +312,12 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     /// The governor gate: `Some(error)` if a device access for `page` must
     /// be refused right now (interrupted, or past the I/O deadline).
     fn io_gate(&self, page: PageId) -> Option<IoError> {
-        if self.interrupt.get() {
-            return Some(IoError::new(page, IoErrorKind::Interrupted));
-        }
-        let over = self
+        let past_deadline = self
             .io_deadline
             .get()
             .is_some_and(|dl| self.clock.now_ns() >= dl);
-        if over {
-            return Some(IoError::new(page, IoErrorKind::Interrupted));
-        }
-        None
+        (self.interrupt.get() || past_deadline)
+            .then(|| IoError::new(page, IoErrorKind::Interrupted))
     }
 
     /// Current retry policy.
@@ -386,10 +386,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     pub fn try_fix(&self, page: PageId) -> Result<Arc<T>, IoError> {
         let p = self.params.get();
         self.clock.charge_cpu(p.fix_hit_ns);
-        {
-            let mut st = self.stats.borrow_mut();
-            st.fixes += 1;
-        }
+        self.stats.borrow_mut().fixes += 1;
         if let Some(data) = self.frames.borrow_mut().get(page) {
             self.stats.borrow_mut().hits += 1;
             return Ok(data);
@@ -435,36 +432,24 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         let retry = self.retry.get();
         let mut attempt = 1u32;
         let bytes = loop {
-            let outcome = self
-                .device
-                .borrow_mut()
-                .read_sync(page, &self.clock)
-                .and_then(|bytes| {
-                    if verify_page(&bytes) {
-                        Ok(bytes)
-                    } else {
-                        Err(IoError::new(page, IoErrorKind::Corrupt))
-                    }
-                });
-            match outcome {
-                Ok(bytes) => break bytes,
-                Err(mut e) => {
-                    // Retry backoff counts against the query's deadline: a
-                    // wait that would end past the I/O deadline is not
-                    // taken, so a deadlined query cannot spend unbounded
-                    // sim-time retrying.
-                    let wakes_at = self.clock.now_ns() + retry.backoff_ns(attempt + 1);
-                    let in_budget = self.io_deadline.get().is_none_or(|dl| wakes_at < dl);
-                    if e.retryable() && attempt < retry.max_attempts && in_budget {
-                        attempt += 1;
-                        self.retries.set(self.retries.get() + 1);
-                        self.clock.wait_until(wakes_at);
-                    } else {
-                        e.attempts = attempt;
-                        return Err(e);
-                    }
-                }
+            let read = self.device.borrow_mut().read_sync(page, &self.clock);
+            let mut e = match read {
+                Ok(bytes) if verify_page(&bytes) => break bytes,
+                Ok(_) => IoError::new(page, IoErrorKind::Corrupt),
+                Err(e) => e,
+            };
+            // Retry backoff counts against the query's deadline: a wait
+            // that would end past the I/O deadline is not taken, so a
+            // deadlined query cannot spend unbounded sim-time retrying.
+            let wakes_at = self.clock.now_ns() + retry.backoff_ns(attempt + 1);
+            let in_budget = self.io_deadline.get().is_none_or(|dl| wakes_at < dl);
+            if !(e.retryable() && attempt < retry.max_attempts && in_budget) {
+                e.attempts = attempt;
+                return Err(e);
             }
+            attempt += 1;
+            self.retries.set(self.retries.get() + 1);
+            self.clock.wait_until(wakes_at);
         };
         let data = Arc::new(self.decoder.decode(page, &bytes, &self.clock));
         self.insert(page, Arc::clone(&data));
@@ -499,8 +484,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
             let c = self.device.borrow_mut().poll(&self.clock, block)?;
             match c.result {
                 Ok(bytes) if verify_page(&bytes) => {
-                    let data = self.install_completion(c.page, &bytes);
-                    return Some((c.page, data));
+                    return Some((c.page, self.install_completion(c.page, &bytes)));
                 }
                 _ => {
                     self.submitted.borrow_mut().remove(&c.page);
@@ -516,12 +500,8 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
 
     fn install_completion(&self, page: PageId, bytes: &[u8]) -> Arc<T> {
         self.submitted.borrow_mut().remove(&page);
-        {
-            let mut st = self.stats.borrow_mut();
-            st.async_loads += 1;
-        }
-        let p = self.params.get();
-        self.clock.charge_cpu(p.miss_overhead_ns);
+        self.stats.borrow_mut().async_loads += 1;
+        self.clock.charge_cpu(self.params.get().miss_overhead_ns);
         if let Some(existing) = self.frames.borrow_mut().get(page) {
             // Raced with a synchronous fix; keep the existing frame.
             return existing;
@@ -532,17 +512,11 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     }
 
     fn insert(&self, page: PageId, data: Arc<T>) {
-        let outcome =
-            self.frames
-                .borrow_mut()
-                .insert(page, data, self.params.get().capacity.max(1));
+        let capacity = self.params.get().capacity.max(1);
+        let outcome = self.frames.borrow_mut().insert(page, data, capacity);
         let mut st = self.stats.borrow_mut();
-        if outcome.evicted {
-            st.evictions += 1;
-        }
-        if outcome.overflowed {
-            st.capacity_overflows += 1;
-        }
+        st.evictions += u64::from(outcome.evicted);
+        st.capacity_overflows += u64::from(outcome.overflowed);
     }
 
     /// Drops `page` from the cache (after an in-place page update).

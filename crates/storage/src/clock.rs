@@ -118,13 +118,39 @@ impl TimeBreakdown {
 
     /// Difference of two snapshots (`self` must be the later one).
     pub fn since(&self, earlier: &TimeBreakdown) -> TimeBreakdown {
-        TimeBreakdown {
-            total_ns: self.total_ns - earlier.total_ns,
-            cpu_ns: self.cpu_ns - earlier.cpu_ns,
-            io_wait_ns: self.io_wait_ns - earlier.io_wait_ns,
-        }
+        *self - *earlier
     }
 }
+
+/// Implements the counter algebra for a struct of cumulative `u64`
+/// counters: `Sub` (later snapshot minus earlier one) and `AddAssign`
+/// (summing deltas), both field-wise. The field list must name every
+/// field: the impls destructure the struct without `..`, so a counter
+/// added to the struct but not here fails to compile.
+macro_rules! counter_algebra {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl std::ops::Sub for $ty {
+            type Output = $ty;
+            fn sub(self, earlier: $ty) -> $ty {
+                let $ty { $($field),+ } = self;
+                $ty { $($field: $field - earlier.$field),+ }
+            }
+        }
+        impl std::ops::AddAssign for $ty {
+            fn add_assign(&mut self, other: $ty) {
+                let $ty { $($field),+ } = other;
+                $(self.$field += $field;)+
+            }
+        }
+    };
+}
+pub(crate) use counter_algebra;
+
+counter_algebra!(TimeBreakdown {
+    total_ns,
+    cpu_ns,
+    io_wait_ns
+});
 
 #[cfg(test)]
 mod tests {

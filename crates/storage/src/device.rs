@@ -151,6 +151,16 @@ pub struct DeviceStats {
     pub retries: u64,
 }
 
+crate::clock::counter_algebra!(DeviceStats {
+    reads,
+    sequential_reads,
+    random_reads,
+    seek_distance_pages,
+    busy_ns,
+    page_copies,
+    retries,
+});
+
 impl DeviceStats {
     /// Fraction of reads that were sequential, in `[0, 1]`.
     pub fn sequential_fraction(&self) -> f64 {

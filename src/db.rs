@@ -1,9 +1,10 @@
 //! High-level facade: build a clustered store from a document and run
 //! queries with any of the paper's three physical methods.
 
+use pathix_core::plan::execute_path_from;
 use pathix_core::{
     execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_path,
-    execute_paths_shared_scan, execute_query, AdmissionConfig, ConcurrentRun, ExecError,
+    execute_paths_shared_scan, execute_query, AdmissionConfig, BatchRun, ConcurrentRun, ExecError,
     ExecReport, GovernorReport, Method, MultiPathRun, Optimizer, PathRun, PlanConfig, PlanEstimate,
     QueryBudget, QueryRun, WorkerSeed,
 };
@@ -13,9 +14,10 @@ use pathix_storage::{
 };
 use pathix_tree::{import_into, ImportConfig, ImportReport, NodeId, Placement, TreeStore};
 use pathix_xml::Document;
-use pathix_xpath::{parse_path, parse_query, PathParseError};
+use pathix_xpath::{parse_path, parse_query, LocationPath, PathParseError};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which device backs the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,33 +108,43 @@ impl From<ExecError> for DbError {
     }
 }
 
-/// Result of a parallel batch run (see [`Database::run_parallel`]).
+/// Result of a parallel batch run (see [`Database::run_parallel`] and
+/// [`Database::run_parallel_governed`]).
 #[derive(Debug)]
 pub struct ParallelRun {
     /// One result per work item, in batch order. Failures are contained
     /// per item: a query hitting an unrecoverable page read fails alone
-    /// with [`ExecError::Io`] while the rest of the batch completes.
+    /// with [`ExecError::Io`] while the rest of the batch completes. Shed
+    /// items carry [`ExecError::Overloaded`]; deadline-aborted items carry
+    /// [`ExecError::DeadlineExceeded`]; canceled items
+    /// [`ExecError::Canceled`].
     pub runs: Vec<Result<ConcurrentRun, ExecError>>,
     /// Sum of the successful per-item reports (aggregate simulated work,
     /// not elapsed wall time — workers run concurrently).
     pub report: ExecReport,
-    /// Shared page cache counters for the whole batch.
+    /// Batch-level governor tallies (admitted / shed / degraded / …).
+    pub governor: GovernorReport,
+    /// Shared page cache counters for the whole batch (zero for a governed
+    /// batch, whose workers share no cache).
     pub cache: SharedPageCacheStats,
 }
 
-/// Result of a governed parallel batch run
-/// (see [`Database::run_parallel_governed`]).
-#[derive(Debug)]
-pub struct GovernedRun {
-    /// One result per work item, in batch order. Shed items carry
-    /// [`ExecError::Overloaded`]; deadline-aborted items carry
-    /// [`ExecError::DeadlineExceeded`]; canceled items
-    /// [`ExecError::Canceled`].
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
-    /// Sum of the successful per-item reports.
-    pub report: ExecReport,
-    /// Batch-level governor tallies (admitted / shed / degraded / …).
-    pub governor: GovernorReport,
+impl ParallelRun {
+    fn new(batch: BatchRun, cache: SharedPageCacheStats) -> Self {
+        Self {
+            runs: batch.runs,
+            report: batch.report,
+            governor: batch.governor,
+            cache,
+        }
+    }
+}
+
+/// Parses `(path, method)` work items, rooting each path.
+fn parse_work(work: &[(&str, Method)]) -> Result<Vec<(LocationPath, Method)>, DbError> {
+    work.iter()
+        .map(|(p, m)| Ok((parse_path(p)?.rooted(), *m)))
+        .collect()
 }
 
 /// A stored document plus everything needed to query it.
@@ -156,25 +168,7 @@ impl Database {
 
     /// Imports `doc` into a fresh device.
     pub fn from_document(doc: &Document, opts: &DatabaseOptions) -> Result<Self, DbError> {
-        let mut device = Self::fresh_device(opts);
-        let cfg = ImportConfig {
-            page_size: opts.page_size,
-            placement: opts.placement,
-        };
-        let (meta, import_report) = import_into(device.as_mut(), doc, &cfg)?;
-        let store = TreeStore::open(
-            device,
-            meta,
-            BufferParams {
-                capacity: opts.buffer_pages,
-                ..Default::default()
-            },
-            Rc::new(SimClock::new()),
-        );
-        Ok(Self {
-            store,
-            import_report,
-        })
+        Self::import(doc, opts, None)
     }
 
     /// Imports `doc` into a fresh device wrapped in a fault-injection
@@ -188,23 +182,30 @@ impl Database {
         opts: &DatabaseOptions,
         plan: FaultPlan,
     ) -> Result<Self, DbError> {
+        Self::import(doc, opts, Some(plan))
+    }
+
+    fn import(
+        doc: &Document,
+        opts: &DatabaseOptions,
+        faults: Option<FaultPlan>,
+    ) -> Result<Self, DbError> {
         let mut device = Self::fresh_device(opts);
         let cfg = ImportConfig {
             page_size: opts.page_size,
             placement: opts.placement,
         };
         let (meta, import_report) = import_into(device.as_mut(), doc, &cfg)?;
-        let store = TreeStore::open(
-            Box::new(FaultDevice::new(device, plan)),
-            meta,
-            BufferParams {
-                capacity: opts.buffer_pages,
-                ..Default::default()
-            },
-            Rc::new(SimClock::new()),
-        );
+        let device: Box<dyn Device> = match faults {
+            Some(plan) => Box::new(FaultDevice::new(device, plan)),
+            None => device,
+        };
+        let params = BufferParams {
+            capacity: opts.buffer_pages,
+            ..Default::default()
+        };
         Ok(Self {
-            store,
+            store: TreeStore::open(device, meta, params, Rc::new(SimClock::new())),
             import_report,
         })
     }
@@ -267,21 +268,16 @@ impl Database {
         cfg: &PlanConfig,
     ) -> Result<PathRun, DbError> {
         let p = parse_path(path)?;
-        Ok(pathix_core::plan::execute_path_from(
-            &self.store,
-            &p,
-            contexts,
-            cfg,
-        )?)
+        Ok(execute_path_from(&self.store, &p, contexts, cfg)?)
     }
 
     /// Evaluates several location paths with **one** shared sequential scan
     /// (the paper's multi-path extension). Paths are rooted like `run`.
     pub fn run_multi(&self, paths: &[&str], cfg: &PlanConfig) -> Result<MultiPathRun, DbError> {
-        let parsed: Vec<pathix_xpath::LocationPath> = paths
+        let parsed: Vec<LocationPath> = paths
             .iter()
-            .map(|p| parse_path(p).map(|x| x.rooted()))
-            .collect::<Result<_, _>>()?;
+            .map(|p| Ok(parse_path(p)?.rooted()))
+            .collect::<Result<_, DbError>>()?;
         Ok(execute_paths_shared_scan(&self.store, &parsed, cfg)?)
     }
 
@@ -292,11 +288,34 @@ impl Database {
         work: &[(&str, Method)],
         cfg: &PlanConfig,
     ) -> Result<(Vec<ConcurrentRun>, ExecReport), DbError> {
-        let parsed: Vec<(pathix_xpath::LocationPath, Method)> = work
-            .iter()
-            .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
-            .collect::<Result<_, _>>()?;
-        Ok(execute_interleaved(&self.store, &parsed, cfg)?)
+        Ok(execute_interleaved(&self.store, &parse_work(work)?, cfg)?)
+    }
+
+    /// One private fork of this database's device per worker (at least
+    /// one), stacked over `cache` if one is given.
+    fn worker_seeds(
+        &self,
+        workers: usize,
+        cache: Option<&Arc<SharedPageCache>>,
+    ) -> Result<Vec<WorkerSeed>, DbError> {
+        (0..workers.max(1))
+            .map(|_| {
+                let fork = self
+                    .store
+                    .buffer
+                    .device_mut()
+                    .try_fork()
+                    .ok_or(DbError::Unsupported("this device cannot be forked"))?;
+                Ok(WorkerSeed {
+                    device: match cache {
+                        Some(cache) => Box::new(SharedCacheDevice::new(fork, Arc::clone(cache))),
+                        None => fork,
+                    },
+                    meta: self.store.meta.clone(),
+                    params: self.store.buffer.params(),
+                })
+            })
+            .collect()
     }
 
     /// Runs several `(path, method)` plans in parallel on `workers` OS
@@ -313,31 +332,10 @@ impl Database {
         cfg: &PlanConfig,
         workers: usize,
     ) -> Result<ParallelRun, DbError> {
-        let parsed: Vec<(pathix_xpath::LocationPath, Method)> = work
-            .iter()
-            .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
-            .collect::<Result<_, _>>()?;
-        let cache = std::sync::Arc::new(SharedPageCache::new());
-        let mut seeds = Vec::with_capacity(workers.max(1));
-        for _ in 0..workers.max(1) {
-            let fork = self
-                .store
-                .buffer
-                .device_mut()
-                .try_fork()
-                .ok_or(DbError::Unsupported("this device cannot be forked"))?;
-            seeds.push(WorkerSeed {
-                device: Box::new(SharedCacheDevice::new(fork, std::sync::Arc::clone(&cache))),
-                meta: self.store.meta.clone(),
-                params: self.store.buffer.params(),
-            });
-        }
-        let batch = execute_batch_parallel(seeds, &parsed, cfg);
-        Ok(ParallelRun {
-            runs: batch.runs,
-            report: batch.report,
-            cache: cache.stats(),
-        })
+        let work = parse_work(work)?;
+        let cache = Arc::new(SharedPageCache::new());
+        let batch = execute_batch_parallel(self.worker_seeds(workers, Some(&cache))?, &work, cfg);
+        Ok(ParallelRun::new(batch, cache.stats()))
     }
 
     /// Runs a governed parallel batch: each work item carries a
@@ -357,31 +355,11 @@ impl Database {
         workers: usize,
         budgets: &[QueryBudget],
         admission: &AdmissionConfig,
-    ) -> Result<GovernedRun, DbError> {
-        let parsed: Vec<(pathix_xpath::LocationPath, Method)> = work
-            .iter()
-            .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
-            .collect::<Result<_, _>>()?;
-        let mut seeds = Vec::with_capacity(workers.max(1));
-        for _ in 0..workers.max(1) {
-            let fork = self
-                .store
-                .buffer
-                .device_mut()
-                .try_fork()
-                .ok_or(DbError::Unsupported("this device cannot be forked"))?;
-            seeds.push(WorkerSeed {
-                device: fork,
-                meta: self.store.meta.clone(),
-                params: self.store.buffer.params(),
-            });
-        }
-        let batch = execute_batch_governed(seeds, &parsed, cfg, budgets, admission);
-        Ok(GovernedRun {
-            runs: batch.runs,
-            report: batch.report,
-            governor: batch.governor,
-        })
+    ) -> Result<ParallelRun, DbError> {
+        let work = parse_work(work)?;
+        let seeds = self.worker_seeds(workers, None)?;
+        let batch = execute_batch_governed(seeds, &work, cfg, budgets, admission);
+        Ok(ParallelRun::new(batch, SharedPageCacheStats::default()))
     }
 
     fn optimizer(&self) -> Optimizer<'_> {

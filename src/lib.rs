@@ -49,7 +49,7 @@ pub use pathix_xpath as xpath;
 
 mod db;
 
-pub use db::{Database, DatabaseOptions, DbError, DeviceKind, GovernedRun, ParallelRun};
+pub use db::{Database, DatabaseOptions, DbError, DeviceKind, ParallelRun};
 pub use pathix_core::{
     AdmissionConfig, CancelToken, Deadline, ExecError, ExecReport, GovernorReport, MemLedger,
     Method, PlanConfig, QueryBudget, QueryRun,
