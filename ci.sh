@@ -14,16 +14,20 @@
 #      concurrency confinement, fault containment, governor
 #      confinement; see DESIGN.md "Statically enforced invariants")
 #   5. cargo bench --no-run   — criterion benches stay compiling
-#   6. report throughput --fast — throughput smoke (instant disk profile,
+#   6. perfbench self-tests   — the benchmark (own package under
+#      perfbench/) builds against this tree and passes its tiny-scale
+#      self-tests, so a change to `Device` or the core exports that
+#      breaks the benchmark fails the gate
+#   7. report throughput --fast — throughput smoke (instant disk profile,
 #      small document; does not overwrite BENCH_PR2.json)
-#   7. report scaling --fast  — parallel batch smoke (2 workers, instant
+#   8. report scaling --fast  — parallel batch smoke (2 workers, instant
 #      profile; cross-checks parallel == sequential and zero page copies;
 #      does not overwrite BENCH_PR3.json)
-#   8. report chaos --fast    — fault-injection smoke (every chaos
+#   9. report chaos --fast    — fault-injection smoke (every chaos
 #      scenario at reduced scale: transient storms heal, permanent
 #      faults abort cleanly, zero wrong answers; does not overwrite
 #      BENCH_PR4.json)
-#   9. report overload --fast — admission-control smoke (open-loop
+#  10. report overload --fast — admission-control smoke (open-loop
 #      ramp at reduced scale: deterministic shedding, zero wrong
 #      answers, p99 sim-latency bounded by the hard deadline; does
 #      not overwrite BENCH_PR5.json)
@@ -44,6 +48,9 @@ cargo run -q -p pathix-lint -- check
 
 echo "==> cargo bench --no-run (compile gate)"
 cargo bench --no-run --workspace
+
+echo "==> perfbench self-tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> throughput smoke (fast mode)"
 cargo run -q --release -p pathix-bench --bin report -- throughput --fast

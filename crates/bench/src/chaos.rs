@@ -83,7 +83,7 @@ fn oracle(db: &Database, work: &[(&'static str, Method)]) -> Vec<Vec<(NodeId, u6
         .map(|(p, m)| {
             let mut item_cfg = cfg;
             item_cfg.method = *m;
-            db.run_path(p, &item_cfg).expect("oracle run").nodes
+            db.run(p, item_cfg).expect("oracle run").nodes
         })
         .collect()
 }
@@ -102,7 +102,7 @@ fn run_corpus(
         // Cold-start every query: device traffic, not buffer luck, decides
         // how much of the fault schedule each query is exposed to.
         db.clear_buffers();
-        match db.run_path(p, &item_cfg) {
+        match db.run(p, item_cfg) {
             Ok(run) if run.nodes == reference[i] => tally.ok_identical += 1,
             Ok(_) => tally.wrong += 1,
             Err(DbError::Exec(ExecError::Io { .. })) => tally.clean_io_aborts += 1,
@@ -302,7 +302,7 @@ fn parallel_containment(
         probe.clear_buffers();
         probe.reset_device_stats();
         probe.trace_device(true);
-        probe.run_path(path, &cfg).expect("trace run");
+        probe.run(path, cfg).expect("trace run");
         let trace = probe.device_trace();
         probe.trace_device(false); // disabling drops the recorded trace
         trace.into_iter().collect()

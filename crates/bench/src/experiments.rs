@@ -66,7 +66,7 @@ pub fn run_cold(db: &Database, query: &str, method: Method) -> QueryRun {
 pub fn run_cold_with(db: &Database, query: &str, cfg: &PlanConfig) -> QueryRun {
     db.clear_buffers();
     db.reset_device_stats();
-    db.run_with(query, cfg).expect("query runs")
+    db.run(query, *cfg).expect("query runs")
 }
 
 /// One figure row: total seconds per method at one scaling factor.

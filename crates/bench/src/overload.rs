@@ -229,7 +229,7 @@ pub fn overload_sweep(scale: f64, multiples: &[u32], fast: bool) -> (Vec<Overloa
         let mut item_cfg = cfg;
         item_cfg.method = *m;
         db.clear_buffers();
-        let run = db.run_path(p, &item_cfg).expect("clean sequential run");
+        let run = db.run(p, item_cfg).expect("clean sequential run");
         total_service_ns += run.report.time.total_ns;
         reference.push(run.nodes);
     }

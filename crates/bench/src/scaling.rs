@@ -27,8 +27,8 @@ use crate::{bench_options, build_db_with};
 use pathix::{Database, Method, PlanConfig};
 use pathix_core::{execute_batch_parallel, WorkerSeed};
 use pathix_storage::{
-    Completion, Device, DeviceStats, DiskProfile, IoError, PageId, SharedCacheDevice,
-    SharedPageCache, SharedPageCacheStats, SimClock,
+    Completion, Device, DiskProfile, IoError, PageId, SharedCacheDevice, SharedPageCache,
+    SharedPageCacheStats, SimClock,
 };
 use pathix_tree::NodeId;
 use std::sync::Arc;
@@ -67,12 +67,12 @@ impl PacedDevice {
 }
 
 impl Device for PacedDevice {
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
+    fn inner(&self) -> Option<&dyn Device> {
+        Some(&*self.inner)
     }
 
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
+    fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+        Some(&mut *self.inner)
     }
 
     fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
@@ -83,48 +83,12 @@ impl Device for PacedDevice {
         bytes
     }
 
-    fn submit(&mut self, page: PageId, clock: &SimClock) {
-        self.inner.submit(page, clock);
-    }
-
     fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion> {
         let c = self.inner.poll(clock, block);
         if c.is_some() {
             self.pace();
         }
         c
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight()
-    }
-
-    fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
-        self.inner.append_page(bytes)
-    }
-
-    fn write_page(&mut self, page: PageId, bytes: Vec<u8>) {
-        self.inner.write_page(page, bytes);
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn park(&mut self) {
-        self.inner.park();
-    }
-
-    fn access_trace(&self) -> &[PageId] {
-        self.inner.access_trace()
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.inner.set_trace(enabled);
     }
 }
 
@@ -229,7 +193,7 @@ pub fn scaling_sweep(
         .map(|(p, m)| {
             let mut item_cfg = cfg;
             item_cfg.method = *m;
-            db.run_path(p, &item_cfg).expect("sequential run").nodes
+            db.run(p, item_cfg).expect("sequential run").nodes
         })
         .collect();
 

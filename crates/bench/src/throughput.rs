@@ -277,7 +277,7 @@ pub fn engine_sweep(scale: f64, depths: &[usize], instant_profile: bool) -> Vec<
             db.reset_device_stats();
             let cfg = PlanConfig::new(m);
             let t = Instant::now();
-            let run = db.run_with(Q6, &cfg).expect("throughput query runs");
+            let run = db.run(Q6, cfg).expect("throughput query runs");
             let wall_s = t.elapsed().as_secs_f64().max(1e-9);
             let dev = run.report.device;
             rows.push(EngineRow {

@@ -98,6 +98,13 @@ impl PlanConfig {
     }
 }
 
+/// A bare method means its default configuration ([`PlanConfig::new`]).
+impl From<Method> for PlanConfig {
+    fn from(method: Method) -> Self {
+        Self::new(method)
+    }
+}
+
 /// Result of one path execution.
 #[derive(Debug, Clone)]
 pub struct PathRun {

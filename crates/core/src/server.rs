@@ -359,27 +359,20 @@ mod tests {
 
     use super::*;
     use crate::ops::testutil::{mem_store, sample_doc};
-    use pathix_storage::{SharedCacheDevice, SharedPageCache};
+    use crate::plan::execute_path;
+    use pathix_storage::{IoError, PageId, SharedCacheDevice, SharedPageCache};
     use pathix_tree::Placement;
     use pathix_xpath::parse_path;
     use std::sync::Arc;
 
+    /// Plain forks stacked over one shared page cache.
     fn seeds_for(store: &TreeStore, workers: usize) -> Vec<WorkerSeed> {
         let cache = Arc::new(SharedPageCache::new());
-        (0..workers)
-            .map(|_| {
-                let fork = store
-                    .buffer
-                    .device_mut()
-                    .try_fork()
-                    .expect("MemDevice forks");
-                WorkerSeed {
-                    device: Box::new(SharedCacheDevice::new(fork, Arc::clone(&cache))),
-                    meta: store.meta.clone(),
-                    params: store.buffer.params(),
-                }
-            })
-            .collect()
+        let share = |s: WorkerSeed| WorkerSeed {
+            device: Box::new(SharedCacheDevice::new(s.device, Arc::clone(&cache))),
+            ..s
+        };
+        plain_seeds(store, workers).into_iter().map(share).collect()
     }
 
     #[test]
@@ -398,11 +391,11 @@ mod tests {
         assert_eq!(batch.runs.len(), work.len());
         assert_eq!(batch.failed(), 0);
         for (i, (path, method)) in work.iter().enumerate() {
-            let mut item_cfg = cfg;
-            item_cfg.method = *method;
-            let seq =
-                crate::plan::execute_path_from(&store, path, vec![store.meta.root], &item_cfg)
-                    .expect("sequential executes");
+            let item_cfg = PlanConfig {
+                method: *method,
+                ..cfg
+            };
+            let seq = execute_path(&store, path, &item_cfg).expect("sequential executes");
             let run = batch.runs[i].as_ref().expect("item succeeds");
             assert_eq!(run.nodes, seq.nodes, "item {i} diverged");
             assert_eq!(run.method, method.label());
@@ -468,42 +461,17 @@ mod tests {
     }
 
     impl Device for PanicOnRead {
-        fn num_pages(&self) -> u32 {
-            self.inner.num_pages()
+        fn inner(&self) -> Option<&dyn Device> {
+            Some(&*self.inner)
         }
-        fn page_size(&self) -> usize {
-            self.inner.page_size()
+        fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+            Some(&mut *self.inner)
         }
-        fn read_sync(
-            &mut self,
-            page: pathix_storage::PageId,
-            clock: &SimClock,
-        ) -> Result<std::sync::Arc<[u8]>, pathix_storage::IoError> {
+        fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
             let n = self.reads;
             self.reads += 1;
             assert!(n != self.panic_at, "injected worker loss");
             self.inner.read_sync(page, clock)
-        }
-        fn submit(&mut self, page: pathix_storage::PageId, clock: &SimClock) {
-            self.inner.submit(page, clock)
-        }
-        fn poll(&mut self, clock: &SimClock, block: bool) -> Option<pathix_storage::Completion> {
-            self.inner.poll(clock, block)
-        }
-        fn in_flight(&self) -> usize {
-            self.inner.in_flight()
-        }
-        fn append_page(&mut self, bytes: Vec<u8>) -> pathix_storage::PageId {
-            self.inner.append_page(bytes)
-        }
-        fn write_page(&mut self, page: pathix_storage::PageId, bytes: Vec<u8>) {
-            self.inner.write_page(page, bytes)
-        }
-        fn stats(&self) -> pathix_storage::DeviceStats {
-            self.inner.stats()
-        }
-        fn reset_stats(&mut self) {
-            self.inner.reset_stats()
         }
     }
 
@@ -514,20 +482,15 @@ mod tests {
         // One worker whose device panics on its very first read: item 0 is
         // lost, the worker recovers (scrubbed engine state) and runs the
         // remaining items over the now-healthy device.
-        let fork = store
-            .buffer
-            .device_mut()
-            .try_fork()
-            .expect("MemDevice forks");
-        let seeds = vec![WorkerSeed {
+        let doomed = |s: WorkerSeed| WorkerSeed {
             device: Box::new(PanicOnRead {
-                inner: fork,
+                inner: s.device,
                 panic_at: 0,
                 reads: 0,
             }),
-            meta: store.meta.clone(),
-            params: store.buffer.params(),
-        }];
+            ..s
+        };
+        let seeds = plain_seeds(&store, 1).into_iter().map(doomed).collect();
         let work = vec![
             (parse_path("//item").unwrap(), Method::Simple),
             (parse_path("//email").unwrap(), Method::Simple),
@@ -543,11 +506,7 @@ mod tests {
             batch.runs[0].as_ref().map(|r| &r.method)
         );
         let survivor = batch.runs[1].as_ref().expect("item 1 unaffected");
-        let mut item_cfg = cfg;
-        item_cfg.method = Method::Simple;
-        let seq =
-            crate::plan::execute_path_from(&store, &work[1].0, vec![store.meta.root], &item_cfg)
-                .expect("sequential executes");
+        let seq = execute_path(&store, &work[1].0, &cfg).expect("sequential executes");
         assert_eq!(survivor.nodes, seq.nodes, "survivor result intact");
     }
 
@@ -703,11 +662,11 @@ mod tests {
         for (i, (path, method)) in work.iter().enumerate() {
             let run = batch.runs[i].as_ref().expect("degraded items answer");
             assert!(run.report.degraded);
-            let mut item_cfg = cfg;
-            item_cfg.method = *method;
-            let seq =
-                crate::plan::execute_path_from(&store, path, vec![store.meta.root], &item_cfg)
-                    .expect("sequential executes");
+            let item_cfg = PlanConfig {
+                method: *method,
+                ..cfg
+            };
+            let seq = execute_path(&store, path, &item_cfg).expect("sequential executes");
             assert_eq!(run.nodes, seq.nodes, "degraded answers stay correct");
         }
     }

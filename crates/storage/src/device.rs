@@ -176,22 +176,59 @@ impl DeviceStats {
 ///
 /// All methods take the shared [`SimClock`]; simulated devices advance it
 /// when the caller blocks, real devices charge measured wall time.
+///
+/// **Base devices and wrappers.** A base device ([`crate::SimDisk`],
+/// [`crate::MemDevice`], [`crate::FileDevice`]) stores pages and implements
+/// every method from `num_pages` to `reset_stats`, plus whichever of the
+/// optional ones it supports. A wrapper (a decorator stacked on another
+/// device) instead implements [`Device::inner`] and [`Device::inner_mut`]:
+/// every method except [`Device::try_fork`] then forwards to the wrapped
+/// device by default, and the wrapper overrides only what it changes. A
+/// wrapper that can be forked overrides `try_fork` to re-wrap its inner
+/// device's fork. A device that implements neither the hooks nor the
+/// methods has no pages: `read_sync` fails with [`IoErrorKind::Permanent`],
+/// and submissions and writes are dropped.
 pub trait Device {
+    /// The device this one wraps, or `None` for a base device.
+    fn inner(&self) -> Option<&dyn Device> {
+        None
+    }
+
+    /// Mutable access to the wrapped device, or `None` for a base device.
+    fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+        None
+    }
+
     /// Number of pages on the device.
-    fn num_pages(&self) -> u32;
+    fn num_pages(&self) -> u32 {
+        self.inner().map_or(0, |d| d.num_pages())
+    }
 
     /// Page size in bytes.
-    fn page_size(&self) -> usize;
+    fn page_size(&self) -> usize {
+        self.inner().map_or(0, |d| d.page_size())
+    }
 
     /// Reads a page synchronously, blocking the clock for the access cost.
     /// The returned bytes are shared with the device where possible
     /// (`&Arc<[u8]>` deref-coerces to `&[u8]` at call sites). Fails with a
-    /// typed [`IoError`] when the page is unreadable.
-    fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError>;
+    /// typed [`IoError`] when the page is unreadable, including a page at
+    /// or beyond [`Device::num_pages`].
+    fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
+        match self.inner_mut() {
+            Some(d) => d.read_sync(page, clock),
+            None => Err(IoError::new(page, IoErrorKind::Permanent)),
+        }
+    }
 
     /// Submits an asynchronous read request. The device may serve queued
-    /// requests in any order.
-    fn submit(&mut self, page: PageId, clock: &SimClock);
+    /// requests in any order. A page at or beyond [`Device::num_pages`]
+    /// comes back from [`Device::poll`] as a failed [`Completion`].
+    fn submit(&mut self, page: PageId, clock: &SimClock) {
+        if let Some(d) = self.inner_mut() {
+            d.submit(page, clock);
+        }
+    }
 
     /// Retrieves one completed asynchronous read.
     ///
@@ -201,48 +238,80 @@ pub trait Device {
     /// current simulated time. A failed read still produces a
     /// [`Completion`] (carrying the error), so submitted requests are
     /// never silently lost.
-    fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion>;
+    fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion> {
+        self.inner_mut()?.poll(clock, block)
+    }
 
     /// Number of submitted but not yet retrieved requests (pending plus
     /// completed-but-unpolled).
-    fn in_flight(&self) -> usize;
+    fn in_flight(&self) -> usize {
+        self.inner().map_or(0, |d| d.in_flight())
+    }
 
     /// Appends a page, returning its id. Used when building a database.
-    fn append_page(&mut self, bytes: Vec<u8>) -> PageId;
+    fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
+        match self.inner_mut() {
+            Some(d) => d.append_page(bytes),
+            None => 0,
+        }
+    }
 
     /// Overwrites an existing page.
-    fn write_page(&mut self, page: PageId, bytes: Vec<u8>);
+    fn write_page(&mut self, page: PageId, bytes: Vec<u8>) {
+        if let Some(d) = self.inner_mut() {
+            d.write_page(page, bytes);
+        }
+    }
 
     /// Cumulative statistics.
-    fn stats(&self) -> DeviceStats;
+    fn stats(&self) -> DeviceStats {
+        self.inner()
+            .map_or_else(DeviceStats::default, |d| d.stats())
+    }
 
     /// Resets statistics (not contents or head position).
-    fn reset_stats(&mut self);
+    fn reset_stats(&mut self) {
+        if let Some(d) = self.inner_mut() {
+            d.reset_stats();
+        }
+    }
 
-    /// Returns the recorded page-access trace, if tracing is enabled.
-    /// The default implementation returns an empty slice.
+    /// Returns the recorded page-access trace, if tracing is enabled, and
+    /// an empty slice otherwise.
     fn access_trace(&self) -> &[PageId] {
-        &[]
+        match self.inner() {
+            Some(d) => d.access_trace(),
+            None => &[],
+        }
     }
 
     /// Enables or disables access-order tracing (used by the Example 1
-    /// reproduction to show the page access order of each plan).
-    fn set_trace(&mut self, _enabled: bool) {}
+    /// reproduction to show the page access order of each plan). Devices
+    /// that do not trace ignore it.
+    fn set_trace(&mut self, enabled: bool) {
+        if let Some(d) = self.inner_mut() {
+            d.set_trace(enabled);
+        }
+    }
 
     /// Restores the fork-fresh *physical* state — head parked, busy window
     /// cleared — without touching contents or statistics. The governed
     /// executor calls this at each item's cold start so an item's
     /// sim-timeline is a function of the item alone, never of whatever the
     /// worker served before it. Must only be called with no requests in
-    /// flight. Devices with no positional state need not override the
-    /// default no-op.
-    fn park(&mut self) {}
+    /// flight. Devices with no positional state ignore it.
+    fn park(&mut self) {
+        if let Some(d) = self.inner_mut() {
+            d.park();
+        }
+    }
 
     /// Forks an independent, `Send` view of the same stored pages for use by
     /// a parallel worker: page images are shared by reference count (zero
     /// copies), while queue state, head position, and statistics start
     /// fresh. Devices that cannot offer this (e.g. ones bound to external
-    /// resources) return `None`, which is also the default.
+    /// resources) return `None`, which is also the default — a wrapper's
+    /// fork must be re-wrapped, so this one method never forwards.
     fn try_fork(&self) -> Option<Box<dyn Device + Send>> {
         None
     }
@@ -250,68 +319,86 @@ pub trait Device {
 
 /// Boxed trait objects are devices too, so decorators generic over
 /// `D: Device` (e.g. [`crate::fault::FaultDevice`]) can wrap the boxed
-/// forks returned by [`Device::try_fork`].
+/// forks returned by [`Device::try_fork`]. The box adds no behaviour: its
+/// fork is the boxed device's own fork, already boxed.
 impl Device for Box<dyn Device + Send> {
-    fn num_pages(&self) -> u32 {
-        (**self).num_pages()
+    fn inner(&self) -> Option<&dyn Device> {
+        Some(&**self)
     }
 
-    fn page_size(&self) -> usize {
-        (**self).page_size()
-    }
-
-    fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
-        (**self).read_sync(page, clock)
-    }
-
-    fn submit(&mut self, page: PageId, clock: &SimClock) {
-        (**self).submit(page, clock);
-    }
-
-    fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion> {
-        (**self).poll(clock, block)
-    }
-
-    fn in_flight(&self) -> usize {
-        (**self).in_flight()
-    }
-
-    fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
-        (**self).append_page(bytes)
-    }
-
-    fn write_page(&mut self, page: PageId, bytes: Vec<u8>) {
-        (**self).write_page(page, bytes);
-    }
-
-    fn stats(&self) -> DeviceStats {
-        (**self).stats()
-    }
-
-    fn reset_stats(&mut self) {
-        (**self).reset_stats();
-    }
-
-    fn access_trace(&self) -> &[PageId] {
-        (**self).access_trace()
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        (**self).set_trace(enabled);
+    fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+        Some(&mut **self)
     }
 
     fn try_fork(&self) -> Option<Box<dyn Device + Send>> {
         (**self).try_fork()
     }
-
-    fn park(&mut self) {
-        (**self).park();
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    // Test assertions panic by design; R3 covers the non-test hot path.
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
+    use crate::{seal_page, FaultDevice, FaultPlan, SharedCacheDevice, SharedPageCache};
+    use crate::{SimDisk, SnapshotDevice};
+
+    /// `d` with `n` sealed pages appended; page `i` is filled with byte `i`.
+    pub(crate) fn with_pages<D: Device>(mut d: D, n: u8) -> D {
+        for i in 0..n {
+            let mut page = vec![i; d.page_size()];
+            seal_page(&mut page);
+            d.append_page(page);
+        }
+        d
+    }
+
+    /// A read of page `num_pages()` fails with a typed permanent error on
+    /// both the sync and the async path, and counts as no read.
+    pub(crate) fn assert_out_of_range_read_fails(dev: &mut dyn Device) {
+        let clock = SimClock::new();
+        let page = dev.num_pages();
+        let permanent = Err(IoError::new(page, IoErrorKind::Permanent));
+        assert_eq!(dev.read_sync(page, &clock), permanent);
+        dev.submit(page, &clock);
+        assert_eq!(dev.in_flight(), 1);
+        assert_eq!(dev.poll(&clock, true).map(|c| c.result), Some(permanent));
+        assert_eq!((dev.in_flight(), dev.stats().reads), (0, 0));
+    }
+
+    /// `park` reaches the disk through every wrapper: after some reads, a
+    /// parked stack reads page 0 at the device cost a fresh fork pays.
+    #[test]
+    fn park_reaches_the_disk_through_every_wrapper() {
+        let disk = with_pages(SimDisk::new(64), 64);
+        let clock = SimClock::new();
+        let read_page_0 = |dev: &mut dyn Device| {
+            let busy = dev.stats().busy_ns;
+            dev.read_sync(0, &clock).unwrap();
+            dev.stats().busy_ns - busy
+        };
+        let fresh = read_page_0(&mut disk.try_fork().unwrap());
+        type Wrap = fn(Box<dyn Device + Send>) -> Box<dyn Device>;
+        let wraps: [(&str, Wrap); 4] = [
+            ("Box", |d| Box::new(d)),
+            ("FaultDevice", |d| {
+                Box::new(FaultDevice::new(d, FaultPlan::none()))
+            }),
+            ("SharedCacheDevice", |d| {
+                Box::new(SharedCacheDevice::new(d, Arc::new(SharedPageCache::new())))
+            }),
+            ("SnapshotDevice", |d| Box::new(SnapshotDevice::new(d).0)),
+        ];
+        for (name, wrap) in wraps {
+            let mut dev = wrap(disk.try_fork().unwrap());
+            for page in [40, 9, 57] {
+                dev.read_sync(page, &clock).unwrap();
+            }
+            dev.park();
+            assert_eq!(read_page_0(&mut *dev), fresh, "{name}");
+        }
+    }
 
     #[test]
     fn sequential_fraction_empty() {

@@ -38,7 +38,7 @@
 
 use crate::checksum::CHECKSUM_LEN;
 use crate::clock::SimClock;
-use crate::device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
+use crate::device::{Completion, Device, IoError, IoErrorKind, PageId};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -375,12 +375,12 @@ impl<D: Device> FaultDevice<D> {
 }
 
 impl<D: Device> Device for FaultDevice<D> {
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
+    fn inner(&self) -> Option<&dyn Device> {
+        Some(&self.inner)
     }
 
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
+    fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+        Some(&mut self.inner)
     }
 
     fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
@@ -396,10 +396,6 @@ impl<D: Device> Device for FaultDevice<D> {
         }
     }
 
-    fn submit(&mut self, page: PageId, clock: &SimClock) {
-        self.inner.submit(page, clock);
-    }
-
     fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion> {
         let mut c = self.inner.poll(clock, block)?;
         if let Ok(bytes) = c.result.clone() {
@@ -411,10 +407,6 @@ impl<D: Device> Device for FaultDevice<D> {
             }
         }
         Some(c)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight()
     }
 
     fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
@@ -444,32 +436,12 @@ impl<D: Device> Device for FaultDevice<D> {
         }
     }
 
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn access_trace(&self) -> &[PageId] {
-        self.inner.access_trace()
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.inner.set_trace(enabled);
-    }
-
     fn try_fork(&self) -> Option<Box<dyn Device + Send>> {
         let fork = self.inner.try_fork()?;
         Some(Box::new(FaultDevice {
             inner: fork,
             plan: self.plan.clone(),
         }))
-    }
-
-    fn park(&mut self) {
-        self.inner.park();
     }
 }
 
@@ -482,14 +454,8 @@ mod tests {
     use crate::checksum::{seal_page, verify_page};
     use crate::mem_device::MemDevice;
 
-    fn device_with_pages(n: usize) -> MemDevice {
-        let mut d = MemDevice::new(64);
-        for i in 0..n {
-            let mut page = vec![i as u8; 64];
-            seal_page(&mut page);
-            d.append_page(page);
-        }
-        d
+    fn device_with_pages(n: u8) -> MemDevice {
+        crate::device::tests::with_pages(MemDevice::new(64), n)
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use crate::clock::SimClock;
 use crate::device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 #[cfg(not(unix))]
 use std::io::Read;
@@ -42,6 +43,8 @@ pub struct FileDevice {
     num_pages: u32,
     pool: Option<Pool>,
     in_flight: usize,
+    /// Out-of-range submissions, failed without reaching the pool.
+    rejected: VecDeque<Completion>,
     stats: DeviceStats,
     last: Option<PageId>,
     trace: Option<Vec<PageId>>,
@@ -65,6 +68,7 @@ impl FileDevice {
             num_pages,
             pool: None,
             in_flight: 0,
+            rejected: VecDeque::new(),
             stats: DeviceStats::default(),
             last: None,
             trace: None,
@@ -169,7 +173,9 @@ impl Device for FileDevice {
     }
 
     fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
-        assert!(page < self.num_pages, "page {page} out of range");
+        if page >= self.num_pages {
+            return Err(IoError::new(page, IoErrorKind::Permanent));
+        }
         let start = Instant::now();
         let mut buf = vec![0u8; self.page_size];
         let got = read_at(&self.file, &mut buf, page as u64 * self.page_size as u64);
@@ -186,14 +192,22 @@ impl Device for FileDevice {
         Ok(Arc::from(buf))
     }
 
-    fn submit(&mut self, page: PageId, _clock: &SimClock) {
-        assert!(page < self.num_pages, "page {page} out of range");
+    fn submit(&mut self, page: PageId, clock: &SimClock) {
+        if page >= self.num_pages {
+            let error = IoError::new(page, IoErrorKind::Permanent);
+            self.rejected
+                .push_back(Completion::err(page, error, clock.now_ns()));
+            return;
+        }
         let pool = self.pool.as_ref().expect("pool running");
         pool.job_tx.send(Job::Read(page)).expect("pool alive");
         self.in_flight += 1;
     }
 
     fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion> {
+        if let Some(c) = self.rejected.pop_front() {
+            return Some(c);
+        }
         if self.in_flight == 0 {
             return None;
         }
@@ -223,7 +237,7 @@ impl Device for FileDevice {
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight
+        self.in_flight + self.rejected.len()
     }
 
     fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
@@ -319,6 +333,16 @@ mod tests {
             seen.insert(c.page);
         }
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), vec![1, 2, 5, 7]);
+        drop(d);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn out_of_range_read_fails_typed() {
+        let path = tmpfile("range");
+        let mut d = FileDevice::open(&path, 16, 1).unwrap();
+        d.append_page(vec![1]);
+        crate::device::tests::assert_out_of_range_read_fails(&mut d);
         drop(d);
         let _ = std::fs::remove_file(&path);
     }

@@ -3,7 +3,7 @@
 //! irrelevant.
 
 use crate::clock::SimClock;
-use crate::device::{Completion, Device, DeviceStats, IoError, PageId};
+use crate::device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -60,26 +60,29 @@ impl Device for MemDevice {
     }
 
     fn read_sync(&mut self, page: PageId, _clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
+        let bytes = self
+            .pages
+            .get(page as usize)
+            .map(Arc::clone)
+            .ok_or(IoError::new(page, IoErrorKind::Permanent))?;
         self.account(page);
-        Ok(Arc::clone(&self.pages[page as usize]))
+        Ok(bytes)
     }
 
     fn submit(&mut self, page: PageId, _clock: &SimClock) {
-        assert!(
-            (page as usize) < self.pages.len(),
-            "page {page} out of range"
-        );
         self.queued.push_back(page);
     }
 
     fn poll(&mut self, clock: &SimClock, _block: bool) -> Option<Completion> {
         let page = self.queued.pop_front()?;
-        self.account(page);
-        Some(Completion::ok(
-            page,
-            Arc::clone(&self.pages[page as usize]),
-            clock.now_ns(),
-        ))
+        let now = clock.now_ns();
+        Some(match self.pages.get(page as usize).map(Arc::clone) {
+            Some(bytes) => {
+                self.account(page);
+                Completion::ok(page, bytes, now)
+            }
+            None => Completion::err(page, IoError::new(page, IoErrorKind::Permanent), now),
+        })
     }
 
     fn in_flight(&self) -> usize {
@@ -181,6 +184,13 @@ mod tests {
         assert_eq!(s.sequential_reads, 1);
         assert_eq!(s.random_reads, 2);
         assert_eq!(s.seek_distance_pages, 1); // from head=2 to page 3
+    }
+
+    #[test]
+    fn out_of_range_read_fails_typed() {
+        let mut d = MemDevice::new(8);
+        d.append_page(vec![1]);
+        crate::device::tests::assert_out_of_range_read_fails(&mut d);
     }
 
     #[test]

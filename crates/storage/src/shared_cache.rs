@@ -32,7 +32,7 @@
 
 use crate::checksum::verify_page;
 use crate::clock::SimClock;
-use crate::device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
+use crate::device::{Completion, Device, IoError, IoErrorKind, PageId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -310,12 +310,12 @@ impl SharedCacheDevice {
 }
 
 impl Device for SharedCacheDevice {
-    fn num_pages(&self) -> u32 {
-        self.inner.num_pages()
+    fn inner(&self) -> Option<&dyn Device> {
+        Some(&*self.inner)
     }
 
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
+    fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+        Some(&mut *self.inner)
     }
 
     fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
@@ -366,29 +366,9 @@ impl Device for SharedCacheDevice {
         self.inner.in_flight() + self.ready.len()
     }
 
-    fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
-        self.inner.append_page(bytes)
-    }
-
     fn write_page(&mut self, page: PageId, bytes: Vec<u8>) {
         self.cache.invalidate(page);
         self.inner.write_page(page, bytes);
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn access_trace(&self) -> &[PageId] {
-        self.inner.access_trace()
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.inner.set_trace(enabled);
     }
 }
 
@@ -410,11 +390,7 @@ mod tests {
     }
 
     fn mem_with_pages(n: u8) -> MemDevice {
-        let mut d = MemDevice::new(32);
-        for i in 0..n {
-            d.append_page(vec![i; 4]);
-        }
-        d
+        crate::device::tests::with_pages(MemDevice::new(32), n)
     }
 
     #[test]
@@ -553,38 +529,17 @@ mod tests {
             reads: Arc<AtomicU64>,
         }
         impl Device for SlowDevice {
-            fn num_pages(&self) -> u32 {
-                self.inner.num_pages()
+            fn inner(&self) -> Option<&dyn Device> {
+                Some(&self.inner)
             }
-            fn page_size(&self) -> usize {
-                self.inner.page_size()
+            fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+                Some(&mut self.inner)
             }
             fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
                 self.started.send(()).ok();
                 self.release.recv().ok();
                 self.reads.fetch_add(1, Ordering::SeqCst);
                 self.inner.read_sync(page, clock)
-            }
-            fn submit(&mut self, page: PageId, clock: &SimClock) {
-                self.inner.submit(page, clock)
-            }
-            fn poll(&mut self, clock: &SimClock, block: bool) -> Option<Completion> {
-                self.inner.poll(clock, block)
-            }
-            fn in_flight(&self) -> usize {
-                self.inner.in_flight()
-            }
-            fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
-                self.inner.append_page(bytes)
-            }
-            fn write_page(&mut self, page: PageId, bytes: Vec<u8>) {
-                self.inner.write_page(page, bytes)
-            }
-            fn stats(&self) -> DeviceStats {
-                self.inner.stats()
-            }
-            fn reset_stats(&mut self) {
-                self.inner.reset_stats()
             }
         }
 

@@ -33,7 +33,7 @@
 //! [`DeviceStats::page_copies`]).
 
 use crate::clock::SimClock;
-use crate::device::{Completion, Device, DeviceStats, IoError, PageId};
+use crate::device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -410,23 +410,11 @@ impl SimDisk {
         &self.profile
     }
 
-    /// Moves the head back to page 0 and clears device busy state. Useful to
-    /// start benchmark runs from a known physical state.
-    pub fn park_head(&mut self) {
-        assert!(
-            self.queue.is_empty() && self.completed.is_empty(),
-            "cannot park the head with requests in flight"
-        );
-        self.head = 0;
-        self.sweep_up = true;
-        self.busy_until_ns = 0;
-    }
-
     /// The page image, by reference count — never by copy.
     fn page_bytes(&self, page: PageId) -> Arc<[u8]> {
         match self.pages.get(page as usize) {
             Some(b) => Arc::clone(b),
-            // Out-of-range reads are rejected by the submit/read asserts;
+            // Out-of-range reads are rejected by `read_sync`/`submit`;
             // an inconsistent index degrades to a zeroed page.
             None => Arc::from(vec![0u8; self.page_size]),
         }
@@ -510,10 +498,9 @@ impl Device for SimDisk {
     }
 
     fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
-        assert!(
-            (page as usize) < self.pages.len(),
-            "page {page} out of range"
-        );
+        if page >= self.num_pages() {
+            return Err(IoError::new(page, IoErrorKind::Permanent));
+        }
         // Let any background async work that fits before `now` complete first.
         self.advance(clock.now_ns());
         let start = self.busy_until_ns.max(clock.now_ns());
@@ -526,11 +513,14 @@ impl Device for SimDisk {
     }
 
     fn submit(&mut self, page: PageId, clock: &SimClock) {
-        assert!(
-            (page as usize) < self.pages.len(),
-            "page {page} out of range"
-        );
         self.advance(clock.now_ns());
+        if page >= self.num_pages() {
+            // Rejected without touching the platter; `poll` reports it.
+            let error = IoError::new(page, IoErrorKind::Permanent);
+            self.completed
+                .push_back(Completion::err(page, error, clock.now_ns()));
+            return;
+        }
         self.queue.push(Pending {
             page,
             submitted_at_ns: clock.now_ns(),
@@ -619,8 +609,15 @@ impl Device for SimDisk {
         Some(Box::new(fork))
     }
 
+    /// Moves the head back to page 0 and clears the busy window.
     fn park(&mut self) {
-        self.park_head();
+        assert!(
+            self.queue.is_empty() && self.completed.is_empty(),
+            "cannot park the head with requests in flight"
+        );
+        self.head = 0;
+        self.sweep_up = true;
+        self.busy_until_ns = 0;
     }
 }
 
@@ -878,6 +875,11 @@ mod tests {
         assert_eq!(isqrt(16), 4);
         assert_eq!(isqrt(10_000), 100);
         assert_eq!(isqrt(u64::MAX), 4294967295);
+    }
+
+    #[test]
+    fn out_of_range_read_fails_typed() {
+        crate::device::tests::assert_out_of_range_read_fails(&mut disk_with_pages(3));
     }
 
     #[test]

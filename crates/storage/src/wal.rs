@@ -14,7 +14,7 @@
 
 use crate::checksum::verify_page;
 use crate::clock::SimClock;
-use crate::device::{Completion, Device, DeviceStats, IoError, PageId};
+use crate::device::{Completion, Device, IoError, PageId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -212,12 +212,12 @@ impl<D: Device> SnapshotDevice<D> {
 }
 
 impl<D: Device> Device for SnapshotDevice<D> {
-    fn num_pages(&self) -> u32 {
-        self.device.num_pages()
+    fn inner(&self) -> Option<&dyn Device> {
+        Some(&self.device)
     }
 
-    fn page_size(&self) -> usize {
-        self.device.page_size()
+    fn inner_mut(&mut self) -> Option<&mut dyn Device> {
+        Some(&mut self.device)
     }
 
     fn read_sync(&mut self, page: PageId, clock: &SimClock) -> Result<Arc<[u8]>, IoError> {
@@ -235,10 +235,6 @@ impl<D: Device> Device for SnapshotDevice<D> {
         self.device.poll(clock, block)
     }
 
-    fn in_flight(&self) -> usize {
-        self.device.in_flight()
-    }
-
     fn append_page(&mut self, bytes: Vec<u8>) -> PageId {
         self.service_control();
         self.device.append_page(bytes)
@@ -247,22 +243,6 @@ impl<D: Device> Device for SnapshotDevice<D> {
     fn write_page(&mut self, page: PageId, bytes: Vec<u8>) {
         self.service_control();
         self.device.write_page(page, bytes)
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.device.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.device.reset_stats()
-    }
-
-    fn access_trace(&self) -> &[PageId] {
-        self.device.access_trace()
-    }
-
-    fn set_trace(&mut self, enabled: bool) {
-        self.device.set_trace(enabled)
     }
 }
 
@@ -275,11 +255,7 @@ mod tests {
     use crate::mem_device::MemDevice;
 
     fn dev_with(n: u8) -> MemDevice {
-        let mut d = MemDevice::new(16);
-        for i in 0..n {
-            d.append_page(vec![i]);
-        }
-        d
+        crate::device::tests::with_pages(MemDevice::new(16), n)
     }
 
     #[test]

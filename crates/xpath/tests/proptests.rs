@@ -3,7 +3,7 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix_xpath::{eval_path, parse_path, Axis, LocationPath, NodeTest, Step};
+use pathix_xpath::{eval_path, parse_path, parse_query, Axis, LocationPath, NodeTest, Query, Step};
 use proptest::prelude::*;
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -33,11 +33,13 @@ fn random_doc() -> pathix_xml::Document {
 }
 
 proptest! {
-    /// `parse(display(p)) == p` for every constructible path.
+    /// `parse(display(p)) == p` for every constructible path, and a bare
+    /// path parses as the path query of the same path.
     #[test]
     fn display_parse_roundtrip(path in path_strategy()) {
         let text = path.to_string();
         let back = parse_path(&text).expect("displayed path parses");
+        prop_assert_eq!(parse_query(&text), Ok(Query::Path(back.clone())));
         prop_assert_eq!(back, path, "text was {}", text);
     }
 

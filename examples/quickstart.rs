@@ -48,10 +48,11 @@ fn main() {
         println!("{}\n", run.report);
     }
 
-    // Node-set queries return document-ordered results.
+    // A bare path runs through the same `run`; a full plan configuration
+    // with `sort` returns its nodes in document order.
     let mut cfg = pathix::PlanConfig::new(Method::xschedule());
     cfg.sort = true;
-    let titles = db.run_path("//title", &cfg).expect("path");
+    let titles = db.run("//title", cfg).expect("path");
     println!(
         "//title matched {} nodes (in document order)",
         titles.nodes.len()

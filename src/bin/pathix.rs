@@ -1,12 +1,17 @@
 //! `pathix` — command-line front end for the engine.
 //!
 //! ```text
-//! pathix query  [--scale S | --xml FILE] [--method simple|xschedule|xscan|auto]
-//!               [--placement sequential|chunk|shuffled] [--buffer N] "<query>"
-//! pathix explain [--scale S | --xml FILE] "<path>"
-//! pathix gen    [--scale S] [--pretty]            # emit an XMark document
-//! pathix info   [--scale S | --xml FILE]          # storage statistics
+//! pathix query   [DB] [--method simple|xschedule|xscan|auto] [--sort] "<query>"
+//! pathix explain [DB] "<query>"        # cost-model estimate per plan
+//! pathix info    [DB]                  # storage statistics
+//! pathix gen     [--scale S] [--pretty] # emit an XMark document
+//!
+//! DB: [--scale S | --xml FILE] [--placement sequential|chunk|shuffled] [--buffer N]
 //! ```
+//!
+//! A query is a location path, `count(path)`, or a `+`-sum of counts.
+//! `--method auto` and `explain` estimate the query's first path;
+//! `--sort` returns path results in document order.
 
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
@@ -99,24 +104,23 @@ fn run() -> Result<(), String> {
         "query" => {
             let query = args.rest.first().ok_or("query: missing query string")?;
             let db = open_db(&args)?;
-            let (method, run) = match pick_method(&args.method)? {
-                Some(m) => {
-                    let mut cfg = PlanConfig::new(m);
-                    cfg.sort = args.sort;
-                    (m, db.run_with(query, &cfg).map_err(|e| e.to_string())?)
-                }
-                None => db.run_auto(query).map_err(|e| e.to_string())?,
+            let method = match pick_method(&args.method)? {
+                Some(m) => m,
+                None => db.estimate(query).map_err(|e| e.to_string())?.recommend(),
             };
+            let mut cfg = PlanConfig::new(method);
+            cfg.sort = args.sort;
+            let run = db.run(query, cfg).map_err(|e| e.to_string())?;
             println!("result: {}", run.value);
             println!("plan:   {}", method.label());
             println!("{}", run.report);
             Ok(())
         }
         "explain" => {
-            let path = args.rest.first().ok_or("explain: missing path")?;
+            let query = args.rest.first().ok_or("explain: missing query")?;
             let db = open_db(&args)?;
-            let est = db.estimate(path).map_err(|e| e.to_string())?;
-            println!("path:              {path}");
+            let est = db.estimate(query).map_err(|e| e.to_string())?;
+            println!("query:             {query}");
             println!(
                 "touched fraction:  {:.1}% (≈ {:.0} pages of {})",
                 100.0 * est.touched_fraction,

@@ -1,18 +1,16 @@
 //! High-level facade: build a clustered store from a document and run
 //! queries with any of the paper's three physical methods.
 
-use pathix_core::plan::execute_path_from;
 use pathix_core::{
-    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_path,
-    execute_paths_shared_scan, execute_query, AdmissionConfig, BatchRun, ConcurrentRun, ExecError,
-    ExecReport, GovernorReport, Method, MultiPathRun, Optimizer, PathRun, PlanConfig, PlanEstimate,
-    QueryBudget, QueryRun, WorkerSeed,
+    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_paths_shared_scan,
+    execute_query, AdmissionConfig, BatchRun, ConcurrentRun, ExecError, ExecReport, GovernorReport,
+    Method, MultiPathRun, Optimizer, PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
 };
 use pathix_storage::{
     BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
     SharedCacheDevice, SharedPageCache, SharedPageCacheStats, SimClock, SimDisk,
 };
-use pathix_tree::{import_into, ImportConfig, ImportReport, NodeId, Placement, TreeStore};
+use pathix_tree::{import_into, ImportConfig, ImportReport, Placement, TreeStore};
 use pathix_xml::Document;
 use pathix_xpath::{parse_path, parse_query, LocationPath, PathParseError};
 use std::fmt;
@@ -242,33 +240,13 @@ impl Database {
         self.store.meta.page_count
     }
 
-    /// Runs a query string (`/a/b`, `count(...)`, sums of counts) with the
-    /// given method and default plan options.
-    pub fn run(&self, query: &str, method: Method) -> Result<QueryRun, DbError> {
-        self.run_with(query, &PlanConfig::new(method))
-    }
-
-    /// Runs a query string with full plan configuration.
-    pub fn run_with(&self, query: &str, cfg: &PlanConfig) -> Result<QueryRun, DbError> {
+    /// Runs a query — a location path (`/a/b`), `count(path)`, or a sum of
+    /// counts — from the document root. `cfg` is a full [`PlanConfig`] or
+    /// just a [`Method`] with default plan options. For a path query,
+    /// `nodes` holds the result nodes and `value` their number.
+    pub fn run(&self, query: &str, cfg: impl Into<PlanConfig>) -> Result<QueryRun, DbError> {
         let q = parse_query(query)?.rooted();
-        Ok(execute_query(&self.store, &q, cfg)?)
-    }
-
-    /// Runs a bare location path, returning the result nodes.
-    pub fn run_path(&self, path: &str, cfg: &PlanConfig) -> Result<PathRun, DbError> {
-        let p = parse_path(path)?.rooted();
-        Ok(execute_path(&self.store, &p, cfg)?)
-    }
-
-    /// Runs a location path from explicit context nodes.
-    pub fn run_path_from(
-        &self,
-        path: &str,
-        contexts: Vec<NodeId>,
-        cfg: &PlanConfig,
-    ) -> Result<PathRun, DbError> {
-        let p = parse_path(path)?;
-        Ok(execute_path_from(&self.store, &p, contexts, cfg)?)
+        Ok(execute_query(&self.store, &q, &cfg.into())?)
     }
 
     /// Evaluates several location paths with **one** shared sequential scan
@@ -371,25 +349,15 @@ impl Database {
         opt
     }
 
-    /// Cost-model estimate for a path (the outlook's optimizer): per-plan
-    /// cost predictions and the recommended I/O operator.
-    pub fn estimate(&self, path: &str) -> Result<PlanEstimate, DbError> {
-        let p = parse_path(path)?.rooted();
-        Ok(self.optimizer().estimate(&p))
-    }
-
-    /// Runs a query with the method the cost model recommends for its
-    /// (first) path.
-    pub fn run_auto(&self, query: &str) -> Result<(Method, QueryRun), DbError> {
+    /// Cost-model estimate for a query's first location path (the
+    /// outlook's optimizer): per-plan cost predictions and the recommended
+    /// I/O operator.
+    pub fn estimate(&self, query: &str) -> Result<PlanEstimate, DbError> {
         let q = parse_query(query)?.rooted();
-        let opt = self.optimizer();
-        let method = q
-            .paths()
-            .first()
-            .map(|p| opt.choose(p))
-            .unwrap_or(Method::xschedule());
-        let run = execute_query(&self.store, &q, &PlanConfig::new(method))?;
-        Ok((method, run))
+        match q.paths().first() {
+            Some(p) => Ok(self.optimizer().estimate(p)),
+            None => Err(DbError::Unsupported("a query without a location path")),
+        }
     }
 
     /// Mutating handle for in-place updates (inserts, deletes, text
@@ -445,6 +413,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use pathix_storage::{FaultKind, FaultRule};
 
     fn mem_opts() -> DatabaseOptions {
         DatabaseOptions {
@@ -453,6 +422,13 @@ mod tests {
             buffer_pages: 64,
             ..Default::default()
         }
+    }
+
+    /// The SF 0.02 XMark database of `from_xmark`, read through `rule`.
+    fn faulty_db(seed: u64, rule: FaultRule) -> Database {
+        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
+        let plan = FaultPlan::new(seed, vec![rule]);
+        Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap()
     }
 
     #[test]
@@ -485,15 +461,12 @@ mod tests {
 
     #[test]
     fn transient_faults_heal_invisibly() {
-        use pathix_storage::{FaultKind, FaultRule};
-        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
-        let clean = Database::from_document(&doc, &mem_opts()).unwrap();
+        let clean = Database::from_xmark(0.02, &mem_opts()).unwrap();
         let want = clean.run("count(//email)", Method::Simple).unwrap().value;
-        let plan = FaultPlan::new(
+        let db = faulty_db(
             0xFA117,
-            vec![FaultRule::new(None, FaultKind::TransientRead).times(3)],
+            FaultRule::new(None, FaultKind::TransientRead).times(3),
         );
-        let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
         let run = db.run("count(//email)", Method::Simple).unwrap();
         assert_eq!(run.value, want, "retried reads must not change results");
         assert!(run.report.device.retries >= 3, "retries are counted");
@@ -501,13 +474,10 @@ mod tests {
 
     #[test]
     fn permanent_fault_surfaces_as_io_error() {
-        use pathix_storage::{FaultKind, FaultRule};
-        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
-        let plan = FaultPlan::new(
+        let db = faulty_db(
             1,
-            vec![FaultRule::new(None, FaultKind::PermanentRead).times(u32::MAX)],
+            FaultRule::new(None, FaultKind::PermanentRead).times(u32::MAX),
         );
-        let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
         match db.run("count(//email)", Method::xschedule()) {
             Err(DbError::Exec(ExecError::Io { attempts, .. })) => {
                 assert!(attempts >= 1);
@@ -520,13 +490,10 @@ mod tests {
 
     #[test]
     fn corrupt_page_detected_by_checksum() {
-        use pathix_storage::{FaultKind, FaultRule};
-        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
-        let plan = FaultPlan::new(
+        let db = faulty_db(
             7,
-            vec![FaultRule::new(None, FaultKind::CorruptRead).times(u32::MAX)],
+            FaultRule::new(None, FaultKind::CorruptRead).times(u32::MAX),
         );
-        let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
         match db.run("count(//email)", Method::Simple) {
             Err(DbError::Exec(ExecError::Io { .. })) => {}
             other => panic!("torn pages must not decode, got {other:?}"),
@@ -535,15 +502,8 @@ mod tests {
 
     #[test]
     fn shared_scan_aborts_cleanly_on_permanent_fault() {
-        use pathix_storage::{FaultKind, FaultRule};
-        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
-        let plan = FaultPlan::new(
-            3,
-            vec![FaultRule::new(None, FaultKind::PermanentRead)
-                .after(4)
-                .times(u32::MAX)],
-        );
-        let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
+        let rule = FaultRule::new(None, FaultKind::PermanentRead).after(4);
+        let db = faulty_db(3, rule.times(u32::MAX));
         let cfg = PlanConfig::new(Method::XScan);
         match db.run_multi(&["/site//email", "//keyword"], &cfg) {
             Err(DbError::Exec(ExecError::Io { attempts, .. })) => assert!(attempts >= 1),

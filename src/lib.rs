@@ -25,7 +25,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use pathix::{Database, DatabaseOptions, Method};
+//! use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 //!
 //! // An XMark-like auction document at scaling factor 0.05.
 //! let db = Database::from_xmark(0.05, &DatabaseOptions::default()).unwrap();
@@ -38,7 +38,19 @@
 //! assert_eq!(simple.value, sched.value);
 //! assert_eq!(simple.value, scan.value);
 //! println!("{}", sched.report);
+//!
+//! // A bare path goes through the same `run`; a full `PlanConfig` can ask
+//! // for its result nodes in document order.
+//! let mut cfg = PlanConfig::new(Method::XScan);
+//! cfg.sort = true;
+//! let items = db.run("/site/regions//item", cfg).unwrap();
+//! assert_eq!(items.nodes.len() as u64, simple.value);
 //! ```
+//!
+//! [`Database::run`] runs one query. Batches of location paths go through
+//! [`Database::run_multi`] (one shared scan), [`Database::run_concurrent`]
+//! (interleaved on one device), and [`Database::run_parallel`] /
+//! [`Database::run_parallel_governed`] (a worker pool, failing per item).
 
 pub use pathix_core as core;
 pub use pathix_storage as storage;

@@ -61,7 +61,7 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
         let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
         let reference = corpus()
             .iter()
-            .map(|(p, m)| db.run_path(p, &cfg_for(*m)).expect("clean run").nodes)
+            .map(|(p, m)| db.run(p, cfg_for(*m)).expect("clean run").nodes)
             .collect::<Vec<_>>();
         assert!(reference.iter().any(|nodes| !nodes.is_empty()));
         (
@@ -78,7 +78,7 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
 fn check_item(db: &Database, item: usize, want: &[(NodeId, u64)]) -> Result<bool, String> {
     let (path, method) = corpus()[item];
     db.clear_buffers();
-    match db.run_path(path, &cfg_for(method)) {
+    match db.run(path, cfg_for(method)) {
         Ok(run) => {
             prop_assert_eq!(&run.nodes, want, "wrong answer on {} ({:?})", path, method);
             Ok(false)
@@ -168,7 +168,7 @@ proptest! {
         for (i, want) in reference.iter().enumerate() {
             let (path, method) = corpus()[i];
             db.clear_buffers();
-            let run = db.run_path(path, &cfg_for(method));
+            let run = db.run(path, cfg_for(method));
             let run = run.expect("bounded transient faults must heal");
             prop_assert_eq!(&run.nodes, want, "healed run diverged on {}", path);
         }
@@ -186,9 +186,7 @@ fn transient_only_schedule_is_absorbed_with_retries() {
     let db = Database::from_document_with_faults(doc(), &mem_opts(), plan.clone()).expect("import");
     let (path, method) = corpus()[0];
     db.clear_buffers();
-    let run = db
-        .run_path(path, &cfg_for(method))
-        .expect("transients heal");
+    let run = db.run(path, cfg_for(method)).expect("transients heal");
     assert_eq!(run.nodes, oracle().0[0]);
     assert!(plan.stats().transient > 0, "schedule actually fired");
     assert!(

@@ -67,9 +67,9 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
         let reference = corpus()
             .iter()
             .map(|(p, m)| {
-                let mut item_cfg = cfg;
-                item_cfg.method = *m;
-                db.run_path(p, &item_cfg).expect("clean run").nodes
+                db.run(p, PlanConfig { method: *m, ..cfg })
+                    .expect("clean run")
+                    .nodes
             })
             .collect::<Vec<_>>();
         assert!(reference.iter().any(|nodes| !nodes.is_empty()));

@@ -94,7 +94,7 @@ fn duplicate_heavy_path_is_deduplicated() {
     // ancestor-or-self from every node: each ancestor reached many times.
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
-    let run = db.run_path("//keyword/ancestor-or-self::*", &cfg).unwrap();
+    let run = db.run("//keyword/ancestor-or-self::*", cfg).unwrap();
     let mut ids: Vec<_> = run.nodes.iter().map(|&(id, _)| id).collect();
     let n = ids.len();
     ids.sort_unstable();
@@ -176,7 +176,7 @@ fn slash_slash_optimization_equivalent() {
     plain.normalize = true;
     let mut opt = PlanConfig::new(Method::XScan);
     opt.normalize = false;
-    let a = db.run_path("//keyword", &plain).unwrap().nodes.len();
-    let b = db.run_path("//keyword", &opt).unwrap().nodes.len();
+    let a = db.run("//keyword", plain).unwrap().nodes.len();
+    let b = db.run("//keyword", opt).unwrap().nodes.len();
     assert_eq!(a, b);
 }

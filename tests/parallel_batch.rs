@@ -46,11 +46,7 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
 
     let reference: Vec<_> = work
         .iter()
-        .map(|(p, m)| {
-            let mut item_cfg = cfg;
-            item_cfg.method = *m;
-            db.run_path(p, &item_cfg).unwrap().nodes
-        })
+        .map(|(p, m)| db.run(p, PlanConfig { method: *m, ..cfg }).unwrap().nodes)
         .collect();
     // The corpus is non-trivial: every path matches something.
     assert!(reference.iter().all(|nodes| !nodes.is_empty()));
@@ -112,11 +108,13 @@ fn mem_device_and_excess_workers() {
     let db = Database::from_xmark(0.012, &opts).unwrap();
     let work = [("/site/regions//item", Method::xschedule())];
     let cfg = sorted_cfg();
-    let want = db.run_path(work[0].0, &{
-        let mut c = cfg;
-        c.method = work[0].1;
-        c
-    });
+    let want = db.run(
+        work[0].0,
+        PlanConfig {
+            method: work[0].1,
+            ..cfg
+        },
+    );
     let batch = db.run_parallel(&work, &cfg, 16).unwrap();
     assert_eq!(batch.runs.len(), 1);
     let run = batch.runs[0].as_ref().expect("item succeeds");

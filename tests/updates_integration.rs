@@ -114,7 +114,7 @@ fn queries_stay_correct_after_random_updates() {
         for m in [Method::Simple, Method::xschedule(), Method::XScan] {
             let mut cfg = PlanConfig::new(m);
             cfg.sort = true;
-            let run = db.run_path(q, &cfg).unwrap();
+            let run = db.run(q, cfg).unwrap();
             assert_eq!(run.nodes.len(), want, "{q} via {m:?} after updates");
             // Document order is preserved by the gapped keys.
             assert!(run.nodes.windows(2).all(|w| w[0].1 < w[1].1));
