@@ -18,19 +18,13 @@
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   7. report throughput --fast — throughput smoke (instant disk profile,
-#      small document; does not overwrite BENCH_PR2.json)
-#   8. report scaling --fast  — parallel batch smoke (2 workers, instant
-#      profile; cross-checks parallel == sequential and zero page copies;
-#      does not overwrite BENCH_PR3.json)
-#   9. report chaos --fast    — fault-injection smoke (every chaos
-#      scenario at reduced scale: transient storms heal, permanent
-#      faults abort cleanly, zero wrong answers; does not overwrite
-#      BENCH_PR4.json)
-#  10. report overload --fast — admission-control smoke (open-loop
-#      ramp at reduced scale: deterministic shedding, zero wrong
-#      answers, p99 sim-latency bounded by the hard deadline; does
-#      not overwrite BENCH_PR5.json)
+#   7. report --fast throughput scaling chaos overload — one smoke of
+#      the four substrate harnesses (BENCH_PR2-5) at their small
+#      configurations (engines on an instant disk profile, no pacing,
+#      the same `run(true)` their unit tests run); fails if any harness
+#      check fails (reference and indexed queues agree, zero page copies,
+#      parallel == sequential, zero wrong answers, chaos scenarios pass,
+#      deterministic shedding, p99 bounded); writes no artifact
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -52,16 +46,7 @@ cargo bench --no-run --workspace
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> throughput smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- throughput --fast
-
-echo "==> parallel batch smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- scaling --fast
-
-echo "==> chaos smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- chaos --fast
-
-echo "==> overload smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- overload --fast
+echo "==> substrate harness smoke (fast mode)"
+cargo run -q --release -p pathix-bench --bin report -- --fast throughput scaling chaos overload
 
 echo "ci: all gates passed"

@@ -31,6 +31,7 @@ pub mod device;
 pub mod fault;
 pub mod file_device;
 pub mod mem_device;
+pub mod reference_disk;
 pub mod shared_cache;
 pub mod sim_disk;
 pub mod slotted;
@@ -43,6 +44,7 @@ pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use file_device::FileDevice;
 pub use mem_device::MemDevice;
+pub use reference_disk::ReferenceDisk;
 pub use shared_cache::{SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
 pub use sim_disk::{DiskProfile, QueuePolicy, SimDisk};
 pub use slotted::{SlottedPageBuilder, SlottedPageReader};

@@ -79,3 +79,58 @@ proptest! {
         }
     }
 }
+
+/// Arbitrary input: random bytes (lossily decoded) or a jumble of XML
+/// punctuation and markup fragments.
+fn junk_strategy() -> impl Strategy<Value = String> {
+    let markup = prop::sample::select(vec![
+        "<",
+        ">",
+        "/",
+        "!",
+        "?",
+        "=",
+        "\"",
+        "'",
+        "&",
+        ";",
+        "#",
+        "x",
+        "a",
+        ":",
+        "-",
+        "[",
+        "]",
+        " ",
+        "\n",
+        "<a>",
+        "</a>",
+        "<a/>",
+        "<!--",
+        "-->",
+        "<![CDATA[",
+        "]]>",
+        "<?xml",
+        "?>",
+        "&amp;",
+        "&#",
+        "&#x",
+        "<!DOCTYPE",
+    ]);
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..64)
+            .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+        prop::collection::vec(markup, 0..64).prop_map(|parts| parts.concat()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+    /// The parser returns a document or an error on any input; it never
+    /// panics.
+    #[test]
+    fn parse_never_panics_on_arbitrary_input(text in junk_strategy()) {
+        let _ = parse(&text);
+    }
+}

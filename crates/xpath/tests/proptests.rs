@@ -78,3 +78,59 @@ proptest! {
         }
     }
 }
+
+/// Arbitrary input: random bytes (lossily decoded) or a jumble of XPath
+/// punctuation, axis names and function names.
+fn junk_strategy() -> impl Strategy<Value = String> {
+    let tokens = prop::sample::select(vec![
+        "/",
+        "//",
+        "::",
+        ":",
+        "*",
+        "[",
+        "]",
+        "(",
+        ")",
+        "@",
+        ".",
+        "..",
+        "|",
+        "+",
+        "-",
+        ",",
+        "\"",
+        "'",
+        "=",
+        "<",
+        ">",
+        "!",
+        "$",
+        " ",
+        "1",
+        "a",
+        "child",
+        "descendant-or-self",
+        "following",
+        "count",
+        "text()",
+        "node()",
+    ]);
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..64)
+            .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+        prop::collection::vec(tokens, 0..64).prop_map(|parts| parts.concat()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+    /// Both parsers return a value or an error on any input; they never
+    /// panic.
+    #[test]
+    fn parsers_never_panic_on_arbitrary_input(text in junk_strategy()) {
+        let _ = parse_path(&text);
+        let _ = parse_query(&text);
+    }
+}
