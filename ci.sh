@@ -18,11 +18,15 @@
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   7. report --fast throughput scaling chaos overload — one smoke of
-#      the four substrate harnesses (BENCH_PR2-5) at their small
-#      configurations (engines on an instant disk profile, no pacing,
-#      the same `run(true)` their unit tests run); fails if any harness
-#      check fails (reference and indexed queues agree, zero page copies,
+#   7. report --fast paper ablations extensions throughput scaling
+#      chaos overload — one smoke of every report artifact at its small
+#      configuration: the paper's evaluation, ablations and extensions
+#      at SF 0.1, and the four substrate harnesses (BENCH_PR2-5) with
+#      engines on an instant disk profile and no pacing (the same
+#      `run(true)` their unit tests run); fails if any check fails
+#      (plans agree, Example 1's scan reads in physical order and Simple
+#      seeks more, shared scan == independent plans, export walk ==
+#      scan, reference and indexed queues agree, zero page copies,
 #      parallel == sequential, zero wrong answers, chaos scenarios pass,
 #      deterministic shedding, p99 bounded); writes no artifact
 set -euo pipefail
@@ -46,7 +50,7 @@ cargo bench --no-run --workspace
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> substrate harness smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- --fast throughput scaling chaos overload
+echo "==> report artifact smoke (fast mode)"
+cargo run -q --release -p pathix-bench --bin report -- --fast paper ablations extensions throughput scaling chaos overload
 
 echo "ci: all gates passed"

@@ -1,6 +1,8 @@
-//! The one artifact type of the substrate harnesses (`BENCH_PR2`–`BENCH_PR5`).
+//! The one artifact type of every `report` output: the paper's evaluation
+//! (`PAPER`, `ABLATIONS`, `EXTENSIONS`) and the substrate harnesses
+//! (`BENCH_PR2`–`BENCH_PR5`).
 //!
-//! Each harness returns an [`Artifact`]: a name, a description, parameters,
+//! Each experiment returns an [`Artifact`]: a name, a description, parameters,
 //! one or more tables of rows, and trailing summary cells. Every cell is
 //! written once — name, value, number format — and says whether it must
 //! repeat exactly between runs ([`Repeat::Exact`]: simulated values and
@@ -10,7 +12,6 @@
 //! every artifact through [`Artifact::render`], [`Artifact::failed_checks`]
 //! and [`Artifact::to_json`].
 
-use crate::table::render;
 use std::time::Instant;
 
 /// Whether a cell must repeat exactly between runs.
@@ -150,15 +151,15 @@ pub struct Table {
     pub rows: Vec<Vec<Cell>>,
 }
 
-/// One harness result: what `report` prints, checks and writes as
+/// One experiment's result: what `report` prints, checks and writes as
 /// `<name>.json`.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    /// Artifact name and file stem, e.g. `BENCH_PR2`.
+    /// Artifact name and file stem, e.g. `PAPER` or `BENCH_PR2`.
     pub name: &'static str,
     /// One-sentence description of what is measured.
     pub description: &'static str,
-    /// Configuration the harness ran with.
+    /// Configuration the experiment ran with.
     pub params: Vec<Cell>,
     /// Measured tables.
     pub tables: Vec<Table>,
@@ -247,6 +248,39 @@ impl Artifact {
     }
 }
 
+/// Renders a fixed-width table: header plus rows of equal arity.
+fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let cols = headers.len();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        assert_eq!(row.len(), cols, "ragged table row");
+        for (i, cell) in row.iter().enumerate() {
+            widths[i] = widths[i].max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    let line = |out: &mut String, cells: &[String]| {
+        for (i, cell) in cells.iter().enumerate() {
+            if i > 0 {
+                out.push_str("  ");
+            }
+            out.push_str(&format!("{:>width$}", cell, width = widths[i]));
+        }
+        out.push('\n');
+    };
+    line(
+        &mut out,
+        &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+    );
+    let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
+    out.push_str(&"-".repeat(total));
+    out.push('\n');
+    for row in rows {
+        line(&mut out, row);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,5 +337,26 @@ mod tests {
         assert_eq!(names, ["depth", "method", "agree"]);
         assert_eq!(num(row, "wall_ms"), 1.23456);
         assert!(num(row, "method").is_nan());
+    }
+
+    #[test]
+    fn renders_aligned() {
+        let t = render(
+            &["sf", "simple"],
+            &[
+                vec!["0.1".into(), "1.234".into()],
+                vec!["1".into(), "10.5".into()],
+            ],
+        );
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 4);
+        assert!(lines[0].contains("sf"));
+        assert!(lines[1].starts_with('-'));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged")]
+    fn ragged_rows_panic() {
+        render(&["a", "b"], &[vec!["1".into()]]);
     }
 }

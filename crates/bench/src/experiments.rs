@@ -1,12 +1,19 @@
-//! Experiment definitions: one function per paper artifact (figures 9–11,
-//! tables 2–3, Example 1) and per ablation (A1–A5 of DESIGN.md).
+//! The paper's evaluation as three artifacts, each a `fn(fast) -> Artifact`
+//! like the substrate harnesses: [`paper`] (Tab. 2's queries, Example 1,
+//! Figs. 9–11, Tab. 3), [`ablations`] (A1–A6 of DESIGN.md §4) and
+//! [`extensions`] (E7–E11, the paper's §7 outlook). Every simulated value
+//! is a [`Repeat::Exact`](crate::artifact::Repeat::Exact) cell, and every
+//! sanity condition (plans agree, shared scan equals independent plans, …)
+//! is a check cell.
 //!
 //! All experiments run on the simulated disk with the default 2005-era
 //! profile, a moderately aged (chunk-shuffled) physical layout, and a
 //! buffer sized so that documents at scaling factor ≥ 0.5 exceed it — the
 //! regime of the paper's measurements (documents larger than the buffer,
-//! cold caches per run).
+//! cold caches per run). The full run uses the paper's scaling factors;
+//! `fast` runs every experiment at SF 0.1.
 
+use crate::artifact::{Artifact, Cell, Table};
 use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig, QueryRun};
 use pathix_tree::Placement;
 
@@ -23,6 +30,9 @@ pub const QUERIES: [(&str, &str); 3] = [("Q6'", Q6), ("Q7", Q7), ("Q15", Q15)];
 
 /// The scaling factors of the paper's figures.
 pub const SCALING_FACTORS: [f64; 9] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0];
+
+/// The scaling factor of every fast-mode experiment.
+const FAST_SCALE: f64 = 0.1;
 
 /// The three compared plans, in paper order.
 pub fn methods() -> [Method; 3] {
@@ -57,416 +67,438 @@ pub fn build_db_with(scale: f64, opts: &DatabaseOptions) -> Database {
     Database::from_xmark(scale, opts).expect("xmark import")
 }
 
-/// Runs `query` cold (empty buffer, fresh device statistics).
+/// Builds the benchmark database after `edit` adjusts its options.
+fn build_db_edited(scale: f64, edit: impl FnOnce(&mut DatabaseOptions)) -> Database {
+    let mut opts = bench_options();
+    edit(&mut opts);
+    build_db_with(scale, &opts)
+}
+
+/// Cold-starts the next query: empty buffer, fresh device statistics, and
+/// the disk head parked at page 0, so no measurement depends on where the
+/// previous one left the head.
+pub fn cold_start(db: &Database) {
+    db.clear_buffers();
+    db.reset_device_stats();
+    db.store().buffer.device_mut().park();
+}
+
+/// Runs `query` cold (see [`cold_start`]).
 pub fn run_cold(db: &Database, query: &str, method: Method) -> QueryRun {
     run_cold_with(db, query, &PlanConfig::new(method))
 }
 
 /// Runs `query` cold with an explicit plan configuration.
 pub fn run_cold_with(db: &Database, query: &str, cfg: &PlanConfig) -> QueryRun {
-    db.clear_buffers();
-    db.reset_device_stats();
+    cold_start(db);
     db.run(query, *cfg).expect("query runs")
 }
 
-/// One figure row: total seconds per method at one scaling factor.
-#[derive(Debug, Clone, Copy)]
-pub struct FigRow {
-    /// XMark scaling factor.
-    pub sf: f64,
-    /// Document pages at this factor.
-    pub pages: u32,
-    /// Query result (sanity: identical across methods).
-    pub value: u64,
-    /// Total seconds: Simple.
-    pub simple_s: f64,
-    /// Total seconds: XSchedule.
-    pub xschedule_s: f64,
-    /// Total seconds: XScan.
-    pub xscan_s: f64,
+/// Simulated seconds of a cold run.
+fn total(db: &Database, query: &str, method: Method) -> f64 {
+    run_cold(db, query, method).report.total_secs()
 }
 
-/// Sweeps one query over the scaling factors with all three methods —
-/// the shape of Figures 9, 10 and 11.
-pub fn figure_sweep(query: &str, factors: &[f64]) -> Vec<FigRow> {
-    factors
-        .iter()
-        .map(|&sf| {
-            let db = build_db(sf);
-            let simple = run_cold(&db, query, Method::Simple);
-            let sched = run_cold(&db, query, Method::xschedule());
-            let scan = run_cold(&db, query, Method::XScan);
-            assert_eq!(simple.value, sched.value, "plan disagreement at SF {sf}");
-            assert_eq!(simple.value, scan.value, "plan disagreement at SF {sf}");
-            FigRow {
-                sf,
-                pages: db.pages(),
-                value: simple.value,
-                simple_s: simple.report.total_secs(),
-                xschedule_s: sched.report.total_secs(),
-                xscan_s: scan.report.total_secs(),
+/// A seconds cell, printed with 3 decimals.
+fn secs(name: &'static str, v: f64) -> Cell {
+    Cell::real(name, v, 3)
+}
+
+/// Runs `query` cold under every plan, in paper order.
+fn run_plans(db: &Database, query: &str) -> [QueryRun; 3] {
+    methods().map(|m| run_cold(db, query, m))
+}
+
+/// Whether every plan found the same result.
+fn plans_agree(runs: &[QueryRun; 3]) -> Cell {
+    let [simple, sched, scan] = runs.each_ref().map(|r| r.value);
+    Cell::check("plans_agree", simple == sched && simple == scan)
+}
+
+fn table(name: &'static str, rows: Vec<Vec<Cell>>) -> Table {
+    Table { name, rows }
+}
+
+/// The paper's own evaluation: Tab. 2's queries, Example 1 (Fig. 1),
+/// Figs. 9–11 and Tab. 3, which reports the figures' runs at SF 1. Full:
+/// the figures sweep [`SCALING_FACTORS`]. Fast: SF 0.1 only, which Tab. 3
+/// then reports.
+pub fn paper(fast: bool) -> Artifact {
+    let (factors, tab3_scale): (&[f64], f64) = if fast {
+        (&[FAST_SCALE], FAST_SCALE)
+    } else {
+        (&SCALING_FACTORS, 1.0)
+    };
+    let (example1, summary) = example1();
+    let mut figures: [Vec<Vec<Cell>>; 3] = Default::default();
+    let mut tab3 = Vec::new();
+    for &sf in factors {
+        let db = build_db(sf);
+        for ((label, query), rows) in QUERIES.into_iter().zip(&mut figures) {
+            let runs = run_plans(&db, query);
+            let [simple_s, sched_s, scan_s] = runs.each_ref().map(|r| r.report.total_secs());
+            rows.push(vec![
+                Cell::param("sf", sf),
+                Cell::int("pages", db.pages().into()),
+                Cell::int("result", runs[0].value),
+                secs("simple_s", simple_s),
+                secs("xschedule_s", sched_s),
+                secs("xscan_s", scan_s),
+                Cell::real("simple_over_xschedule", simple_s / sched_s, 2),
+                Cell::real("simple_over_xscan", simple_s / scan_s, 2),
+                plans_agree(&runs),
+            ]);
+            if sf != tab3_scale {
+                continue;
             }
-        })
-        .collect()
-}
-
-/// One Tab. 3 cell: total and CPU time for a (query, method) pair.
-#[derive(Debug, Clone)]
-pub struct Tab3Row {
-    /// Query label.
-    pub query: &'static str,
-    /// Per-method `(total_s, cpu_s)` in paper order.
-    pub cells: Vec<(String, f64, f64)>,
-}
-
-/// Tab. 3: total and CPU time at one scaling factor (paper: SF 1).
-pub fn table3(scale: f64) -> Vec<Tab3Row> {
-    let db = build_db(scale);
-    QUERIES
-        .iter()
-        .map(|&(label, query)| {
-            let cells = methods()
-                .iter()
-                .map(|&m| {
-                    let run = run_cold(&db, query, m);
-                    (
-                        m.label().to_owned(),
-                        run.report.total_secs(),
-                        run.report.cpu_secs(),
-                    )
-                })
-                .collect();
-            Tab3Row {
-                query: label,
-                cells,
+            for (m, run) in methods().into_iter().zip(&runs) {
+                let (total_s, cpu_s) = (run.report.total_secs(), run.report.cpu_secs());
+                tab3.push(vec![
+                    Cell::text("query", label),
+                    Cell::text("plan", m.label()),
+                    secs("total_s", total_s),
+                    secs("cpu_s", cpu_s),
+                    Cell::real("cpu_pct", 100.0 * cpu_s / total_s.max(1e-12), 0),
+                ]);
             }
-        })
-        .collect()
+        }
+    }
+    let [fig9, fig10, fig11] = figures;
+    let mut params: Vec<Cell> = QUERIES.iter().map(|&(l, q)| Cell::text(l, q)).collect();
+    params.push(Cell::param("tab3_scale_factor", tab3_scale));
+    Artifact {
+        name: "PAPER",
+        description: "the paper's evaluation on the simulated disk: page access order per plan (Example 1), total time vs XMark scaling factor for Q6'/Q7/Q15 (Figs. 9-11), total and CPU time per query and plan (Tab. 3)",
+        params,
+        tables: vec![
+            table("example1", example1),
+            table("fig9_q6", fig9),
+            table("fig10_q7", fig10),
+            table("fig11_q15", fig11),
+            table("tab3", tab3),
+        ],
+        summary,
+    }
 }
 
-/// Example 1 reproduction: page access order of each plan on a small
-/// document, plus total seek distance.
-#[derive(Debug, Clone)]
-pub struct TraceRow {
-    /// Plan label.
-    pub method: String,
-    /// Page access order.
-    pub trace: Vec<u32>,
-    /// Total seek distance (pages).
-    pub seek_distance: u64,
-    /// Total simulated milliseconds.
-    pub total_ms: f64,
-}
-
-/// Runs `descendant-or-self` over a small fragmented document and records
-/// the physical access order of each plan (the paper's Fig. 1 argument).
-pub fn example1() -> Vec<TraceRow> {
-    let mut opts = bench_options();
-    opts.placement = Placement::Shuffled { seed: 7 };
-    opts.buffer_pages = 4;
-    opts.page_size = 2048;
-    let db = build_db_with(0.01, &opts);
+/// Example 1 (Fig. 1): `count(//item)` over a small, fully shuffled
+/// document, with each plan's physical page access order. Returns the rows
+/// and the checks that the scan reads in physical order and Simple seeks
+/// more than the scan.
+fn example1() -> (Vec<Vec<Cell>>, Vec<Cell>) {
+    let db = build_db_edited(0.01, |o| {
+        o.placement = Placement::Shuffled { seed: 7 };
+        o.buffer_pages = 4;
+        o.page_size = 2048;
+    });
     db.trace_device(true);
-    methods()
+    let runs = methods().map(|m| (run_cold(&db, "count(//item)", m), db.device_trace()));
+    let rows = methods()
         .iter()
-        .map(|&m| {
-            let run = run_cold(&db, "count(//item)", m);
-            let trace = db.device_trace();
-            TraceRow {
-                method: m.label().to_owned(),
-                trace,
-                seek_distance: run.report.device.seek_distance_pages,
-                total_ms: run.report.total_secs() * 1e3,
-            }
+        .zip(&runs)
+        .map(|(m, (run, trace))| {
+            let shown: Vec<String> = trace.iter().take(24).map(u32::to_string).collect();
+            let ell = if trace.len() > 24 { ",…" } else { "" };
+            vec![
+                Cell::text("plan", m.label()),
+                Cell::int("seek_distance", run.report.device.seek_distance_pages),
+                Cell::real("total_ms", run.report.total_secs() * 1e3, 2),
+                Cell::text("order", format!("{}{ell}", shown.join(","))),
+            ]
         })
-        .collect()
+        .collect();
+    let [(simple, _), _, (scan, scan_trace)] = &runs;
+    let summary = vec![
+        Cell::check(
+            "example1_xscan_reads_in_physical_order",
+            scan_trace.windows(2).all(|w| w[0] <= w[1]),
+        ),
+        Cell::check(
+            "example1_simple_seeks_more_than_xscan",
+            simple.report.device.seek_distance_pages > scan.report.device.seek_distance_pages,
+        ),
+    ];
+    (rows, summary)
 }
 
-/// Ablation A1: XSchedule queue depth `k`.
-pub fn ablation_k(scale: f64, ks: &[usize]) -> Vec<(usize, f64)> {
-    let db = build_db(scale);
-    ks.iter()
-        .map(|&k| {
-            let run = run_cold(
-                &db,
-                Q6,
-                Method::XSchedule {
-                    k,
-                    speculative: false,
-                },
-            );
-            (k, run.report.total_secs())
-        })
-        .collect()
-}
+/// Ablations A1–A6 (DESIGN.md §4), each on Q6' or Q7 at SF 1 (fast: 0.1).
+pub fn ablations(fast: bool) -> Artifact {
+    let scale = if fast { FAST_SCALE } else { 1.0 };
+    let base = build_db(scale);
 
-/// Ablation A1b: device command-queue window (NCQ depth) for XSchedule.
-/// Complements A1 — the paper notes that `k` itself matters little for a
-/// single context node; the *device's* visible window is what shortens
-/// positioning time.
-pub fn ablation_device_window(scale: f64, windows: &[usize]) -> Vec<(usize, f64)> {
-    windows
-        .iter()
-        .map(|&w| {
-            let mut opts = bench_options();
-            opts.profile.queue_depth = w;
-            let db = build_db_with(scale, &opts);
-            let run = run_cold(&db, Q6, Method::xschedule());
-            (w, run.report.total_secs())
+    // A1: XSchedule's queue depth k.
+    let a1 = [1, 10, 100, 1000]
+        .map(|k| {
+            let m = Method::XSchedule {
+                k,
+                speculative: false,
+            };
+            vec![
+                Cell::int("k", k as u64),
+                secs("xschedule_s", total(&base, Q6, m)),
+            ]
         })
-        .collect()
-}
+        .to_vec();
 
-/// Ablation A2: placement policies (fragmentation) for each method.
-pub fn ablation_fragmentation(scale: f64) -> Vec<(String, String, f64)> {
-    let placements: [(&str, Placement); 4] = [
+    // A1b: the device's command-queue window (0: unbounded). The paper
+    // notes that k matters little for a single context node; the window
+    // the *device* sees is what shortens positioning time.
+    let a1b = [("1", 1), ("4", 4), ("16", 16), ("unbounded", 0)]
+        .map(|(window, w)| {
+            let db = build_db_edited(scale, |o| o.profile.queue_depth = w);
+            let xschedule_s = total(&db, Q6, Method::xschedule());
+            vec![
+                Cell::text("window", window),
+                secs("xschedule_s", xschedule_s),
+            ]
+        })
+        .to_vec();
+
+    // A2: placement policies (fragmentation) for each plan.
+    let placements = [
         ("sequential", Placement::Sequential),
         ("chunk16", Placement::ChunkShuffled { chunk: 16, seed: 1 }),
         ("chunk4", Placement::ChunkShuffled { chunk: 4, seed: 1 }),
         ("shuffled", Placement::Shuffled { seed: 1 }),
     ];
-    let mut rows = Vec::new();
-    for (pname, placement) in placements {
-        let mut opts = bench_options();
-        opts.placement = placement;
-        let db = build_db_with(scale, &opts);
-        for m in methods() {
-            let run = run_cold(&db, Q6, m);
-            rows.push((
-                pname.to_owned(),
-                m.label().to_owned(),
-                run.report.total_secs(),
-            ));
-        }
-    }
-    rows
-}
-
-/// Ablation A3: speculative XSchedule — device reads and time with and
-/// without speculation, on a path that revisits clusters.
-pub fn ablation_speculative(scale: f64) -> Vec<(bool, u64, f64)> {
-    let mut opts = bench_options();
-    // Fragmented layout + small buffer: revisits of evicted clusters are
-    // real device reads.
-    opts.placement = Placement::Shuffled { seed: 5 };
-    opts.buffer_pages = 50;
-    let db = build_db_with(scale, &opts);
-    // Upward navigation bounces back into clusters visited on the way down.
-    let q = "//bold/ancestor::item";
-    [false, true]
-        .iter()
-        .map(|&speculative| {
-            let run = run_cold_with(
-                &db,
-                q,
-                &PlanConfig::new(Method::XSchedule {
-                    k: 100,
-                    speculative,
-                }),
-            );
-            (
-                speculative,
-                run.report.device.reads,
-                run.report.total_secs(),
-            )
+    let a2 = placements
+        .into_iter()
+        .flat_map(|(name, placement)| {
+            let db = build_db_edited(scale, |o| o.placement = placement);
+            methods().map(|m| {
+                vec![
+                    Cell::text("placement", name),
+                    Cell::text("plan", m.label()),
+                    secs("total_s", total(&db, Q6, m)),
+                ]
+            })
         })
-        .collect()
-}
+        .collect();
 
-/// Ablation A4: fallback memory limit sweep on the scan plan.
-pub fn ablation_fallback(scale: f64, limits: &[Option<usize>]) -> Vec<(String, bool, f64)> {
-    let db = build_db(scale);
-    limits
-        .iter()
-        .map(|&limit| {
+    // A3: speculative XSchedule on a path whose upward steps bounce back
+    // into clusters visited on the way down; a fragmented layout and a
+    // small buffer make those revisits real device reads.
+    let db = build_db_edited(scale, |o| {
+        o.placement = Placement::Shuffled { seed: 5 };
+        o.buffer_pages = 50;
+    });
+    let a3 = [false, true]
+        .map(|speculative| {
+            let m = Method::XSchedule {
+                k: 100,
+                speculative,
+            };
+            let report = run_cold(&db, "//bold/ancestor::item", m).report;
+            vec![
+                Cell::flag("speculative", speculative),
+                Cell::int("device_reads", report.device.reads),
+                secs("total_s", report.total_secs()),
+            ]
+        })
+        .to_vec();
+
+    // A4: the fallback memory limit on Q7's scan plan.
+    let a4 = [None, Some(100_000), Some(1_000), Some(10)]
+        .map(|limit| {
             let mut cfg = PlanConfig::new(Method::XScan);
             cfg.mem_limit = limit;
-            let run = run_cold_with(&db, Q7, &cfg);
-            let label = match limit {
-                Some(l) => format!("{l}"),
-                None => "∞".to_owned(),
-            };
-            (label, run.report.fallback, run.report.total_secs())
+            let report = run_cold_with(&base, Q7, &cfg).report;
+            let limit = limit.map_or_else(|| "unbounded".to_owned(), |l| l.to_string());
+            vec![
+                Cell::text("s_limit", limit),
+                Cell::flag("fallback", report.fallback),
+                secs("total_s", report.total_secs()),
+            ]
         })
-        .collect()
-}
+        .to_vec();
 
-/// Ablation A5: buffer size sweep on the repeated-traversal query Q7 —
-/// once the buffer holds the whole document, the second and third paths of
-/// the query run from memory.
-pub fn ablation_buffer(scale: f64, buffers: &[usize]) -> Vec<(usize, f64, f64)> {
-    buffers
-        .iter()
-        .map(|&pages| {
-            let mut opts = bench_options();
-            opts.buffer_pages = pages;
-            let db = build_db_with(scale, &opts);
-            let simple = run_cold(&db, Q7, Method::Simple);
-            let sched = run_cold(&db, Q7, Method::xschedule());
-            (pages, simple.report.total_secs(), sched.report.total_secs())
+    // A5: buffer size on Q7 — once the buffer holds the whole document,
+    // the query's second and third paths run from memory.
+    let a5 = [50, 200, 800, 1600, 3200]
+        .map(|pages| {
+            let db = build_db_edited(scale, |o| o.buffer_pages = pages);
+            vec![
+                Cell::int("buffer_pages", pages as u64),
+                secs("simple_s", total(&db, Q7, Method::Simple)),
+                secs("xschedule_s", total(&db, Q7, Method::xschedule())),
+            ]
         })
-        .collect()
-}
+        .to_vec();
 
-/// Ablation A6: device queue reordering policy (FIFO vs SSTF device).
-pub fn ablation_device_policy(scale: f64) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for (label, kind) in [
+    // A6: the device's queue policy under XSchedule.
+    let a6 = [
         ("SSTF device", DeviceKind::SimDisk),
         ("FIFO device", DeviceKind::SimDiskFifo),
-    ] {
-        let mut opts = bench_options();
-        opts.device = kind;
-        let db = build_db_with(scale, &opts);
-        let run = run_cold(&db, Q6, Method::xschedule());
-        rows.push((label.to_owned(), run.report.total_secs()));
+    ]
+    .map(|(label, kind)| {
+        let db = build_db_edited(scale, |o| o.device = kind);
+        vec![
+            Cell::text("device", label),
+            secs("total_s", total(&db, Q6, Method::xschedule())),
+        ]
+    })
+    .to_vec();
+
+    Artifact {
+        name: "ABLATIONS",
+        description: "ablations of the paper's design choices: XSchedule queue depth k (A1), device queue window (A1b), page placement (A2), speculative XSchedule (A3), fallback memory limit (A4), buffer size (A5), device queue policy (A6)",
+        params: vec![Cell::param("scale_factor", scale)],
+        tables: vec![
+            table("a1_queue_depth_k", a1),
+            table("a1b_device_window", a1b),
+            table("a2_placement", a2),
+            table("a3_speculative", a3),
+            table("a4_fallback_limit", a4),
+            table("a5_buffer_size", a5),
+            table("a6_device_policy", a6),
+        ],
+        summary: Vec::new(),
     }
-    rows
 }
 
-/// Extension E7 (paper outlook): Q7's three paths evaluated with one shared
-/// scan vs. three independent XScan plans. Returns
-/// `(independent_s, shared_s, independent_reads, shared_reads)`.
-pub fn extension_shared_scan(scale: f64) -> (f64, f64, u64, u64) {
-    let db = build_db(scale);
-    let independent = run_cold(&db, Q7, Method::XScan);
-    db.clear_buffers();
-    db.reset_device_stats();
-    let shared = db
+/// Extensions E7–E11 (the paper's §7 outlook) at SF 1; E11 ages an SF 0.5
+/// database with up to 5000 updates. Fast: SF 0.1, up to 500 updates.
+pub fn extensions(fast: bool) -> Artifact {
+    let (scale, aging_levels): (f64, &[usize]) = if fast {
+        (FAST_SCALE, &[0, 500])
+    } else {
+        (1.0, &[0, 500, 2000, 5000])
+    };
+    let aging_scale = if fast { FAST_SCALE } else { 0.5 };
+    let base = build_db(scale);
+
+    // E7: Q7's three paths through one shared scan vs three XScan plans.
+    let independent = run_cold(&base, Q7, Method::XScan);
+    cold_start(&base);
+    let shared = base
         .run_multi(
             &["/site//description", "/site//annotation", "/site//email"],
             &PlanConfig::new(Method::XScan),
         )
         .expect("shared scan");
-    // Sanity: identical totals.
-    assert_eq!(
-        independent.value,
-        shared.counts().iter().sum::<u64>(),
-        "shared scan must agree with independent plans"
-    );
-    (
-        independent.report.total_secs(),
-        shared.report.total_secs(),
-        independent.report.device.reads,
-        shared.report.device.reads,
-    )
-}
+    let e7 = [
+        ("3 independent scans", &independent.report),
+        ("1 shared scan", &shared.report),
+    ]
+    .map(|(plan, report)| {
+        vec![
+            Cell::text("plan", plan),
+            secs("total_s", report.total_secs()),
+            Cell::int("device_reads", report.device.reads),
+        ]
+    })
+    .to_vec();
+    let shared_agrees = independent.value == shared.counts().iter().sum::<u64>();
 
-/// Extension E8 (paper outlook): document export via structural walk vs.
-/// one sequential scan, on a fragmented layout.
-pub fn extension_export(scale: f64) -> (f64, f64) {
-    let mut opts = bench_options();
-    opts.placement = Placement::Shuffled { seed: 23 };
-    let db = build_db_with(scale, &opts);
+    // E8: document export by structural walk vs one sequential scan, on a
+    // fragmented layout.
+    let db = build_db_edited(scale, |o| o.placement = Placement::Shuffled { seed: 23 });
+    let export = |f: fn(&Database) -> pathix_xml::Document| {
+        cold_start(&db);
+        let t0 = db.store().clock().breakdown();
+        let doc = f(&db);
+        (doc, db.store().clock().breakdown().since(&t0).total_secs())
+    };
+    let (walked, walk_s) = export(Database::export);
+    let (scanned, scan_s) = export(Database::export_scan);
+    let e8 = [("structural walk", walk_s), ("sequential scan", scan_s)]
+        .map(|(strategy, s)| vec![Cell::text("strategy", strategy), secs("total_s", s)])
+        .to_vec();
 
-    db.clear_buffers();
-    db.reset_device_stats();
-    let t0 = db.store().clock().breakdown();
-    let walked = db.export();
-    let walk_s = db.store().clock().breakdown().since(&t0).total_secs();
-
-    db.clear_buffers();
-    db.reset_device_stats();
-    let t0 = db.store().clock().breakdown();
-    let scanned = db.export_scan();
-    let scan_s = db.store().clock().breakdown().since(&t0).total_secs();
-
-    assert!(walked.logically_equal(&scanned));
-    (walk_s, scan_s)
-}
-
-/// Extension E9 (paper outlook): the cost model's choice vs. the measured
-/// best method per benchmark query. Returns
-/// `(query, recommended, measured_best, recommended_s, best_s)`.
-pub fn extension_optimizer(scale: f64) -> Vec<(String, String, String, f64, f64)> {
-    let db = build_db(scale);
-    QUERIES
-        .iter()
-        .map(|&(label, query)| {
-            let q = pathix_xpath::parse_query(query)
-                .expect("benchmark query table contains only valid XPath")
-                .rooted();
-            let first = q.paths()[0].clone();
-            let opt = pathix_core::Optimizer::new(
-                &db.store().meta,
-                pathix_storage::DiskProfile::default(),
-            );
-            let recommended = opt.choose(&first);
-            let mut best: Option<(Method, f64)> = None;
-            let mut rec_time = 0.0;
-            for m in [Method::xschedule(), Method::XScan] {
-                let t = run_cold(&db, query, m).report.total_secs();
-                if m.label() == recommended.label() {
-                    rec_time = t;
-                }
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((m, t));
-                }
-            }
-            let (best_m, best_t) = best.expect("two methods ran");
-            (
-                label.to_owned(),
-                recommended.label().to_owned(),
-                best_m.label().to_owned(),
-                rec_time,
-                best_t,
-            )
+    // E9: the cost model's choice of I/O operator — calibrated from import
+    // statistics, as `pathix query --method auto` uses it — vs the
+    // measured best.
+    let e9 = QUERIES
+        .map(|(label, query)| {
+            let recommended = base
+                .estimate(query)
+                .expect("benchmark queries parse and have a location path")
+                .recommend();
+            let [sched_s, scan_s] =
+                [Method::xschedule(), Method::XScan].map(|m| total(&base, query, m));
+            let (best, best_s) = if scan_s < sched_s {
+                (Method::XScan, scan_s)
+            } else {
+                (Method::xschedule(), sched_s)
+            };
+            let recommended_s = if recommended == Method::XScan {
+                scan_s
+            } else {
+                sched_s
+            };
+            vec![
+                Cell::text("query", label),
+                Cell::text("recommended", recommended.label()),
+                Cell::text("measured_best", best.label()),
+                secs("recommended_s", recommended_s),
+                secs("best_s", best_s),
+            ]
         })
-        .collect()
-}
+        .to_vec();
 
-/// Extension E10 (paper outlook): two concurrent queries, both Simple vs.
-/// both XSchedule, on a fragmented layout. Returns
-/// `(label, combined_s, seek_distance)`.
-pub fn extension_concurrent(scale: f64) -> Vec<(String, f64, u64)> {
-    let mut rows = Vec::new();
-    for (label, method) in [
+    // E10: two concurrent queries sharing the device, on a fragmented
+    // layout.
+    let e10 = [
         ("2 x Simple", Method::Simple),
         ("2 x XSchedule", Method::xschedule()),
-    ] {
-        let mut opts = bench_options();
-        opts.placement = Placement::Shuffled { seed: 41 };
-        let db = build_db_with(scale, &opts);
-        db.clear_buffers();
-        db.reset_device_stats();
+    ]
+    .map(|(workload, m)| {
+        let db = build_db_edited(scale, |o| o.placement = Placement::Shuffled { seed: 41 });
+        cold_start(&db);
         let (runs, report) = db
             .run_concurrent(
-                &[("/site/regions//item", method), ("/site//email", method)],
-                &PlanConfig::new(method),
+                &[("/site/regions//item", m), ("/site//email", m)],
+                &PlanConfig::new(m),
             )
             .expect("concurrent run");
-        assert_eq!(runs.len(), 2);
-        rows.push((
-            label.to_owned(),
-            report.total_secs(),
-            report.device.seek_distance_pages,
-        ));
+        vec![
+            Cell::text("workload", workload),
+            secs("combined_s", report.total_secs()),
+            Cell::int("seek_distance", report.device.seek_distance_pages),
+            Cell::check("both_answered", runs.len() == 2),
+        ]
+    })
+    .to_vec();
+
+    Artifact {
+        name: "EXTENSIONS",
+        description: "the paper's outlook (section 7) measured: one shared scan for several paths (E7), document export (E8), the cost model's operator choice (E9), concurrent queries (E10), aging by updates (E11)",
+        params: vec![
+            Cell::param("scale_factor", scale),
+            Cell::param("aging_scale_factor", aging_scale),
+        ],
+        tables: vec![
+            table("e7_shared_scan", e7),
+            table("e8_export", e8),
+            table("e9_optimizer", e9),
+            table("e10_concurrent", e10),
+            table("e11_aging", aging(aging_scale, aging_levels)),
+        ],
+        summary: vec![
+            Cell::check("e7_shared_scan_equals_independent", shared_agrees),
+            Cell::check("e8_walk_equals_scan", walked.logically_equal(&scanned)),
+        ],
     }
-    rows
 }
 
-/// Extension E11: **aging by updates**. A freshly (sequentially) imported
-/// database is aged with random leaf insertions, which relocate records
-/// onto overflow pages at the end of the file — the fragmentation process
-/// the paper's introduction describes. Returns per aging level:
-/// `(update_ops, pages, simple_s, xschedule_s, xscan_s)`.
-pub fn extension_aging(scale: f64, levels: &[usize]) -> Vec<(usize, u32, f64, f64, f64)> {
+/// E11, aging by updates: a sequentially imported database is aged with
+/// random leaf insertions, which relocate records onto overflow pages at
+/// the end of the file — the fragmentation process the paper's
+/// introduction describes. One row of Q6' times per aging level.
+fn aging(scale: f64, levels: &[usize]) -> Vec<Vec<Cell>> {
     use pathix_tree::{InsertPos, NewNode, NodeId};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    let mut opts = bench_options();
-    opts.placement = pathix_tree::Placement::Sequential;
-    let mut db = build_db_with(scale, &opts);
+    let mut db = build_db_edited(scale, |o| o.placement = Placement::Sequential);
     let mut rng = StdRng::seed_from_u64(0xA6E5);
     let mut applied = 0usize;
     let mut rows = Vec::new();
     for &level in levels {
-        // Age up to `level` total operations.
         while applied < level {
             let pages = db.store().meta.page_range();
             let page = rng.random_range(pages.start..pages.end);
-            // Collect insertable anchors: core nodes with a parent.
+            // Insertable anchors: core nodes with a parent.
             let anchors: Vec<u16> = {
                 let cluster = db.store().fix(page);
                 cluster
@@ -487,18 +519,16 @@ pub fn extension_aging(scale: f64, levels: &[usize]) -> Vec<(usize, u32, f64, f6
                 .insert(pos, NewNode::Text("update payload added later".into()));
             applied += 1;
         }
-        let simple = run_cold(&db, Q6, Method::Simple);
-        let sched = run_cold(&db, Q6, Method::xschedule());
-        let scan = run_cold(&db, Q6, Method::XScan);
-        assert_eq!(simple.value, sched.value);
-        assert_eq!(simple.value, scan.value);
-        rows.push((
-            level,
-            db.pages(),
-            simple.report.total_secs(),
-            sched.report.total_secs(),
-            scan.report.total_secs(),
-        ));
+        let runs = run_plans(&db, Q6);
+        let [simple_s, sched_s, scan_s] = runs.each_ref().map(|r| r.report.total_secs());
+        rows.push(vec![
+            Cell::int("updates", level as u64),
+            Cell::int("pages", db.pages().into()),
+            secs("simple_s", simple_s),
+            secs("xschedule_s", sched_s),
+            secs("xscan_s", scan_s),
+            plans_agree(&runs),
+        ]);
     }
     rows
 }
@@ -509,6 +539,18 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::artifact::{num, Value};
+    use std::sync::OnceLock;
+
+    /// `paper(true)`, run once for every test that reads it.
+    fn fast_paper() -> &'static Artifact {
+        static PAPER: OnceLock<Artifact> = OnceLock::new();
+        PAPER.get_or_init(|| paper(true))
+    }
+
+    fn rows<'a>(a: &'a Artifact, table: &str) -> &'a [Vec<Cell>] {
+        &a.tables.iter().find(|t| t.name == table).unwrap().rows
+    }
 
     #[test]
     fn queries_parse() {
@@ -519,24 +561,30 @@ mod tests {
 
     #[test]
     fn tiny_sweep_is_consistent() {
-        let rows = figure_sweep(Q6, &[0.02]);
+        let a = fast_paper();
+        assert_eq!(a.failed_checks(), Vec::<String>::new());
+        let rows = rows(a, "fig9_q6");
         assert_eq!(rows.len(), 1);
-        assert!(rows[0].value > 0);
-        assert!(rows[0].simple_s > 0.0);
+        assert!(num(&rows[0], "result") > 0.0);
+        assert!(num(&rows[0], "simple_s") > 0.0);
     }
 
     #[test]
     fn example1_traces_differ_between_plans() {
-        let rows = example1();
+        let a = fast_paper();
+        assert_eq!(a.failed_checks(), Vec::<String>::new());
+        let rows = rows(a, "example1");
         assert_eq!(rows.len(), 3);
-        let scan = rows.iter().find(|r| r.method == "XScan").unwrap();
+        let row = |plan: &str| {
+            let text = Value::Text(plan.to_owned());
+            rows.iter().find(|r| r[0].value == text).unwrap()
+        };
         // The scan visits pages in strictly increasing physical order.
-        let mut sorted = scan.trace.clone();
-        sorted.sort_unstable();
-        assert_eq!(scan.trace, sorted);
-        let simple = rows.iter().find(|r| r.method == "Simple").unwrap();
+        let checks = a.checks();
+        let in_order = ("example1_xscan_reads_in_physical_order".to_owned(), true);
+        assert!(checks.contains(&in_order));
         assert!(
-            simple.seek_distance > scan.seek_distance,
+            num(row("Simple"), "seek_distance") > num(row("XScan"), "seek_distance"),
             "simple must seek more than the scan"
         );
     }

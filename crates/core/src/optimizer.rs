@@ -205,11 +205,6 @@ impl<'a> Optimizer<'a> {
             xscan_ns,
         }
     }
-
-    /// Recommends the I/O operator for a path.
-    pub fn choose(&self, path: &LocationPath) -> Method {
-        self.estimate(path).recommend()
-    }
 }
 
 #[cfg(test)]
