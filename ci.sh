@@ -13,12 +13,15 @@
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
 #      confinement; see DESIGN.md "Statically enforced invariants")
-#   5. cargo bench --no-run   — criterion benches stay compiling
-#   6. perfbench self-tests   — the benchmark (own package under
+#   5. cargo clippy -D warnings — every target of every workspace crate
+#      is clippy-clean, including the `[workspace.lints]` deny-set
+#      (`unwrap_used`, `dbg_macro`, `todo`, `unsafe_code`)
+#   6. cargo bench --no-run   — criterion benches stay compiling
+#   7. perfbench self-tests   — the benchmark (own package under
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   7. report --fast paper ablations extensions throughput scaling
+#   8. report --fast paper ablations extensions throughput scaling
 #      chaos overload — one smoke of every report artifact at its small
 #      configuration: the paper's evaluation, ablations and extensions
 #      at SF 0.1, and the four substrate harnesses (BENCH_PR2-5) with
@@ -43,6 +46,9 @@ cargo test -q
 
 echo "==> pathix-lint check"
 cargo run -q -p pathix-lint -- check
+
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo bench --no-run (compile gate)"
 cargo bench --no-run --workspace

@@ -73,7 +73,7 @@ fn bench_buffer_fix(c: &mut Criterion) {
 fn bench_codec(c: &mut Criterion) {
     let store = store_for_micro();
     let cluster = store.fix_node(store.root());
-    let bytes = pathix_tree::node::encode_cluster(&cluster, 8192);
+    let bytes: std::sync::Arc<[u8]> = pathix_tree::node::encode_cluster(&cluster, 8192).into();
     let clock = SimClock::new();
     let mut group = c.benchmark_group("page_codec");
     group.throughput(Throughput::Elements(cluster.len() as u64));

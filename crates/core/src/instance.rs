@@ -221,17 +221,13 @@ mod tests {
     use pathix_xml::Symbol;
 
     fn cluster() -> Arc<Cluster> {
-        Arc::new(Cluster {
-            page: 3,
-            nodes: vec![pathix_tree::Node {
-                kind: pathix_tree::NodeKind::elem(Symbol(0)),
-                parent: None,
-                first_child: None,
-                next_sibling: None,
-                prev_sibling: None,
-                order: 17,
-            }],
-        })
+        let mut cluster = Cluster::new(3);
+        cluster.nodes.push(pathix_tree::Node {
+            kind: pathix_tree::NodeKind::elem(Symbol(0)),
+            order: 17,
+            ..pathix_tree::Node::FREE
+        });
+        Arc::new(cluster)
     }
 
     #[test]

@@ -18,8 +18,10 @@
 #[derive(Debug)]
 pub struct SlottedPageBuilder {
     page_size: usize,
-    records: Vec<Vec<u8>>,
-    payload_bytes: usize,
+    /// Record bytes, back to back in slot order.
+    records: Vec<u8>,
+    /// End of each record within `records`.
+    ends: Vec<usize>,
 }
 
 impl SlottedPageBuilder {
@@ -29,14 +31,14 @@ impl SlottedPageBuilder {
         Self {
             page_size,
             records: Vec::new(),
-            payload_bytes: 0,
+            ends: Vec::new(),
         }
     }
 
     /// Bytes the page would occupy if finished now.
     pub fn used_bytes(&self) -> usize {
         // count + (n+1) offsets + payload
-        2 + (self.records.len() + 1) * 2 + self.payload_bytes
+        2 + (self.ends.len() + 1) * 2 + self.records.len()
     }
 
     /// Bytes still available for a further record (header growth included).
@@ -51,12 +53,12 @@ impl SlottedPageBuilder {
 
     /// Number of records added so far.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.ends.len()
     }
 
     /// True if no records have been added.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.ends.is_empty()
     }
 
     /// Appends a record, returning its slot number.
@@ -65,28 +67,22 @@ impl SlottedPageBuilder {
     /// Panics if the record does not fit; callers must check [`Self::fits`].
     pub fn push(&mut self, record: &[u8]) -> u16 {
         assert!(self.fits(record.len()), "record does not fit in page");
-        assert!(self.records.len() < u16::MAX as usize, "slot overflow");
-        let slot = self.records.len() as u16;
-        self.payload_bytes += record.len();
-        self.records.push(record.to_vec());
+        assert!(self.ends.len() < u16::MAX as usize, "slot overflow");
+        let slot = self.ends.len() as u16;
+        self.records.extend_from_slice(record);
+        self.ends.push(self.records.len());
         slot
     }
 
     /// Serializes the page to exactly `page_size` bytes.
     pub fn finish(self) -> Vec<u8> {
-        let n = self.records.len();
-        let header = 2 + (n + 1) * 2;
+        let header = 2 + (self.ends.len() + 1) * 2;
         let mut out = Vec::with_capacity(self.page_size);
-        out.extend_from_slice(&(n as u16).to_le_bytes());
-        let mut off = header;
-        for r in &self.records {
-            out.extend_from_slice(&(off as u16).to_le_bytes());
-            off += r.len();
+        out.extend_from_slice(&(self.ends.len() as u16).to_le_bytes());
+        for start in std::iter::once(0).chain(self.ends) {
+            out.extend_from_slice(&((header + start) as u16).to_le_bytes());
         }
-        out.extend_from_slice(&(off as u16).to_le_bytes());
-        for r in &self.records {
-            out.extend_from_slice(r);
-        }
+        out.extend_from_slice(&self.records);
         debug_assert!(out.len() <= self.page_size);
         out.resize(self.page_size, 0);
         out
@@ -132,6 +128,14 @@ impl<'a> SlottedPageReader<'a> {
     /// # Panics
     /// Panics if `slot` is out of range or offsets are corrupt.
     pub fn record(&self, slot: u16) -> &'a [u8] {
+        &self.bytes[self.record_range(slot)]
+    }
+
+    /// The byte range of record `slot` within the page.
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range or offsets are corrupt.
+    pub fn record_range(&self, slot: u16) -> std::ops::Range<usize> {
         let i = slot as usize;
         assert!(i < self.count, "slot {slot} out of range ({})", self.count);
         let start = self.offset(i);
@@ -140,7 +144,7 @@ impl<'a> SlottedPageReader<'a> {
             start <= end && end <= self.bytes.len(),
             "corrupt record bounds"
         );
-        &self.bytes[start..end]
+        start..end
     }
 
     /// Iterates over all records in slot order.

@@ -3,7 +3,7 @@
 //! (import ∘ export ≡ identity) and by the document-export use case the
 //! paper's outlook mentions.
 
-use crate::node::{Cluster, NodeId, NodeKind};
+use crate::node::{Cluster, NodeKind};
 use crate::store::TreeStore;
 use pathix_storage::PageId;
 use pathix_xml::{Document, NodeRef};
@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Frame {
-    cluster: Arc<crate::node::Cluster>,
+    cluster: Arc<Cluster>,
     /// Next slot to process in the current sibling chain.
     cur: Option<u16>,
     /// Document node receiving the children.
@@ -24,74 +24,7 @@ struct Frame {
 /// by following the tree structure), so it exercises exactly the structures
 /// queries use.
 pub fn export(store: &TreeStore) -> Document {
-    let root_cluster = store.fix_node(store.root());
-    let root_node = root_cluster.node(store.root().slot);
-    let NodeKind::Element { tag, attrs } = &root_node.kind else {
-        panic!("document root must be an element");
-    };
-    let mut doc = Document::new(store.meta.symbols.name(*tag));
-    for (name, value) in attrs.iter() {
-        let name = store.meta.symbols.name(*name).to_owned();
-        doc.set_attr(doc.root(), &name, value);
-    }
-
-    let mut stack = vec![Frame {
-        cur: root_node.first_child,
-        cluster: root_cluster,
-        parent: doc.root(),
-    }];
-
-    while let Some(frame) = stack.last_mut() {
-        let Some(slot) = frame.cur else {
-            stack.pop();
-            continue;
-        };
-        let node = frame.cluster.node(slot);
-        frame.cur = node.next_sibling;
-        let parent = frame.parent;
-        match &node.kind {
-            NodeKind::Element { tag, attrs } => {
-                let tag_name = store.meta.symbols.name(*tag).to_owned();
-                let el = doc.add_element(parent, &tag_name);
-                for (name, value) in attrs.iter() {
-                    let name = store.meta.symbols.name(*name).to_owned();
-                    doc.set_attr(el, &name, value);
-                }
-                let first = node.first_child;
-                let cluster = frame.cluster.clone();
-                if first.is_some() {
-                    stack.push(Frame {
-                        cluster,
-                        cur: first,
-                        parent: el,
-                    });
-                }
-            }
-            NodeKind::Text(t) => {
-                doc.add_text(parent, t);
-            }
-            NodeKind::BorderDown { target } => {
-                // Continue this chain position inside the companion cluster:
-                // the BorderUp's children are the deferred children.
-                let target: NodeId = *target;
-                let next_cluster = store.fix(target.page);
-                let up = next_cluster.node(target.slot);
-                debug_assert!(matches!(up.kind, NodeKind::BorderUp { .. }));
-                let first = up.first_child;
-                if first.is_some() {
-                    stack.push(Frame {
-                        cluster: next_cluster,
-                        cur: first,
-                        parent,
-                    });
-                }
-            }
-            NodeKind::BorderUp { .. } | NodeKind::Free => {
-                unreachable!("proxy root or tombstone inside a sibling chain")
-            }
-        }
-    }
-    doc
+    walk(store, |page| store.fix(page))
 }
 
 /// Rebuilds the logical document with a **single sequential scan** of the
@@ -101,22 +34,28 @@ pub fn export(store: &TreeStore) -> Document {
 /// a whole document", §7). On a fragmented layout this replaces the
 /// random page accesses of [`export`]'s structural walk with one scan.
 pub fn export_scan(store: &TreeStore) -> Document {
-    // Phase 1: one sequential pass pins every cluster.
-    let mut clusters: HashMap<PageId, Arc<Cluster>> = HashMap::new();
-    for page in store.meta.page_range() {
-        clusters.insert(page, store.fix(page));
-    }
-    // Phase 2: stitch in memory (no further I/O).
-    let root = store.meta.root;
-    let root_cluster = Arc::clone(&clusters[&root.page]);
-    let root_node = root_cluster.node(root.slot);
-    let NodeKind::Element { tag, attrs } = &root_node.kind else {
+    // One sequential pass pins every cluster; the walk does no further I/O.
+    let clusters: HashMap<PageId, Arc<Cluster>> = store
+        .meta
+        .page_range()
+        .map(|page| (page, store.fix(page)))
+        .collect();
+    walk(store, |page| Arc::clone(&clusters[&page]))
+}
+
+/// Stitches the document from the root's cluster on, taking each page's
+/// cluster from `fetch` — in the walk's order, one call per border crossed.
+fn walk(store: &TreeStore, fetch: impl Fn(PageId) -> Arc<Cluster>) -> Document {
+    let symbols = &store.meta.symbols;
+    let root = store.root();
+    let root_cluster = fetch(root.page);
+    let root_node = *root_cluster.node(root.slot);
+    let NodeKind::Element { tag, .. } = root_node.kind else {
         panic!("document root must be an element");
     };
-    let mut doc = Document::new(store.meta.symbols.name(*tag));
-    for (name, value) in attrs.iter() {
-        let name = store.meta.symbols.name(*name).to_owned();
-        doc.set_attr(doc.root(), &name, value);
+    let mut doc = Document::new(symbols.name(tag));
+    for (name, value) in root_cluster.attrs(&root_node) {
+        doc.set_attr(doc.root(), symbols.name(name), value);
     }
     let mut stack = vec![Frame {
         cur: root_node.first_child,
@@ -128,45 +67,38 @@ pub fn export_scan(store: &TreeStore) -> Document {
             stack.pop();
             continue;
         };
-        let node = frame.cluster.node(slot);
+        let node = *frame.cluster.node(slot);
         frame.cur = node.next_sibling;
-        let parent = frame.parent;
-        match &node.kind {
-            NodeKind::Element { tag, attrs } => {
-                let tag_name = store.meta.symbols.name(*tag).to_owned();
-                let el = doc.add_element(parent, &tag_name);
-                for (name, value) in attrs.iter() {
-                    let name = store.meta.symbols.name(*name).to_owned();
-                    doc.set_attr(el, &name, value);
+        let (cluster, first, parent) = match node.kind {
+            NodeKind::Element { tag, .. } => {
+                let el = doc.add_element(frame.parent, symbols.name(tag));
+                for (name, value) in frame.cluster.attrs(&node) {
+                    doc.set_attr(el, symbols.name(name), value);
                 }
-                let first = node.first_child;
-                if first.is_some() {
-                    let cluster = frame.cluster.clone();
-                    stack.push(Frame {
-                        cluster,
-                        cur: first,
-                        parent: el,
-                    });
-                }
+                (Arc::clone(&frame.cluster), node.first_child, el)
             }
-            NodeKind::Text(t) => {
-                doc.add_text(parent, t);
+            NodeKind::Text(_) => {
+                doc.add_text(frame.parent, frame.cluster.text(&node));
+                continue;
             }
             NodeKind::BorderDown { target } => {
-                let next_cluster = Arc::clone(&clusters[&target.page]);
-                let up = next_cluster.node(target.slot);
-                if up.first_child.is_some() {
-                    let cur = up.first_child;
-                    stack.push(Frame {
-                        cluster: next_cluster,
-                        cur,
-                        parent,
-                    });
-                }
+                // Continue this chain position inside the companion cluster:
+                // the BorderUp's children are the deferred children.
+                let cluster = fetch(target.page);
+                let up = *cluster.node(target.slot);
+                debug_assert!(matches!(up.kind, NodeKind::BorderUp { .. }));
+                (cluster, up.first_child, frame.parent)
             }
             NodeKind::BorderUp { .. } | NodeKind::Free => {
                 unreachable!("proxy root or tombstone inside a sibling chain")
             }
+        };
+        if first.is_some() {
+            stack.push(Frame {
+                cluster,
+                cur: first,
+                parent,
+            });
         }
     }
     doc

@@ -26,7 +26,9 @@
 //! heavily updated, fragmented database, and `Strided` models a regularly
 //! interleaved layout (e.g. after round-robin space allocation).
 
-use crate::node::{encode_cluster, encoded_size, Cluster, Node, NodeId, NodeKind};
+use crate::node::{
+    encode_cluster, encoded_size, put_attr, Cluster, Node, NodeId, NodeKind, Span, BORDER_SIZE,
+};
 use crate::store::TreeMeta;
 use pathix_storage::{seal_page, Device, PageId, CHECKSUM_LEN};
 use pathix_xml::{Document, NodeRef, XKind};
@@ -139,15 +141,9 @@ impl fmt::Display for ImportError {
 
 impl std::error::Error for ImportError {}
 
-const BORDER_SIZE: usize = encoded_border_size();
-
-const fn encoded_border_size() -> usize {
-    // kind + 4 links + order + (page, slot): see node.rs layout.
-    1 + 8 + 8 + 6
-}
-
 struct BuildCluster {
     nodes: Vec<Node>,
+    bytes: Vec<u8>,          // the nodes' payloads, back to back
     lasts: Vec<Option<u16>>, // last child per slot
     used: usize,
     open: usize, // nodes with unfinished child processing (border liability)
@@ -157,25 +153,27 @@ impl BuildCluster {
     fn new() -> Self {
         Self {
             nodes: Vec::new(),
+            bytes: Vec::new(),
             lasts: Vec::new(),
             used: 0,
             open: 0,
         }
     }
 
-    /// Appends a node, linking it under `parent` (`None` = a new root of
-    /// this cluster's forest).
-    fn add(&mut self, kind: NodeKind, parent: Option<u16>, order: u64) -> u16 {
+    /// Appends a node with its `payload`, linking it under `parent`
+    /// (`None` = a new root of this cluster's forest).
+    fn add(&mut self, kind: NodeKind, payload: &[u8], parent: Option<u16>, order: u64) -> u16 {
         let size = encoded_size(&kind);
         let slot = self.nodes.len() as u16;
         self.nodes.push(Node {
-            kind,
+            kind: kind.with_payload(Span::new(self.bytes.len(), payload.len())),
             parent,
             first_child: None,
             next_sibling: None,
             prev_sibling: None,
             order,
         });
+        self.bytes.extend_from_slice(payload);
         self.lasts.push(None);
         if let Some(p) = parent {
             match self.lasts[p as usize] {
@@ -201,20 +199,24 @@ struct Frame {
     parent_slot: u16,
 }
 
-fn node_kind(doc: &Document, n: NodeRef) -> NodeKind {
+/// The record kind of document node `n`, with its payload written to
+/// `payload` (cleared first) in record layout.
+fn node_kind(doc: &Document, n: NodeRef, payload: &mut Vec<u8>) -> NodeKind {
+    payload.clear();
     match doc.kind(n) {
         XKind::Element(tag) => {
-            let attrs: Vec<(pathix_xml::Symbol, Box<str>)> = doc
-                .attrs(n)
-                .iter()
-                .map(|(s, v)| (*s, v.as_str().into()))
-                .collect();
+            for (name, value) in doc.attrs(n) {
+                put_attr(payload, *name, value);
+            }
             NodeKind::Element {
                 tag,
-                attrs: attrs.into_boxed_slice(),
+                attrs: Span::new(0, payload.len()),
             }
         }
-        XKind::Text(_) => NodeKind::Text(doc.text(n).expect("text node").into()),
+        XKind::Text(_) => {
+            payload.extend_from_slice(doc.text(n).expect("text node").as_bytes());
+            NodeKind::Text(Span::new(0, payload.len()))
+        }
     }
 }
 
@@ -228,9 +230,10 @@ fn partition(
     let mut border_edges = 0u64;
     // Scrap bin: cluster currently collecting chain-split continuations.
     let mut scrap: Option<usize> = None;
+    let mut payload = Vec::new();
 
     // Root node always goes to cluster 0, slot 0.
-    let root_kind = node_kind(doc, doc.root());
+    let root_kind = node_kind(doc, doc.root(), &mut payload);
     let root_size = encoded_size(&root_kind);
     if root_size + BORDER_SIZE > budget {
         return Err(ImportError::RecordTooLarge {
@@ -240,6 +243,7 @@ fn partition(
     }
     clusters[0].add(
         root_kind,
+        &payload,
         None,
         crate::node::order_key(ranks[doc.root().0 as usize]),
     );
@@ -260,7 +264,7 @@ fn partition(
         frame.next_child = doc.next_sibling(child);
         let (cluster_idx, parent_slot) = (frame.cluster, frame.parent_slot);
 
-        let kind = node_kind(doc, child);
+        let kind = node_kind(doc, child, &mut payload);
         let size = encoded_size(&kind);
         let has_children = doc.first_child(child).is_some();
         let order = crate::node::order_key(ranks[child.0 as usize]);
@@ -306,6 +310,7 @@ fn partition(
                     NodeKind::BorderDown {
                         target: NodeId::new(target_idx as u32, 0),
                     },
+                    &[],
                     Some(parent_slot),
                     order,
                 );
@@ -317,6 +322,7 @@ fn partition(
                 NodeKind::BorderUp {
                     target: NodeId::new(cluster_idx as u32, down_slot),
                 },
+                &[],
                 None,
                 order,
             );
@@ -344,7 +350,7 @@ fn partition(
             (target_idx, up_slot)
         };
 
-        let slot = clusters[target_cluster].add(kind, Some(target_parent), order);
+        let slot = clusters[target_cluster].add(kind, &payload, Some(target_parent), order);
         if has_children {
             clusters[target_cluster].open += 1;
             stack.push(Frame {
@@ -428,23 +434,20 @@ pub fn import_into(
     let mut finals: Vec<Cluster> = Vec::with_capacity(n);
     let mut record_bytes = 0u64;
     let mut nodes = 0u64;
-    for (idx, c) in clusters.into_iter().enumerate() {
+    for (idx, mut c) in clusters.into_iter().enumerate() {
         record_bytes += c.used as u64;
         nodes += c.nodes.iter().filter(|x| x.kind.is_core()).count() as u64;
-        let page = base + positions[idx] as PageId;
-        let fixed: Vec<Node> = c
-            .nodes
-            .into_iter()
-            .map(|mut node| {
-                if let NodeKind::BorderDown { target } | NodeKind::BorderUp { target } =
-                    &mut node.kind
-                {
-                    target.page = base + positions[target.page as usize] as PageId;
-                }
-                node
-            })
-            .collect();
-        finals.push(Cluster { page, nodes: fixed });
+        for node in &mut c.nodes {
+            if let NodeKind::BorderDown { target } | NodeKind::BorderUp { target } = &mut node.kind
+            {
+                target.page = base + positions[target.page as usize] as PageId;
+            }
+        }
+        finals.push(Cluster {
+            page: base + positions[idx] as PageId,
+            nodes: c.nodes,
+            bytes: c.bytes.into(),
+        });
     }
 
     // Write in physical page order.
@@ -704,6 +707,15 @@ mod tests {
             },
         )
         .unwrap_err();
+        assert!(matches!(err, ImportError::RecordTooLarge { .. }));
+        // The same for an attribute value longer than its u16 length field.
+        let mut doc = Document::new("r");
+        doc.set_attr(doc.root(), "a", &"x".repeat(70_000));
+        let cfg = ImportConfig {
+            page_size: 1 << 16,
+            placement: Placement::Sequential,
+        };
+        let err = import_into(&mut MemDevice::new(1 << 16), &doc, &cfg).unwrap_err();
         assert!(matches!(err, ImportError::RecordTooLarge { .. }));
     }
 

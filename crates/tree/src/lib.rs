@@ -35,6 +35,6 @@ pub use import::{import_into, ImportConfig, ImportReport, Placement};
 pub use nav::{
     Entry, FullCursor, NavCharge, NavCounters, NavParams, ResolvedTest, StepCursor, StepItem,
 };
-pub use node::{Cluster, Node, NodeId, NodeKind, ORDER_SPACING};
+pub use node::{Cluster, Node, NodeId, NodeKind, Span, ORDER_SPACING};
 pub use store::{TreeMeta, TreeStore};
 pub use update::{InsertPos, NewNode, TreeUpdater, UpdateError};

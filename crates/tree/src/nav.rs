@@ -645,6 +645,7 @@ mod tests {
 
     use super::*;
     use crate::import::{import_into, ImportConfig, Placement};
+    use crate::node::Span;
     use crate::store::TreeStore;
     use pathix_storage::{BufferParams, MemDevice};
     use pathix_xml::Document;
@@ -842,15 +843,15 @@ mod tests {
         let a = table.intern("a");
         let t = ResolvedTest::resolve(&NodeTest::Name("a".into()), &table);
         assert!(t.matches(&NodeKind::elem(a)));
-        assert!(!t.matches(&NodeKind::Text("x".into())));
+        assert!(!t.matches(&NodeKind::Text(Span::default())));
         let missing = ResolvedTest::resolve(&NodeTest::Name("zzz".into()), &table);
         assert_eq!(missing, ResolvedTest::Name(None));
         assert!(!missing.matches(&NodeKind::elem(a)));
-        assert!(ResolvedTest::AnyNode.matches(&NodeKind::Text("x".into())));
+        assert!(ResolvedTest::AnyNode.matches(&NodeKind::Text(Span::default())));
         assert!(!ResolvedTest::AnyNode.matches(&NodeKind::BorderDown {
             target: NodeId::new(0, 0)
         }));
-        assert!(ResolvedTest::Text.matches(&NodeKind::Text("x".into())));
+        assert!(ResolvedTest::Text.matches(&NodeKind::Text(Span::default())));
         assert!(!ResolvedTest::Text.matches(&NodeKind::elem(a)));
     }
 

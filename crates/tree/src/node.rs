@@ -1,12 +1,18 @@
 //! Stored node records, clusters, and their page encoding.
 //!
-//! A cluster is the decoded form of one slotted page: a mini-tree of nodes
-//! addressed by slot number. Core nodes (elements, text) carry the logical
-//! document content; border nodes proxy edges to other clusters (§3.4).
+//! A cluster is the decoded form of one slotted page: a record index over
+//! the verified page image it came from, i.e. a mini-tree of fixed-size
+//! [`Node`]s addressed by slot number. Core nodes (elements, text) carry the
+//! logical document content; border nodes proxy edges to other clusters
+//! (§3.4). Text and attribute payloads are not copied out of the page: a
+//! node holds a [`Span`] into its cluster's bytes, read back through
+//! [`Cluster::text`] and [`Cluster::attrs`].
 
 use pathix_storage::{PageId, SimClock, SlottedPageBuilder, SlottedPageReader};
 use pathix_xml::Symbol;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Spacing between consecutive document-order keys at import time. The gap
 /// leaves room for `ORDER_SPACING − 1` insertions between any two adjacent
@@ -44,8 +50,33 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// Where a payload lives in its cluster's bytes: `len` bytes from offset
+/// `at`. Meaningful only together with the cluster that holds the node.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Span {
+    at: u32,
+    len: u32,
+}
+
+impl Span {
+    pub(crate) fn new(at: usize, len: usize) -> Self {
+        Self {
+            at: at as u32,
+            len: len as u32,
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.at as usize..(self.at + self.len) as usize
+    }
+
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+}
+
 /// Payload of a stored node.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// Tombstone: a deleted record. Keeps slot numbers stable so border
     /// companions in other clusters stay valid; never linked into any
@@ -57,11 +88,11 @@ pub enum NodeKind {
     Element {
         /// Interned tag.
         tag: Symbol,
-        /// Attribute name/value pairs.
-        attrs: Box<[(Symbol, Box<str>)]>,
+        /// The encoded attribute entries; see [`Cluster::attrs`].
+        attrs: Span,
     },
-    /// Core text node with inline content.
-    Text(Box<str>),
+    /// Core text node; its content is [`Cluster::text`].
+    Text(Span),
     /// Border node standing for a child subtree stored in another cluster;
     /// `target` is the companion `BorderUp` node.
     BorderDown {
@@ -81,7 +112,7 @@ impl NodeKind {
     pub fn elem(tag: Symbol) -> Self {
         NodeKind::Element {
             tag,
-            attrs: Box::new([]),
+            attrs: Span::default(),
         }
     }
 
@@ -106,11 +137,20 @@ impl NodeKind {
             _ => None,
         }
     }
+
+    /// The same record with its payload at `span`.
+    pub(crate) fn with_payload(self, span: Span) -> Self {
+        match self {
+            NodeKind::Text(_) => NodeKind::Text(span),
+            NodeKind::Element { tag, .. } => NodeKind::Element { tag, attrs: span },
+            other => other,
+        }
+    }
 }
 
 /// One stored node: payload plus intra-cluster structure links and the
 /// document-order key (an ORDPATH-substitute preorder rank, §5.5).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// Payload.
     pub kind: NodeKind,
@@ -127,16 +167,40 @@ pub struct Node {
     pub order: u64,
 }
 
-/// Decoded form of one page: a mini-tree of nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+impl Node {
+    /// A tombstone record, unlinked.
+    pub const FREE: Node = Node {
+        kind: NodeKind::Free,
+        parent: None,
+        first_child: None,
+        next_sibling: None,
+        prev_sibling: None,
+        order: 0,
+    };
+}
+
+/// One page's mini-tree: the nodes by slot, and the bytes their payload
+/// spans point into — the verified page image for a decoded cluster, plus
+/// any payload the updater appended since.
+#[derive(Debug, Clone)]
 pub struct Cluster {
     /// The page this cluster lives on.
     pub page: PageId,
     /// Nodes by slot.
     pub nodes: Vec<Node>,
+    pub(crate) bytes: Arc<[u8]>,
 }
 
 impl Cluster {
+    /// An empty cluster on `page`.
+    pub fn new(page: PageId) -> Self {
+        Self {
+            page,
+            nodes: Vec::new(),
+            bytes: Arc::from([]),
+        }
+    }
+
     /// Node at `slot`.
     ///
     /// # Panics
@@ -175,38 +239,120 @@ impl Cluster {
     pub fn core_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.kind.is_core()).count()
     }
+
+    fn payload(&self, kind: &NodeKind) -> &[u8] {
+        match kind {
+            NodeKind::Text(s) | NodeKind::Element { attrs: s, .. } => &self.bytes[s.range()],
+            _ => &[],
+        }
+    }
+
+    /// Content of a text node (`""` for any other kind).
+    pub fn text(&self, node: &Node) -> &str {
+        match node.kind {
+            NodeKind::Text(_) => utf8(self.payload(&node.kind)),
+            _ => "",
+        }
+    }
+
+    /// Attribute name/value pairs of an element node (none for any other
+    /// kind).
+    pub fn attrs(&self, node: &Node) -> impl Iterator<Item = (Symbol, &str)> {
+        let entries = match node.kind {
+            NodeKind::Element { .. } => self.payload(&node.kind),
+            _ => &[],
+        };
+        AttrEntries(entries).map(|(name, value)| (name, utf8(value)))
+    }
+
+    /// `kind`, a record of cluster `from`, with its payload appended to this
+    /// cluster's bytes. Copies the byte store: meant for the updater's few
+    /// new, relocated and rewritten records, not for bulk building.
+    pub(crate) fn adopt(&mut self, from: &Cluster, kind: NodeKind) -> NodeKind {
+        self.append(kind, from.payload(&kind))
+    }
+
+    /// A new text record holding `text`, appended to this cluster's bytes.
+    pub(crate) fn push_text(&mut self, text: &str) -> NodeKind {
+        self.append(NodeKind::Text(Span::default()), text.as_bytes())
+    }
+
+    fn append(&mut self, kind: NodeKind, payload: &[u8]) -> NodeKind {
+        let span = Span::new(self.bytes.len(), payload.len());
+        if !payload.is_empty() {
+            self.bytes = [&self.bytes[..], payload].concat().into();
+        }
+        kind.with_payload(span)
+    }
+}
+
+/// Payload bytes are UTF-8-validated when a page is decoded and are `&str`
+/// when built, so this re-check on the (cold) export path cannot fail.
+fn utf8(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("payload validated when decoded or built")
+}
+
+/// UTF-8 validation. Most payload is ASCII, and on short strings
+/// `is_ascii`'s word-at-a-time check is faster than `from_utf8`.
+fn is_utf8(bytes: &[u8]) -> bool {
+    bytes.is_ascii() || std::str::from_utf8(bytes).is_ok()
+}
+
+/// The `(name, value bytes)` entries of an encoded attribute list.
+struct AttrEntries<'a>(&'a [u8]);
+
+impl<'a> Iterator for AttrEntries<'a> {
+    type Item = (Symbol, &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (name, rest) = self.0.split_first_chunk::<4>()?;
+        let (len, rest) = rest.split_first_chunk::<2>()?;
+        let (value, rest) = rest.split_at_checked(u16::from_le_bytes(*len) as usize)?;
+        self.0 = rest;
+        Some((Symbol(u32::from_le_bytes(*name)), value))
+    }
+}
+
+/// Appends one attribute entry in record layout (the importer's builder).
+/// A value too long for its `u16` length saturates it; such a record is
+/// larger than any page, and the importer rejects it by its size.
+pub(crate) fn put_attr(buf: &mut Vec<u8>, name: Symbol, value: &str) {
+    buf.extend_from_slice(&name.0.to_le_bytes());
+    let len = u16::try_from(value.len()).unwrap_or(u16::MAX);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(value.as_bytes());
 }
 
 // --- encoding ---------------------------------------------------------
 //
 // Record layout (little endian):
-//   u8   kind (0 element, 1 text, 2 border-down, 3 border-up)
+//   u8   kind (0 element, 1 text, 2 border-down, 3 border-up, 4 free)
 //   u16  parent + 1        (0 = none)
 //   u16  first_child + 1
 //   u16  next_sibling + 1
 //   u16  prev_sibling + 1
 //   u64  order
 //   payload:
-//     element:     u32 tag symbol
+//     element:     u32 tag symbol, u16 count, count x (u32 name, u16 len, bytes)
 //     text:        u16 len, bytes
 //     border-*:    u32 target page, u16 target slot
+// A free record is the kind byte alone. A decoded node's span covers the
+// attribute entries or the text bytes in place.
 
 const FIXED_HEAD: usize = 1 + 4 * 2 + 8;
+
+/// Encoded size of either border record.
+pub(crate) const BORDER_SIZE: usize = FIXED_HEAD + 6;
 
 /// Exact encoded size of a node record (used by the importer's packing
 /// budget).
 pub fn encoded_size(kind: &NodeKind) -> usize {
-    if matches!(kind, NodeKind::Free) {
-        return 1;
-    }
     FIXED_HEAD
         + match kind {
-            NodeKind::Free => unreachable!(),
-            NodeKind::Element { attrs, .. } => {
-                4 + 2 + attrs.iter().map(|(_, v)| 6 + v.len()).sum::<usize>()
-            }
+            NodeKind::Free => return 1,
+            NodeKind::Element { attrs, .. } => 4 + 2 + attrs.len(),
             NodeKind::Text(t) => 2 + t.len(),
-            NodeKind::BorderDown { .. } | NodeKind::BorderUp { .. } => 6,
+            NodeKind::BorderDown { .. } | NodeKind::BorderUp { .. } => return BORDER_SIZE,
         }
 }
 
@@ -215,7 +361,7 @@ fn put_link(buf: &mut Vec<u8>, link: Option<u16>) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_node(node: &Node, buf: &mut Vec<u8>) {
+fn encode_node(cluster: &Cluster, node: &Node, buf: &mut Vec<u8>) {
     let kind_byte = match &node.kind {
         NodeKind::Element { .. } => 0u8,
         NodeKind::Text(_) => 1,
@@ -232,23 +378,20 @@ fn encode_node(node: &Node, buf: &mut Vec<u8>) {
     put_link(buf, node.next_sibling);
     put_link(buf, node.prev_sibling);
     buf.extend_from_slice(&node.order.to_le_bytes());
+    let payload = cluster.payload(&node.kind);
     match &node.kind {
         NodeKind::Free => unreachable!("handled above"),
-        NodeKind::Element { tag, attrs } => {
+        NodeKind::Element { tag, .. } => {
             buf.extend_from_slice(&tag.0.to_le_bytes());
-            assert!(attrs.len() <= u16::MAX as usize, "too many attributes");
-            buf.extend_from_slice(&(attrs.len() as u16).to_le_bytes());
-            for (name, value) in attrs.iter() {
-                buf.extend_from_slice(&name.0.to_le_bytes());
-                assert!(value.len() <= u16::MAX as usize, "attribute too long");
-                buf.extend_from_slice(&(value.len() as u16).to_le_bytes());
-                buf.extend_from_slice(value.as_bytes());
-            }
+            let count = AttrEntries(payload).count();
+            assert!(count <= u16::MAX as usize, "too many attributes");
+            buf.extend_from_slice(&(count as u16).to_le_bytes());
+            buf.extend_from_slice(payload);
         }
-        NodeKind::Text(t) => {
-            assert!(t.len() <= u16::MAX as usize, "text record too long");
-            buf.extend_from_slice(&(t.len() as u16).to_le_bytes());
-            buf.extend_from_slice(t.as_bytes());
+        NodeKind::Text(_) => {
+            assert!(payload.len() <= u16::MAX as usize, "text record too long");
+            buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+            buf.extend_from_slice(payload);
         }
         NodeKind::BorderDown { target } | NodeKind::BorderUp { target } => {
             buf.extend_from_slice(&target.page.to_le_bytes());
@@ -267,167 +410,247 @@ pub fn encode_cluster(cluster: &Cluster, page_size: usize) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     for node in &cluster.nodes {
         buf.clear();
-        encode_node(node, &mut buf);
+        encode_node(cluster, node, &mut buf);
         builder.push(&buf);
     }
     builder.finish()
 }
 
-fn get_u16(b: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([b[at], b[at + 1]])
-}
-
-fn get_link(b: &[u8], at: usize) -> Option<u16> {
-    match get_u16(b, at) {
-        0 => None,
-        v => Some(v - 1),
+/// Decodes the record at `range` of `page`, validating its UTF-8 payload
+/// and leaving it in place.
+fn decode_node(page: &[u8], range: Range<usize>) -> Node {
+    let (rec, at) = (&page[range.clone()], range.start);
+    if rec.first() == Some(&4) {
+        return Node::FREE;
     }
-}
-
-fn decode_node(rec: &[u8]) -> Node {
-    let kind_byte = rec[0];
-    if kind_byte == 4 {
-        return Node {
-            kind: NodeKind::Free,
-            parent: None,
-            first_child: None,
-            next_sibling: None,
-            prev_sibling: None,
-            order: 0,
-        };
-    }
-    let parent = get_link(rec, 1);
-    let first_child = get_link(rec, 3);
-    let next_sibling = get_link(rec, 5);
-    let prev_sibling = get_link(rec, 7);
-    let order = u64::from_le_bytes(rec[9..17].try_into().expect("order bytes"));
-    let kind = match kind_byte {
-        0 => {
-            let tag = Symbol(u32::from_le_bytes(
-                rec[17..21].try_into().expect("tag bytes"),
-            ));
-            let n_attrs = get_u16(rec, 21) as usize;
-            let mut at = 23;
-            let mut attrs = Vec::with_capacity(n_attrs);
-            for _ in 0..n_attrs {
-                let name = Symbol(u32::from_le_bytes(
-                    rec[at..at + 4].try_into().expect("attr sym"),
-                ));
-                let len = get_u16(rec, at + 4) as usize;
-                at += 6;
-                let value = std::str::from_utf8(&rec[at..at + len])
-                    .expect("valid UTF-8 attr value")
-                    .into();
-                at += len;
-                attrs.push((name, value));
+    let (head, payload) = rec
+        .split_first_chunk::<FIXED_HEAD>()
+        .expect("record header");
+    let link = |i: usize| u16::from_le_bytes([head[i], head[i + 1]]).checked_sub(1);
+    let kind = match (head[0], payload) {
+        (0, [t0, t1, t2, t3, n0, n1, entries @ ..]) => {
+            let mut count = 0;
+            for (_, value) in AttrEntries(entries) {
+                assert!(is_utf8(value), "valid UTF-8 attr value");
+                count += 1;
             }
+            let declared = u16::from_le_bytes([*n0, *n1]);
+            assert_eq!(count, declared, "corrupt attribute list");
             NodeKind::Element {
-                tag,
-                attrs: attrs.into_boxed_slice(),
+                tag: Symbol(u32::from_le_bytes([*t0, *t1, *t2, *t3])),
+                attrs: Span::new(at + FIXED_HEAD + 6, entries.len()),
             }
         }
-        1 => {
-            let len = get_u16(rec, 17) as usize;
-            let text = std::str::from_utf8(&rec[19..19 + len])
-                .expect("valid UTF-8 text record")
-                .into();
-            NodeKind::Text(text)
+        (1, [n0, n1, text @ ..]) => {
+            let len = u16::from_le_bytes([*n0, *n1]) as usize;
+            assert!(is_utf8(&text[..len]), "valid UTF-8 text record");
+            NodeKind::Text(Span::new(at + FIXED_HEAD + 2, len))
         }
-        2 | 3 => {
-            let page = u32::from_le_bytes(rec[17..21].try_into().expect("page bytes"));
-            let slot = get_u16(rec, 21);
-            let target = NodeId::new(page, slot);
-            if kind_byte == 2 {
+        (kind @ (2 | 3), [p0, p1, p2, p3, s0, s1, ..]) => {
+            let page = u32::from_le_bytes([*p0, *p1, *p2, *p3]);
+            let target = NodeId::new(page, u16::from_le_bytes([*s0, *s1]));
+            if kind == 2 {
                 NodeKind::BorderDown { target }
             } else {
                 NodeKind::BorderUp { target }
             }
         }
-        other => panic!("corrupt node record: kind {other}"),
+        (kind, _) => panic!("corrupt node record: kind {kind}"),
     };
     Node {
         kind,
-        parent,
-        first_child,
-        next_sibling,
-        prev_sibling,
-        order,
+        parent: link(1),
+        first_child: link(3),
+        next_sibling: link(5),
+        prev_sibling: link(7),
+        order: u64::from_le_bytes(head[9..].try_into().expect("order bytes")),
     }
 }
 
 /// CPU cost of decoding one node record (representation change, §3.6).
 pub const DECODE_NODE_NS: u64 = 700;
 
-/// Deserializes page bytes into a cluster, charging decode cost.
-pub fn decode_cluster(page: PageId, bytes: &[u8], clock: &SimClock) -> Cluster {
+/// Indexes the records of a verified page image, charging decode cost. The
+/// cluster keeps `bytes` — the device's allocation, not a copy — and its
+/// nodes' payload spans point into it.
+pub fn decode_cluster(page: PageId, bytes: &Arc<[u8]>, clock: &SimClock) -> Cluster {
     let reader = SlottedPageReader::new(bytes);
-    let mut nodes = Vec::with_capacity(reader.len());
-    for rec in reader.iter() {
-        nodes.push(decode_node(rec));
-    }
+    let nodes: Vec<Node> = (0..reader.len() as u16)
+        .map(|slot| decode_node(bytes, reader.record_range(slot)))
+        .collect();
     clock.charge_cpu(DECODE_NODE_NS * nodes.len() as u64);
-    Cluster { page, nodes }
+    Cluster {
+        page,
+        nodes,
+        bytes: Arc::clone(bytes),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathix_storage::{seal_page, verify_page};
 
     fn sample_cluster() -> Cluster {
-        Cluster {
-            page: 7,
-            nodes: vec![
-                Node {
-                    kind: NodeKind::BorderUp {
-                        target: NodeId::new(3, 9),
-                    },
-                    parent: None,
-                    first_child: Some(1),
-                    next_sibling: None,
-                    prev_sibling: None,
-                    order: 41,
+        let mut c = Cluster::new(7);
+        let mut attrs = Vec::new();
+        put_attr(&mut attrs, Symbol(3), "v1");
+        put_attr(&mut attrs, Symbol(5), "zwei");
+        let elem = c.append(
+            NodeKind::Element {
+                tag: Symbol(12),
+                attrs: Span::new(0, attrs.len()),
+            },
+            &attrs,
+        );
+        let text = c.push_text("hello world");
+        c.nodes = vec![
+            Node {
+                kind: NodeKind::BorderUp {
+                    target: NodeId::new(3, 9),
                 },
-                Node {
-                    kind: NodeKind::Element {
-                        tag: Symbol(12),
-                        attrs: Box::new([(Symbol(3), "v1".into())]),
-                    },
-                    parent: Some(0),
-                    first_child: Some(2),
-                    next_sibling: None,
-                    prev_sibling: None,
-                    order: 42,
+                first_child: Some(1),
+                order: 41,
+                ..Node::FREE
+            },
+            Node {
+                kind: elem,
+                parent: Some(0),
+                first_child: Some(2),
+                order: 42,
+                ..Node::FREE
+            },
+            Node {
+                kind: text,
+                parent: Some(1),
+                next_sibling: Some(3),
+                order: 43,
+                ..Node::FREE
+            },
+            Node {
+                kind: NodeKind::BorderDown {
+                    target: NodeId::new(9, 0),
                 },
-                Node {
-                    kind: NodeKind::Text("hello world".into()),
-                    parent: Some(1),
-                    first_child: None,
-                    next_sibling: Some(3),
-                    prev_sibling: None,
-                    order: 43,
-                },
-                Node {
-                    kind: NodeKind::BorderDown {
-                        target: NodeId::new(9, 0),
-                    },
-                    parent: Some(1),
-                    first_child: None,
-                    next_sibling: None,
-                    prev_sibling: Some(2),
-                    order: 44,
-                },
-            ],
-        }
+                parent: Some(1),
+                prev_sibling: Some(2),
+                order: 44,
+                ..Node::FREE
+            },
+            Node::FREE,
+        ];
+        c
+    }
+
+    /// A cluster's logical content: structure, border targets and
+    /// payload values — not the spans, which depend on where the bytes are.
+    type Logical<'a> = (
+        Vec<(Option<u16>, Option<u16>, Option<u16>, Option<u16>, u64)>,
+        Vec<String>,
+    );
+
+    fn logical(c: &Cluster) -> Logical<'_> {
+        let links = c
+            .nodes
+            .iter()
+            .map(|n| {
+                (
+                    n.parent,
+                    n.first_child,
+                    n.next_sibling,
+                    n.prev_sibling,
+                    n.order,
+                )
+            })
+            .collect();
+        let payloads = c
+            .nodes
+            .iter()
+            .map(|n| {
+                let attrs: Vec<_> = c.attrs(n).collect();
+                format!("{:?} {:?} {:?}", n.kind.target(), c.text(n), attrs)
+            })
+            .collect();
+        (links, payloads)
+    }
+
+    fn encoded(c: &Cluster) -> Arc<[u8]> {
+        let mut bytes = encode_cluster(c, 4096);
+        seal_page(&mut bytes);
+        bytes.into()
     }
 
     #[test]
     fn encode_decode_roundtrip() {
         let c = sample_cluster();
-        let bytes = encode_cluster(&c, 4096);
+        let bytes = encoded(&c);
         let clock = SimClock::new();
         let back = decode_cluster(7, &bytes, &clock);
-        assert_eq!(c, back);
-        assert_eq!(clock.cpu_ns(), DECODE_NODE_NS * 4);
+        assert_eq!(logical(&c), logical(&back));
+        assert_eq!(back.text(back.node(2)), "hello world");
+        let attrs: Vec<_> = back.attrs(back.node(1)).collect();
+        assert_eq!(attrs, vec![(Symbol(3), "v1"), (Symbol(5), "zwei")]);
+        assert_eq!(back.text(back.node(1)), "", "an element has no text");
+        assert_eq!(back.attrs(back.node(2)).count(), 0, "text has no attrs");
+        assert_eq!(encoded(&back), bytes, "re-encoding is byte-identical");
+        assert_eq!(clock.cpu_ns(), DECODE_NODE_NS * 5);
+    }
+
+    #[test]
+    fn decoded_cluster_borrows_the_page_image() {
+        let bytes = encoded(&sample_cluster());
+        let back = decode_cluster(7, &bytes, &SimClock::new());
+        assert!(Arc::ptr_eq(&back.bytes, &bytes), "decode copies no bytes");
+        let text = back.text(back.node(2)).as_bytes().as_ptr_range();
+        assert!(bytes.as_ptr_range().contains(&text.start));
+    }
+
+    #[test]
+    fn node_is_plain_data() {
+        const fn copy<T: Copy>() {}
+        const {
+            copy::<Node>();
+            assert!(!std::mem::needs_drop::<Node>());
+            assert!(std::mem::size_of::<Node>() <= 40);
+        }
+    }
+
+    /// Seals a copy of the sample page with `needle`'s first byte replaced
+    /// by a byte that is never valid UTF-8.
+    fn corrupt_payload(needle: &[u8]) -> Arc<[u8]> {
+        let mut bytes = encode_cluster(&sample_cluster(), 4096);
+        let at = bytes.windows(needle.len()).position(|w| w == needle);
+        let at = at.expect("payload on the page");
+        bytes[at] = 0xFF;
+        seal_page(&mut bytes);
+        assert!(verify_page(&bytes), "the checksum is no UTF-8 check");
+        bytes.into()
+    }
+
+    #[test]
+    #[should_panic(expected = "valid UTF-8 text record")]
+    fn invalid_utf8_text_fails_decode() {
+        decode_cluster(7, &corrupt_payload(b"hello"), &SimClock::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "valid UTF-8 attr value")]
+    fn invalid_utf8_attr_fails_decode() {
+        decode_cluster(7, &corrupt_payload(b"zwei"), &SimClock::new());
+    }
+
+    #[test]
+    fn adopt_copies_the_payload() {
+        let c = sample_cluster();
+        let mut other = Cluster::new(8);
+        other.push_text("already here");
+        for slot in [1, 2] {
+            let node = Node {
+                kind: other.adopt(&c, c.node(slot).kind),
+                ..*c.node(slot)
+            };
+            assert_eq!(other.text(&node), c.text(c.node(slot)));
+            assert!(other.attrs(&node).eq(c.attrs(c.node(slot))));
+        }
     }
 
     #[test]
@@ -435,7 +658,7 @@ mod tests {
         let c = sample_cluster();
         for n in &c.nodes {
             let mut buf = Vec::new();
-            encode_node(n, &mut buf);
+            encode_node(&c, n, &mut buf);
             assert_eq!(buf.len(), encoded_size(&n.kind));
         }
     }
@@ -461,11 +684,7 @@ mod tests {
 
     #[test]
     fn empty_cluster_roundtrip() {
-        let c = Cluster {
-            page: 0,
-            nodes: vec![],
-        };
-        let bytes = encode_cluster(&c, 128);
+        let bytes: Arc<[u8]> = encode_cluster(&Cluster::new(0), 128).into();
         let clock = SimClock::new();
         let back = decode_cluster(0, &bytes, &clock);
         assert!(back.is_empty());

@@ -61,7 +61,7 @@ impl TreeMeta {
 pub struct ClusterDecoder;
 
 impl pathix_storage::PageDecoder<Cluster> for ClusterDecoder {
-    fn decode(&self, page: PageId, bytes: &[u8], clock: &SimClock) -> Cluster {
+    fn decode(&self, page: PageId, bytes: &Arc<[u8]>, clock: &SimClock) -> Cluster {
         decode_cluster(page, bytes, clock)
     }
 }
@@ -226,6 +226,25 @@ mod tests {
             }),
             "r"
         );
+    }
+
+    #[test]
+    fn fixed_cluster_holds_the_device_allocation() {
+        let mut doc = pathix_xml::Document::new("r");
+        for _ in 0..50 {
+            let c = doc.add_element(doc.root(), "x");
+            doc.set_attr(c, "a", "value");
+            doc.add_text(c, "payload text");
+        }
+        let store = store_for(&doc, 512);
+        for p in store.meta.page_range() {
+            let cluster = store.fix(p);
+            let image = store.buffer.device_mut().read_sync(p, store.clock());
+            assert!(
+                Arc::ptr_eq(&cluster.bytes, &image.unwrap()),
+                "page {p} was copied"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   therefore *fragment* the physical layout over time, which is the
 //!   premise of the paper's introduction (see the `aging` experiment).
 
-use crate::node::{encode_cluster, encoded_size, Cluster, Node, NodeId, NodeKind};
+use crate::node::{encode_cluster, encoded_size, Cluster, Node, NodeId, NodeKind, BORDER_SIZE};
 use crate::store::TreeStore;
 use pathix_storage::{seal_page, PageId, CHECKSUM_LEN};
 use pathix_xml::Symbol;
@@ -123,9 +123,10 @@ impl<'a> TreeUpdater<'a> {
         }
     }
 
-    fn fits(&self, cluster: &Cluster, extra: &NodeKind) -> bool {
+    /// Whether a record of `size` bytes (and its slot) still fits.
+    fn fits(&self, cluster: &Cluster, size: usize) -> bool {
         let page_size = self.store.buffer.device_mut().page_size();
-        Self::cluster_bytes(cluster) + 2 + encoded_size(extra) <= page_size - CHECKSUM_LEN
+        Self::cluster_bytes(cluster) + 2 + size <= page_size - CHECKSUM_LEN
     }
 
     /// Document-order key of the last node of `slot`'s subtree, crossing
@@ -192,7 +193,8 @@ impl<'a> TreeUpdater<'a> {
         }
     }
 
-    fn make_kind(&mut self, what: &NewNode) -> NodeKind {
+    /// The record kind for `what`, its payload appended to `cluster`.
+    fn make_kind(&mut self, cluster: &mut Cluster, what: &NewNode) -> NodeKind {
         match what {
             NewNode::Element(tag) => {
                 let sym = self.store.meta.symbols.intern(tag);
@@ -203,7 +205,7 @@ impl<'a> TreeUpdater<'a> {
                 }
                 NodeKind::elem(sym)
             }
-            NewNode::Text(t) => NodeKind::Text(t.as_str().into()),
+            NewNode::Text(t) => cluster.push_text(t),
         }
     }
 
@@ -257,11 +259,11 @@ impl<'a> TreeUpdater<'a> {
             }
         };
         let order = Self::midpoint(lo, hi)?;
-        let kind = self.make_kind(&what);
+        let kind = self.make_kind(&mut cluster, &what);
         let page = cluster.page;
 
-        if self.fits(&cluster, &kind) {
-            let slot = Self::splice(&mut cluster, kind.clone(), parent_slot, pred_slot, order);
+        if self.fits(&cluster, encoded_size(&kind)) {
+            let slot = Self::splice(&mut cluster, kind, parent_slot, pred_slot, order);
             self.write(&cluster);
             self.bump_stats(&kind);
             return Ok(NodeId::new(page, slot));
@@ -271,11 +273,8 @@ impl<'a> TreeUpdater<'a> {
         //    pair (the importer's chain-split, at update time). If even the
         //    proxy does not fit, relocate leaf records out of the page
         //    first.
-        let border_kind = NodeKind::BorderDown {
-            target: NodeId::new(0, 0), // patched below
-        };
-        if !self.fits(&cluster, &border_kind) {
-            self.make_room(&mut cluster, 2 + encoded_size(&border_kind))?;
+        if !self.fits(&cluster, BORDER_SIZE) {
+            self.make_room(&mut cluster, 2 + BORDER_SIZE)?;
         }
         let new_page = {
             let mut dev = self.store.buffer.device_mut();
@@ -296,10 +295,8 @@ impl<'a> TreeUpdater<'a> {
             pred_slot,
             order,
         );
-        let mut fresh = Cluster {
-            page: new_page,
-            nodes: Vec::new(),
-        };
+        let mut fresh = Cluster::new(new_page);
+        let moved = fresh.adopt(&cluster, kind);
         fresh.nodes.push(Node {
             kind: NodeKind::BorderUp {
                 target: NodeId::new(page, down_slot),
@@ -311,7 +308,7 @@ impl<'a> TreeUpdater<'a> {
             order,
         });
         fresh.nodes.push(Node {
-            kind: kind.clone(),
+            kind: moved,
             parent: Some(0),
             first_child: None,
             next_sibling: None,
@@ -332,9 +329,6 @@ impl<'a> TreeUpdater<'a> {
     /// database over time.
     fn make_room(&mut self, cluster: &mut Cluster, needed: usize) -> Result<(), UpdateError> {
         let page_size = self.store.buffer.device_mut().page_size();
-        let border_bytes = encoded_size(&NodeKind::BorderDown {
-            target: NodeId::new(0, 0),
-        });
         // Candidates: core leaves whose relocation actually frees space.
         let mut candidates: Vec<(usize, u16)> = cluster
             .nodes
@@ -342,7 +336,7 @@ impl<'a> TreeUpdater<'a> {
             .enumerate()
             .filter(|(_, n)| n.kind.is_core() && n.first_child.is_none())
             .map(|(i, n)| (encoded_size(&n.kind), i as u16))
-            .filter(|&(sz, _)| sz > border_bytes)
+            .filter(|&(sz, _)| sz > BORDER_SIZE)
             .collect();
         candidates.sort_unstable();
         let overflow_page = {
@@ -355,10 +349,7 @@ impl<'a> TreeUpdater<'a> {
             dev.append_page(Vec::new())
         };
         self.store.meta.page_count += 1;
-        let mut overflow = Cluster {
-            page: overflow_page,
-            nodes: Vec::new(),
-        };
+        let mut overflow = Cluster::new(overflow_page);
         while Self::cluster_bytes(cluster) + needed > page_size - CHECKSUM_LEN {
             let Some((_, slot)) = candidates.pop() else {
                 // Abandon the relocation. The caller drops its in-memory
@@ -369,7 +360,7 @@ impl<'a> TreeUpdater<'a> {
                 self.write(&overflow);
                 return Err(UpdateError::ClusterFull { page: cluster.page });
             };
-            let moved = cluster.nodes[slot as usize].clone();
+            let moved = cluster.nodes[slot as usize];
             let up_slot = overflow.nodes.len() as u16;
             overflow.nodes.push(Node {
                 kind: NodeKind::BorderUp {
@@ -381,8 +372,9 @@ impl<'a> TreeUpdater<'a> {
                 prev_sibling: None,
                 order: moved.order,
             });
+            let kind = overflow.adopt(cluster, moved.kind);
             overflow.nodes.push(Node {
-                kind: moved.kind,
+                kind,
                 parent: Some(up_slot),
                 first_child: None,
                 next_sibling: None,
@@ -435,17 +427,14 @@ impl<'a> TreeUpdater<'a> {
     /// Replaces the content of a stored text node in place.
     pub fn update_text(&mut self, node: NodeId, text: &str) -> Result<(), UpdateError> {
         let mut cluster = self.load(node.page);
-        let n = &mut cluster.nodes[node.slot as usize];
-        let NodeKind::Text(old) = &mut n.kind else {
+        let NodeKind::Text(old) = cluster.node(node.slot).kind else {
             return Err(UpdateError::InvalidTarget("update_text needs a text node"));
         };
-        let old_len = old.len();
-        *old = text.into();
         let page_size = self.store.buffer.device_mut().page_size();
-        if Self::cluster_bytes(&cluster) > page_size - CHECKSUM_LEN {
-            let _ = old_len;
+        if Self::cluster_bytes(&cluster) - old.len() + text.len() > page_size - CHECKSUM_LEN {
             return Err(UpdateError::ClusterFull { page: node.page });
         }
+        cluster.nodes[node.slot as usize].kind = cluster.push_text(text);
         self.write(&cluster);
         Ok(())
     }
@@ -467,122 +456,9 @@ impl<'a> TreeUpdater<'a> {
         self.unlink_and_tombstone(node)
     }
 
-    fn unlink_and_tombstone(&mut self, node: NodeId) -> Result<(), UpdateError> {
-        let mut cluster = self.load(node.page);
-        // Unlink from the sibling chain.
-        {
-            let n = cluster.node(node.slot).clone();
-            match n.prev_sibling {
-                Some(p) => cluster.nodes[p as usize].next_sibling = n.next_sibling,
-                None => {
-                    if let Some(par) = n.parent {
-                        cluster.nodes[par as usize].first_child = n.next_sibling;
-                    }
-                }
-            }
-            if let Some(nx) = n.next_sibling {
-                cluster.nodes[nx as usize].prev_sibling = n.prev_sibling;
-            }
-        }
-        // Tombstone the local subtree, collecting remote continuations.
-        let mut remote: Vec<NodeId> = Vec::new();
-        let mut stack = vec![node.slot];
-        while let Some(s) = stack.pop() {
-            let n = &cluster.nodes[s as usize];
-            if let NodeKind::BorderDown { target } = &n.kind {
-                remote.push(*target);
-            }
-            let mut c = n.first_child;
-            while let Some(cs) = c {
-                stack.push(cs);
-                c = cluster.node(cs).next_sibling;
-            }
-            let n = &mut cluster.nodes[s as usize];
-            if n.kind.is_core() {
-                self.store.meta.node_count -= 1;
-                if let NodeKind::Element { tag, .. } = &n.kind {
-                    self.store.meta.element_count -= 1;
-                    self.store.meta.tag_counts[tag.index() as usize] -= 1;
-                }
-            }
-            n.kind = NodeKind::Free;
-            n.parent = None;
-            n.first_child = None;
-            n.next_sibling = None;
-            n.prev_sibling = None;
-        }
-        // Cascade: if the parent proxy chain became empty, remove it too.
-        let parent_cleanup = {
-            let orig = self.store.fix(node.page);
-            let par = orig.node(node.slot).parent;
-            drop(orig);
-            par.and_then(|p| {
-                let n = cluster.node(p);
-                if matches!(n.kind, NodeKind::BorderUp { .. }) && n.first_child.is_none() {
-                    n.kind.target().map(|t| (p, t))
-                } else {
-                    None
-                }
-            })
-        };
-        if let Some((up_slot, companion)) = parent_cleanup {
-            cluster.nodes[up_slot as usize].kind = NodeKind::Free;
-            cluster.nodes[up_slot as usize].first_child = None;
-            self.write(&cluster);
-            // The companion BorderDown sits in another cluster: delete it
-            // like a subtree of its own (it has no children).
-            self.unlink_and_tombstone_border(companion)?;
-        } else {
-            self.write(&cluster);
-        }
-        // Tombstone remote subtrees (each rooted at a BorderUp companion).
-        for target in remote {
-            self.tombstone_remote(target)?;
-        }
-        Ok(())
-    }
-
-    /// Tombstones a remote continuation rooted at a BorderUp companion.
-    fn tombstone_remote(&mut self, up: NodeId) -> Result<(), UpdateError> {
-        let mut cluster = self.load(up.page);
-        let mut remote = Vec::new();
-        let mut stack = vec![up.slot];
-        while let Some(s) = stack.pop() {
-            let n = &cluster.nodes[s as usize];
-            if let NodeKind::BorderDown { target } = &n.kind {
-                remote.push(*target);
-            }
-            let mut c = n.first_child;
-            while let Some(cs) = c {
-                stack.push(cs);
-                c = cluster.node(cs).next_sibling;
-            }
-            let n = &mut cluster.nodes[s as usize];
-            if n.kind.is_core() {
-                self.store.meta.node_count -= 1;
-                if let NodeKind::Element { tag, .. } = &n.kind {
-                    self.store.meta.element_count -= 1;
-                    self.store.meta.tag_counts[tag.index() as usize] -= 1;
-                }
-            }
-            n.kind = NodeKind::Free;
-            n.parent = None;
-            n.first_child = None;
-            n.next_sibling = None;
-            n.prev_sibling = None;
-        }
-        self.write(&cluster);
-        for target in remote {
-            self.tombstone_remote(target)?;
-        }
-        Ok(())
-    }
-
-    /// Unlinks and tombstones a childless BorderDown proxy (cascade step).
-    fn unlink_and_tombstone_border(&mut self, down: NodeId) -> Result<(), UpdateError> {
-        let mut cluster = self.load(down.page);
-        let n = cluster.node(down.slot).clone();
-        debug_assert!(matches!(n.kind, NodeKind::BorderDown { .. }));
+    /// Unlinks `slot` from its sibling chain, returning the node as it was.
+    fn unlink(cluster: &mut Cluster, slot: u16) -> Node {
+        let n = *cluster.node(slot);
         match n.prev_sibling {
             Some(p) => cluster.nodes[p as usize].next_sibling = n.next_sibling,
             None => {
@@ -594,24 +470,95 @@ impl<'a> TreeUpdater<'a> {
         if let Some(nx) = n.next_sibling {
             cluster.nodes[nx as usize].prev_sibling = n.prev_sibling;
         }
-        let rec = &mut cluster.nodes[down.slot as usize];
-        rec.kind = NodeKind::Free;
-        rec.parent = None;
-        rec.first_child = None;
-        rec.next_sibling = None;
-        rec.prev_sibling = None;
+        n
+    }
+
+    /// `(p, companion)` if slot `p` is a `BorderUp` proxy whose chain is
+    /// now empty.
+    fn emptied_proxy(cluster: &Cluster, p: u16) -> Option<(u16, NodeId)> {
+        let n = cluster.node(p);
+        if matches!(n.kind, NodeKind::BorderUp { .. }) && n.first_child.is_none() {
+            n.kind.target().map(|t| (p, t))
+        } else {
+            None
+        }
+    }
+
+    /// Tombstones the local subtree rooted at `root`, returning the remote
+    /// continuations (`BorderUp` companions) it leads to.
+    fn tombstone_subtree(&mut self, cluster: &mut Cluster, root: u16) -> Vec<NodeId> {
+        let mut remote = Vec::new();
+        let mut stack = vec![root];
+        while let Some(s) = stack.pop() {
+            let n = cluster.nodes[s as usize];
+            if let NodeKind::BorderDown { target } = n.kind {
+                remote.push(target);
+            }
+            let mut c = n.first_child;
+            while let Some(cs) = c {
+                stack.push(cs);
+                c = cluster.node(cs).next_sibling;
+            }
+            if n.kind.is_core() {
+                self.store.meta.node_count -= 1;
+                if let NodeKind::Element { tag, .. } = n.kind {
+                    self.store.meta.element_count -= 1;
+                    self.store.meta.tag_counts[tag.index() as usize] -= 1;
+                }
+            }
+            cluster.nodes[s as usize] = Node::FREE;
+        }
+        remote
+    }
+
+    fn unlink_and_tombstone(&mut self, node: NodeId) -> Result<(), UpdateError> {
+        let mut cluster = self.load(node.page);
+        Self::unlink(&mut cluster, node.slot);
+        let remote = self.tombstone_subtree(&mut cluster, node.slot);
+        // Cascade: if the parent proxy chain became empty, remove it too.
+        let parent_cleanup = {
+            let orig = self.store.fix(node.page);
+            let par = orig.node(node.slot).parent;
+            drop(orig);
+            par.and_then(|p| Self::emptied_proxy(&cluster, p))
+        };
+        if let Some((up_slot, companion)) = parent_cleanup {
+            cluster.nodes[up_slot as usize] = Node::FREE;
+            self.write(&cluster);
+            // The companion BorderDown sits in another cluster: delete it
+            // like a subtree of its own (it has no children).
+            self.unlink_and_tombstone_border(companion)?;
+        } else {
+            self.write(&cluster);
+        }
+        for target in remote {
+            self.tombstone_remote(target)?;
+        }
+        Ok(())
+    }
+
+    /// Tombstones a remote continuation rooted at a BorderUp companion.
+    fn tombstone_remote(&mut self, up: NodeId) -> Result<(), UpdateError> {
+        let mut cluster = self.load(up.page);
+        let remote = self.tombstone_subtree(&mut cluster, up.slot);
+        self.write(&cluster);
+        for target in remote {
+            self.tombstone_remote(target)?;
+        }
+        Ok(())
+    }
+
+    /// Unlinks and tombstones a childless BorderDown proxy (cascade step).
+    fn unlink_and_tombstone_border(&mut self, down: NodeId) -> Result<(), UpdateError> {
+        let mut cluster = self.load(down.page);
+        let n = Self::unlink(&mut cluster, down.slot);
+        debug_assert!(matches!(n.kind, NodeKind::BorderDown { .. }));
+        cluster.nodes[down.slot as usize] = Node::FREE;
         // If the proxy's parent was a BorderUp whose chain is now empty,
         // cascade the cleanup to *its* companion.
-        let cascade = n.parent.and_then(|p| {
-            let pn = cluster.node(p);
-            if matches!(pn.kind, NodeKind::BorderUp { .. }) && pn.first_child.is_none() {
-                pn.kind.target().map(|t| (p, t))
-            } else {
-                None
-            }
-        });
-        if let Some((up_slot, companion)) = cascade {
-            cluster.nodes[up_slot as usize].kind = NodeKind::Free;
+        if let Some((up_slot, companion)) = n.parent.and_then(|p| Self::emptied_proxy(&cluster, p))
+        {
+            cluster.nodes[up_slot as usize] = Node::FREE;
             self.write(&cluster);
             self.unlink_and_tombstone_border(companion)
         } else {

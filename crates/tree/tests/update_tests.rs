@@ -302,3 +302,72 @@ fn randomized_mutations_stay_equivalent() {
         });
     }
 }
+
+/// `make_room` moves payload-carrying leaves — attributed elements and long
+/// texts — to overflow pages; their attribute and text bytes must move with
+/// them. Seeded inserts and text rewrites at a small page size, mirrored on
+/// the logical document, until a relocated attributed leaf shows up behind a
+/// border.
+#[test]
+fn relocated_leaves_keep_their_payload() {
+    let mut doc = Document::new("r");
+    for i in 0..16 {
+        let item = doc.add_element(doc.root(), "item");
+        doc.set_attr(item, "id", &format!("item{i}"));
+        let flag = doc.add_element(item, "flag");
+        doc.set_attr(flag, "kind", &"k".repeat(10 + i % 7 * 5));
+        doc.set_attr(flag, "note", "an attribute value long enough to move");
+        let desc = doc.add_element(item, "desc");
+        doc.add_text(desc, &"long text leaf ".repeat(3 + i % 4));
+    }
+    let mut store = store_for(&doc, 512);
+    let imported = store.meta.page_range();
+    let mut rng = StdRng::seed_from_u64(0x5EA1);
+    let mut relocated = false;
+    for round in 0..60 {
+        for _ in 0..4 {
+            let orders = by_order(&store);
+            let nodes: Vec<(pathix_xml::NodeRef, NodeId)> = doc
+                .descendants_or_self(doc.root())
+                .zip(orders.values().copied())
+                .collect();
+            let (dnode, sid) = nodes[rng.random_range(0..nodes.len())];
+            let mut up = TreeUpdater::new(&mut store);
+            if doc.text(dnode).is_some() {
+                let t = "grown text ".repeat(rng.random_range(1..12));
+                if up.update_text(sid, &t).is_ok() {
+                    doc.set_text(dnode, &t);
+                }
+            } else if dnode != doc.root() {
+                let t = format!("inserted in round {round}");
+                if up
+                    .insert(InsertPos::After(sid), NewNode::Text(t.clone()))
+                    .is_ok()
+                {
+                    doc.insert_text_after(dnode, &t);
+                }
+            }
+        }
+        assert!(
+            doc.logically_equal(&export(&store)),
+            "round {round}: export mismatch"
+        );
+        relocated = store.meta.page_range().skip(imported.len()).any(|p| {
+            let c = store.fix(p);
+            c.nodes.iter().any(|n| {
+                let behind_border = n
+                    .parent
+                    .is_some_and(|up| c.node(up).kind.target().is_some());
+                behind_border && c.attrs(n).next().is_some()
+            })
+        });
+        if relocated {
+            break;
+        }
+    }
+    assert!(
+        store.meta.page_count > imported.len() as u32,
+        "no overflow page"
+    );
+    assert!(relocated, "no attributed leaf was relocated");
+}
