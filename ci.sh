@@ -32,8 +32,14 @@
 #      scan, reference and indexed queues agree, zero page copies,
 #      parallel == sequential, zero wrong answers, chaos scenarios pass,
 #      deterministic shedding, p99 bounded); writes no artifact
+#   9. report all, simulated identity — the full paper evaluation, run in
+#      a fresh temporary directory, must write PAPER.json, ABLATIONS.json
+#      and EXTENSIONS.json byte for byte equal to the committed files
+#      (every cell is simulated, so any drift is a cost-model change that
+#      must regenerate them on purpose)
 set -euo pipefail
 cd "$(dirname "$0")"
+root=$(pwd)
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -58,5 +64,13 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> report artifact smoke (fast mode)"
 cargo run -q --release -p pathix-bench --bin report -- --fast paper ablations extensions throughput scaling chaos overload
+
+echo "==> report all: simulated artifacts reproduce byte for byte"
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+(cd "$out" && cargo run -q --release --manifest-path "$root/Cargo.toml" -p pathix-bench --bin report -- all >/dev/null)
+for name in PAPER ABLATIONS EXTENSIONS; do
+  cmp "$out/$name.json" "$root/$name.json"
+done
 
 echo "ci: all gates passed"

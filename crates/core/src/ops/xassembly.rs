@@ -21,9 +21,10 @@ use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
 use crate::ops::xschedule::{QEntry, SchedShared, XSchedule};
 use crate::ops::Operator;
-use pathix_tree::NodeId;
+use pathix_tree::{IdMap, IdSet, NodeId};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::rc::Rc;
 
 /// Unswizzled right end stored in `S`.
@@ -35,13 +36,13 @@ enum SEnd {
     Border { target: NodeId },
 }
 
+/// An instance parked in `S`. It is left-incomplete, and its left end is
+/// the key of its chain; `next` is the next instance under that left end.
 #[derive(Debug, Clone, Copy)]
 struct SPi {
-    sl: u16,
-    nl: NodeId,
-    li: bool,
     sr: u16,
     end: SEnd,
+    next: Option<NonZeroUsize>,
 }
 
 /// The assembly operator. Emits full path instances with `Done` right ends.
@@ -50,9 +51,13 @@ pub struct XAssembly {
     path_len: u16,
     sched: Option<Rc<RefCell<SchedShared>>>,
     /// Reachable right ends `R`: (step, node).
-    r: HashSet<(u16, NodeId)>,
-    /// Speculative instances `S`, indexed by left end.
-    s: HashMap<(u16, NodeId), Vec<SPi>>,
+    r: IdSet<(u16, NodeId)>,
+    /// Speculative instances `S`: each left end's (head, tail) chain in
+    /// `s_arena`, which fires in insertion order.
+    s: IdMap<(u16, NodeId), (usize, usize)>,
+    /// Every instance inserted into `S` since it was last empty.
+    s_arena: Vec<SPi>,
+    /// Live instances in `S`.
     s_count: usize,
     /// Newly reachable ends whose dependent `S` entries must fire.
     fire: VecDeque<(u16, NodeId)>,
@@ -74,8 +79,9 @@ impl XAssembly {
             producer,
             path_len,
             sched,
-            r: HashSet::new(),
-            s: HashMap::new(),
+            r: IdSet::default(),
+            s: IdMap::default(),
+            s_arena: Vec::new(),
             s_count: 0,
             fire: VecDeque::new(),
             out: VecDeque::new(),
@@ -155,13 +161,34 @@ impl XAssembly {
     fn fire_pending(&mut self, cx: &ExecCtx<'_>) {
         while let Some(key) = self.fire.pop_front() {
             cx.charge_set_op();
-            if let Some(list) = self.s.remove(&key) {
-                self.s_count -= list.len();
-                for x in list {
-                    self.note_right(cx, x.sl, x.nl, x.li, x.sr, x.end);
-                }
+            let mut next = self.s.remove(&key).map(|(head, _)| head);
+            while let Some(&x) = next.and_then(|i| self.s_arena.get(i)) {
+                self.s_count -= 1;
+                next = x.next.map(NonZeroUsize::get);
+                self.note_right(cx, key.0, key.1, true, x.sr, x.end);
+            }
+            if self.s_count == 0 {
+                self.s_arena.clear();
             }
         }
+    }
+
+    /// Appends an instance to the chain of its left end `lkey` in `S`.
+    fn s_insert(&mut self, lkey: (u16, NodeId), sr: u16, end: SEnd) {
+        let at = self.s_arena.len();
+        // A new chain's tail is `at` itself, which is not in the arena yet;
+        // any other tail lies before `at`, so `at` is never 0 there.
+        let (_, tail) = self.s.entry(lkey).or_insert((at, at));
+        if let Some(prev) = self.s_arena.get_mut(*tail) {
+            prev.next = NonZeroUsize::new(at);
+        }
+        *tail = at;
+        self.s_arena.push(SPi {
+            sr,
+            end,
+            next: None,
+        });
+        self.s_count += 1;
     }
 
     fn unswizzle(p: &Pi) -> Option<SEnd> {
@@ -188,6 +215,7 @@ impl XAssembly {
     fn enter_fallback(&mut self) {
         // §5.4.6: discard S; only the duplicate-elimination structures stay.
         self.s.clear();
+        self.s_arena.clear();
         self.s_count = 0;
     }
 }
@@ -232,14 +260,7 @@ impl Operator for XAssembly {
                 if self.end_reachable(lkey) {
                     self.note_right(cx, p.sl, p.nl, p.li, p.sr, end);
                 } else if !cx.in_fallback() {
-                    self.s.entry(lkey).or_default().push(SPi {
-                        sl: p.sl,
-                        nl: p.nl,
-                        li: p.li,
-                        sr: p.sr,
-                        end,
-                    });
-                    self.s_count += 1;
+                    self.s_insert(lkey, p.sr, end);
                     cx.stats.s_inserts.set(cx.stats.s_inserts.get() + 1);
                     if cx.note_s_size(self.s_count) {
                         self.enter_fallback();
@@ -352,6 +373,50 @@ mod tests {
         let got = drain(&mut asm, &cx);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].nr.node_id(), result);
+    }
+
+    #[test]
+    fn s_fires_each_left_end_in_insertion_order() {
+        let docstore = mem_store(&sample_doc(), 1 << 14, Placement::Sequential);
+        let mut cx = cx_for_tests(&docstore);
+        let (a, b, c) = (NodeId::new(3, 0), NodeId::new(4, 0), NodeId::new(5, 0));
+        let root = NodeId::new(0, 0);
+        let r = |slot| NodeId::new(7, slot);
+        // Speculative instances under a@1 and b@1 interleave; one of a's
+        // continues at border c@2, whose own instance waits under c@2.
+        let feed = Feed(vec![
+            done(1, a, 3, r(1), 1),
+            done(1, b, 3, r(2), 2),
+            border(1, a, 2, c),
+            done(1, a, 3, r(3), 3),
+            done(2, c, 3, r(4), 4),
+            done(1, b, 3, r(5), 5),
+            done(1, a, 3, r(6), 6),
+            border(0, root, 1, a),
+            border(0, root, 1, b),
+            done(1, NodeId::new(9, 0), 3, r(7), 7),
+            done(1, NodeId::new(9, 1), 3, r(8), 8),
+            done(1, NodeId::new(9, 2), 3, r(9), 9),
+        ]);
+        let mut asm = XAssembly::new(Box::new(feed), 3, None, None);
+        let mut got = Vec::new();
+        for _ in 0..6 {
+            got.push(asm.next(&cx).expect("six results").nr.node_id().slot);
+        }
+        // a's chain in insertion order, the cascade through c@2, then b's.
+        assert_eq!(got, [1, 3, 6, 4, 2, 5]);
+        assert_eq!(asm.s_len(), 0);
+        assert!(asm.s.is_empty() && asm.s_arena.is_empty(), "S emptied");
+        assert_eq!(cx.stats.s_peak.get(), 7);
+        // Three unreachable instances then overflow a limit of two.
+        cx.mem_limit = Some(2);
+        assert!(asm.next(&cx).is_none());
+        assert!(cx.in_fallback());
+        assert_eq!(asm.s_len(), 0);
+        assert!(
+            asm.s.is_empty() && asm.s_arena.is_empty(),
+            "fallback discards S"
+        );
     }
 
     #[test]

@@ -20,8 +20,7 @@ use crate::context::ExecCtx;
 use crate::instance::Pi;
 use crate::ops::Operator;
 use pathix_storage::PageId;
-use pathix_tree::NodeId;
-use std::collections::HashMap;
+use pathix_tree::{IdMap, NodeId};
 use std::collections::VecDeque;
 
 /// The sequential-scan I/O operator.
@@ -30,7 +29,7 @@ pub struct XScan {
     path_len: u16,
     pages: Vec<PageId>,
     pos: usize,
-    ctx_by_page: HashMap<PageId, Vec<NodeId>>,
+    ctx_by_page: IdMap<PageId, Vec<NodeId>>,
     all_contexts: Vec<NodeId>,
     emit: VecDeque<Pi>,
     /// Fallback restart state.
@@ -45,7 +44,7 @@ impl XScan {
             path_len,
             pages,
             pos: 0,
-            ctx_by_page: HashMap::new(),
+            ctx_by_page: IdMap::default(),
             all_contexts: Vec::new(),
             emit: VecDeque::new(),
             fb_pos: None,

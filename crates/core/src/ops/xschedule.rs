@@ -18,9 +18,9 @@ use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
 use crate::ops::Operator;
 use pathix_storage::PageId;
-use pathix_tree::{Cluster, NodeId};
+use pathix_tree::{Cluster, IdSet, NodeId};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -77,7 +77,7 @@ pub struct SchedShared {
     /// Total entries across all pages (every per-page set is non-empty).
     entries: usize,
     /// Clusters for which speculative instances were already generated.
-    visited: HashSet<PageId>,
+    visited: IdSet<PageId>,
     /// Whether the owning `XSchedule` runs speculatively; lets `XAssembly`
     /// skip queueing visits to clusters whose speculative instances
     /// already cover the continuation (the §5.4.4 no-revisit guarantee).

@@ -56,69 +56,32 @@ impl XStep {
         }
     }
 
-    fn start_cursor(&self, cx: &ExecCtx<'_>, nr: &REnd) -> Option<Cursor> {
-        match nr {
+    /// Starts the step at `nr`, moving a swizzled end's pin into the
+    /// cursor; a border end is handed back.
+    fn start_cursor(&self, cx: &ExecCtx<'_>, nr: REnd) -> Result<Cursor, REnd> {
+        let (id, entry, pin) = match nr {
             REnd::Core { cluster, slot, .. } => {
-                if cx.in_fallback() {
-                    let id = cluster.id(*slot);
-                    Some(Cursor::Full(FullCursor::with_entry(
-                        cx.store,
-                        id,
-                        Entry::Fresh(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                } else {
-                    Some(Cursor::Intra(StepCursor::new(
-                        cluster.clone(),
-                        Entry::Fresh(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                }
+                (cluster.id(slot), Entry::Fresh(slot), Some(cluster))
             }
-            REnd::Entry { cluster, slot } => {
-                if cx.in_fallback() {
-                    let id = cluster.id(*slot);
-                    Some(Cursor::Full(FullCursor::with_entry(
-                        cx.store,
-                        id,
-                        Entry::Resume(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                } else {
-                    Some(Cursor::Intra(StepCursor::new(
-                        cluster.clone(),
-                        Entry::Resume(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                }
+            REnd::Entry { cluster, slot } => (cluster.id(slot), Entry::Resume(slot), Some(cluster)),
+            REnd::Done { id, .. } | REnd::Cold { id, resume: false } => {
+                (id, Entry::Fresh(id.slot), None)
+            }
+            REnd::Cold { id, resume: true } => (id, Entry::Resume(id.slot), None),
+            REnd::Border { .. } => return Err(nr),
+        };
+        let test = self.test.clone();
+        Ok(match pin {
+            Some(cluster) if !cx.in_fallback() => {
+                Cursor::Intra(StepCursor::new(cluster, entry, self.axis, test))
             }
             // Unswizzled ends reach XStep only in fallback mode (results of
             // the simple method pass Done ends around) — fix and navigate.
-            REnd::Done { id, .. } | REnd::Cold { id, resume: false } => {
+            _ => {
                 debug_assert!(cx.in_fallback(), "cold end at XStep outside fallback");
-                Some(Cursor::Full(FullCursor::new(
-                    cx.store,
-                    *id,
-                    self.axis,
-                    self.test.clone(),
-                )))
+                Cursor::Full(FullCursor::with_entry(cx.store, id, entry, self.axis, test))
             }
-            REnd::Cold { id, resume: true } => {
-                debug_assert!(cx.in_fallback(), "cold end at XStep outside fallback");
-                Some(Cursor::Full(FullCursor::with_entry(
-                    cx.store,
-                    *id,
-                    Entry::Resume(id.slot),
-                    self.axis,
-                    self.test.clone(),
-                )))
-            }
-            REnd::Border { .. } => None,
-        }
+        })
     }
 }
 
@@ -182,9 +145,9 @@ impl Operator for XStep {
                 // hand through to the consumer untouched.
                 return Some(p);
             }
-            match self.start_cursor(cx, &p.nr) {
-                Some(cursor) => self.current = Some((p.sl, p.nl, p.li, cursor)),
-                None => return Some(p),
+            match self.start_cursor(cx, p.nr) {
+                Ok(cursor) => self.current = Some((p.sl, p.nl, p.li, cursor)),
+                Err(nr) => return Some(Pi::band(p.sl, p.nl, p.sr, nr, p.li)),
             }
         }
     }

@@ -18,10 +18,9 @@ use crate::ops::{
 };
 use crate::report::ExecReport;
 use pathix_storage::{BufferStats, DeviceStats, IoError, TimeBreakdown};
-use pathix_tree::{NodeId, ResolvedTest, TreeStore};
+use pathix_tree::{IdSet, NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Which physical plan to generate.
@@ -317,7 +316,7 @@ pub(crate) fn run_path(
 
     let mut plan = build_plan(store, &path, contexts, cfg.method);
     let mut nodes: Vec<(NodeId, u64)> = Vec::new();
-    let mut dedup: HashSet<NodeId> = HashSet::new();
+    let mut dedup: IdSet<NodeId> = IdSet::default();
     let mut contract = Ok(());
     let simple = matches!(cfg.method, Method::Simple);
     while let Some(p) = plan.next(&cx) {

@@ -17,9 +17,11 @@
 //! which simulated and in-memory devices hold anyway; a file device's read
 //! allocates the image, so there a frame keeps its 8 KiB.
 //!
-//! *Fixing* a resident page still costs a hash-table lookup plus latch
+//! *Fixing* a resident page still costs a page-table lookup plus latch
 //! (`fix_hit_ns`) — the "swizzling" cost the paper minimizes by passing
-//! direct pointers between `XStep` operators. Callers hold a decoded page as
+//! direct pointers between `XStep` operators. The page table is a vector
+//! indexed by page number, not a hash map: page ids are dense device
+//! offsets, so a hit is an index. Callers hold a decoded page as
 //! an `Arc`, which doubles as the pin: frames with outstanding references are
 //! never evicted. Eviction uses the CLOCK (second chance) policy.
 //!
@@ -35,7 +37,7 @@ use crate::checksum::verify_page;
 use crate::clock::SimClock;
 use crate::device::{Device, DeviceStats, IoError, IoErrorKind, PageId};
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -153,7 +155,9 @@ struct Frame<T> {
 }
 
 struct FrameTable<T> {
-    map: HashMap<PageId, usize>,
+    /// The page table: the frame slot of each resident page, indexed by
+    /// page number (page ids are dense device offsets); grown on insert.
+    at: Vec<Option<usize>>,
     slots: Vec<Option<Frame<T>>>,
     hand: usize,
 }
@@ -161,14 +165,18 @@ struct FrameTable<T> {
 impl<T> FrameTable<T> {
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            at: Vec::new(),
             slots: Vec::new(),
             hand: 0,
         }
     }
 
+    fn slot_of(&self, page: PageId) -> Option<usize> {
+        *self.at.get(page as usize)?
+    }
+
     fn get(&mut self, page: PageId) -> Option<Arc<T>> {
-        let &i = self.map.get(&page)?;
+        let i = self.slot_of(page)?;
         // A mapped slot always holds a frame; if the table is ever
         // inconsistent, report a miss instead of panicking — the caller
         // re-reads the page.
@@ -178,7 +186,16 @@ impl<T> FrameTable<T> {
     }
 
     fn resident(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.slot_of(page).is_some()
+    }
+
+    /// Points `page`'s page-table entry at `slot` (`None`: not resident).
+    fn map(&mut self, page: PageId, slot: Option<usize>) {
+        let i = page as usize;
+        self.at.resize(self.at.len().max(i + 1), None);
+        if let Some(e) = self.at.get_mut(i) {
+            *e = slot;
+        }
     }
 
     /// Finds a victim slot via CLOCK sweep; `None` if every frame is pinned.
@@ -207,7 +224,7 @@ impl<T> FrameTable<T> {
     }
 
     fn insert(&mut self, page: PageId, data: Arc<T>, capacity: usize) -> InsertOutcome {
-        debug_assert!(!self.map.contains_key(&page), "page already resident");
+        debug_assert!(!self.resident(page), "page already resident");
         let mut outcome = InsertOutcome::default();
         let frame = Frame {
             page,
@@ -223,7 +240,7 @@ impl<T> FrameTable<T> {
             Some((i, s)) => {
                 if let Some(old) = s.replace(frame) {
                     outcome.evicted = true;
-                    self.map.remove(&old.page);
+                    self.map(old.page, None);
                 }
                 i
             }
@@ -233,18 +250,31 @@ impl<T> FrameTable<T> {
                 self.slots.len() - 1
             }
         };
-        self.map.insert(page, slot);
+        self.map(page, Some(slot));
         outcome
     }
 
+    /// Drops `page`'s frame, if resident; false if it is pinned.
+    fn remove(&mut self, page: PageId) -> bool {
+        let pinned = |f: &Frame<T>| Arc::strong_count(&f.data) > 1;
+        if let Some(slot) = self.slot_of(page).and_then(|i| self.slots.get_mut(i)) {
+            if slot.as_ref().is_some_and(pinned) {
+                return false;
+            }
+            *slot = None;
+            self.map(page, None);
+        }
+        true
+    }
+
     fn clear(&mut self) {
-        self.map.clear();
+        self.at.clear();
         self.slots.clear();
         self.hand = 0;
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.slots.iter().flatten().count()
     }
 }
 
@@ -537,19 +567,8 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     /// Panics if the frame is pinned — mutating a page somebody still
     /// navigates would corrupt their view.
     pub fn invalidate(&self, page: PageId) {
-        let mut frames = self.frames.borrow_mut();
-        if let Some(&i) = frames.map.get(&page) {
-            let pinned = frames
-                .slots
-                .get(i)
-                .and_then(|s| s.as_ref())
-                .is_some_and(|f| Arc::strong_count(&f.data) > 1);
-            assert!(!pinned, "invalidating pinned page {page}");
-            if let Some(s) = frames.slots.get_mut(i) {
-                *s = None;
-            }
-            frames.map.remove(&page);
-        }
+        let removed = self.frames.borrow_mut().remove(page);
+        assert!(removed, "invalidating pinned page {page}");
     }
 
     /// True if `page` is currently cached.

@@ -14,6 +14,9 @@
 //!
 //! All cursors charge per-node CPU costs to the shared clock through
 //! [`NavCharge`], so the cost model sees every visited node and node test.
+//! A `StepCursor` walks subtrees (descendant axes; the sibling subtrees of
+//! following / preceding) in preorder over the cluster's own child, sibling
+//! and parent links, without a stack, so it never touches the allocator.
 
 use crate::node::{Cluster, NodeId, NodeKind};
 use crate::store::TreeStore;
@@ -168,20 +171,17 @@ enum State {
         /// the companion cluster: emit this border when the chain ends.
         end_border: Option<u16>,
     },
-    /// Depth-first walk (descendant / descendant-or-self).
-    Dfs {
-        stack: Vec<u16>,
-    },
     /// Parent-chain walk (parent / ancestor / ancestor-or-self).
     Up {
         cur: Option<u16>,
         single: bool,
     },
-    /// Document-order walk (following / preceding): for each
-    /// ancestor-or-self, the subtrees of its siblings on one side.
+    /// Document-order walk: the subtree `sub`, then (following / preceding)
+    /// for each ancestor-or-self, the subtrees of its siblings on one side.
+    /// The descendant axes walk `sub` alone.
     Walk {
-        /// DFS stack of the sibling subtree currently being emitted.
-        dfs: Vec<u16>,
+        /// The subtree currently being emitted.
+        sub: Subtree,
         /// Next sibling position in the current chain.
         chain: Option<u16>,
         /// Node whose parent we climb to when the chain ends.
@@ -189,6 +189,51 @@ enum State {
         /// true = following (next siblings), false = preceding.
         forward: bool,
     },
+}
+
+/// A preorder walk over the subtree of `root` that follows the cluster's
+/// own links instead of keeping a stack; `next` is the node to emit next.
+#[derive(Debug, Clone, Copy, Default)]
+struct Subtree {
+    next: Option<u16>,
+    root: u16,
+}
+
+impl Subtree {
+    /// `root` and its descendants.
+    fn of(root: u16) -> Self {
+        Self {
+            next: Some(root),
+            root,
+        }
+    }
+
+    /// The descendants of `root`, without `root` itself.
+    fn below(cluster: &Cluster, root: u16) -> Self {
+        Self {
+            next: cluster.node(root).first_child,
+            root,
+        }
+    }
+
+    /// Moves past `s`: to its first child unless it is a `BorderDown`
+    /// (whose subtree is remote), else to the next sibling of the nearest
+    /// ancestor-or-self of `s` below `root`.
+    fn advance(&mut self, cluster: &Cluster, mut s: u16) {
+        let node = cluster.node(s);
+        if !matches!(node.kind, NodeKind::BorderDown { .. }) && node.first_child.is_some() {
+            self.next = node.first_child;
+            return;
+        }
+        self.next = loop {
+            let node = cluster.node(s);
+            match (s == self.root, node.next_sibling, node.parent) {
+                (false, Some(n), _) => break Some(n),
+                (false, None, Some(p)) => s = p,
+                _ => break None,
+            }
+        };
+    }
 }
 
 /// Intra-cluster navigation cursor for one (axis, node-test) step.
@@ -219,15 +264,14 @@ impl StepCursor {
         parent.filter(|&p| matches!(cluster.node(p).kind, NodeKind::BorderUp { .. }))
     }
 
-    fn children_rev(cluster: &Cluster, slot: u16) -> Vec<u16> {
-        let mut kids = Vec::new();
-        let mut cur = cluster.node(slot).first_child;
-        while let Some(s) = cur {
-            kids.push(s);
-            cur = cluster.node(s).next_sibling;
+    /// A walk over `sub` alone.
+    fn subtree(sub: Subtree) -> State {
+        State::Walk {
+            sub,
+            chain: None,
+            climb: None,
+            forward: true,
         }
-        kids.reverse();
-        kids
     }
 
     fn fresh_state(cluster: &Cluster, slot: u16, axis: Axis) -> State {
@@ -239,10 +283,8 @@ impl StepCursor {
                 forward: true,
                 end_border: Self::chain_end(cluster, Some(slot)),
             },
-            Axis::Descendant => State::Dfs {
-                stack: Self::children_rev(cluster, slot),
-            },
-            Axis::DescendantOrSelf => State::Dfs { stack: vec![slot] },
+            Axis::Descendant => Self::subtree(Subtree::below(cluster, slot)),
+            Axis::DescendantOrSelf => Self::subtree(Subtree::of(slot)),
             Axis::Parent => State::Up {
                 cur: node.parent,
                 single: true,
@@ -266,13 +308,13 @@ impl StepCursor {
                 end_border: Self::chain_end(cluster, node.parent),
             },
             Axis::Following => State::Walk {
-                dfs: Vec::new(),
+                sub: Subtree::default(),
                 chain: node.next_sibling,
                 climb: Some(slot),
                 forward: true,
             },
             Axis::Preceding => State::Walk {
-                dfs: Vec::new(),
+                sub: Subtree::default(),
                 chain: node.prev_sibling,
                 climb: Some(slot),
                 forward: false,
@@ -295,9 +337,9 @@ impl StepCursor {
                 forward: true,
                 end_border: Self::chain_end(cluster, Some(slot)),
             },
-            Axis::Descendant | Axis::DescendantOrSelf => State::Dfs {
-                stack: Self::children_rev(cluster, slot),
-            },
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                Self::subtree(Subtree::below(cluster, slot))
+            }
             Axis::Parent => State::Up {
                 cur: node.parent,
                 single: true,
@@ -310,12 +352,7 @@ impl StepCursor {
                 if is_up_proxy {
                     // Descend into the continuation group: every subtree of
                     // the proxy's children lies on the requested side.
-                    State::Walk {
-                        dfs: Self::children_rev(cluster, slot),
-                        chain: None,
-                        climb: None,
-                        forward: axis == Axis::Following,
-                    }
+                    Self::subtree(Subtree::below(cluster, slot))
                 } else {
                     // Continue the document-order walk from the BorderDown
                     // proxy's structural position in this cluster.
@@ -325,7 +362,7 @@ impl StepCursor {
                         node.prev_sibling
                     };
                     State::Walk {
-                        dfs: Vec::new(),
+                        sub: Subtree::default(),
                         chain,
                         climb: Some(slot),
                         forward: axis == Axis::Following,
@@ -429,45 +466,14 @@ impl StepCursor {
                         self.state = State::Done;
                     }
                 },
-                State::Dfs { stack } => match stack.pop() {
-                    Some(s) => {
-                        let node = self.cluster.node(s);
-                        charge.visit();
-                        match &node.kind {
-                            NodeKind::BorderDown { target } => {
-                                charge.border();
-                                return Some(StepItem::Border {
-                                    proxy: self.cluster.id(s),
-                                    target: *target,
-                                });
-                            }
-                            kind => {
-                                // Push children (reverse for document order).
-                                let mut kid = node.first_child;
-                                let at = stack.len();
-                                while let Some(k) = kid {
-                                    stack.insert(at, k);
-                                    kid = self.cluster.node(k).next_sibling;
-                                }
-                                charge.test();
-                                if self.test.matches(kind) {
-                                    return Some(StepItem::Match {
-                                        id: self.cluster.id(s),
-                                        order: node.order,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    None => self.state = State::Done,
-                },
                 State::Walk {
-                    dfs,
+                    sub,
                     chain,
                     climb,
                     forward,
                 } => {
-                    if let Some(s) = dfs.pop() {
+                    if let Some(s) = sub.next {
+                        sub.advance(&self.cluster, s);
                         let node = self.cluster.node(s);
                         charge.visit();
                         match &node.kind {
@@ -479,12 +485,6 @@ impl StepCursor {
                                 });
                             }
                             kind => {
-                                let mut kid = node.first_child;
-                                let at = dfs.len();
-                                while let Some(k) = kid {
-                                    dfs.insert(at, k);
-                                    kid = self.cluster.node(k).next_sibling;
-                                }
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
@@ -510,7 +510,7 @@ impl StepCursor {
                                     target: *target,
                                 });
                             }
-                            _ => dfs.push(s),
+                            _ => *sub = Subtree::of(s),
                         }
                     } else if let Some(c) = *climb {
                         match self.cluster.node(c).parent {
@@ -651,6 +651,8 @@ mod tests {
     use pathix_xml::Document;
     use pathix_xpath::eval::eval_path;
     use pathix_xpath::{LocationPath, Step};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use std::rc::Rc;
 
     fn store_for(doc: &Document, page_size: usize, placement: Placement) -> TreeStore {
@@ -741,6 +743,222 @@ mod tests {
             }
         }
         d
+    }
+
+    /// The stack-based subtree walk `StepCursor` used before its walks
+    /// became stackless, kept as the reference for
+    /// `subtree_walks_match_stack_reference` (descendant, descendant-or-self,
+    /// following and preceding only).
+    struct StackWalk {
+        cluster: Arc<Cluster>,
+        test: ResolvedTest,
+        /// Preorder stack of the subtree being emitted (next on top).
+        dfs: Vec<u16>,
+        chain: Option<u16>,
+        climb: Option<u16>,
+        forward: bool,
+    }
+
+    impl StackWalk {
+        fn new(cluster: Arc<Cluster>, entry: Entry, axis: Axis, test: ResolvedTest) -> Self {
+            let children_rev = |slot: u16| {
+                let mut kids = Vec::new();
+                let mut cur = cluster.node(slot).first_child;
+                while let Some(s) = cur {
+                    kids.push(s);
+                    cur = cluster.node(s).next_sibling;
+                }
+                kids.reverse();
+                kids
+            };
+            let forward = axis == Axis::Following;
+            let (dfs, chain, climb) = match (entry, axis) {
+                (Entry::Fresh(slot), Axis::Descendant) => (children_rev(slot), None, None),
+                (Entry::Fresh(slot), Axis::DescendantOrSelf) => (vec![slot], None, None),
+                (Entry::Resume(slot), Axis::Descendant | Axis::DescendantOrSelf) => {
+                    (children_rev(slot), None, None)
+                }
+                (Entry::Resume(slot), _)
+                    if matches!(cluster.node(slot).kind, NodeKind::BorderUp { .. }) =>
+                {
+                    (children_rev(slot), None, None)
+                }
+                (Entry::Fresh(slot) | Entry::Resume(slot), Axis::Following | Axis::Preceding) => {
+                    let node = cluster.node(slot);
+                    let chain = if forward {
+                        node.next_sibling
+                    } else {
+                        node.prev_sibling
+                    };
+                    (Vec::new(), chain, Some(slot))
+                }
+                _ => unreachable!("StackWalk covers subtree-walking axes only"),
+            };
+            Self {
+                cluster,
+                test,
+                dfs,
+                chain,
+                climb,
+                forward,
+            }
+        }
+
+        fn next(&mut self, charge: &NavCharge<'_>) -> Option<StepItem> {
+            let cluster = Arc::clone(&self.cluster);
+            loop {
+                if let Some(s) = self.dfs.pop() {
+                    let node = cluster.node(s);
+                    charge.visit();
+                    if let NodeKind::BorderDown { target } = node.kind {
+                        charge.border();
+                        return Some(StepItem::Border {
+                            proxy: cluster.id(s),
+                            target,
+                        });
+                    }
+                    let mut kid = node.first_child;
+                    let at = self.dfs.len();
+                    while let Some(k) = kid {
+                        self.dfs.insert(at, k);
+                        kid = cluster.node(k).next_sibling;
+                    }
+                    charge.test();
+                    if self.test.matches(&node.kind) {
+                        return Some(StepItem::Match {
+                            id: cluster.id(s),
+                            order: node.order,
+                        });
+                    }
+                } else if let Some(s) = self.chain {
+                    let node = cluster.node(s);
+                    charge.visit();
+                    self.chain = if self.forward {
+                        node.next_sibling
+                    } else {
+                        node.prev_sibling
+                    };
+                    if let NodeKind::BorderDown { target } = node.kind {
+                        charge.border();
+                        return Some(StepItem::Border {
+                            proxy: cluster.id(s),
+                            target,
+                        });
+                    }
+                    self.dfs.push(s);
+                } else if let Some(c) = self.climb {
+                    let p = cluster.node(c).parent?;
+                    let pnode = cluster.node(p);
+                    charge.visit();
+                    if let NodeKind::BorderUp { target } = pnode.kind {
+                        charge.border();
+                        self.climb = None;
+                        return Some(StepItem::Border {
+                            proxy: cluster.id(p),
+                            target,
+                        });
+                    }
+                    self.chain = if self.forward {
+                        pnode.next_sibling
+                    } else {
+                        pnode.prev_sibling
+                    };
+                    self.climb = Some(p);
+                } else {
+                    return None;
+                }
+            }
+        }
+    }
+
+    /// A seeded document with one element of 240 children and a chain 120
+    /// deep, around randomly shaped subtrees.
+    fn walk_doc(seed: u64) -> Document {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut d = Document::new("r");
+        let mut open = vec![d.root()];
+        for i in 0..400 {
+            let parent = open[rng.random_range(0..open.len())];
+            if rng.random_bool(0.3) {
+                d.add_text(parent, "some text");
+            } else {
+                let tag = ["a", "b", "c"][i % 3];
+                open.push(d.add_element(parent, tag));
+            }
+        }
+        let wide = d.add_element(open[rng.random_range(0..open.len())], "w");
+        for i in 0..240 {
+            let kid = d.add_element(wide, if i % 2 == 0 { "b" } else { "c" });
+            if i % 7 == 0 {
+                d.add_text(kid, "x");
+            }
+        }
+        let mut deep = d.add_element(open[rng.random_range(0..open.len())], "deep");
+        for i in 0..120 {
+            deep = d.add_element(deep, if i % 3 == 0 { "b" } else { "a" });
+            if i % 10 == 0 {
+                d.add_text(deep, "y");
+            }
+        }
+        d
+    }
+
+    /// Runs one walk through `StackWalk` and `StepCursor`; both must yield
+    /// the same items and charge the same visits, tests and borders.
+    fn assert_same_walk(cluster: &Arc<Cluster>, entry: Entry, axis: Axis, test: &ResolvedTest) {
+        let clock = SimClock::new();
+        let (want_n, got_n) = (NavCounters::default(), NavCounters::default());
+        let (want_c, got_c) = (charge_ctx(&clock, &want_n), charge_ctx(&clock, &got_n));
+        let mut reference = StackWalk::new(Arc::clone(cluster), entry, axis, test.clone());
+        let want: Vec<_> = std::iter::from_fn(|| reference.next(&want_c)).collect();
+        let mut cursor = StepCursor::new(Arc::clone(cluster), entry, axis, test.clone());
+        let got: Vec<_> = std::iter::from_fn(|| cursor.next(&got_c)).collect();
+        let at = format!("{axis:?} {test:?} from {entry:?} on page {}", cluster.page);
+        assert_eq!(got, want, "{at}");
+        let counts = |n: &NavCounters| (n.nodes_visited.get(), n.node_tests.get(), n.borders.get());
+        assert_eq!(
+            counts(&got_n),
+            counts(&want_n),
+            "{at}: visits, tests, borders"
+        );
+    }
+
+    #[test]
+    fn subtree_walks_match_stack_reference() {
+        let doc = walk_doc(0x5EED);
+        let axes = [
+            Axis::Descendant,
+            Axis::DescendantOrSelf,
+            Axis::Following,
+            Axis::Preceding,
+        ];
+        let mut widest = 0;
+        for page_size in [256, 512, 8192] {
+            for placement in [Placement::Sequential, Placement::Shuffled { seed: 11 }] {
+                let store = store_for(&doc, page_size, placement);
+                let name_b =
+                    ResolvedTest::resolve(&NodeTest::Name("b".into()), &store.meta.symbols);
+                for page in store.meta.page_range() {
+                    let cluster = store.fix(page);
+                    for (slot, node) in cluster.nodes.iter().enumerate() {
+                        let slot = slot as u16;
+                        let entry = match node.kind {
+                            NodeKind::Free => continue,
+                            k if k.is_border() => Entry::Resume(slot),
+                            _ => Entry::Fresh(slot),
+                        };
+                        let kids = cluster.nodes.iter().filter(|n| n.parent == Some(slot));
+                        widest = widest.max(kids.count());
+                        for axis in axes {
+                            for test in [&name_b, &ResolvedTest::AnyNode] {
+                                assert_same_walk(&cluster, entry, axis, test);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(widest >= 200, "no cluster held the wide node's children");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 
 use pathix_storage::{PageId, SimClock, SlottedPageBuilder, SlottedPageReader};
 use pathix_xml::Symbol;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -49,6 +51,36 @@ impl fmt::Display for NodeId {
         write!(f, "{}:{}", self.page, self.slot)
     }
 }
+
+/// Multiply-rotate hasher for keys the engine assigns itself: page, slot
+/// and step numbers, never bytes from a document. No outside input can
+/// choose such keys to collide, so SipHash's flooding defence buys nothing
+/// here; callers must not iterate maps built with it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+}
+
+/// A map keyed by engine-assigned ids (see [`IdHasher`]).
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A set of engine-assigned ids (see [`IdHasher`]).
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Where a payload lives in its cluster's bytes: `len` bytes from offset
 /// `at`. Meaningful only together with the cluster that holds the node.

@@ -1,8 +1,9 @@
 //! The central correctness property (DESIGN.md invariant 1): for arbitrary
 //! documents, arbitrary supported location paths, and arbitrary physical
 //! layouts, every physical plan — Simple, XSchedule (±speculative), XScan,
-//! and fallback-forced variants — produces exactly the node set of the
-//! in-memory reference evaluator, in document order.
+//! and fallback-forced variants (at the first `S` insert or mid-query) —
+//! produces exactly the node set of the in-memory reference evaluator, in
+//! document order.
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
@@ -134,6 +135,7 @@ proptest! {
         spec in tree_strategy(80),
         path in path_strategy(),
         seed in any::<u64>(),
+        limit_sel in any::<u64>(),
     ) {
         let doc = build_doc(&spec);
         let want = reference_orders(&doc, &path);
@@ -148,9 +150,28 @@ proptest! {
         for method in [Method::XScan, Method::XSchedule { k: 5, speculative: true }] {
             let mut cfg = PlanConfig::new(method);
             cfg.sort = true;
-            cfg.mem_limit = Some(0); // force fallback at the first S insert
-            let got = run_orders(&db, &path, &cfg);
-            prop_assert_eq!(&got, &want, "fallback {:?} diverged on {}", method, path);
+            // Fallback at the first S insert, then (when S ever holds two
+            // instances) mid-query, at a limit in 1..s_peak of the
+            // unlimited run, over an S that may already have fired.
+            let s_peak = pathix_core::plan::execute_path(db.store(), &path, &cfg)
+                .expect("plan executes")
+                .report
+                .s_peak;
+            let mut limits = vec![0];
+            if s_peak > 1 {
+                limits.push(1 + limit_sel % (s_peak - 1));
+            }
+            for limit in limits {
+                cfg.mem_limit = Some(limit as usize);
+                let run = pathix_core::plan::execute_path(db.store(), &path, &cfg)
+                    .expect("plan executes");
+                prop_assert!(run.report.fallback || run.report.s_peak == 0);
+                let got: Vec<u64> = run.nodes.iter().map(|&(_, o)| o).collect();
+                prop_assert_eq!(
+                    &got, &want,
+                    "fallback {:?} at S limit {} diverged on {}", method, limit, path
+                );
+            }
         }
     }
 
