@@ -2,8 +2,8 @@
 //!
 //! Criterion measures the real wall time of executing each plan over the
 //! simulated device (the simulated I/O latency is accounted on the virtual
-//! clock, not slept); the paper-style simulated-seconds series is printed
-//! by `report fig9`.
+//! clock, not slept); the paper-style simulated-seconds series is table
+//! `fig9_q6` of `report paper`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathix::Method;

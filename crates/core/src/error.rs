@@ -8,6 +8,7 @@
 //! R3), the violation is reported as a value.
 
 use crate::instance::REnd;
+use pathix_storage::IoErrorKind;
 use std::fmt;
 
 /// Execution failure of a physical plan.
@@ -27,12 +28,14 @@ pub enum ExecError {
         /// Index of the orphaned work item.
         item: usize,
     },
-    /// A page read failed unrecoverably (permanent device error or a
-    /// checksum mismatch that survived every retry); the plan was drained
-    /// and aborted cleanly.
+    /// A page read failed unrecoverably (permanent device error, a
+    /// checksum mismatch that survived every retry, or a verified image
+    /// that does not decode); the plan was drained and aborted cleanly.
     Io {
         /// The page whose read failed.
         page: u32,
+        /// How the read failed.
+        kind: IoErrorKind,
         /// Read attempts made before giving up (1 = no retry).
         attempts: u32,
     },
@@ -73,8 +76,15 @@ impl fmt::Display for ExecError {
             ExecError::WorkerLost { item } => {
                 write!(f, "parallel batch: no worker delivered item {item}")
             }
-            ExecError::Io { page, attempts } => {
-                write!(f, "I/O error on page {page} after {attempts} attempt(s)")
+            ExecError::Io {
+                page,
+                kind,
+                attempts,
+            } => {
+                write!(
+                    f,
+                    "I/O error on page {page}: {kind} after {attempts} attempt(s)"
+                )
             }
             ExecError::DeadlineExceeded {
                 page_reads,

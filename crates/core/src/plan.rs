@@ -287,6 +287,7 @@ pub(crate) fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(
     store.buffer.drain_inflight();
     Err(ExecError::Io {
         page: e.page,
+        kind: e.kind,
         attempts: e.attempts,
     })
 }

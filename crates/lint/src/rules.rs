@@ -138,12 +138,17 @@ fn in_concurrency_zone(path: &str) -> bool {
 }
 
 /// Files whose non-test code must be panic-free (R3): the operator hot
-/// path, the buffer manager, and the navigation primitives.
+/// path, the buffer manager, the navigation primitives, and the page miss
+/// path below them — the slotted-page reader, the node decoder and the
+/// store that plugs it into the buffer.
 fn in_panic_free_zone(path: &str) -> bool {
     path.starts_with("crates/core/src/ops/")
         || path == "crates/storage/src/buffer.rs"
         || path == "crates/storage/src/sim_disk.rs"
+        || path == "crates/storage/src/slotted.rs"
         || path == "crates/tree/src/nav.rs"
+        || path == "crates/tree/src/node.rs"
+        || path == "crates/tree/src/store.rs"
 }
 
 /// Cost-accounting / report files (R2): anything iterating a map here must
@@ -588,6 +593,18 @@ mod tests {
     fn lint_allow_suppresses() {
         let src = "fn f(v: &[u8]) -> u8 {\n    // lint:allow(bounds checked above)\n    v[0]\n}";
         assert!(rules_of("crates/core/src/ops/xstep.rs", src).is_empty());
+    }
+
+    #[test]
+    fn miss_path_is_panic_free_zone() {
+        for path in [
+            "crates/storage/src/slotted.rs",
+            "crates/tree/src/node.rs",
+            "crates/tree/src/store.rs",
+        ] {
+            assert!(rules_of(path, "fn f() { x.unwrap(); }").contains(&"R3"));
+            assert!(rules_of(path, "fn f(v: &[u8]) -> u8 { v[0] }").contains(&"R3"));
+        }
     }
 
     #[test]

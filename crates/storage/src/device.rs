@@ -15,6 +15,7 @@
 //! (and, above the device, by checksum verification of page images).
 
 use crate::clock::SimClock;
+use crate::slotted::DecodeError;
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,6 +41,10 @@ pub enum IoErrorKind {
     /// manager's governor gate; see `BufferManager::set_interrupted`).
     /// Never retried — the query is winding down.
     Interrupted,
+    /// The image verified but does not decode into records (a sealed page
+    /// with a bad record: a crafted file or an updater bug). Never retried
+    /// — decode is deterministic, so a reread fails the same way.
+    Undecodable(DecodeError),
 }
 
 impl fmt::Display for IoErrorKind {
@@ -49,6 +54,7 @@ impl fmt::Display for IoErrorKind {
             IoErrorKind::Permanent => write!(f, "permanent read error"),
             IoErrorKind::Corrupt => write!(f, "checksum mismatch"),
             IoErrorKind::Interrupted => write!(f, "read refused: query deadline/cancel"),
+            IoErrorKind::Undecodable(e) => write!(f, "undecodable page: {e}"),
         }
     }
 }
@@ -429,6 +435,14 @@ pub(crate) mod tests {
         let i = IoError::new(4, IoErrorKind::Interrupted);
         assert!(!i.retryable(), "a winding-down query must not retry");
         assert!(i.to_string().contains("refused"));
+        let u = IoError::new(5, IoErrorKind::Undecodable(DecodeError::Utf8));
+        assert!(
+            !u.retryable(),
+            "decode is deterministic: a reread fails again"
+        );
+        assert!(u
+            .to_string()
+            .contains("undecodable page: payload is not UTF-8"));
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use mem_device::MemDevice;
 pub use reference_disk::ReferenceDisk;
 pub use shared_cache::{SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
 pub use sim_disk::{DiskProfile, QueuePolicy, SimDisk};
-pub use slotted::{SlottedPageBuilder, SlottedPageReader};
+pub use slotted::{DecodeError, SlottedPageBuilder, SlottedPageReader};
 pub use wal::{
     recover, Lsn, RecoveryReport, SnapshotDevice, SnapshotHandle, WalRecord, WriteAheadLog,
 };

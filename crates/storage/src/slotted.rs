@@ -14,6 +14,9 @@
 //! record `i` spans `offset_i .. offset_{i+1}`. This keeps the reader
 //! allocation-free and O(1) per record.
 
+use std::fmt;
+use std::ops::Range;
+
 /// Incrementally builds one slotted page.
 #[derive(Debug)]
 pub struct SlottedPageBuilder {
@@ -89,6 +92,90 @@ impl SlottedPageBuilder {
     }
 }
 
+/// Why a page image does not decode: its slot directory, one record's
+/// layout, or — found only when a payload is read — a payload's encoding.
+///
+/// A page whose checksum verifies can still be bad: a crafted file, or an
+/// updater bug sealed after the damage. The decoder is a parser for such
+/// input, so it reports what it found instead of panicking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The slot directory does not fit on the page.
+    SlotDirectory,
+    /// A slot at or past the page's record count.
+    SlotOutOfRange {
+        /// The slot asked for.
+        slot: u16,
+        /// Records on the page.
+        count: u16,
+    },
+    /// The record's offsets run backwards or past the page.
+    RecordBounds {
+        /// The record's slot.
+        slot: u16,
+    },
+    /// The record is shorter than its header and fixed payload fields.
+    ShortRecord {
+        /// The record's slot.
+        slot: u16,
+    },
+    /// The record's kind byte names no record kind.
+    UnknownKind {
+        /// The record's slot.
+        slot: u16,
+        /// The kind byte found.
+        kind: u8,
+    },
+    /// A text record's length runs past the record.
+    TextLength {
+        /// The record's slot.
+        slot: u16,
+    },
+    /// An element's attribute count disagrees with its entries.
+    AttrCount {
+        /// The record's slot.
+        slot: u16,
+    },
+    /// A parent, child or sibling link at or past the record count.
+    Link {
+        /// The record's slot.
+        slot: u16,
+        /// The slot the link names.
+        link: u16,
+    },
+    /// A text or attribute payload is not UTF-8.
+    Utf8,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::SlotDirectory => write!(f, "corrupt slot directory"),
+            DecodeError::SlotOutOfRange { slot, count } => {
+                write!(f, "slot {slot} out of range ({count} records)")
+            }
+            DecodeError::RecordBounds { slot } => write!(f, "record {slot}: corrupt bounds"),
+            DecodeError::ShortRecord { slot } => write!(f, "record {slot}: truncated"),
+            DecodeError::UnknownKind { slot, kind } => {
+                write!(f, "record {slot}: unknown kind {kind}")
+            }
+            DecodeError::TextLength { slot } => write!(f, "record {slot}: text past its end"),
+            DecodeError::AttrCount { slot } => {
+                write!(
+                    f,
+                    "record {slot}: attribute count disagrees with its entries"
+                )
+            }
+            DecodeError::Link { slot, link } => {
+                write!(f, "record {slot}: link to slot {link} past the records")
+            }
+            DecodeError::Utf8 => write!(f, "payload is not UTF-8"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
 /// Zero-copy reader over a serialized slotted page.
 #[derive(Debug, Clone, Copy)]
 pub struct SlottedPageReader<'a> {
@@ -97,15 +184,28 @@ pub struct SlottedPageReader<'a> {
 }
 
 impl<'a> SlottedPageReader<'a> {
+    /// Wraps raw page bytes whose slot directory fits on the page.
+    pub fn try_new(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+        let count = match bytes.first_chunk::<2>() {
+            Some(c) => u16::from_le_bytes(*c) as usize,
+            None => return Err(DecodeError::SlotDirectory),
+        };
+        if 2 + (count + 1) * 2 > bytes.len() {
+            return Err(DecodeError::SlotDirectory);
+        }
+        Ok(Self { bytes, count })
+    }
+
     /// Wraps raw page bytes.
     ///
     /// # Panics
-    /// Panics on a malformed header.
+    /// Panics on a malformed header; [`Self::try_new`] reports it instead.
     pub fn new(bytes: &'a [u8]) -> Self {
-        assert!(bytes.len() >= 4, "page too small");
-        let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        assert!(2 + (count + 1) * 2 <= bytes.len(), "corrupt slot directory");
-        Self { bytes, count }
+        match Self::try_new(bytes) {
+            Ok(reader) => reader,
+            // lint:allow(documented panicking constructor; decode uses try_new)
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// Number of records on the page.
@@ -118,36 +218,48 @@ impl<'a> SlottedPageReader<'a> {
         self.count == 0
     }
 
+    /// Directory entry `i`; `try_new` checked that entries `0..=count` fit.
     fn offset(&self, i: usize) -> usize {
-        let at = 2 + i * 2;
-        u16::from_le_bytes([self.bytes[at], self.bytes[at + 1]]) as usize
+        self.bytes
+            .get(2 + i * 2..)
+            .and_then(|b| b.first_chunk::<2>())
+            .map_or(0, |b| u16::from_le_bytes(*b) as usize)
     }
 
     /// Returns the bytes of record `slot`.
     ///
     /// # Panics
-    /// Panics if `slot` is out of range or offsets are corrupt.
+    /// Panics if `slot` is out of range or offsets are corrupt;
+    /// [`Self::record_range`] reports either instead.
     pub fn record(&self, slot: u16) -> &'a [u8] {
-        &self.bytes[self.record_range(slot)]
+        match self.record_range(slot) {
+            Ok(range) => self.bytes.get(range).unwrap_or_default(),
+            // lint:allow(documented panicking accessor; decode uses record_range)
+            Err(e) => panic!("{e}"),
+        }
     }
 
     /// The byte range of record `slot` within the page.
-    ///
-    /// # Panics
-    /// Panics if `slot` is out of range or offsets are corrupt.
-    pub fn record_range(&self, slot: u16) -> std::ops::Range<usize> {
+    pub fn record_range(&self, slot: u16) -> Result<Range<usize>, DecodeError> {
         let i = slot as usize;
-        assert!(i < self.count, "slot {slot} out of range ({})", self.count);
-        let start = self.offset(i);
-        let end = self.offset(i + 1);
-        assert!(
-            start <= end && end <= self.bytes.len(),
-            "corrupt record bounds"
-        );
-        start..end
+        if i >= self.count {
+            return Err(DecodeError::SlotOutOfRange {
+                slot,
+                count: self.count as u16,
+            });
+        }
+        let (start, end) = (self.offset(i), self.offset(i + 1));
+        if start <= end && end <= self.bytes.len() {
+            Ok(start..end)
+        } else {
+            Err(DecodeError::RecordBounds { slot })
+        }
     }
 
     /// Iterates over all records in slot order.
+    ///
+    /// # Panics
+    /// Panics on corrupt offsets, like [`Self::record`].
     pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
         (0..self.count as u16).map(move |s| self.record(s))
     }

@@ -3,7 +3,7 @@
 //! (import ∘ export ≡ identity) and by the document-export use case the
 //! paper's outlook mentions.
 
-use crate::node::{Cluster, NodeKind};
+use crate::node::{Cluster, DecodeError, NodeKind};
 use crate::store::TreeStore;
 use pathix_storage::PageId;
 use pathix_xml::{Document, NodeRef};
@@ -23,6 +23,10 @@ struct Frame {
 /// Fixes every page of the document through the buffer manager (sequentially
 /// by following the tree structure), so it exercises exactly the structures
 /// queries use.
+///
+/// # Panics
+/// Like [`TreeStore::fix`], on an unrecoverable read error; and on a text
+/// or attribute payload that is not UTF-8.
 pub fn export(store: &TreeStore) -> Document {
     walk(store, |page| store.fix(page))
 }
@@ -33,6 +37,9 @@ pub fn export(store: &TreeStore) -> Document {
 /// export, where our 'path instance' becomes the textual representation of
 /// a whole document", §7). On a fragmented layout this replaces the
 /// random page accesses of [`export`]'s structural walk with one scan.
+///
+/// # Panics
+/// As [`export`].
 pub fn export_scan(store: &TreeStore) -> Document {
     // One sequential pass pins every cluster; the walk does no further I/O.
     let clusters: HashMap<PageId, Arc<Cluster>> = store
@@ -54,7 +61,8 @@ fn walk(store: &TreeStore, fetch: impl Fn(PageId) -> Arc<Cluster>) -> Document {
         panic!("document root must be an element");
     };
     let mut doc = Document::new(symbols.name(tag));
-    for (name, value) in root_cluster.attrs(&root_node) {
+    for attr in root_cluster.attrs(&root_node) {
+        let (name, value) = payload(&root_cluster, attr);
         doc.set_attr(doc.root(), symbols.name(name), value);
     }
     let mut stack = vec![Frame {
@@ -72,13 +80,17 @@ fn walk(store: &TreeStore, fetch: impl Fn(PageId) -> Arc<Cluster>) -> Document {
         let (cluster, first, parent) = match node.kind {
             NodeKind::Element { tag, .. } => {
                 let el = doc.add_element(frame.parent, symbols.name(tag));
-                for (name, value) in frame.cluster.attrs(&node) {
+                for attr in frame.cluster.attrs(&node) {
+                    let (name, value) = payload(&frame.cluster, attr);
                     doc.set_attr(el, symbols.name(name), value);
                 }
                 (Arc::clone(&frame.cluster), node.first_child, el)
             }
             NodeKind::Text(_) => {
-                doc.add_text(frame.parent, frame.cluster.text(&node));
+                doc.add_text(
+                    frame.parent,
+                    payload(&frame.cluster, frame.cluster.text(&node)),
+                );
                 continue;
             }
             NodeKind::BorderDown { target } => {
@@ -102,6 +114,12 @@ fn walk(store: &TreeStore, fetch: impl Fn(PageId) -> Arc<Cluster>) -> Document {
         }
     }
     doc
+}
+
+/// A payload read from `cluster`. Export has no error channel, so a payload
+/// that is not UTF-8 panics, as an unreadable page does in the walk.
+fn payload<T>(cluster: &Cluster, read: Result<T, DecodeError>) -> T {
+    read.unwrap_or_else(|e| panic!("export: page {}: {e}", cluster.page))
 }
 
 #[cfg(test)]

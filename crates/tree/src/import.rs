@@ -557,7 +557,7 @@ mod tests {
         for p in meta.base_page..meta.base_page + meta.page_count {
             let bytes = dev.read_sync(p, &clock).unwrap();
             assert!(pathix_storage::verify_page(&bytes), "page {p} not sealed");
-            clusters.push(crate::node::decode_cluster(p, &bytes, &clock));
+            clusters.push(crate::node::decode_cluster(p, &bytes, &clock).unwrap());
         }
         let find = |id: NodeId| -> &Node {
             let c = &clusters[(id.page - meta.base_page) as usize];
@@ -648,7 +648,7 @@ mod tests {
         let mut orders = Vec::new();
         for p in 0..meta.page_count {
             let bytes = dev.read_sync(p, &clock).unwrap();
-            let c = crate::node::decode_cluster(p, &bytes, &clock);
+            let c = crate::node::decode_cluster(p, &bytes, &clock).unwrap();
             for n in &c.nodes {
                 if n.kind.is_core() {
                     orders.push(n.order);

@@ -219,20 +219,28 @@ impl Subtree {
     /// Moves past `s`: to its first child unless it is a `BorderDown`
     /// (whose subtree is remote), else to the next sibling of the nearest
     /// ancestor-or-self of `s` below `root`.
+    ///
+    /// The climb is the one loop here that charges no visit. In a tree it
+    /// meets each ancestor once, so it ends within `len` steps; the bound
+    /// ends a climb round a parent-link cycle, which decode does not reject.
     fn advance(&mut self, cluster: &Cluster, mut s: u16) {
         let node = cluster.node(s);
         if !matches!(node.kind, NodeKind::BorderDown { .. }) && node.first_child.is_some() {
             self.next = node.first_child;
             return;
         }
-        self.next = loop {
+        self.next = None;
+        for _ in 0..cluster.len() {
             let node = cluster.node(s);
             match (s == self.root, node.next_sibling, node.parent) {
-                (false, Some(n), _) => break Some(n),
+                (false, Some(n), _) => {
+                    self.next = Some(n);
+                    return;
+                }
                 (false, None, Some(p)) => s = p,
-                _ => break None,
+                _ => return,
             }
-        };
+        }
     }
 }
 
@@ -645,7 +653,7 @@ mod tests {
 
     use super::*;
     use crate::import::{import_into, ImportConfig, Placement};
-    use crate::node::Span;
+    use crate::node::{Node, Span};
     use crate::store::TreeStore;
     use pathix_storage::{BufferParams, MemDevice};
     use pathix_xml::Document;
@@ -1071,6 +1079,35 @@ mod tests {
         }));
         assert!(ResolvedTest::Text.matches(&NodeKind::Text(Span::default())));
         assert!(!ResolvedTest::Text.matches(&NodeKind::elem(a)));
+    }
+
+    #[test]
+    fn subtree_climb_ends_on_a_parent_cycle() {
+        // 0 ─ 1 ─ 2, but 1's parent link points back down at 2: the climb
+        // out of 2 (no child, no sibling) would go round 2 → 1 → 2 forever.
+        let link = |parent, first_child| Node {
+            kind: NodeKind::elem(Symbol(0)),
+            parent,
+            first_child,
+            ..Node::FREE
+        };
+        let mut cluster = Cluster::new(0);
+        cluster.nodes = vec![
+            link(None, Some(1)),
+            link(Some(2), Some(2)),
+            link(Some(1), None),
+        ];
+        let clock = SimClock::new();
+        let counters = NavCounters::default();
+        let charge = charge_ctx(&clock, &counters);
+        let mut c = StepCursor::new(
+            Arc::new(cluster),
+            Entry::Fresh(0),
+            Axis::Descendant,
+            ResolvedTest::AnyNode,
+        );
+        let got: Vec<_> = std::iter::from_fn(|| c.next(&charge)).collect();
+        assert_eq!(got.len(), 2, "1 and 2, then the walk ends: {got:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The tree store: metadata + buffer-managed access to decoded clusters.
 
-use crate::node::{decode_cluster, Cluster, NodeId};
+use crate::node::{decode_cluster, Cluster, DecodeError, NodeId};
 use pathix_storage::{
     BufferManager, BufferParams, Device, IoError, PageId, SimClock, WriteAheadLog,
 };
@@ -61,7 +61,12 @@ impl TreeMeta {
 pub struct ClusterDecoder;
 
 impl pathix_storage::PageDecoder<Cluster> for ClusterDecoder {
-    fn decode(&self, page: PageId, bytes: &Arc<[u8]>, clock: &SimClock) -> Cluster {
+    fn decode(
+        &self,
+        page: PageId,
+        bytes: &Arc<[u8]>,
+        clock: &SimClock,
+    ) -> Result<Cluster, DecodeError> {
         decode_cluster(page, bytes, clock)
     }
 }

@@ -46,7 +46,7 @@ fn assert_pages_reencode(store: &TreeStore) -> [usize; 4] {
     let mut seen = [0; 4];
     for p in store.meta.page_range() {
         let image = store.buffer.device_mut().read_sync(p, &clock).unwrap();
-        let cluster = decode_cluster(p, &image, &clock);
+        let cluster = decode_cluster(p, &image, &clock).unwrap();
         let mut again = encode_cluster(&cluster, PAGE);
         seal_page(&mut again);
         assert!(again[..] == image[..], "page {p} re-encodes differently");
