@@ -16,12 +16,11 @@
 #   5. cargo clippy -D warnings — every target of every workspace crate
 #      is clippy-clean, including the `[workspace.lints]` deny-set
 #      (`unwrap_used`, `dbg_macro`, `todo`, `unsafe_code`)
-#   6. cargo bench --no-run   — criterion benches stay compiling
-#   7. perfbench self-tests   — the benchmark (own package under
+#   6. perfbench self-tests   — the benchmark (own package under
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   8. report --fast paper ablations extensions throughput scaling
+#   7. report --fast paper ablations extensions throughput scaling
 #      chaos overload — one smoke of every report artifact at its small
 #      configuration: the paper's evaluation, ablations and extensions
 #      at SF 0.1, and the four substrate harnesses (BENCH_PR2-5) with
@@ -29,10 +28,10 @@
 #      `run(true)` their unit tests run); fails if any check fails
 #      (plans agree, Example 1's scan reads in physical order and Simple
 #      seeks more, shared scan == independent plans, export walk ==
-#      scan, reference and indexed queues agree, zero page copies,
-#      parallel == sequential, zero wrong answers, chaos scenarios pass,
-#      deterministic shedding, p99 bounded); writes no artifact
-#   9. report all, simulated identity — the full paper evaluation, run in
+#      scan, zero page copies, parallel == sequential, zero wrong
+#      answers, chaos scenarios pass, deterministic shedding, p99
+#      bounded); writes no artifact
+#   8. report all, simulated identity — the full paper evaluation, run in
 #      a fresh temporary directory, must write PAPER.json, ABLATIONS.json
 #      and EXTENSIONS.json byte for byte equal to the committed files
 #      (every cell is simulated, so any drift is a cost-model change that
@@ -55,9 +54,6 @@ cargo run -q -p pathix-lint -- check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo bench --no-run (compile gate)"
-cargo bench --no-run --workspace
 
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -20,8 +20,9 @@
 //! [`corpus`] and each expose one `run(fast) -> Artifact`
 //! (`BENCH_PR2.json`–`BENCH_PR5.json`).
 //!
-//! Criterion micro-benchmarks live in `benches/` and wrap the same
-//! cold-run helpers.
+//! Wall-clock timings per layer (navigation, buffer, checksum, decode,
+//! parsing, import) come from the benchmark under `perfbench/`, not from
+//! this crate.
 
 pub mod artifact;
 pub mod chaos;

@@ -52,7 +52,6 @@ const IO_IDENTS: &[&str] = &[
     "BufferManager",
     "MemDevice",
     "SimDisk",
-    "FileDevice",
 ];
 
 /// Fault-injection API (R6): faults are planted below the shared cache and
@@ -121,17 +120,16 @@ const CONCURRENCY_IDENTS: &[&str] = &[
     "Condvar",
 ];
 
-/// Files allowed to use threading primitives (R5): the three storage
-/// files that share state across threads (the shared page cache, the fault
-/// plan's rule state, the file device's reader pool), the batch-executor
-/// module, the governor (whose cancel tokens and memory ledger are shared
-/// across worker threads by design, DESIGN §12), and the bench harness.
+/// Files allowed to use threading primitives (R5): the two storage files
+/// that share state across threads (the shared page cache and the fault
+/// plan's rule state), the batch-executor module, the governor (whose
+/// cancel tokens and memory ledger are shared across worker threads by
+/// design, DESIGN §12), and the bench harness.
 /// Everything else — the operator hot path and the buffer manager above
 /// all — stays single-threaded (DESIGN §10).
 fn in_concurrency_zone(path: &str) -> bool {
     path == "crates/storage/src/shared_cache.rs"
         || path == "crates/storage/src/fault.rs"
-        || path == "crates/storage/src/file_device.rs"
         || path == "crates/core/src/server.rs"
         || path == "crates/core/src/governor.rs"
         || path.starts_with("crates/bench/")
@@ -223,8 +221,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 
     let r1_applies =
         rel_path.starts_with("crates/core/src/ops/") && !IO_OPERATOR_FILES.contains(&base);
-    let r2_time_allowed =
-        rel_path == "crates/storage/src/file_device.rs" || rel_path.starts_with("crates/bench/");
+    let r2_time_allowed = rel_path.starts_with("crates/bench/");
     let r2_rand_allowed = rel_path.starts_with("crates/xmlgen/")
         || rel_path.starts_with("crates/bench/")
         || whole_file_test;
@@ -331,7 +328,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         rule: "R5",
                         message: format!(
                             "threading primitive `{id}` outside the concurrency zone \
-                             (storage shared_cache/fault/file_device, \
+                             (storage shared_cache/fault, \
                              core/src/server.rs, core/src/governor.rs, bench); \
                              the operator hot path stays single-threaded"
                         ),

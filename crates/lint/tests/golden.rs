@@ -66,9 +66,16 @@ fn r2_bad_wall_clock_in_core() {
 }
 
 #[test]
-fn r2_good_wall_clock_in_file_device() {
+fn r2_bad_wall_clock_in_storage() {
     let src = "use std::time::Instant;\nfn t() -> Instant { Instant::now() }";
-    assert!(rules_of("crates/storage/src/file_device.rs", src).is_empty());
+    let diags = check_source("crates/storage/src/file_device.rs", src);
+    assert!(diags.iter().any(|d| d.rule == "R2" && d.line == 2));
+}
+
+#[test]
+fn r2_good_wall_clock_in_bench() {
+    let src = "use std::time::Instant;\nfn t() -> Instant { Instant::now() }";
+    assert!(rules_of("crates/bench/src/artifact.rs", src).is_empty());
 }
 
 #[test]

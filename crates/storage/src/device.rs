@@ -147,9 +147,9 @@ pub struct DeviceStats {
     /// Total simulated nanoseconds the device spent busy.
     pub busy_ns: u64,
     /// Fresh page-image materializations (full-page byte copies) performed
-    /// while serving reads. Simulated and in-memory devices serve reads by
-    /// reference (`Arc` clone) and keep this at zero; real file-backed
-    /// devices necessarily copy once per read from the kernel.
+    /// while serving reads. Every device in this crate serves reads by
+    /// reference (`Arc` clone) and keeps this at zero; the counter stays so
+    /// the zero-copy checks and the recorded reports keep their shape.
     pub page_copies: u64,
     /// Read retries performed above the device by the buffer manager's
     /// retry policy (devices themselves report 0; the buffer folds its
@@ -180,11 +180,11 @@ impl DeviceStats {
 
 /// A block storage device holding fixed-size pages.
 ///
-/// All methods take the shared [`SimClock`]; simulated devices advance it
-/// when the caller blocks, real devices charge measured wall time.
+/// All methods take the shared [`SimClock`]; a device with a cost model
+/// advances it when the caller blocks.
 ///
 /// **Base devices and wrappers.** A base device ([`crate::SimDisk`],
-/// [`crate::MemDevice`], [`crate::FileDevice`]) stores pages and implements
+/// [`crate::MemDevice`]) stores pages and implements
 /// every method from `num_pages` to `reset_stats`, plus whichever of the
 /// optional ones it supports. A wrapper (a decorator stacked on another
 /// device) instead implements [`Device::inner`] and [`Device::inner_mut`]:

@@ -16,9 +16,9 @@
 //!    TCQ/NCQ), shrinking total head movement,
 //! 3. **sequential scans** — consecutive pages pay transfer cost only.
 //!
-//! A real-file backend ([`FileDevice`]) with a thread-pool async engine is
-//! provided for authenticity experiments, and [`MemDevice`] offers a zero-cost
-//! device for unit tests.
+//! [`MemDevice`] offers a zero-cost device for unit tests. No device reads
+//! a wall clock or runs a thread of its own: every time this crate reports
+//! is simulated.
 //!
 //! Time is tracked on a [`SimClock`] in nanoseconds, split into CPU time and
 //! I/O wait so that the paper's Table 3 (total vs. CPU time) can be
@@ -29,9 +29,9 @@ pub mod checksum;
 pub mod clock;
 pub mod device;
 pub mod fault;
-pub mod file_device;
 pub mod mem_device;
-pub mod reference_disk;
+#[cfg(test)]
+mod reference_disk;
 pub mod shared_cache;
 pub mod sim_disk;
 pub mod slotted;
@@ -42,9 +42,7 @@ pub use checksum::{crc32, is_sealed, seal_page, verify_page, CHECKSUM_LEN};
 pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
-pub use file_device::FileDevice;
 pub use mem_device::MemDevice;
-pub use reference_disk::ReferenceDisk;
 pub use shared_cache::{SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
 pub use sim_disk::{DiskProfile, QueuePolicy, SimDisk};
 pub use slotted::{DecodeError, SlottedPageBuilder, SlottedPageReader};

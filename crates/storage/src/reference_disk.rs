@@ -1,15 +1,12 @@
-//! The original alloc-and-sort command-queue scheduler, kept as a reference.
+//! The original alloc-and-sort command-queue scheduler, kept as a test
+//! oracle (compiled only under `cfg(test)`).
 //!
 //! [`ReferenceDisk`] is the original [`SimDisk`](crate::SimDisk) queue:
 //! `pick_next` allocates and sorts the whole pending set on every serve
 //! (O(n log n) per pick), which is what the indexed command queue replaced.
-//! It serves two purposes:
-//!
-//! * **oracle** — the equivalence property tests in `sim_disk.rs` assert
-//!   that served order, simulated times and statistics are bit-identical
-//!   between the two schedulers under all three policies;
-//! * **baseline** — the throughput harness in `pathix-bench` drains the same
-//!   pending set through both and reports the wall-clock ratio.
+//! The equivalence property tests in `sim_disk.rs` assert that served
+//! order, simulated times and statistics are bit-identical between the two
+//! schedulers under all three policies.
 //!
 //! It honours the [`Device`] out-of-range contract: a read of a page
 //! `>= num_pages()` fails with a permanent [`IoError`] on both the sync and

@@ -23,10 +23,10 @@
 //! ([`CommandQueue`]): picking the next command is O(1) for FIFO and
 //! O(log w) for SSTF/Elevator (w = visible window size), and serving a
 //! command is O(log w) — no allocation and no re-sort per serve. The
-//! original alloc-and-sort implementation survives as
-//! [`ReferenceDisk`](crate::reference_disk::ReferenceDisk); property tests
-//! in this file prove the indexed queue serves the identical order at the
-//! identical simulated times for all three policies.
+//! original alloc-and-sort implementation survives as the test-only
+//! `reference_disk::ReferenceDisk`; property tests in this file prove the
+//! indexed queue serves the identical order at the identical simulated
+//! times for all three policies.
 //!
 //! Page contents are held as `Arc<[u8]>`: serving a read clones a
 //! reference count, never the page image (see
@@ -148,7 +148,7 @@ pub enum QueuePolicy {
     Elevator,
 }
 
-/// One queued read command (shared with [`crate::reference_disk`]).
+/// One queued read command (shared with the test-only `reference_disk`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Pending {
     pub(crate) page: PageId,

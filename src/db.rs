@@ -303,7 +303,7 @@ impl Database {
     ///
     /// Results are in batch order and bit-identical to running each plan
     /// sequentially. Fails with [`DbError::Unsupported`] if the device
-    /// cannot be forked (e.g. a file-backed device).
+    /// cannot be forked.
     pub fn run_parallel(
         &self,
         work: &[(&str, Method)],

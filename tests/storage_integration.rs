@@ -1,55 +1,11 @@
-//! Storage-level integration: the engine runs unmodified over a real file
-//! device, simulated-disk timing is deterministic, and the clock/stats
-//! plumbing is consistent end to end.
+//! Storage-level integration: simulated-disk timing is deterministic, and
+//! the clock/stats plumbing is consistent end to end.
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
 use pathix::{Database, DatabaseOptions, DeviceKind, Method};
-use pathix_storage::{BufferParams, FileDevice, SimClock};
-use pathix_tree::{import_into, ImportConfig, Placement, TreeStore};
-use std::rc::Rc;
-
-fn tmpfile(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("pathix-it-{}-{}", std::process::id(), name));
-    let _ = std::fs::remove_file(&p);
-    p
-}
-
-/// The full pipeline — import, all three plans — over a genuine file with
-/// thread-pool asynchronous reads.
-#[test]
-fn file_device_end_to_end() {
-    let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.03));
-    let path = tmpfile("e2e");
-    let page_size = 4096;
-    let mut device = FileDevice::open(&path, page_size, 3).unwrap();
-    let cfg = ImportConfig {
-        page_size,
-        placement: Placement::Shuffled { seed: 31 },
-    };
-    let (meta, _) = import_into(&mut device, &doc, &cfg).unwrap();
-    let store = TreeStore::open(
-        Box::new(device),
-        meta,
-        BufferParams {
-            capacity: 16,
-            ..Default::default()
-        },
-        Rc::new(SimClock::new()),
-    );
-    let q = pathix_xpath::parse_query("count(//item)").unwrap().rooted();
-    let reference = pathix_xpath::eval_query(&doc, doc.root(), &q).as_number();
-    for method in [Method::Simple, Method::xschedule(), Method::XScan] {
-        store.buffer.reset();
-        let run = pathix_core::execute_query(&store, &q, &pathix_core::PlanConfig::new(method))
-            .expect("query executes");
-        assert_eq!(run.value, reference, "{method:?} over FileDevice");
-    }
-    drop(store);
-    let _ = std::fs::remove_file(&path);
-}
+use pathix_tree::Placement;
 
 /// Identical configuration ⇒ identical simulated timings, byte for byte.
 #[test]
