@@ -20,22 +20,21 @@
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   7. report --fast paper ablations extensions throughput scaling
-#      chaos overload — one smoke of every report artifact at its small
-#      configuration: the paper's evaluation, ablations and extensions
-#      at SF 0.1, and the four substrate harnesses (BENCH_PR2-5) with
-#      engines on an instant disk profile and no pacing (the same
-#      `run(true)` their unit tests run); fails if any check fails
-#      (plans agree, Example 1's scan reads in physical order and Simple
-#      seeks more, shared scan == independent plans, export walk ==
-#      scan, zero page copies, parallel == sequential, zero wrong
-#      answers, chaos scenarios pass, deterministic shedding, p99
-#      bounded); writes no artifact
-#   8. report all, simulated identity — the full paper evaluation, run in
-#      a fresh temporary directory, must write PAPER.json, ABLATIONS.json
-#      and EXTENSIONS.json byte for byte equal to the committed files
-#      (every cell is simulated, so any drift is a cost-model change that
-#      must regenerate them on purpose)
+#   7. report --fast paper ablations extensions chaos overload — one
+#      smoke of every report artifact at its small configuration: the
+#      paper's evaluation, ablations and extensions at SF 0.1, and the two
+#      substrate harnesses (BENCH_PR4, BENCH_PR5) on an instant disk
+#      profile (the same `run(true)` their unit tests run); fails if any
+#      check fails (plans agree, Example 1's scan reads in physical order
+#      and Simple seeks more, shared scan == independent plans, export
+#      walk == scan, zero wrong answers, chaos scenarios pass,
+#      deterministic shedding, p99 bounded); writes no artifact
+#   8. report all chaos overload, simulated identity — every artifact in
+#      full mode, run in a fresh temporary directory, must write
+#      PAPER.json, ABLATIONS.json, EXTENSIONS.json, BENCH_PR4.json and
+#      BENCH_PR5.json byte for byte equal to the committed files (every
+#      cell is simulated time, a count or an outcome, so any drift is a
+#      cost-model change that must regenerate them on purpose)
 set -euo pipefail
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -59,13 +58,13 @@ echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> report artifact smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- --fast paper ablations extensions throughput scaling chaos overload
+cargo run -q --release -p pathix-bench --bin report -- --fast paper ablations extensions chaos overload
 
-echo "==> report all: simulated artifacts reproduce byte for byte"
+echo "==> report all chaos overload: every artifact reproduces byte for byte"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
-(cd "$out" && cargo run -q --release --manifest-path "$root/Cargo.toml" -p pathix-bench --bin report -- all >/dev/null)
-for name in PAPER ABLATIONS EXTENSIONS; do
+(cd "$out" && cargo run -q --release --manifest-path "$root/Cargo.toml" -p pathix-bench --bin report -- all chaos overload >/dev/null)
+for name in PAPER ABLATIONS EXTENSIONS BENCH_PR4 BENCH_PR5; do
   cmp "$out/$name.json" "$root/$name.json"
 done
 

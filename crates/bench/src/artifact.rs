@@ -1,27 +1,15 @@
 //! The one artifact type of every `report` output: the paper's evaluation
 //! (`PAPER`, `ABLATIONS`, `EXTENSIONS`) and the substrate harnesses
-//! (`BENCH_PR2`–`BENCH_PR5`).
+//! (`BENCH_PR4`, `BENCH_PR5`).
 //!
 //! Each experiment returns an [`Artifact`]: a name, a description, parameters,
 //! one or more tables of rows, and trailing summary cells. Every cell is
-//! written once — name, value, number format — and says whether it must
-//! repeat exactly between runs ([`Repeat::Exact`]: simulated values and
-//! outcomes) or may vary ([`Repeat::Varies`]: wall-clock times and
-//! thread-interleaving counts). A cell holding [`Value::Check`] is a named
+//! written once — name, value, number format — and every value is a
+//! setting, a simulated number or an outcome, so an artifact repeats byte
+//! for byte between runs. A cell holding [`Value::Check`] is a named
 //! boolean that must hold; the `report` binary prints, checks and writes
 //! every artifact through [`Artifact::render`], [`Artifact::failed_checks`]
 //! and [`Artifact::to_json`].
-
-use std::time::Instant;
-
-/// Whether a cell must repeat exactly between runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Repeat {
-    /// Simulated values, outcomes and checks.
-    Exact,
-    /// Wall-clock times and thread-interleaving counts.
-    Varies,
-}
 
 /// A cell's value together with its number format.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,17 +33,11 @@ pub struct Cell {
     pub name: &'static str,
     /// The value and its format.
     pub value: Value,
-    /// Whether the value must repeat exactly.
-    pub repeat: Repeat,
 }
 
 impl Cell {
     fn new(name: &'static str, value: Value) -> Self {
-        Self {
-            name,
-            value,
-            repeat: Repeat::Exact,
-        }
+        Self { name, value }
     }
 
     /// A count.
@@ -86,14 +68,6 @@ impl Cell {
     /// A boolean that must hold.
     pub fn check(name: &'static str, v: bool) -> Self {
         Self::new(name, Value::Check(v))
-    }
-
-    /// Marks the cell as free to vary between runs.
-    pub fn varies(self) -> Self {
-        Self {
-            repeat: Repeat::Varies,
-            ..self
-        }
     }
 
     /// The value as printed, strings unquoted.
@@ -130,18 +104,6 @@ pub fn num(row: &[Cell], name: &str) -> f64 {
     }
 }
 
-/// The cells of `row` that must repeat exactly.
-pub fn exact(row: &[Cell]) -> impl Iterator<Item = &Cell> {
-    row.iter().filter(|c| c.repeat == Repeat::Exact)
-}
-
-/// Runs `f`, returning its result and the wall-clock milliseconds it took.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t = Instant::now();
-    let out = f();
-    (out, t.elapsed().as_secs_f64() * 1e3)
-}
-
 /// A named list of rows; each row is one JSON object.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -155,7 +117,7 @@ pub struct Table {
 /// `<name>.json`.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    /// Artifact name and file stem, e.g. `PAPER` or `BENCH_PR2`.
+    /// Artifact name and file stem, e.g. `PAPER` or `BENCH_PR4`.
     pub name: &'static str,
     /// One-sentence description of what is measured.
     pub description: &'static str,
@@ -289,7 +251,7 @@ mod tests {
         let row = |depth: u64, agree: bool| {
             vec![
                 Cell::int("depth", depth),
-                Cell::real("wall_ms", 1.23456, 3).varies(),
+                Cell::real("sim_s", 1.23456, 3),
                 Cell::text("method", "XScan"),
                 Cell::check("agree", agree),
             ]
@@ -303,7 +265,7 @@ mod tests {
                 rows: vec![row(1, true), row(8, false)],
             }],
             summary: vec![
-                Cell::flag("fast_enough", true).varies(),
+                Cell::flag("fast_enough", true),
                 Cell::check("all_agree", false),
             ],
         }
@@ -316,8 +278,8 @@ mod tests {
                     \"description\": \"a \\\"quoted\\\" sample\",\n  \
                     \"engine_scale_factor\": 0.25,\n  \
                     \"rows\": [\n    \
-                    {\"depth\": 1, \"wall_ms\": 1.235, \"method\": \"XScan\", \"agree\": true},\n    \
-                    {\"depth\": 8, \"wall_ms\": 1.235, \"method\": \"XScan\", \"agree\": false}\n  \
+                    {\"depth\": 1, \"sim_s\": 1.235, \"method\": \"XScan\", \"agree\": true},\n    \
+                    {\"depth\": 8, \"sim_s\": 1.235, \"method\": \"XScan\", \"agree\": false}\n  \
                     ],\n  \
                     \"fast_enough\": true,\n  \
                     \"all_agree\": false\n}\n";
@@ -325,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn checks_are_located_and_exact_skips_varying_cells() {
+    fn checks_are_located_and_num_reads_only_numbers() {
         let a = sample();
         assert_eq!(a.checks().len(), 3, "flags are not checks");
         assert_eq!(a.failed_checks(), ["all_agree", "rows[1].agree"]);
@@ -333,10 +295,10 @@ mod tests {
         assert!(text.starts_with("== BENCH_X: "));
         assert!(text.contains("-- rows --") && text.contains("all_agree: false"));
         let row = &a.tables[0].rows[0];
-        let names: Vec<&str> = exact(row).map(|c| c.name).collect();
-        assert_eq!(names, ["depth", "method", "agree"]);
-        assert_eq!(num(row, "wall_ms"), 1.23456);
+        assert_eq!(num(row, "depth"), 1.0);
+        assert_eq!(num(row, "sim_s"), 1.23456);
         assert!(num(row, "method").is_nan());
+        assert!(num(row, "absent").is_nan());
     }
 
     #[test]

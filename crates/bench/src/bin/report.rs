@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! report [--fast] <name>...
-//! names: paper ablations extensions all throughput scaling chaos overload
+//! names: paper ablations extensions all chaos overload
 //! ```
 //!
 //! `all`, the default, is `paper ablations extensions`. Each name is one
 //! [`Artifact`]: `report` prints it, exits 1 if any of its checks does not
 //! hold, and otherwise writes `<name>.json` (`PAPER.json`, `ABLATIONS.json`,
-//! `EXTENSIONS.json`, `BENCH_PR2.json` … `BENCH_PR5.json`). With `--fast`
+//! `EXTENSIONS.json`, `BENCH_PR4.json`, `BENCH_PR5.json`). With `--fast`
 //! each artifact runs its small configuration and nothing is written. An
 //! unknown argument exits 2 with the valid names.
 
@@ -16,18 +16,16 @@
 #![allow(clippy::print_stdout)]
 
 use pathix_bench::artifact::Artifact;
-use pathix_bench::{ablations, chaos, extensions, overload, paper, scaling, throughput};
+use pathix_bench::{ablations, chaos, extensions, overload, paper};
 
 /// An artifact's command-line name and how to run it.
 type Entry = (&'static str, fn(bool) -> Artifact);
 
 /// Every artifact by name; the first [`ALL`] make up `all`.
-static REGISTRY: [Entry; 7] = [
+static REGISTRY: [Entry; 5] = [
     ("paper", paper),
     ("ablations", ablations),
     ("extensions", extensions),
-    ("throughput", throughput::run),
-    ("scaling", scaling::run),
     ("chaos", chaos::run),
     ("overload", overload::run),
 ];
@@ -119,10 +117,16 @@ mod tests {
             names(&["overload", "--fast", "chaos"]),
             Ok((true, vec!["chaos", "overload"]))
         );
-        for bad in [&["fig12"][..], &["paper", "--sf-max", "0.1"], &["tab3"]] {
+        for bad in [
+            &["fig12"][..],
+            &["paper", "--sf-max", "0.1"],
+            &["tab3"],
+            &["throughput"],
+            &["scaling"],
+        ] {
             let err = names(bad).unwrap_err();
             assert!(err.contains("unknown argument"), "{err}");
-            assert!(err.contains("all paper ablations extensions throughput"));
+            assert!(err.contains("all paper ablations extensions chaos overload"));
         }
     }
 }

@@ -1,10 +1,9 @@
 //! The paper's evaluation as three artifacts, each a `fn(fast) -> Artifact`
 //! like the substrate harnesses: [`paper`] (Tab. 2's queries, Example 1,
 //! Figs. 9–11, Tab. 3), [`ablations`] (A1–A6 of DESIGN.md §4) and
-//! [`extensions`] (E7–E11, the paper's §7 outlook). Every simulated value
-//! is a [`Repeat::Exact`](crate::artifact::Repeat::Exact) cell, and every
-//! sanity condition (plans agree, shared scan equals independent plans, …)
-//! is a check cell.
+//! [`extensions`] (E7–E11, the paper's §7 outlook). Every value is
+//! simulated time, a count or a setting, and every sanity condition (plans
+//! agree, shared scan equals independent plans, …) is a check cell.
 //!
 //! All experiments run on the simulated disk with the default 2005-era
 //! profile, a moderately aged (chunk-shuffled) physical layout, and a

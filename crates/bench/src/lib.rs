@@ -10,18 +10,18 @@
 //! ```text
 //! cargo run --release -p pathix-bench --bin report -- all     # paper ablations extensions
 //! cargo run --release -p pathix-bench --bin report -- [--fast] paper ablations extensions
-//! cargo run --release -p pathix-bench --bin report -- [--fast] throughput scaling chaos overload
+//! cargo run --release -p pathix-bench --bin report -- [--fast] chaos overload
 //! ```
 //!
 //! The paper's experiments live in [`experiments`] as three artifacts:
 //! [`paper`] (`PAPER.json`), [`ablations`] (`ABLATIONS.json`) and
-//! [`extensions`] (`EXTENSIONS.json`). The four substrate harnesses —
-//! [`throughput`], [`scaling`], [`chaos`] and [`overload`] — share the
-//! [`corpus`] and each expose one `run(fast) -> Artifact`
-//! (`BENCH_PR2.json`–`BENCH_PR5.json`).
+//! [`extensions`] (`EXTENSIONS.json`). The two substrate harnesses —
+//! [`chaos`] and [`overload`] — share the [`corpus`] and each expose one
+//! `run(fast) -> Artifact` (`BENCH_PR4.json`, `BENCH_PR5.json`).
 //!
-//! Wall-clock timings per layer (navigation, buffer, checksum, decode,
-//! parsing, import) come from the benchmark under `perfbench/`, not from
+//! Every cell of every artifact is simulated time, a count or an outcome,
+//! so each artifact reproduces byte for byte. Wall-clock timings, end to
+//! end and per layer, come from the benchmark under `perfbench/`, not from
 //! this crate.
 
 pub mod artifact;
@@ -29,7 +29,5 @@ pub mod chaos;
 pub mod corpus;
 pub mod experiments;
 pub mod overload;
-pub mod scaling;
-pub mod throughput;
 
 pub use experiments::*;

@@ -8,7 +8,7 @@
 //! defining failure of open-loop overload). The admission controller
 //! therefore gets `max_admitted = ⌈N/m⌉`, and shedding is a batch-order
 //! prefix decision: deterministic, decided before execution, reported as
-//! [`ExecError::Overloaded`](pathix_core::ExecError).
+//! [`ExecError::Overloaded`](pathix::ExecError).
 //!
 //! Every admitted item carries a two-stage deadline derived from the
 //! measured mean sim service time `T̄`: soft at `T̄`, hard at `2T̄`. Items
@@ -24,29 +24,20 @@
 //! refusals depend on which items are concurrently in flight, which is
 //! real scheduling, not a reproducible figure (the chaos and unit suites
 //! cover it). That is what lets the sweep run twice and check that every
-//! exact cell repeats (`deterministic`).
+//! row repeats exactly (`deterministic`).
 //!
-//! In full mode each fork is wrapped in a
-//! [`PacedDevice`](crate::corpus::PacedDevice) so the ramp
-//! costs real wall-clock time per physical read, like the scaling harness;
-//! fast mode uses an instant profile and no pacing (correctness smoke).
+//! Fast mode runs a smaller document on the instant disk profile
+//! (correctness smoke).
 
-use crate::artifact::{exact, num, timed, Artifact, Cell, Table};
+use crate::artifact::{num, Artifact, Cell, Table};
 use crate::{build_db_with, corpus};
-use pathix::xpath::LocationPath;
-use pathix::{Method, PlanConfig, QueryRun};
-use pathix_core::{execute_batch_governed, AdmissionConfig, ExecError, QueryBudget};
+use pathix::{AdmissionConfig, ExecError, Method, PlanConfig, QueryBudget, QueryRun};
 
 /// Rate multiples swept by the full harness (1× = sustainable).
 pub const RATE_MULTIPLES: [u32; 4] = [1, 2, 4, 8];
 
 /// Worker threads executing admitted items.
 pub const OVERLOAD_WORKERS: usize = 4;
-
-/// Realized wall-clock service time per physical read in full mode. The
-/// governed executor runs cold per-item buffers (no shared cache), so this
-/// is deliberately lighter than the scaling harness's pace.
-pub const OVERLOAD_PACE_READ_NS: u64 = 40_000;
 
 fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
@@ -60,11 +51,10 @@ fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
 /// under.
 struct Ramp<'a> {
     db: &'a pathix::Database,
-    work: Vec<(LocationPath, Method)>,
+    work: Vec<(&'static str, Method)>,
     reference: Vec<QueryRun>,
     cfg: PlanConfig,
     mean_service_ns: u64,
-    pace_ns: u64,
 }
 
 impl Ramp<'_> {
@@ -81,9 +71,16 @@ impl Ramp<'_> {
             max_admitted: Some(admitted_cap),
             ledger_cap_bytes: None,
         };
-        let seeds = corpus::worker_seeds(self.db, OVERLOAD_WORKERS, self.pace_ns, None);
-        let (batch, wall_ms) =
-            timed(|| execute_batch_governed(seeds, &self.work, &self.cfg, &budgets, &admission));
+        let batch = self
+            .db
+            .run_parallel_governed(
+                &self.work,
+                &self.cfg,
+                OVERLOAD_WORKERS,
+                &budgets,
+                &admission,
+            )
+            .expect("the simulated disk forks");
 
         let mut latencies_ns: Vec<u64> = Vec::new();
         let (mut answered, mut wrong) = (0, 0);
@@ -114,38 +111,34 @@ impl Ramp<'_> {
             Cell::real("p50_sim_ms", percentile_ms(&latencies_ns, 50.0), 3),
             Cell::real("p99_sim_ms", percentile_ms(&latencies_ns, 99.0), 3),
             Cell::real("hard_deadline_ms", hard_ns as f64 / 1e6, 3),
-            Cell::real("wall_ms", wall_ms, 1).varies(),
         ]
     }
 }
 
 /// Runs the open-loop ramp at each rate multiple, twice. Full: SF 0.05,
-/// 1×/2×/4×/8×, paced reads. Fast: SF 0.01, 1×/4×, instant profile, no
-/// pacing.
+/// 1×/2×/4×/8×. Fast: SF 0.01, 1×/4×, instant profile.
 pub fn run(fast: bool) -> Artifact {
-    let (scale, multiples, pace_ns): (f64, &[u32], u64) = if fast {
-        (0.01, &[1, 4], 0)
+    let (scale, multiples): (f64, &[u32]) = if fast {
+        (0.01, &[1, 4])
     } else {
-        (0.05, &RATE_MULTIPLES, OVERLOAD_PACE_READ_NS)
+        (0.05, &RATE_MULTIPLES)
     };
     let db = build_db_with(scale, &corpus::options(fast));
     // Oracle and mean sim service time, from cold sequential runs on the
-    // main store (unpaced; pacing burns wall clock, not sim time).
+    // main store.
     let reference = corpus::oracle(&db);
     let total_ns: u64 = reference.iter().map(|r| r.report.time.total_ns).sum();
     let ramp = Ramp {
         db: &db,
-        work: corpus::parsed_work(),
+        work: corpus::batch_work(),
         mean_service_ns: (total_ns / reference.len() as u64).max(1),
         reference,
         cfg: corpus::sorted_cfg(),
-        pace_ns,
     };
     let sweep = || -> Vec<Vec<Cell>> { multiples.iter().map(|&m| ramp.row(m)).collect() };
     let rows = sweep();
     let again = sweep();
-    let deterministic =
-        rows.len() == again.len() && rows.iter().zip(&again).all(|(a, b)| exact(a).eq(exact(b)));
+    let deterministic = rows == again;
     let zero_wrong = rows.iter().all(|r| num(r, "wrong") == 0.0);
     // At m× the rate exactly the over-capacity tail is shed and the rest
     // admitted (at 1× the capacity is the whole batch).
@@ -164,7 +157,6 @@ pub fn run(fast: bool) -> Artifact {
         params: vec![
             Cell::param("engine_scale_factor", scale),
             Cell::int("workers", OVERLOAD_WORKERS as u64),
-            Cell::int("pace_read_ns", pace_ns),
             Cell::text("batch", "Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan"),
         ],
         tables: vec![Table {

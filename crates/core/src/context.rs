@@ -79,7 +79,7 @@ pub struct ExecCtx<'a> {
     /// like Unnest-Maps and the I/O operators stop speculating.
     pub fallback: Cell<bool>,
     /// Governor state; `None` for ungoverned execution (the default — every
-    /// checkpoint then reduces to the PR 4 recorded-I/O-error check).
+    /// checkpoint then reduces to the check for a recorded I/O error).
     gov: Option<GovState>,
 }
 
@@ -214,7 +214,7 @@ impl<'a> ExecCtx<'a> {
 
     /// The governor checkpoint, called at operator loop tops and queue pops
     /// (the declared sites of lint rule R7). True once the plan must wind
-    /// down — because an I/O error was recorded (PR 4), the query was
+    /// down — because an I/O error was recorded, the query was
     /// canceled, or its hard deadline passed. Crossing the *soft* deadline
     /// does not interrupt: it flips the §5.4.6 fallback switch and the plan
     /// keeps answering, degraded.

@@ -17,9 +17,11 @@
 //! (Q15) → schedule.
 
 use pathix_storage::DiskProfile;
+use pathix_tree::node::DECODE_NODE_NS;
 use pathix_tree::TreeMeta;
 use pathix_xpath::{Axis, LocationPath, NodeTest};
 
+use crate::context::CostParams;
 use crate::plan::Method;
 
 /// Cost estimates (simulated nanoseconds) for each plan.
@@ -47,13 +49,6 @@ impl PlanEstimate {
         }
     }
 }
-
-/// Per-node CPU estimate used by the model (visit + test), ns.
-const CPU_NODE_NS: f64 = 1_350.0;
-/// CPU for one speculative instance flowing through the step chain, ns.
-const CPU_SPEC_NS: f64 = 2_500.0;
-/// Decode cost per node, ns (must track `pathix_tree::node::DECODE_NODE_NS`).
-const CPU_DECODE_NS: f64 = 700.0;
 
 /// Estimator state: document statistics plus the device profile.
 #[derive(Debug, Clone)]
@@ -181,10 +176,18 @@ impl<'a> Optimizer<'a> {
             + self.profile.rotational_ns as f64 / 8.0
             + seq as f64;
 
+        // CPU building blocks, from the costs the engine charges: an
+        // inspected node is a visit plus a node test, a speculative instance
+        // is forwarded between operators and costs one `R`/`S` operation,
+        // and decoding a page charges per stored node.
+        let costs = CostParams::default();
+        let node_ns = (costs.nav.visit_ns + costs.nav.test_ns) as f64;
+        let spec_ns = (costs.instance_ns + costs.set_op_ns) as f64;
+        let decode_ns = DECODE_NODE_NS as f64;
+
         // Navigational plans inspect nodes + decode touched pages. Simple's
         // DFS rides sequential runs part of the time; charge a blend.
-        let cpu_nav =
-            inspected_total * CPU_NODE_NS + touched_pages * nodes_per_page * CPU_DECODE_NS;
+        let cpu_nav = inspected_total * node_ns + touched_pages * nodes_per_page * decode_ns;
         let simple_ns = touched_pages * (0.6 * random + 0.4 * seq as f64) + cpu_nav;
         let xschedule_ns = touched_pages * (0.6 * batched + 0.4 * seq as f64) + cpu_nav;
 
@@ -193,9 +196,9 @@ impl<'a> Optimizer<'a> {
         let spec_instances =
             pages * self.borders_per_cluster * 2.0 * path.steps.len().max(1) as f64;
         let xscan_ns = pages * seq as f64
-            + nodes * CPU_DECODE_NS
-            + inspected_total * CPU_NODE_NS
-            + spec_instances * CPU_SPEC_NS;
+            + nodes * decode_ns
+            + inspected_total * node_ns
+            + spec_instances * spec_ns;
 
         PlanEstimate {
             touched_fraction,

@@ -161,7 +161,6 @@ mod tests {
             random_reads: base + 3,
             seek_distance_pages: base + 4,
             busy_ns: base + 5,
-            page_copies: base + 6,
             retries: base + 7,
         }
     }

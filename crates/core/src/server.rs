@@ -69,7 +69,7 @@ pub struct BatchRun {
     /// Sum of the *successful* per-item reports. `time` is aggregate
     /// simulated time across all workers (simulated clocks run
     /// concurrently, so this is total *work*, not elapsed time);
-    /// wall-clock elapsed time is the harness's concern, not the
+    /// wall-clock elapsed time is perfbench's concern, not the
     /// engine's (R2 determinism).
     pub report: ExecReport,
     /// Batch-level governor tally. Without governance every item counts

@@ -18,9 +18,10 @@
 //! - **R1 — I/O confinement.** Navigation-only operators must not
 //!   reference `Buffer::fix`, `Device`, `pathix_storage`, or any other
 //!   physical-I/O API.
-//! - **R2 — determinism.** No `Instant`/`SystemTime` outside bench; no
-//!   `rand` outside xmlgen/bench/tests; no `HashMap` in
-//!   cost-accounting/report code.
+//! - **R2 — determinism.** No `Instant`/`SystemTime` anywhere (wall-clock
+//!   time is measured by perfbench, outside the workspace); no `rand`
+//!   outside xmlgen/bench/tests; no `HashMap` in cost-accounting/report
+//!   code.
 //! - **R3 — panic-freedom.** No `unwrap`/`expect`/`panic!`-family
 //!   macros or slice indexing in non-test code of the operator hot
 //!   path, the buffer manager, and the navigation primitives.
@@ -31,9 +32,9 @@
 //! - **R5 — concurrency confinement.** Threading primitives
 //!   (`std::thread`, `parking_lot`, channels, locks, atomics) appear
 //!   only in the storage layer's shared page cache and fault plan, the
-//!   batch-executor module (`core/src/server.rs`), the governor
-//!   (`core/src/governor.rs`), and the bench harness; the operator hot
-//!   path stays single-threaded (DESIGN §10).
+//!   batch-executor module (`core/src/server.rs`) and the governor
+//!   (`core/src/governor.rs`); the operator hot path stays
+//!   single-threaded (DESIGN §10).
 //! - **R6 — fault containment.** The fault-injection API
 //!   (`FaultDevice`/`FaultPlan`/…) stays below the shared cache
 //!   (storage, the facade, bench, tests); `IoError` is constructed

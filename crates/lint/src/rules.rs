@@ -122,17 +122,16 @@ const CONCURRENCY_IDENTS: &[&str] = &[
 
 /// Files allowed to use threading primitives (R5): the two storage files
 /// that share state across threads (the shared page cache and the fault
-/// plan's rule state), the batch-executor module, the governor (whose
+/// plan's rule state), the batch-executor module, and the governor (whose
 /// cancel tokens and memory ledger are shared across worker threads by
-/// design, DESIGN §12), and the bench harness.
-/// Everything else — the operator hot path and the buffer manager above
-/// all — stays single-threaded (DESIGN §10).
+/// design, DESIGN §12). Everything else — the operator hot path, the
+/// buffer manager and the bench harness, which runs batches through the
+/// facade — stays single-threaded (DESIGN §10).
 fn in_concurrency_zone(path: &str) -> bool {
     path == "crates/storage/src/shared_cache.rs"
         || path == "crates/storage/src/fault.rs"
         || path == "crates/core/src/server.rs"
         || path == "crates/core/src/governor.rs"
-        || path.starts_with("crates/bench/")
 }
 
 /// Files whose non-test code must be panic-free (R3): the operator hot
@@ -221,7 +220,6 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 
     let r1_applies =
         rel_path.starts_with("crates/core/src/ops/") && !IO_OPERATOR_FILES.contains(&base);
-    let r2_time_allowed = rel_path.starts_with("crates/bench/");
     let r2_rand_allowed = rel_path.starts_with("crates/xmlgen/")
         || rel_path.starts_with("crates/bench/")
         || whole_file_test;
@@ -254,14 +252,15 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                     });
                 }
                 // R2: wall-clock time sources.
-                if (id == "Instant" || id == "SystemTime") && !r2_time_allowed {
+                if id == "Instant" || id == "SystemTime" {
                     out.push(Diagnostic {
                         file: rel_path.to_owned(),
                         line: st.line,
                         rule: "R2",
                         message: format!(
                             "`{id}` breaks deterministic replay; use the simulated \
-                             clock (SimClock) for all cost accounting"
+                             clock (SimClock) for all cost accounting and measure \
+                             wall-clock time in perfbench"
                         ),
                     });
                 }
@@ -329,7 +328,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         message: format!(
                             "threading primitive `{id}` outside the concurrency zone \
                              (storage shared_cache/fault, \
-                             core/src/server.rs, core/src/governor.rs, bench); \
+                             core/src/server.rs, core/src/governor.rs); \
                              the operator hot path stays single-threaded"
                         ),
                     });
@@ -632,8 +631,9 @@ mod tests {
         assert!(rules_of("crates/storage/src/shared_cache.rs", src).is_empty());
         assert!(rules_of("crates/core/src/server.rs", src).is_empty());
         assert!(rules_of("crates/core/src/governor.rs", src).is_empty());
-        assert!(rules_of("crates/bench/src/scaling.rs", src).is_empty());
         assert!(rules_of("crates/core/tests/t.rs", src).is_empty());
+        // The bench harness runs batches through the facade: no threads.
+        assert!(rules_of("crates/bench/src/overload.rs", src).contains(&"R5"));
     }
 
     #[test]

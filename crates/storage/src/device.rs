@@ -146,11 +146,6 @@ pub struct DeviceStats {
     pub seek_distance_pages: u64,
     /// Total simulated nanoseconds the device spent busy.
     pub busy_ns: u64,
-    /// Fresh page-image materializations (full-page byte copies) performed
-    /// while serving reads. Every device in this crate serves reads by
-    /// reference (`Arc` clone) and keeps this at zero; the counter stays so
-    /// the zero-copy checks and the recorded reports keep their shape.
-    pub page_copies: u64,
     /// Read retries performed above the device by the buffer manager's
     /// retry policy (devices themselves report 0; the buffer folds its
     /// count in via `BufferManager::device_stats`).
@@ -163,7 +158,6 @@ crate::clock::counter_algebra!(DeviceStats {
     random_reads,
     seek_distance_pages,
     busy_ns,
-    page_copies,
     retries,
 });
 

@@ -29,8 +29,7 @@
 //! times for all three policies.
 //!
 //! Page contents are held as `Arc<[u8]>`: serving a read clones a
-//! reference count, never the page image (see
-//! [`DeviceStats::page_copies`]).
+//! reference count, never the page image.
 
 use crate::clock::SimClock;
 use crate::device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
@@ -908,8 +907,8 @@ mod queued_cost_tests {
 /// oracle: identical serve order, identical simulated nanoseconds,
 /// identical statistics — for every policy, under random interleavings of
 /// submissions, blocking/non-blocking polls, synchronous reads and CPU
-/// work (ISSUE 2 acceptance criterion; lint rule R2's determinism
-/// contract depends on this).
+/// work. Lint rule R2's determinism contract depends on this: replacing
+/// the scheduler must not move a single simulated number.
 #[cfg(test)]
 mod equivalence_proptests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -65,14 +65,13 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
     }
 }
 
-/// The shared-cache read path hands out `Arc<[u8]>` clones, never copies:
-/// `page_copies` stays zero across the whole batch while the cache is
-/// demonstrably in use.
+/// The shared page cache sits on the parallel batch's read path. That a
+/// hit hands out the loaded `Arc<[u8]>` itself, never a copy, is checked
+/// in `shared_cache.rs`'s unit tests.
 #[test]
 fn shared_cache_read_path_is_zero_copy() {
     let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
     let batch = db.run_parallel(&corpus(), &sorted_cfg(), 4).unwrap();
-    assert_eq!(batch.report.device.page_copies, 0);
     // The cache actually served the batch: every physical read went
     // through it as a miss, and reads happened.
     assert!(batch.cache.misses > 0);
