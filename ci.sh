@@ -9,13 +9,15 @@
 #   3. cargo test -q          — the tier-1 test suite: the root package and
 #      every first-party crate (`default-members` in Cargo.toml); only
 #      the vendored stand-ins under vendor/ stay out
-#   4. pathix-lint check      — the R1-R7 architectural invariants
+#   4. pathix-lint check      — the R1-R8 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
-#      confinement; see DESIGN.md "Statically enforced invariants")
+#      confinement, `unsafe` only in storage's checksum.rs; see
+#      DESIGN.md "Statically enforced invariants")
 #   5. cargo clippy -D warnings — every target of every workspace crate
 #      is clippy-clean, including the `[workspace.lints]` deny-set
-#      (`unwrap_used`, `dbg_macro`, `todo`, `unsafe_code`)
+#      (`unwrap_used`, `dbg_macro`, `todo`, `unsafe_code`,
+#      `undocumented_unsafe_blocks`)
 #   6. perfbench self-tests   — the benchmark (own package under
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that

@@ -46,6 +46,11 @@
 //!   inside `ops/` the buffer's interrupt gate is consulted only at
 //!   the declared checkpoint operators, and deadline logic never
 //!   reads a wall clock (DESIGN §12).
+//! - **R8 — `unsafe` confinement.** Non-test code uses `unsafe` only in
+//!   `crates/storage/src/checksum.rs`, whose one block calls the CRC32
+//!   carry-less-multiply kernel right after the CPU feature check; clippy's
+//!   `undocumented_unsafe_blocks` makes that block carry a `// SAFETY:`
+//!   comment.
 
 pub mod rules;
 pub mod tokenizer;

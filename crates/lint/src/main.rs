@@ -12,7 +12,7 @@ fn main() -> ExitCode {
     if cmd != "check" {
         eprintln!("usage: pathix-lint check [WORKSPACE_ROOT]");
         eprintln!();
-        eprintln!("Statically checks the pathix workspace against the R1-R7");
+        eprintln!("Statically checks the pathix workspace against the R1-R8");
         eprintln!("architectural invariants (see crates/lint/src/lib.rs).");
         return ExitCode::from(2);
     }
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
     };
     let diags = pathix_lint::check_workspace(&root);
     if diags.is_empty() {
-        println!("pathix-lint: workspace clean (R1-R7 hold)");
+        println!("pathix-lint: workspace clean (R1-R8 hold)");
         ExitCode::SUCCESS
     } else {
         for d in &diags {

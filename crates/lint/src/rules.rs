@@ -1,4 +1,4 @@
-//! The rule engine: per-file checks R1–R7 over the token stream.
+//! The rule engine: per-file checks R1–R8 over the token stream.
 //!
 //! Paths are workspace-relative with `/` separators; rules decide their
 //! applicability purely from the path, so fixtures can exercise any rule
@@ -14,7 +14,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule identifier (`R1`…`R7`).
+    /// Rule identifier (`R1`…`R8`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -148,6 +148,10 @@ fn in_panic_free_zone(path: &str) -> bool {
         || path == "crates/tree/src/store.rs"
 }
 
+/// The one file whose non-test code may use `unsafe` (R8): the CRC32
+/// carry-less-multiply kernel, entered after a run-time CPU feature check.
+const UNSAFE_FILE: &str = "crates/storage/src/checksum.rs";
+
 /// Cost-accounting / report files (R2): anything iterating a map here must
 /// use `BTreeMap` so replayed runs print identically.
 fn is_report_file(path: &str) -> bool {
@@ -234,6 +238,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let r7_ckpt_applies =
         rel_path.starts_with("crates/core/src/ops/") && !CHECKPOINT_FILES.contains(&base);
     let r7_time_applies = rel_path == "crates/core/src/governor.rs";
+    let r8_applies = rel_path != UNSAFE_FILE;
     let own_crate = crate_of_path(rel_path);
 
     for (i, st) in toks.iter().enumerate() {
@@ -371,6 +376,19 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                             "`{id}` in deadline logic; deadlines are expressed \
                              in simulated nanoseconds (SimClock) so governed \
                              runs replay exactly"
+                        ),
+                    });
+                }
+                // R8: `unsafe` confinement.
+                if r8_applies && !is_test(i) && id == "unsafe" {
+                    out.push(Diagnostic {
+                        file: rel_path.to_owned(),
+                        line: st.line,
+                        rule: "R8",
+                        message: format!(
+                            "`unsafe` outside {UNSAFE_FILE}; the workspace's only \
+                             unsafe code is the CRC32 kernel call after its CPU \
+                             feature check"
                         ),
                     });
                 }
@@ -711,6 +729,18 @@ mod tests {
         let src = "fn f(cx: &C) { let _ = cx.store.checked_fix(p); }";
         assert!(rules_of("crates/core/src/ops/xstep.rs", src).contains(&"R1"));
         assert!(!rules_of("crates/core/src/ops/xscan.rs", src).contains(&"R1"));
+    }
+
+    #[test]
+    fn unsafe_only_in_checksum() {
+        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+        assert_eq!(rules_of("crates/storage/src/buffer.rs", src), vec!["R8"]);
+        assert_eq!(rules_of("src/db.rs", "unsafe fn f() {}"), vec!["R8"]);
+        assert!(rules_of("crates/storage/src/checksum.rs", src).is_empty());
+        // Tests, and the word in comments, strings or `unsafe_code`, are not code.
+        let prose = "#![deny(unsafe_code)]\n// unsafe\nconst S: &str = \"unsafe\";";
+        assert!(rules_of("crates/core/src/plan.rs", prose).is_empty());
+        assert!(rules_of("tests/t.rs", src).is_empty());
     }
 
     #[test]

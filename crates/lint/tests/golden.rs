@@ -1,4 +1,4 @@
-//! Golden fixtures: for every rule R1–R7, one snippet that must trip the
+//! Golden fixtures: for every rule R1–R8, one snippet that must trip the
 //! checker and one compliant twin that must pass — plus a self-check that
 //! the real workspace is clean.
 
@@ -442,6 +442,38 @@ fn r7_good_sim_time_deadline_logic() {
         }
     "#;
     assert!(rules_of("crates/core/src/governor.rs", src).is_empty());
+}
+
+// ---------------------------------------------------------------- R8 ---
+
+#[test]
+fn r8_bad_unsafe_outside_checksum() {
+    let src = r#"
+        fn first(v: &[u8]) -> u8 {
+            // SAFETY: callers never pass an empty slice.
+            unsafe { *v.get_unchecked(0) }
+        }
+    "#;
+    let diags = check_source("crates/storage/src/slotted.rs", src);
+    assert!(
+        diags.iter().any(|d| d.rule == "R8" && d.line == 4),
+        "expected R8 on the unsafe block, got {diags:?}"
+    );
+}
+
+#[test]
+fn r8_good_unsafe_in_checksum() {
+    let src = r#"
+        fn crc(crc: u32, blocks: &[u8]) -> Option<u32> {
+            if std::arch::is_x86_feature_detected!("pclmulqdq") {
+                // SAFETY: the CPU has pclmulqdq, checked just above.
+                #[allow(unsafe_code)]
+                return Some(unsafe { clmul::crc32(crc, blocks) });
+            }
+            None
+        }
+    "#;
+    assert!(rules_of("crates/storage/src/checksum.rs", src).is_empty());
 }
 
 // ------------------------------------------------------- self-check ---

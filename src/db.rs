@@ -149,6 +149,9 @@ fn parse_work(work: &[(&str, Method)]) -> Result<Vec<(LocationPath, Method)>, Db
 pub struct Database {
     store: TreeStore,
     import_report: ImportReport,
+    /// The disk profile the device was built with; the optimizer prices
+    /// I/O with it.
+    profile: DiskProfile,
 }
 
 impl Database {
@@ -205,6 +208,7 @@ impl Database {
         Ok(Self {
             store: TreeStore::open(device, meta, params, Rc::new(SimClock::new())),
             import_report,
+            profile: opts.profile,
         })
     }
 
@@ -341,7 +345,7 @@ impl Database {
     }
 
     fn optimizer(&self) -> Optimizer<'_> {
-        let mut opt = Optimizer::new(&self.store.meta, pathix_storage::DiskProfile::default());
+        let mut opt = Optimizer::new(&self.store.meta, self.profile);
         // Two border nodes per inter-cluster edge, spread over the pages.
         opt.borders_per_cluster = (2.0 * self.import_report.border_edges as f64
             / self.store.meta.page_count.max(1) as f64)
@@ -523,5 +527,24 @@ mod tests {
         let run = db.run("count(//email)", Method::Simple).unwrap();
         assert!(run.report.time.total_ns > 0);
         assert!(run.report.time.io_wait_ns > 0);
+    }
+
+    #[test]
+    fn optimizer_prices_io_with_the_database_disk() {
+        let estimate = |profile| {
+            let opts = DatabaseOptions {
+                profile,
+                ..Default::default()
+            };
+            let db = Database::from_xmark(0.02, &opts).unwrap();
+            db.estimate("/site//description").unwrap()
+        };
+        let (disk, instant) = (
+            estimate(DiskProfile::default()),
+            estimate(DiskProfile::instant()),
+        );
+        assert!(instant.simple_ns < disk.simple_ns);
+        assert!(instant.xschedule_ns < disk.xschedule_ns);
+        assert!(instant.xscan_ns < disk.xscan_ns);
     }
 }

@@ -65,11 +65,12 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
     }
 }
 
-/// The shared page cache sits on the parallel batch's read path. That a
-/// hit hands out the loaded `Arc<[u8]>` itself, never a copy, is checked
-/// in `shared_cache.rs`'s unit tests.
+/// The shared page cache sits on the parallel batch's read path: the batch
+/// misses in it and the device under it reads. That a hit hands out the
+/// loaded `Arc<[u8]>` itself, never a copy, is checked by
+/// `shared_cache.rs::adapter_serves_second_read_from_cache` (`Arc::ptr_eq`).
 #[test]
-fn shared_cache_read_path_is_zero_copy() {
+fn parallel_batch_reads_through_shared_cache() {
     let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
     let batch = db.run_parallel(&corpus(), &sorted_cfg(), 4).unwrap();
     // The cache actually served the batch: every physical read went
