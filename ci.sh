@@ -18,23 +18,25 @@
 #      is clippy-clean, including the `[workspace.lints]` deny-set
 #      (`unwrap_used`, `dbg_macro`, `todo`, `unsafe_code`,
 #      `undocumented_unsafe_blocks`)
-#   6. perfbench self-tests   — the benchmark (own package under
+#   6. cargo doc -D warnings  — the API docs of every workspace crate build
+#      without warnings: no broken or private intra-doc links
+#   7. perfbench self-tests   — the benchmark (own package under
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   7. report --fast paper ablations extensions chaos overload — one
+#   8. report --fast paper ablations extensions chaos overload — one
 #      smoke of every report artifact at its small configuration: the
 #      paper's evaluation, ablations and extensions at SF 0.1, and the two
-#      substrate harnesses (BENCH_PR4, BENCH_PR5) on an instant disk
+#      substrate harnesses (CHAOS, OVERLOAD) on an instant disk
 #      profile (the same `run(true)` their unit tests run); fails if any
 #      check fails (plans agree, Example 1's scan reads in physical order
 #      and Simple seeks more, shared scan == independent plans, export
 #      walk == scan, zero wrong answers, chaos scenarios pass,
 #      deterministic shedding, p99 bounded); writes no artifact
-#   8. report all chaos overload, simulated identity — every artifact in
+#   9. report all chaos overload, simulated identity — every artifact in
 #      full mode, run in a fresh temporary directory, must write
-#      PAPER.json, ABLATIONS.json, EXTENSIONS.json, BENCH_PR4.json and
-#      BENCH_PR5.json byte for byte equal to the committed files (every
+#      PAPER.json, ABLATIONS.json, EXTENSIONS.json, CHAOS.json and
+#      OVERLOAD.json byte for byte equal to the committed files (every
 #      cell is simulated time, a count or an outcome, so any drift is a
 #      cost-model change that must regenerate them on purpose)
 set -euo pipefail
@@ -56,6 +58,9 @@ cargo run -q -p pathix-lint -- check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
@@ -66,7 +71,7 @@ echo "==> report all chaos overload: every artifact reproduces byte for byte"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 (cd "$out" && cargo run -q --release --manifest-path "$root/Cargo.toml" -p pathix-bench --bin report -- all chaos overload >/dev/null)
-for name in PAPER ABLATIONS EXTENSIONS BENCH_PR4 BENCH_PR5; do
+for name in PAPER ABLATIONS EXTENSIONS CHAOS OVERLOAD; do
   cmp "$out/$name.json" "$root/$name.json"
 done
 

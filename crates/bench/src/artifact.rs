@@ -1,6 +1,6 @@
 //! The one artifact type of every `report` output: the paper's evaluation
 //! (`PAPER`, `ABLATIONS`, `EXTENSIONS`) and the substrate harnesses
-//! (`BENCH_PR4`, `BENCH_PR5`).
+//! (`CHAOS`, `OVERLOAD`).
 //!
 //! Each experiment returns an [`Artifact`]: a name, a description, parameters,
 //! one or more tables of rows, and trailing summary cells. Every cell is
@@ -117,7 +117,7 @@ pub struct Table {
 /// `<name>.json`.
 #[derive(Debug, Clone)]
 pub struct Artifact {
-    /// Artifact name and file stem, e.g. `PAPER` or `BENCH_PR4`.
+    /// Artifact name and file stem, e.g. `PAPER` or `CHAOS`.
     pub name: &'static str,
     /// One-sentence description of what is measured.
     pub description: &'static str,

@@ -8,7 +8,7 @@
 //! `all`, the default, is `paper ablations extensions`. Each name is one
 //! [`Artifact`]: `report` prints it, exits 1 if any of its checks does not
 //! hold, and otherwise writes `<name>.json` (`PAPER.json`, `ABLATIONS.json`,
-//! `EXTENSIONS.json`, `BENCH_PR4.json`, `BENCH_PR5.json`). With `--fast`
+//! `EXTENSIONS.json`, `CHAOS.json`, `OVERLOAD.json`). With `--fast`
 //! each artifact runs its small configuration and nothing is written. An
 //! unknown argument exits 2 with the valid names.
 

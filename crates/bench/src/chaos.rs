@@ -1,4 +1,4 @@
-//! Chaos harness (`BENCH_PR4`): end-to-end fault-injection sweeps over the
+//! Chaos harness (`CHAOS`): end-to-end fault-injection sweeps over the
 //! benchmark corpus, demonstrating the robustness contract of the fault
 //! device layer:
 //!
@@ -298,7 +298,7 @@ pub fn run(fast: bool) -> Artifact {
     let wrong: f64 = rows.iter().map(|r| num(r, "wrong")).sum();
     let all_pass = rows.iter().all(|r| r.contains(&Cell::check("pass", true)));
     Artifact {
-        name: "BENCH_PR4",
+        name: "CHAOS",
         description: "fault-injection chaos sweep: transient/corrupt/permanent/latency faults and random schedules over the mixed query corpus; every query must end in the oracle result or a clean ExecError::Io, never a panic, hang, or wrong answer",
         params: vec![Cell::param("engine_scale_factor", scale)],
         tables: vec![Table {

@@ -17,7 +17,7 @@
 //! [`paper`] (`PAPER.json`), [`ablations`] (`ABLATIONS.json`) and
 //! [`extensions`] (`EXTENSIONS.json`). The two substrate harnesses —
 //! [`chaos`] and [`overload`] — share the [`corpus`] and each expose one
-//! `run(fast) -> Artifact` (`BENCH_PR4.json`, `BENCH_PR5.json`).
+//! `run(fast) -> Artifact` (`CHAOS.json`, `OVERLOAD.json`).
 //!
 //! Every cell of every artifact is simulated time, a count or an outcome,
 //! so each artifact reproduces byte for byte. Wall-clock timings, end to

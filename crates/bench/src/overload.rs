@@ -1,4 +1,4 @@
-//! Overload harness (`BENCH_PR5`): the governed batch executor under an
+//! Overload harness (`OVERLOAD`): the governed batch executor under an
 //! **open-loop arrival ramp**.
 //!
 //! The model: `N` work items arrive open-loop at `m×` the sustainable
@@ -20,11 +20,8 @@
 //! Workers use **private device forks with cold per-item buffers** (no
 //! shared page cache): each item's sim-timeline — and therefore its
 //! deadline outcome — is a pure function of the item itself, never of
-//! claim order. The shared memory ledger is likewise off here: its
-//! refusals depend on which items are concurrently in flight, which is
-//! real scheduling, not a reproducible figure (the chaos and unit suites
-//! cover it). That is what lets the sweep run twice and check that every
-//! row repeats exactly (`deterministic`).
+//! claim order or worker count. That is what lets the sweep run twice and
+//! check that every row repeats exactly (`deterministic`).
 //!
 //! Fast mode runs a smaller document on the instant disk profile
 //! (correctness smoke).
@@ -67,9 +64,7 @@ impl Ramp<'_> {
             .map(|_| QueryBudget::with_deadline(soft_ns, hard_ns))
             .collect();
         let admission = AdmissionConfig {
-            max_in_flight: OVERLOAD_WORKERS,
             max_admitted: Some(admitted_cap),
-            ledger_cap_bytes: None,
         };
         let batch = self
             .db
@@ -152,7 +147,7 @@ pub fn run(fast: bool) -> Artifact {
         .iter()
         .all(|r| num(r, "p99_sim_ms") <= 2.0 * num(r, "hard_deadline_ms"));
     Artifact {
-        name: "BENCH_PR5",
+        name: "OVERLOAD",
         description: "governed batch executor under an open-loop arrival ramp: admission control sheds the over-capacity batch tail deterministically, two-stage deadlines degrade then abort the rest, and answered items are always oracle-correct",
         params: vec![
             Cell::param("engine_scale_factor", scale),

@@ -2,15 +2,10 @@
 //! the per-query governor state shared by all operators of one plan.
 
 use crate::error::ExecError;
-use crate::governor::{CancelToken, MemLedger, QueryBudget};
+use crate::governor::{CancelToken, QueryBudget};
 use pathix_storage::{IoError, IoErrorKind, SimClock};
 use pathix_tree::{NavCharge, NavCounters, NavParams, TreeStore};
 use std::cell::Cell;
-
-/// Estimated bytes one `S` entry occupies (instance, hash slot, bookkeeping);
-/// the unit the shared [`MemLedger`] accounts in. A coarse constant is fine:
-/// the ledger bounds aggregate pressure, it is not an allocator.
-pub(crate) const S_ENTRY_BYTES: u64 = 128;
 
 /// CPU cost parameters of the physical algebra (complementing
 /// [`NavParams`] for raw navigation). Values are nanoseconds per operation
@@ -93,8 +88,8 @@ pub(crate) enum AbortReason {
     Deadline,
 }
 
-/// Per-query governor state: absolute sim-time deadlines, the cancel token,
-/// and this query's slice of the shared memory ledger.
+/// Per-query governor state: absolute sim-time deadlines and the cancel
+/// token.
 struct GovState {
     cancel: CancelToken,
     /// Absolute sim-time of the soft (degrade) stage.
@@ -107,13 +102,9 @@ struct GovState {
     reads0: u64,
     /// First abort cause observed at a checkpoint; sticky.
     abort: Cell<Option<AbortReason>>,
-    /// The query degraded under governance (soft deadline or ledger
-    /// pressure) — distinct from a plain per-query `mem_limit` fallback.
+    /// The query degraded at its soft deadline — distinct from a plain
+    /// `mem_limit` fallback.
     degraded: Cell<bool>,
-    /// Shared batch ledger, if admission configured one.
-    ledger: Option<MemLedger>,
-    /// Bytes currently charged to the ledger for this query's `S`.
-    charged: Cell<u64>,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -131,9 +122,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Creates a governed context: `budget`'s deadlines are anchored at the
-    /// current sim-time, its `mem_limit` is merged with `mem_limit` (the
-    /// smaller wins), and `ledger` (if any) receives this query's S-set
-    /// byte charges. Arms the buffer's governor gate: past the hard
+    /// current sim-time. Arms the buffer's governor gate: past the hard
     /// deadline no further device I/O is issued and retry backoff is
     /// clamped, even between operator checkpoints. The executor's
     /// epilogue (`governor_verdict`) disarms it.
@@ -142,13 +131,8 @@ impl<'a> ExecCtx<'a> {
         costs: CostParams,
         mem_limit: Option<usize>,
         budget: &QueryBudget,
-        ledger: Option<MemLedger>,
     ) -> Self {
         let t0 = store.clock().now_ns();
-        let effective_limit = match (mem_limit, budget.mem_limit) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         let hard_ns = budget.deadline.map(|d| t0.saturating_add(d.hard_ns));
         store.buffer.set_interrupted(false);
         store.buffer.set_io_deadline(hard_ns);
@@ -157,7 +141,7 @@ impl<'a> ExecCtx<'a> {
             costs,
             nav_counters: NavCounters::default(),
             stats: ExecStats::default(),
-            mem_limit: effective_limit,
+            mem_limit,
             fallback: Cell::new(false),
             gov: Some(GovState {
                 cancel: budget.cancel.clone(),
@@ -167,8 +151,6 @@ impl<'a> ExecCtx<'a> {
                 reads0: store.buffer.device_stats().reads,
                 abort: Cell::new(None),
                 degraded: Cell::new(false),
-                ledger,
-                charged: Cell::new(0),
             }),
         }
     }
@@ -259,68 +241,17 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Records that `S` grew to `len`; triggers fallback when the per-query
-    /// memory limit is exceeded or the shared batch ledger refuses the
-    /// growth. Returns true if fallback was just triggered (the caller then
-    /// clears `S`).
+    /// memory limit is exceeded. Returns true if fallback was just
+    /// triggered (the caller then clears `S`).
     pub fn note_s_size(&self, len: usize) -> bool {
         let peak = self.stats.s_peak.get().max(len as u64);
         self.stats.s_peak.set(peak);
-        if self.fallback.get() {
+        if self.fallback.get() || self.mem_limit.is_none_or(|limit| len <= limit) {
             return false;
         }
-        let over_limit = self.mem_limit.is_some_and(|limit| len > limit);
-        let over_ledger = !over_limit && self.charge_s_to_ledger(len);
-        if over_limit || over_ledger {
-            self.fallback.set(true);
-            self.stats.fallback_entered.set(true);
-            self.release_ledger();
-            if over_ledger {
-                if let Some(g) = &self.gov {
-                    g.degraded.set(true);
-                }
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Adjusts this query's ledger charge to match `len` S entries. Returns
-    /// true if the ledger refused the growth (batch-wide memory pressure):
-    /// nothing was charged and the query must degrade.
-    fn charge_s_to_ledger(&self, len: usize) -> bool {
-        let Some(g) = &self.gov else { return false };
-        let Some(ledger) = &g.ledger else {
-            return false;
-        };
-        let want = (len as u64).saturating_mul(S_ENTRY_BYTES);
-        let have = g.charged.get();
-        if want > have {
-            if ledger.try_charge(want - have) {
-                g.charged.set(want);
-                false
-            } else {
-                true
-            }
-        } else {
-            if want < have {
-                ledger.credit(have - want);
-                g.charged.set(want);
-            }
-            false
-        }
-    }
-
-    /// Credits any outstanding ledger charge back (fallback cleared `S`, or
-    /// the query finished). Idempotent.
-    pub(crate) fn release_ledger(&self) {
-        if let Some(g) = &self.gov {
-            if let Some(ledger) = &g.ledger {
-                let charged = g.charged.replace(0);
-                if charged > 0 {
-                    ledger.credit(charged);
-                }
-            }
-        }
+        self.fallback.set(true);
+        self.stats.fallback_entered.set(true);
+        true
     }
 
     /// The abort cause recorded at a checkpoint, if any.
@@ -328,22 +259,20 @@ impl<'a> ExecCtx<'a> {
         self.gov.as_ref().and_then(|g| g.abort.get())
     }
 
-    /// Whether the governor degraded this query (soft deadline or ledger
-    /// pressure).
+    /// Whether the governor degraded this query (soft deadline).
     pub(crate) fn governor_degraded(&self) -> bool {
         self.gov.as_ref().is_some_and(|g| g.degraded.get())
     }
 
-    /// The governed epilogue, run on every exit path of a plan: settles the
-    /// ledger, disarms the buffer gate, and returns the abort error if the
+    /// The governed epilogue, run on every exit path of a plan: disarms the
+    /// buffer gate and returns the abort error if the
     /// governor stopped the query (draining its in-flight reads first).
     /// `recorded_io` is the store's recorded read error: a governor abort
     /// wins over the `Interrupted` error it may have produced at the gate,
     /// and if the gate refused a read but the plan wound down without
     /// another checkpoint, the budget itself classifies the abort.
-    /// Ungoverned contexts only settle (a no-op) and return `None`.
+    /// Ungoverned contexts return `None`.
     pub(crate) fn governor_verdict(&self, recorded_io: Option<&IoError>) -> Option<ExecError> {
-        self.release_ledger();
         let g = self.gov.as_ref()?;
         let buffer = &self.store.buffer;
         buffer.set_io_deadline(None);
@@ -448,7 +377,7 @@ mod tests {
         let store = tiny_store();
         let budget = QueryBudget::unlimited();
         let token = budget.cancel.clone();
-        let cx = ExecCtx::with_budget(&store, CostParams::default(), None, &budget, None);
+        let cx = ExecCtx::with_budget(&store, CostParams::default(), None, &budget);
         assert!(!cx.interrupted());
         token.cancel();
         assert!(cx.interrupted());
@@ -461,7 +390,7 @@ mod tests {
     fn soft_deadline_degrades_then_hard_aborts() {
         let store = tiny_store();
         let budget = QueryBudget::with_deadline(1_000, 100_000);
-        let cx = ExecCtx::with_budget(&store, CostParams::default(), None, &budget, None);
+        let cx = ExecCtx::with_budget(&store, CostParams::default(), None, &budget);
         assert!(!cx.interrupted(), "within both stages");
         store.clock().wait_until(store.clock().now_ns() + 2_000);
         assert!(!cx.interrupted(), "soft stage degrades, never aborts");
@@ -471,36 +400,5 @@ mod tests {
         assert!(cx.interrupted());
         assert_eq!(cx.governor_abort(), Some(AbortReason::Deadline));
         store.buffer.set_interrupted(false);
-    }
-
-    #[test]
-    fn budget_mem_limit_merges_with_config_limit() {
-        let store = tiny_store();
-        let budget = QueryBudget::with_mem_limit(5);
-        let cx = ExecCtx::with_budget(&store, CostParams::default(), Some(10), &budget, None);
-        assert_eq!(cx.mem_limit, Some(5), "the smaller limit wins");
-    }
-
-    #[test]
-    fn ledger_pressure_degrades_and_credits_back() {
-        let store = tiny_store();
-        let ledger = MemLedger::new(4 * S_ENTRY_BYTES);
-        let budget = QueryBudget::unlimited();
-        let cx = ExecCtx::with_budget(
-            &store,
-            CostParams::default(),
-            None,
-            &budget,
-            Some(ledger.clone()),
-        );
-        assert!(!cx.note_s_size(3), "within the ledger cap");
-        assert_eq!(ledger.used(), 3 * S_ENTRY_BYTES);
-        assert!(cx.note_s_size(5), "over the cap: degrade");
-        assert!(cx.in_fallback());
-        assert!(cx.governor_degraded());
-        assert_eq!(ledger.used(), 0, "the charge was credited back");
-        assert_eq!(ledger.peak(), 3 * S_ENTRY_BYTES);
-        cx.release_ledger(); // idempotent
-        assert_eq!(ledger.used(), 0);
     }
 }

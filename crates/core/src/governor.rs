@@ -1,9 +1,9 @@
-//! Resource governance: per-query budgets and batch-wide admission state.
+//! Resource governance: per-query budgets and the batch outcome tally.
 //!
 //! The paper's fallback mode (§5.4.6, DESIGN §5.4.6 note) bounds a single
-//! query's *memory*; a server handling a batch needs the batch-wide
-//! analogue — bounded time and memory per query, cancellation that actually
-//! stops work, and load shedding that degrades latency, never correctness.
+//! query's *memory* (`PlanConfig::mem_limit`); a server handling a batch
+//! also needs bounded time per query, cancellation that actually stops
+//! work, and load shedding that degrades latency, never correctness.
 //! This module holds the vocabulary types; enforcement lives at the declared
 //! checkpoints (operator produce loops, queue pops, and the buffer fix path
 //! — see DESIGN §12 for the checkpoint map) and in the governed batch
@@ -14,7 +14,7 @@
 //! exactly reproducible (lint rule R7 enforces that no `std::time::Instant`
 //! creeps into deadline logic).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Cooperative cancellation handle. Cloning shares the flag: the server side
@@ -74,119 +74,28 @@ impl Deadline {
 }
 
 /// Everything the governor may hold against one query. The default budget is
-/// unlimited: no deadline, no memory cap, a token nobody cancels — executing
+/// unlimited: no deadline and a token nobody cancels — executing
 /// under it is behaviorally identical to executing ungoverned.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBudget {
     /// Optional two-stage sim-time deadline.
     pub deadline: Option<Deadline>,
-    /// Optional per-query S-set entry cap (same unit as `PlanConfig::mem_limit`;
-    /// when both are set the smaller wins).
-    pub mem_limit: Option<usize>,
     /// Cooperative cancellation handle.
     pub cancel: CancelToken,
 }
 
 impl QueryBudget {
-    /// No deadline, no memory cap, fresh token: governance off.
+    /// No deadline, fresh token: governance off.
     pub fn unlimited() -> Self {
         Self::default()
     }
 
-    /// Budget with a two-stage deadline and nothing else.
+    /// Budget with a two-stage deadline and a fresh token.
     pub fn with_deadline(soft_ns: u64, hard_ns: u64) -> Self {
         Self {
             deadline: Some(Deadline::new(soft_ns, hard_ns)),
             ..Self::default()
         }
-    }
-
-    /// Budget with a per-query S-set cap and nothing else.
-    pub fn with_mem_limit(entries: usize) -> Self {
-        Self {
-            mem_limit: Some(entries),
-            ..Self::default()
-        }
-    }
-}
-
-/// Batch-wide S-set memory ledger, shared across worker threads. Queries
-/// charge their S-set bytes as XAssembly grows them (via
-/// `ExecCtx::note_s_size`); a charge that would exceed the cap fails, and
-/// the failing query degrades into fallback mode instead of growing S.
-///
-/// The ledger never rejects a query outright — memory pressure degrades,
-/// only admission sheds — so correctness of admitted answers is independent
-/// of the cap.
-#[derive(Debug, Clone)]
-pub struct MemLedger {
-    inner: Arc<LedgerInner>,
-}
-
-#[derive(Debug)]
-struct LedgerInner {
-    used: AtomicU64,
-    peak: AtomicU64,
-    cap: u64,
-}
-
-impl MemLedger {
-    /// A ledger with `cap` bytes of batch-wide S-set headroom.
-    pub fn new(cap: u64) -> Self {
-        Self {
-            inner: Arc::new(LedgerInner {
-                used: AtomicU64::new(0),
-                peak: AtomicU64::new(0),
-                cap,
-            }),
-        }
-    }
-
-    /// Tries to charge `bytes` against the cap. On success the ledger keeps
-    /// the charge (credit it back with [`MemLedger::credit`]); on failure
-    /// nothing is charged and the caller must degrade.
-    pub fn try_charge(&self, bytes: u64) -> bool {
-        let mut used = self.inner.used.load(Ordering::Acquire);
-        loop {
-            let Some(next) = used.checked_add(bytes) else {
-                return false;
-            };
-            if next > self.inner.cap {
-                return false;
-            }
-            match self.inner.used.compare_exchange_weak(
-                used,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.inner.peak.fetch_max(next, Ordering::AcqRel);
-                    return true;
-                }
-                Err(actual) => used = actual,
-            }
-        }
-    }
-
-    /// Returns `bytes` previously charged with [`MemLedger::try_charge`].
-    pub fn credit(&self, bytes: u64) {
-        self.inner.used.fetch_sub(bytes, Ordering::AcqRel);
-    }
-
-    /// Bytes currently charged.
-    pub fn used(&self) -> u64 {
-        self.inner.used.load(Ordering::Acquire)
-    }
-
-    /// High-water mark of charged bytes over the ledger's lifetime.
-    pub fn peak(&self) -> u64 {
-        self.inner.peak.load(Ordering::Acquire)
-    }
-
-    /// The configured cap in bytes.
-    pub fn cap(&self) -> u64 {
-        self.inner.cap
     }
 }
 
@@ -197,28 +106,21 @@ pub struct GovernorReport {
     pub admitted: u64,
     /// Items shed with `ExecError::Overloaded` before execution.
     pub shed: u64,
-    /// Admitted items that completed in fallback mode (soft deadline or
-    /// ledger pressure) — answers are still correct.
+    /// Admitted items that completed in fallback mode after their soft
+    /// deadline — answers are still correct.
     pub degraded: u64,
     /// Admitted items aborted at the hard deadline.
     pub deadline_aborted: u64,
     /// Admitted items aborted by their cancel token.
     pub canceled: u64,
-    /// High-water mark of the shared S-set ledger, in bytes (0 without a ledger).
-    pub peak_ledger_bytes: u64,
 }
 
 impl std::fmt::Display for GovernorReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "governor: admitted {} shed {} degraded {} deadline-aborted {} canceled {} peak-ledger {} B",
-            self.admitted,
-            self.shed,
-            self.degraded,
-            self.deadline_aborted,
-            self.canceled,
-            self.peak_ledger_bytes
+            "governor: admitted {} shed {} degraded {} deadline-aborted {} canceled {}",
+            self.admitted, self.shed, self.degraded, self.deadline_aborted, self.canceled
         )
     }
 }
@@ -252,30 +154,6 @@ mod tests {
     fn unlimited_budget_has_no_limits() {
         let b = QueryBudget::unlimited();
         assert!(b.deadline.is_none());
-        assert!(b.mem_limit.is_none());
         assert!(!b.cancel.is_canceled());
-    }
-
-    #[test]
-    fn ledger_charges_credits_and_tracks_peak() {
-        let l = MemLedger::new(100);
-        assert!(l.try_charge(60));
-        assert!(!l.try_charge(50), "would exceed the cap");
-        assert!(l.try_charge(40));
-        assert_eq!(l.used(), 100);
-        l.credit(60);
-        assert_eq!(l.used(), 40);
-        assert_eq!(l.peak(), 100);
-        assert_eq!(l.cap(), 100);
-    }
-
-    #[test]
-    fn ledger_is_shared_across_clones() {
-        let l = MemLedger::new(10);
-        let m = l.clone();
-        assert!(m.try_charge(10));
-        assert!(!l.try_charge(1));
-        m.credit(10);
-        assert!(l.try_charge(1));
     }
 }

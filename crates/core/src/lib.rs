@@ -34,7 +34,7 @@ pub mod server;
 pub use concurrent::{execute_interleaved, ConcurrentRun};
 pub use context::{CostParams, ExecCtx, ExecStats};
 pub use error::ExecError;
-pub use governor::{CancelToken, Deadline, GovernorReport, MemLedger, QueryBudget};
+pub use governor::{CancelToken, Deadline, GovernorReport, QueryBudget};
 pub use instance::{Pi, REnd};
 pub use multi::{execute_paths_shared_scan, MultiPathRun};
 pub use optimizer::{Optimizer, PlanEstimate};

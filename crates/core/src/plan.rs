@@ -11,7 +11,7 @@
 
 use crate::context::{CostParams, ExecCtx};
 use crate::error::ExecError;
-use crate::governor::{MemLedger, QueryBudget};
+use crate::governor::QueryBudget;
 use crate::instance::REnd;
 use crate::ops::{
     ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
@@ -196,7 +196,7 @@ pub fn execute_path_from(
     contexts: Vec<NodeId>,
     cfg: &PlanConfig,
 ) -> Result<PathRun, ExecError> {
-    run_path(store, path, contexts, cfg, None, None)
+    run_path(store, path, contexts, cfg, None)
 }
 
 /// Snapshot of the clock, buffer and device counters at the start of a
@@ -293,25 +293,22 @@ pub(crate) fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(
 }
 
 /// The single-path executor. With a `budget`, the soft deadline degrades the
-/// plan into §5.4.6 fallback mode, the hard deadline (or the budget's
-/// cancel token) aborts it with a typed error, and S-set growth is charged
-/// to `ledger`, if one is given (batch-wide memory pressure degrades the
-/// query instead of growing S). An unlimited budget without a ledger
-/// behaves exactly like no budget.
+/// plan into §5.4.6 fallback mode and the hard deadline (or the budget's
+/// cancel token) aborts it with a typed error. An unlimited budget behaves
+/// exactly like no budget.
 pub(crate) fn run_path(
     store: &TreeStore,
     path: &LocationPath,
     contexts: Vec<NodeId>,
     cfg: &PlanConfig,
     budget: Option<&QueryBudget>,
-    ledger: Option<&MemLedger>,
 ) -> Result<PathRun, ExecError> {
     let path = cfg.prepare(path);
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
     let cx = match budget {
         None => ExecCtx::new(store, cfg.costs, cfg.mem_limit),
-        Some(b) => ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b, ledger.cloned()),
+        Some(b) => ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b),
     };
     let meter = Meter::start(store);
 

@@ -38,9 +38,9 @@ pub struct ExecReport {
     pub speculative_generated: u64,
     /// Whether the plan reverted to fallback mode.
     pub fallback: bool,
-    /// Whether the governor degraded the plan (soft deadline or shared
-    /// memory-ledger pressure). Implies `fallback`; false for a plain
-    /// per-query `mem_limit` fallback and for ungoverned runs.
+    /// Whether the governor degraded the plan at its soft deadline. Implies
+    /// `fallback`; false for a plain `mem_limit` fallback and for
+    /// ungoverned runs.
     pub degraded: bool,
 }
 

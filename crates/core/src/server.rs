@@ -24,15 +24,16 @@
 //! (never on timing), a parallel batch returns bit-identical results to
 //! sequential one-at-a-time execution.
 //!
-//! Concurrency primitives (`std::thread`, `parking_lot`, atomics) are
-//! confined to this file by lint rule R5; the operators never see them.
+//! Lint rule R5 confines concurrency primitives (`std::thread`,
+//! `parking_lot`, atomics) to this file, the governor's cancel token, and
+//! the two storage files that share state across threads (the shared page
+//! cache and the fault plan); the operators never see them.
 
-use crate::concurrent::ConcurrentRun;
 use crate::error::ExecError;
-use crate::governor::{GovernorReport, MemLedger, QueryBudget};
-use crate::plan::{run_path, Method, PlanConfig};
+use crate::governor::{GovernorReport, QueryBudget};
+use crate::plan::{run_path, Method, PathRun, PlanConfig};
 use crate::report::ExecReport;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use pathix_storage::{BufferParams, Device, SimClock};
 use pathix_tree::{TreeMeta, TreeStore};
 use pathix_xpath::LocationPath;
@@ -65,7 +66,7 @@ pub struct BatchRun {
     /// worker died before publishing a result. Under governance, shed
     /// items carry [`ExecError::Overloaded`] and aborted ones
     /// [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`].
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
+    pub runs: Vec<Result<PathRun, ExecError>>,
     /// Sum of the *successful* per-item reports. `time` is aggregate
     /// simulated time across all workers (simulated clocks run
     /// concurrently, so this is total *work*, not elapsed time);
@@ -102,61 +103,21 @@ pub fn execute_batch_parallel(
     run_batch(seeds, work, cfg, None, "parallel")
 }
 
-/// Admission-control knobs for [`execute_batch_governed`].
+/// Admission control for [`execute_batch_governed`]. There is no separate
+/// concurrency cap: the worker count is one, so a batch runs at most
+/// `seeds.len()` items at once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdmissionConfig {
-    /// Admitted queries allowed to *execute* concurrently (a semaphore over
-    /// the worker pool). `0` = no cap beyond the worker count.
-    pub max_in_flight: usize,
     /// Total queries admitted per batch; items beyond this prefix are shed
     /// with [`ExecError::Overloaded`] — deterministically by batch order,
     /// before any execution. `None` = admit everything.
     pub max_admitted: Option<usize>,
-    /// Byte cap of the shared S-set [`MemLedger`]. Pressure *degrades*
-    /// queries (fallback mode), it never sheds them. `None` = no ledger.
-    pub ledger_cap_bytes: Option<u64>,
 }
 
 impl AdmissionConfig {
-    /// Everything admitted, no concurrency cap, no ledger — governance off.
+    /// Everything admitted: nothing is shed.
     pub fn unlimited() -> Self {
         Self::default()
-    }
-}
-
-/// Counting semaphore over a [`Mutex`]/[`Condvar`] pair: caps how many
-/// admitted queries execute at once. Confined to this file like every other
-/// concurrency primitive (lint rule R5).
-struct Gate {
-    permits: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new(permits: usize) -> Self {
-        Self {
-            permits: Mutex::new(permits.max(1)),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn acquire(&self) -> GatePermit<'_> {
-        let mut permits = self.permits.lock();
-        while *permits == 0 {
-            permits = self.cv.wait(permits);
-        }
-        *permits -= 1;
-        GatePermit(self)
-    }
-}
-
-/// RAII permit: releasing wakes one waiter.
-struct GatePermit<'a>(&'a Gate);
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        *self.0.permits.lock() += 1;
-        self.0.cv.notify_one();
     }
 }
 
@@ -170,13 +131,10 @@ impl Drop for GatePermit<'_> {
 ///   `admission.max_admitted` fail with [`ExecError::Overloaded`] before
 ///   any execution — never a function of thread timing.
 /// * **Admitted items run cold.** Each item starts from a reset private
-///   buffer, so its simulated timeline — and therefore its deadline
-///   outcome — is a pure function of `(path, method, budget)`, not of
-///   which items a worker ran before it. (Throughput-oriented batches that
-///   want cross-item cache reuse use `execute_batch_parallel`.)
-/// * **S-set growth is accounted** against a shared [`MemLedger`] sized by
-///   `admission.ledger_cap_bytes`; pressure degrades queries into fallback
-///   mode instead of failing them.
+///   buffer, so its simulated timeline — and therefore its outcome — is a
+///   pure function of `(path, method, budget)`, not of which items a worker
+///   ran before it or of how many workers there are. (Throughput-oriented
+///   batches that want cross-item cache reuse use `execute_batch_parallel`.)
 ///
 /// `budgets` pairs with `work` by index; missing entries mean
 /// [`QueryBudget::unlimited`]. With no seeds every item fails with
@@ -188,15 +146,9 @@ pub fn execute_batch_governed(
     budgets: &[QueryBudget],
     admission: &AdmissionConfig,
 ) -> BatchRun {
-    let in_flight = match admission.max_in_flight {
-        0 => seeds.len(),
-        cap => cap,
-    };
     let governance = Governance {
         budgets,
         admitted: admission.max_admitted.unwrap_or(usize::MAX),
-        gate: Gate::new(in_flight),
-        ledger: admission.ledger_cap_bytes.map(MemLedger::new),
     };
     run_batch(seeds, work, cfg, Some(governance), "governed")
 }
@@ -206,9 +158,6 @@ struct Governance<'a> {
     budgets: &'a [QueryBudget],
     /// Length of the admitted batch prefix; later items are shed.
     admitted: usize,
-    /// The in-flight cap.
-    gate: Gate,
-    ledger: Option<MemLedger>,
 }
 
 /// The worker loop behind both entry points: `seeds.len()` scoped threads
@@ -265,11 +214,7 @@ fn run_batch(
         method: label.to_owned(),
         ..Default::default()
     };
-    let ledger = governance.as_ref().and_then(|g| g.ledger.as_ref());
-    let mut governor = GovernorReport {
-        peak_ledger_bytes: ledger.map_or(0, MemLedger::peak),
-        ..Default::default()
-    };
+    let mut governor = GovernorReport::default();
     for run in &runs {
         match run {
             Err(ExecError::Overloaded) => {
@@ -302,43 +247,31 @@ fn run_item(
     method: Method,
     cfg: &PlanConfig,
     gov: Option<&Governance<'_>>,
-) -> Result<ConcurrentRun, ExecError> {
-    let governed = match gov {
+) -> Result<PathRun, ExecError> {
+    let budget = match gov {
         None => None,
         // Deterministic load shedding: the overflow of the admission
         // prefix, independent of timing.
         Some(g) if i >= g.admitted => return Err(ExecError::Overloaded),
         Some(g) => {
-            let budget = g.budgets.get(i).cloned().unwrap_or_default();
-            // In-flight cap: hold a permit for the whole execution of this
-            // admitted item.
-            let permit = g.gate.acquire();
             // Cold start (see `execute_batch_governed`): the item's
             // sim-timeline must not depend on claim order — cold buffer,
             // and the device head re-parked so seek costs don't inherit
             // the previous item's final position.
             store.buffer.reset();
             store.buffer.device_mut().park();
-            Some((budget, permit))
+            Some(g.budgets.get(i).cloned().unwrap_or_default())
         }
     };
-    let budget = governed.as_ref().map(|(budget, _)| budget);
-    let ledger = gov.and_then(|g| g.ledger.as_ref());
     let item_cfg = PlanConfig { method, ..*cfg };
     let item = AssertUnwindSafe(|| {
-        let run = run_path(
+        run_path(
             store,
             path,
             vec![store.meta.root],
             &item_cfg,
-            budget,
-            ledger,
-        )?;
-        Ok(ConcurrentRun {
-            nodes: run.nodes,
-            method: method.label().to_owned(),
-            report: run.report,
-        })
+            budget.as_ref(),
+        )
     });
     catch_unwind(item).unwrap_or_else(|_| {
         // The item unwound mid-plan. Scrub the engine state it may have
@@ -398,7 +331,7 @@ mod tests {
             let seq = execute_path(&store, path, &item_cfg).expect("sequential executes");
             let run = batch.runs[i].as_ref().expect("item succeeds");
             assert_eq!(run.nodes, seq.nodes, "item {i} diverged");
-            assert_eq!(run.method, method.label());
+            assert_eq!(run.report.method, method.label());
         }
         assert_eq!(
             batch.report.results,
@@ -503,7 +436,7 @@ mod tests {
         assert!(
             matches!(batch.runs[0], Err(ExecError::WorkerLost { item: 0 })),
             "got {:?}",
-            batch.runs[0].as_ref().map(|r| &r.method)
+            batch.runs[0].as_ref().map(|r| &r.report.method)
         );
         let survivor = batch.runs[1].as_ref().expect("item 1 unaffected");
         let seq = execute_path(&store, &work[1].0, &cfg).expect("sequential executes");
@@ -560,7 +493,6 @@ mod tests {
         assert_eq!(governed.governor.admitted, work.len() as u64);
         assert_eq!(governed.governor.shed, 0);
         assert_eq!(governed.governor.degraded, 0);
-        assert_eq!(governed.governor.peak_ledger_bytes, 0);
     }
 
     #[test]
@@ -572,8 +504,6 @@ mod tests {
         cfg.sort = true;
         let admission = AdmissionConfig {
             max_admitted: Some(2),
-            max_in_flight: 1,
-            ledger_cap_bytes: None,
         };
         for _ in 0..3 {
             let batch =
@@ -633,41 +563,5 @@ mod tests {
         );
         assert!(matches!(batch.runs[0], Err(ExecError::Canceled)));
         assert_eq!(batch.governor.canceled, 1);
-    }
-
-    #[test]
-    fn ledger_pressure_degrades_but_answers_stay_correct() {
-        let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 5 });
-        // Shuffled placement parks speculative instances in S; a tiny
-        // ledger forces both items into fallback on their first S insert.
-        let work = vec![
-            (parse_path("//item").unwrap(), Method::XScan),
-            (
-                parse_path("//item/..//name").unwrap(),
-                Method::XSchedule {
-                    k: 10,
-                    speculative: true,
-                },
-            ),
-        ];
-        let mut cfg = PlanConfig::new(Method::XScan);
-        cfg.sort = true;
-        let admission = AdmissionConfig {
-            ledger_cap_bytes: Some(1),
-            ..AdmissionConfig::unlimited()
-        };
-        let batch = execute_batch_governed(plain_seeds(&store, 2), &work, &cfg, &[], &admission);
-        assert_eq!(batch.governor.degraded, 2, "both items degraded");
-        for (i, (path, method)) in work.iter().enumerate() {
-            let run = batch.runs[i].as_ref().expect("degraded items answer");
-            assert!(run.report.degraded);
-            let item_cfg = PlanConfig {
-                method: *method,
-                ..cfg
-            };
-            let seq = execute_path(&store, path, &item_cfg).expect("sequential executes");
-            assert_eq!(run.nodes, seq.nodes, "degraded answers stay correct");
-        }
     }
 }

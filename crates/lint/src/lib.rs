@@ -41,8 +41,8 @@
 //!   only by the storage layer; operators have no error channel
 //!   (`ExecError` never appears inside `ops/`).
 //! - **R7 — governor confinement.** Budget and admission types
-//!   (`QueryBudget`, `CancelToken`, `Deadline`, `MemLedger`,
-//!   `AdmissionConfig`, `GovernorReport`) stay in the governor zone;
+//!   (`QueryBudget`, `CancelToken`, `Deadline`, `AdmissionConfig`,
+//!   `GovernorReport`) stay in the governor zone;
 //!   inside `ops/` the buffer's interrupt gate is consulted only at
 //!   the declared checkpoint operators, and deadline logic never
 //!   reads a wall clock (DESIGN §12).

@@ -79,7 +79,6 @@ const GOVERNOR_IDENTS: &[&str] = &[
     "QueryBudget",
     "CancelToken",
     "Deadline",
-    "MemLedger",
     "AdmissionConfig",
     "GovernorReport",
 ];
@@ -123,10 +122,10 @@ const CONCURRENCY_IDENTS: &[&str] = &[
 /// Files allowed to use threading primitives (R5): the two storage files
 /// that share state across threads (the shared page cache and the fault
 /// plan's rule state), the batch-executor module, and the governor (whose
-/// cancel tokens and memory ledger are shared across worker threads by
-/// design, DESIGN §12). Everything else — the operator hot path, the
-/// buffer manager and the bench harness, which runs batches through the
-/// facade — stays single-threaded (DESIGN §10).
+/// cancel tokens are shared across worker threads by design, DESIGN §12).
+/// Everything else — the operator hot path, the buffer manager and the
+/// bench harness, which runs batches through the facade — stays
+/// single-threaded (DESIGN §10).
 fn in_concurrency_zone(path: &str) -> bool {
     path == "crates/storage/src/shared_cache.rs"
         || path == "crates/storage/src/fault.rs"
@@ -276,7 +275,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         line: st.line,
                         rule: "R2",
                         message: "`rand` outside xmlgen/bench/tests; derive randomness \
-                                  from explicit seeds (see PlacementRng)"
+                                  from explicit seeds (see pathix_storage::splitmix64)"
                             .to_owned(),
                     });
                 }

@@ -365,8 +365,8 @@ fn r7_bad_budget_in_operator() {
 }
 
 #[test]
-fn r7_bad_ledger_in_tree_layer() {
-    let src = "fn charge(l: &MemLedger) { l.credit(64); }";
+fn r7_bad_budget_in_tree_layer() {
+    let src = "fn armed(b: &QueryBudget) -> bool { b.deadline.is_some() }";
     assert_eq!(rules_of("crates/tree/src/store.rs", src), vec!["R7"]);
 }
 

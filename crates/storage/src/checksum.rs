@@ -293,17 +293,11 @@ mod tests {
 
     use super::*;
 
-    /// Deterministic test bytes (SplitMix64).
+    /// Deterministic test bytes (the low byte of each SplitMix64 output).
     fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
         let mut state = seed;
         (0..len)
-            .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
-            })
+            .map(|_| crate::splitmix64(&mut state) as u8)
             .collect()
     }
 

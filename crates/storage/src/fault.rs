@@ -165,9 +165,11 @@ pub struct FaultPlan {
     inner: Arc<Mutex<PlanInner>>,
 }
 
-/// SplitMix64 step — the same generator the import placement uses; local
-/// copy because the storage layer sits below `pathix-tree`.
-fn splitmix64(state: &mut u64) -> u64 {
+/// One SplitMix64 step: advances `state` and returns the next output. The
+/// engine's one seeded generator — fault plans, corrupt-bit positions and
+/// the import's placement permutations all draw from it, so each is a fixed
+/// function of its seed alone (R2).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -456,6 +458,16 @@ mod tests {
 
     fn device_with_pages(n: u8) -> MemDevice {
         crate::device::tests::with_pages(MemDevice::new(64), n)
+    }
+
+    #[test]
+    fn splitmix64_stream_is_pinned() {
+        let mut state = 0;
+        let got = [0; 3].map(|_| splitmix64(&mut state));
+        assert_eq!(
+            got,
+            [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        );
     }
 
     #[test]

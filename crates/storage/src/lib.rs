@@ -41,7 +41,7 @@ pub use buffer::{BufferManager, BufferParams, BufferStats, PageDecoder, RetryPol
 pub use checksum::{crc32, is_sealed, seal_page, verify_page, CHECKSUM_LEN};
 pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
-pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
+pub use fault::{splitmix64, FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use mem_device::MemDevice;
 pub use shared_cache::{SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
 pub use sim_disk::{DiskProfile, QueuePolicy, SimDisk};

@@ -18,7 +18,7 @@
 //!
 //! A loader that **fails** (its device read errors) or **dies** (panics and
 //! unwinds mid-miss) never strands its waiters: the flight slot is a
-//! tri-state ([`FlightOutcome`]) and anything other than a published image
+//! tri-state (`FlightOutcome`) and anything other than a published image
 //! is observed by waiters as a *retryable miss* — they retire the dead
 //! flight and loop back to become the loader themselves. Failed loads are
 //! never cached, so one worker's transient fault cannot poison the page for
@@ -121,7 +121,7 @@ impl Default for SharedPageCache {
 }
 
 impl SharedPageCache {
-    /// Creates an empty cache with [`SHARD_COUNT`] stripes.
+    /// Creates an empty cache with `SHARD_COUNT` stripes.
     pub fn new() -> Self {
         let mut shards = Vec::with_capacity(SHARD_COUNT);
         for _ in 0..SHARD_COUNT {
@@ -166,8 +166,8 @@ impl SharedPageCache {
     /// across all concurrent callers to fetch it (single-flight).
     ///
     /// A failing load is returned to the loader only and never cached:
-    /// waiters blocked on the flight observe [`FlightOutcome::Failed`] (or
-    /// [`FlightOutcome::Pending`], if the loader unwound) as a retryable
+    /// waiters blocked on the flight observe `FlightOutcome::Failed` (or
+    /// `FlightOutcome::Pending`, if the loader unwound) as a retryable
     /// miss, retire the dead flight, and loop back to load the page
     /// themselves.
     pub fn get_or_load<F>(&self, page: PageId, mut load: F) -> Result<Arc<[u8]>, IoError>
@@ -283,7 +283,7 @@ impl SharedPageCache {
 /// inner device. Each parallel worker owns one adapter (wrapping a private
 /// [`Device::try_fork`] of the base device) while all adapters share the
 /// cache, so a page read by any worker costs every other worker a refcount
-/// bump. Device statistics ([`DeviceStats`]) are forwarded from the inner
+/// bump. Device statistics ([`DeviceStats`](crate::DeviceStats)) are forwarded from the inner
 /// device and therefore count *physical* accesses only; cache traffic is
 /// reported separately via [`SharedPageCache::stats`].
 pub struct SharedCacheDevice {

@@ -20,7 +20,7 @@
 //! ## Command-queue complexity
 //!
 //! The pending set is an **incrementally maintained visible-window index**
-//! ([`CommandQueue`]): picking the next command is O(1) for FIFO and
+//! (`CommandQueue`): picking the next command is O(1) for FIFO and
 //! O(log w) for SSTF/Elevator (w = visible window size), and serving a
 //! command is O(log w) — no allocation and no re-sort per serve. The
 //! original alloc-and-sort implementation survives as the test-only

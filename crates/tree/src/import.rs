@@ -30,32 +30,17 @@ use crate::node::{
     encode_cluster, encoded_size, put_attr, Cluster, Node, NodeId, NodeKind, Span, BORDER_SIZE,
 };
 use crate::store::TreeMeta;
-use pathix_storage::{seal_page, Device, PageId, CHECKSUM_LEN};
+use pathix_storage::{seal_page, splitmix64, Device, PageId, CHECKSUM_LEN};
 use pathix_xml::{Document, NodeRef, XKind};
 use std::fmt;
 
-/// Deterministic generator for placement permutations (SplitMix64). Kept
-/// local so the layout for a given seed is a fixed function of the seed
-/// alone — independent of any external PRNG crate's algorithm choices —
-/// and so the tree crate carries no `rand` dependency (DESIGN.md
-/// invariant R2).
-struct PlacementRng(u64);
-
-impl PlacementRng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-/// Fisher–Yates shuffle driven by [`PlacementRng`].
+/// Fisher–Yates shuffle driven by [`splitmix64`], so the layout for a given
+/// seed is a fixed function of the seed alone — independent of any external
+/// PRNG crate's algorithm choices (DESIGN.md invariant R2).
 fn seeded_shuffle(v: &mut [usize], seed: u64) {
-    let mut rng = PlacementRng(seed);
+    let mut state = seed;
     for i in (1..v.len()).rev() {
-        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
         v.swap(i, j);
     }
 }

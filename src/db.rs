@@ -3,8 +3,8 @@
 
 use pathix_core::{
     execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_paths_shared_scan,
-    execute_query, AdmissionConfig, BatchRun, ConcurrentRun, ExecError, ExecReport, GovernorReport,
-    Method, MultiPathRun, Optimizer, PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
+    execute_query, AdmissionConfig, BatchRun, ExecError, ExecReport, GovernorReport, Method,
+    MultiPathRun, Optimizer, PathRun, PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
 };
 use pathix_storage::{
     BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
@@ -116,7 +116,7 @@ pub struct ParallelRun {
     /// items carry [`ExecError::Overloaded`]; deadline-aborted items carry
     /// [`ExecError::DeadlineExceeded`]; canceled items
     /// [`ExecError::Canceled`].
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
+    pub runs: Vec<Result<PathRun, ExecError>>,
     /// Sum of the successful per-item reports (aggregate simulated work,
     /// not elapsed wall time — workers run concurrently).
     pub report: ExecReport,
@@ -269,7 +269,7 @@ impl Database {
         &self,
         work: &[(&str, Method)],
         cfg: &PlanConfig,
-    ) -> Result<(Vec<ConcurrentRun>, ExecReport), DbError> {
+    ) -> Result<(Vec<PathRun>, ExecReport), DbError> {
         Ok(execute_interleaved(&self.store, &parse_work(work)?, cfg)?)
     }
 
@@ -321,7 +321,7 @@ impl Database {
     }
 
     /// Runs a governed parallel batch: each work item carries a
-    /// [`QueryBudget`] (deadline / memory / cancel), and the batch as a
+    /// [`QueryBudget`] (deadline / cancel), and the batch as a
     /// whole is subject to admission control (`admission`). Budgets are
     /// matched to work items by batch index; missing entries mean
     /// "unlimited".

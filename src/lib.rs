@@ -11,8 +11,8 @@
 //! ## Crate map
 //!
 //! * [`storage`] — paged storage: simulated disk with a seek/rotation/
-//!   transfer cost model and a reordering command queue, real-file backend,
-//!   buffer manager over decoded pages.
+//!   transfer cost model and a reordering command queue, an in-memory
+//!   device, and the buffer manager over decoded pages.
 //! * [`xml`] — minimal XML parser/serializer and the in-memory document
 //!   tree.
 //! * [`xmlgen`] — deterministic XMark-shaped benchmark document generator.
@@ -63,7 +63,7 @@ mod db;
 
 pub use db::{Database, DatabaseOptions, DbError, DeviceKind, ParallelRun};
 pub use pathix_core::{
-    AdmissionConfig, CancelToken, Deadline, ExecError, ExecReport, GovernorReport, MemLedger,
-    Method, PlanConfig, QueryBudget, QueryRun,
+    AdmissionConfig, CancelToken, Deadline, ExecError, ExecReport, GovernorReport, Method,
+    PlanConfig, QueryBudget, QueryRun,
 };
 pub use pathix_storage::{FaultKind, FaultPlan, FaultRule};

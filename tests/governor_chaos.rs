@@ -3,8 +3,8 @@
 //! of legal per-item outcomes — every item lands in **exactly one** of
 //!
 //! * oracle-correct,
-//! * `Degraded` + oracle-correct (soft deadline / ledger pressure flipped
-//!   the plan into §5.4.6 fallback, which still answers exactly),
+//! * `Degraded` + oracle-correct (the soft deadline flipped the plan into
+//!   §5.4.6 fallback, which still answers exactly),
 //! * `DeadlineExceeded` (hard deadline: typed abort, no partial answer),
 //! * `Overloaded` (shed by admission control, batch-order prefix),
 //! * `Io` (the fault schedule won; clean typed abort),
@@ -84,7 +84,7 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
 /// Checks one governed batch against the closed outcome set. Returns a
 /// compact class label per item (used by the determinism test).
 fn classify(
-    runs: &[Result<pathix::core::ConcurrentRun, ExecError>],
+    runs: &[Result<pathix::core::PathRun, ExecError>],
     reference: &[Vec<(NodeId, u64)>],
     admitted_cap: usize,
     hard_ns: u64,
@@ -178,11 +178,7 @@ proptest! {
             .iter()
             .map(|_| QueryBudget::with_deadline(hard_ns / 2, hard_ns))
             .collect();
-        let admission = AdmissionConfig {
-            max_in_flight: 2,
-            max_admitted: cap,
-            ledger_cap_bytes: None,
-        };
+        let admission = AdmissionConfig { max_admitted: cap };
         let batch = db
             .run_parallel_governed(&work, &sorted_cfg(), 2, &budgets, &admission)
             .expect("mem devices fork");
@@ -250,9 +246,7 @@ fn governed_outcomes_are_deterministic_across_workers_and_runs() {
         })
         .collect();
     let admission = AdmissionConfig {
-        max_in_flight: 2,
         max_admitted: Some(work.len() - 2),
-        ledger_cap_bytes: None,
     };
 
     let outcome_of = |workers: usize| -> Vec<&'static str> {

@@ -18,8 +18,7 @@
 use pathix::core::plan::execute_path;
 use pathix::core::{
     execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_paths_shared_scan,
-    execute_query, AdmissionConfig, ConcurrentRun, ExecError, ExecReport, Method, PlanConfig,
-    WorkerSeed,
+    execute_query, AdmissionConfig, ExecError, ExecReport, Method, PathRun, PlanConfig, WorkerSeed,
 };
 use pathix::storage::{BufferStats, DeviceStats, SharedCacheDevice, SharedPageCache};
 use pathix::tree::NodeId;
@@ -145,7 +144,7 @@ fn report(r: &ExecReport) -> String {
     )
 }
 
-fn item(run: &Result<ConcurrentRun, ExecError>) -> String {
+fn item(run: &Result<PathRun, ExecError>) -> String {
     let run = run.as_ref().unwrap();
     format!("{} {}", orders(&run.nodes), report(&run.report))
 }
@@ -257,7 +256,14 @@ fn interleaved_per_plan_and_combined() {
     let (runs, combined) = execute_interleaved(db.store(), &work, &sorted(Method::Simple)).unwrap();
     let mut got: Vec<String> = runs
         .iter()
-        .map(|r| format!("{} {} {}", r.method, orders(&r.nodes), report(&r.report)))
+        .map(|r| {
+            format!(
+                "{} {} {}",
+                r.report.method,
+                orders(&r.nodes),
+                report(&r.report)
+            )
+        })
         .collect();
     got.push(report(&combined));
     check(&got, GOLDEN_INTERLEAVED);
@@ -341,7 +347,7 @@ const GOLDEN_GOVERNED: &[&str] = &[
     "n=0 h=cbf29ce484222325 XScan t=14989000/6727000/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
     "n=30 h=f17d67bb16163186 XScan t=14684700/6422700/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=1984/1798/186 alg=930/30/184/124/113/0/596 fb=false/false",
     "governed t=212134800/51067550/161067250 buf=766/432/334/119/305/119/0 dev=453/428/25/658/166873000/0 nav=15905/14273/2591 alg=6486/135/808/1725/821/363/3278 fb=false/false",
-    "governor: admitted 12 shed 0 degraded 0 deadline-aborted 0 canceled 0 peak-ledger 0 B",
+    "governor: admitted 12 shed 0 degraded 0 deadline-aborted 0 canceled 0",
 ];
 
 /// Governed items start cold, so per-item reports are deterministic at any
