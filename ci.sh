@@ -38,7 +38,8 @@
 #      PAPER.json, ABLATIONS.json, EXTENSIONS.json, CHAOS.json and
 #      OVERLOAD.json byte for byte equal to the committed files (every
 #      cell is simulated time, a count or an outcome, so any drift is a
-#      cost-model change that must regenerate them on purpose)
+#      cost-model change that must regenerate them on purpose); on a
+#      mismatch, `report diff` first names every moved cell
 set -euo pipefail
 cd "$(dirname "$0")"
 root=$(pwd)
@@ -72,6 +73,11 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 (cd "$out" && cargo run -q --release --manifest-path "$root/Cargo.toml" -p pathix-bench --bin report -- all chaos overload >/dev/null)
 for name in PAPER ABLATIONS EXTENSIONS CHAOS OVERLOAD; do
+  if ! cmp -s "$out/$name.json" "$root/$name.json"; then
+    echo "$name.json moved (committed → this tree):"
+    cargo run -q --release --manifest-path "$root/Cargo.toml" -p pathix-bench --bin report -- \
+      diff "$root/$name.json" "$out/$name.json" || true
+  fi
   cmp "$out/$name.json" "$root/$name.json"
 done
 

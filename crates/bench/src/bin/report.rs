@@ -3,6 +3,7 @@
 //! ```text
 //! report [--fast] <name>...
 //! names: paper ablations extensions all chaos overload
+//! report diff OLD NEW
 //! ```
 //!
 //! `all`, the default, is `paper ablations extensions`. Each name is one
@@ -11,6 +12,11 @@
 //! `EXTENSIONS.json`, `CHAOS.json`, `OVERLOAD.json`). With `--fast`
 //! each artifact runs its small configuration and nothing is written. An
 //! unknown argument exits 2 with the valid names.
+//!
+//! `report diff OLD NEW` compares two artifact files cell by cell and
+//! prints each cell that moved, appeared or disappeared as
+//! `table[row].cell: old → new`. It exits 0 when every cell agrees, 1 when
+//! one differs, and 2 when a file cannot be read as an artifact.
 
 // Stdout is this binary's output channel.
 #![allow(clippy::print_stdout)]
@@ -82,8 +88,33 @@ fn report(a: &Artifact, fast: bool) -> bool {
     failed.is_empty()
 }
 
+/// `report diff OLD NEW`: the exit code, after printing the differing
+/// cells or the reason a file could not be read.
+fn diff(args: &[String]) -> i32 {
+    let [old, new] = args else {
+        eprintln!("report: usage: report diff OLD NEW");
+        return 2;
+    };
+    let read = |path: &String| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    match read(old).and_then(|o| pathix_bench::diff::diff(&o, &read(new)?)) {
+        Err(e) => {
+            eprintln!("report diff: {e}");
+            2
+        }
+        Ok(lines) => {
+            for line in &lines {
+                println!("{line}");
+            }
+            i32::from(!lines.is_empty())
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "diff") {
+        std::process::exit(diff(&args[1..]));
+    }
     let (fast, selected) = parse(&args).unwrap_or_else(|e| {
         eprintln!("report: {e}");
         std::process::exit(2)

@@ -22,8 +22,8 @@ use crate::artifact::{num, Artifact, Cell, Table};
 use crate::corpus::{self, batch_paths, sorted_cfg};
 use pathix::xml::Document;
 use pathix::{
-    Database, DatabaseOptions, DbError, ExecError, FaultKind, FaultPlan, FaultRule, PlanConfig,
-    QueryRun,
+    Batch, Database, DatabaseOptions, DbError, ExecError, FaultKind, FaultPlan, FaultRule,
+    PlanConfig, QueryRun,
 };
 use pathix_tree::NodeId;
 use std::collections::BTreeSet;
@@ -252,7 +252,7 @@ impl Sweep {
         let db = Database::from_document_with_faults(&self.doc, &self.opts, plan.clone())
             .expect("chaos import");
         let batch = db
-            .run_parallel(&corpus::batch_work(), &cfg, 3)
+            .run_batch(&corpus::batch_work(), &cfg, Batch::Parallel { workers: 3 })
             .expect("forkable device");
         let mut tally = Tally::default();
         for (run, want) in batch.runs.iter().zip(&self.reference) {

@@ -13,7 +13,7 @@
 //! `fast` runs every experiment at SF 0.1.
 
 use crate::artifact::{Artifact, Cell, Table};
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig, QueryRun};
+use pathix::{Batch, Database, DatabaseOptions, DeviceKind, Method, PlanConfig, QueryRun};
 use pathix_tree::Placement;
 
 /// The evaluated XMark queries (paper Tab. 2).
@@ -370,9 +370,14 @@ pub fn extensions(fast: bool) -> Artifact {
     let independent = run_cold(&base, Q7, Method::XScan);
     cold_start(&base);
     let shared = base
-        .run_multi(
-            &["/site//description", "/site//annotation", "/site//email"],
+        .run_batch(
+            &[
+                ("/site//description", Method::XScan),
+                ("/site//annotation", Method::XScan),
+                ("/site//email", Method::XScan),
+            ],
             &PlanConfig::new(Method::XScan),
+            Batch::SharedScan,
         )
         .expect("shared scan");
     let e7 = [
@@ -387,7 +392,7 @@ pub fn extensions(fast: bool) -> Artifact {
         ]
     })
     .to_vec();
-    let shared_agrees = independent.value == shared.counts().iter().sum::<u64>();
+    let shared_agrees = independent.value == shared.report.results;
 
     // E8: document export by structural walk vs one sequential scan, on a
     // fragmented layout.
@@ -444,17 +449,22 @@ pub fn extensions(fast: bool) -> Artifact {
     .map(|(workload, m)| {
         let db = build_db_edited(scale, |o| o.placement = Placement::Shuffled { seed: 41 });
         cold_start(&db);
-        let (runs, report) = db
-            .run_concurrent(
+        let batch = db
+            .run_batch(
                 &[("/site/regions//item", m), ("/site//email", m)],
                 &PlanConfig::new(m),
+                Batch::Interleaved,
             )
             .expect("concurrent run");
+        let report = &batch.report;
         vec![
             Cell::text("workload", workload),
             secs("combined_s", report.total_secs()),
             Cell::int("seek_distance", report.device.seek_distance_pages),
-            Cell::check("both_answered", runs.len() == 2),
+            Cell::check(
+                "both_answered",
+                batch.runs.len() == 2 && batch.failed() == 0,
+            ),
         ]
     })
     .to_vec();

@@ -11,13 +11,15 @@
 //! cargo run --release -p pathix-bench --bin report -- all     # paper ablations extensions
 //! cargo run --release -p pathix-bench --bin report -- [--fast] paper ablations extensions
 //! cargo run --release -p pathix-bench --bin report -- [--fast] chaos overload
+//! cargo run --release -p pathix-bench --bin report -- diff OLD.json NEW.json
 //! ```
 //!
 //! The paper's experiments live in [`experiments`] as three artifacts:
 //! [`paper`] (`PAPER.json`), [`ablations`] (`ABLATIONS.json`) and
 //! [`extensions`] (`EXTENSIONS.json`). The two substrate harnesses —
 //! [`chaos`] and [`overload`] — share the [`corpus`] and each expose one
-//! `run(fast) -> Artifact` (`CHAOS.json`, `OVERLOAD.json`).
+//! `run(fast) -> Artifact` (`CHAOS.json`, `OVERLOAD.json`). [`diff`]
+//! compares two artifact files cell by cell.
 //!
 //! Every cell of every artifact is simulated time, a count or an outcome,
 //! so each artifact reproduces byte for byte. Wall-clock timings, end to
@@ -27,6 +29,7 @@
 pub mod artifact;
 pub mod chaos;
 pub mod corpus;
+pub mod diff;
 pub mod experiments;
 pub mod overload;
 

@@ -28,7 +28,7 @@
 
 use crate::artifact::{num, Artifact, Cell, Table};
 use crate::{build_db_with, corpus};
-use pathix::{AdmissionConfig, ExecError, Method, PlanConfig, QueryBudget, QueryRun};
+use pathix::{AdmissionConfig, Batch, ExecError, Method, PlanConfig, QueryBudget, QueryRun};
 
 /// Rate multiples swept by the full harness (1× = sustainable).
 pub const RATE_MULTIPLES: [u32; 4] = [1, 2, 4, 8];
@@ -68,12 +68,14 @@ impl Ramp<'_> {
         };
         let batch = self
             .db
-            .run_parallel_governed(
+            .run_batch(
                 &self.work,
                 &self.cfg,
-                OVERLOAD_WORKERS,
-                &budgets,
-                &admission,
+                Batch::Governed {
+                    workers: OVERLOAD_WORKERS,
+                    budgets: &budgets,
+                    admission,
+                },
             )
             .expect("the simulated disk forks");
 

@@ -1,10 +1,12 @@
-//! Parallel batch query execution: a worker pool over per-worker stores.
+//! Batch query execution: the batch result type every batch executor
+//! returns, and the worker pool over per-worker stores.
 //!
 //! The paper's outlook (§7) expects concurrent queries to "strongly benefit
-//! from asynchronous I/O" — [`crate::concurrent`] realizes that on one
-//! thread by interleaving plans over one device queue; this module adds the
-//! orthogonal axis: running *independent* `(path, method)` queries on
-//! multiple OS threads at once.
+//! from asynchronous I/O". [`crate::plan::execute_interleaved`] realizes
+//! that on one thread by interleaving plans over one device queue, and
+//! [`crate::plan::execute_paths_shared_scan`] feeds several paths from one
+//! scan. This module adds the orthogonal axis: running *independent*
+//! `(path, method)` queries on multiple OS threads at once.
 //!
 //! The engine's operator hot path is deliberately single-threaded
 //! (`Rc`/`RefCell`/`Cell` throughout `ExecCtx`, `BufferManager`, and
@@ -24,22 +26,25 @@
 //! (never on timing), a parallel batch returns bit-identical results to
 //! sequential one-at-a-time execution.
 //!
-//! Lint rule R5 confines concurrency primitives (`std::thread`,
-//! `parking_lot`, atomics) to this file, the governor's cancel token, and
-//! the two storage files that share state across threads (the shared page
-//! cache and the fault plan); the operators never see them.
+//! Lint rule R5 confines concurrency primitives (`std::thread`, locks,
+//! atomics) to this file, the governor's cancel token, and the two storage
+//! files that share state across threads (the shared page cache and the
+//! fault plan); the operators never see them.
 
 use crate::error::ExecError;
 use crate::governor::{GovernorReport, QueryBudget};
 use crate::plan::{run_path, Method, PathRun, PlanConfig};
 use crate::report::ExecReport;
-use parking_lot::Mutex;
-use pathix_storage::{BufferParams, Device, SimClock};
+use pathix_storage::{lock, BufferParams, Device, SharedPageCacheStats, SimClock};
 use pathix_tree::{TreeMeta, TreeStore};
 use pathix_xpath::LocationPath;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+/// Alias of [`PathRun`], kept because perfbench names it; nothing else does.
+pub type ConcurrentRun = PathRun;
 
 /// Everything a worker needs to open its private engine: a `Send` device
 /// fork plus the (cheaply cloned) document metadata and buffer parameters.
@@ -55,30 +60,62 @@ pub struct WorkerSeed {
     pub params: BufferParams,
 }
 
-/// Result of a parallel batch. Failures are contained per item: one query
-/// hitting a bad page (or losing its worker) does not void the rest of the
-/// batch, because every worker runs over a private device fork — the
-/// failure domain is the item, not the batch.
+/// Result of a batch, whichever executor ran it.
+#[derive(Debug)]
 pub struct BatchRun {
     /// One result per work item, in batch order (independent of which
-    /// worker executed it). An item fails alone, with [`ExecError::Io`]
-    /// for an unrecovered page read or [`ExecError::WorkerLost`] if its
-    /// worker died before publishing a result. Under governance, shed
-    /// items carry [`ExecError::Overloaded`] and aborted ones
-    /// [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`].
+    /// worker executed it). In the worker pool an item fails alone, with
+    /// [`ExecError::Io`] for an unrecovered page read or
+    /// [`ExecError::WorkerLost`] if its worker died before publishing a
+    /// result; under governance, shed items carry [`ExecError::Overloaded`]
+    /// and aborted ones [`ExecError::DeadlineExceeded`] /
+    /// [`ExecError::Canceled`]. The one-device executors fail as a whole on
+    /// an unrecovered read instead, so their items fail only by breaking
+    /// the plan output contract.
     pub runs: Vec<Result<PathRun, ExecError>>,
-    /// Sum of the *successful* per-item reports. `time` is aggregate
-    /// simulated time across all workers (simulated clocks run
+    /// The batch's cost. For the one-device executors, the store's clock,
+    /// buffer and device delta over the whole batch. For the worker pool,
+    /// the sum of the *successful* per-item reports: `time` is then
+    /// aggregate simulated time across all workers (simulated clocks run
     /// concurrently, so this is total *work*, not elapsed time);
-    /// wall-clock elapsed time is perfbench's concern, not the
-    /// engine's (R2 determinism).
+    /// wall-clock elapsed time is perfbench's concern, not the engine's
+    /// (R2 determinism).
     pub report: ExecReport,
     /// Batch-level governor tally. Without governance every item counts
     /// as admitted and nothing is shed, degraded or aborted.
     pub governor: GovernorReport,
+    /// Counters of the page cache the workers shared. The executors cannot
+    /// see a cache inside their seeds' devices and leave this zero; the
+    /// facade's parallel batch, which builds the cache, fills it in.
+    pub cache: SharedPageCacheStats,
 }
 
 impl BatchRun {
+    /// Wraps per-item `runs` and the batch `report`, tallying the governor
+    /// outcomes of the items.
+    pub(crate) fn new(runs: Vec<Result<PathRun, ExecError>>, report: ExecReport) -> Self {
+        let mut governor = GovernorReport::default();
+        for run in &runs {
+            match run {
+                Err(ExecError::Overloaded) => {
+                    governor.shed += 1;
+                    continue;
+                }
+                Ok(r) => governor.degraded += u64::from(r.report.degraded),
+                Err(ExecError::DeadlineExceeded { .. }) => governor.deadline_aborted += 1,
+                Err(ExecError::Canceled) => governor.canceled += 1,
+                Err(_) => {}
+            }
+            governor.admitted += 1;
+        }
+        Self {
+            runs,
+            report,
+            governor,
+            cache: SharedPageCacheStats::default(),
+        }
+    }
+
     /// Number of items that failed.
     pub fn failed(&self) -> usize {
         self.runs.iter().filter(|r| r.is_err()).count()
@@ -88,7 +125,7 @@ impl BatchRun {
 /// Executes every `(path, method)` item of `work` across `seeds.len()`
 /// worker threads and returns per-item results in batch order.
 ///
-/// Each result is produced by [`crate::plan::execute_path_from`] on the
+/// Each result is produced by [`crate::plan::execute_path`] on the
 /// worker's private store, so per-item nodes and reports have exactly the
 /// same shape as sequential execution. A panicking item is caught on its
 /// worker thread and recorded as [`ExecError::WorkerLost`]; the worker then
@@ -146,19 +183,12 @@ pub fn execute_batch_governed(
     budgets: &[QueryBudget],
     admission: &AdmissionConfig,
 ) -> BatchRun {
-    let governance = Governance {
-        budgets,
-        admitted: admission.max_admitted.unwrap_or(usize::MAX),
-    };
-    run_batch(seeds, work, cfg, Some(governance), "governed")
+    run_batch(seeds, work, cfg, Some((budgets, admission)), "governed")
 }
 
-/// The governed executor's front door, shared by all its workers.
-struct Governance<'a> {
-    budgets: &'a [QueryBudget],
-    /// Length of the admitted batch prefix; later items are shed.
-    admitted: usize,
-}
+/// The governed executor's per-item budgets and admission control, shared
+/// by all its workers.
+type Governance<'a> = (&'a [QueryBudget], &'a AdmissionConfig);
 
 /// The worker loop behind both entry points: `seeds.len()` scoped threads
 /// claim items off an atomic cursor and publish into per-item slots.
@@ -174,7 +204,7 @@ fn run_batch(
 
     std::thread::scope(|scope| {
         for seed in seeds {
-            let (next, results, gov) = (&next, &results, governance.as_ref());
+            let (next, results) = (&next, &results);
             scope.spawn(move || {
                 // The whole single-threaded engine stack is private to this
                 // thread: fresh clock, fresh buffer, private device fork.
@@ -193,8 +223,8 @@ fn run_batch(
                         let Some((path, method)) = work.get(i) else {
                             break;
                         };
-                        let out = run_item(&store, i, path, *method, cfg, gov);
-                        if let Some(slot) = results.lock().get_mut(i) {
+                        let out = run_item(&store, i, path, *method, cfg, governance);
+                        if let Some(slot) = lock(results).get_mut(i) {
                             *slot = Some(out);
                         }
                     }
@@ -206,6 +236,7 @@ fn run_batch(
 
     let runs: Vec<_> = results
         .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
         .enumerate()
         .map(|(i, slot)| slot.unwrap_or(Err(ExecError::WorkerLost { item: i })))
@@ -214,28 +245,10 @@ fn run_batch(
         method: label.to_owned(),
         ..Default::default()
     };
-    let mut governor = GovernorReport::default();
-    for run in &runs {
-        match run {
-            Err(ExecError::Overloaded) => {
-                governor.shed += 1;
-                continue;
-            }
-            Ok(r) => {
-                governor.degraded += u64::from(r.report.degraded);
-                report.absorb(&r.report);
-            }
-            Err(ExecError::DeadlineExceeded { .. }) => governor.deadline_aborted += 1,
-            Err(ExecError::Canceled) => governor.canceled += 1,
-            Err(_) => {}
-        }
-        governor.admitted += 1;
+    for run in runs.iter().flatten() {
+        report.absorb(&run.report);
     }
-    BatchRun {
-        runs,
-        report,
-        governor,
-    }
+    BatchRun::new(runs, report)
 }
 
 /// Runs batch item `i` on a worker's private `store`, containing a panic to
@@ -246,33 +259,27 @@ fn run_item(
     path: &LocationPath,
     method: Method,
     cfg: &PlanConfig,
-    gov: Option<&Governance<'_>>,
+    gov: Option<Governance<'_>>,
 ) -> Result<PathRun, ExecError> {
     let budget = match gov {
         None => None,
         // Deterministic load shedding: the overflow of the admission
         // prefix, independent of timing.
-        Some(g) if i >= g.admitted => return Err(ExecError::Overloaded),
-        Some(g) => {
+        Some((_, admission)) if admission.max_admitted.is_some_and(|cap| i >= cap) => {
+            return Err(ExecError::Overloaded)
+        }
+        Some((budgets, _)) => {
             // Cold start (see `execute_batch_governed`): the item's
             // sim-timeline must not depend on claim order — cold buffer,
             // and the device head re-parked so seek costs don't inherit
             // the previous item's final position.
             store.buffer.reset();
             store.buffer.device_mut().park();
-            Some(g.budgets.get(i).cloned().unwrap_or_default())
+            Some(budgets.get(i).cloned().unwrap_or_default())
         }
     };
     let item_cfg = PlanConfig { method, ..*cfg };
-    let item = AssertUnwindSafe(|| {
-        run_path(
-            store,
-            path,
-            vec![store.meta.root],
-            &item_cfg,
-            budget.as_ref(),
-        )
-    });
+    let item = AssertUnwindSafe(|| run_path(store, path, &item_cfg, budget.as_ref()));
     catch_unwind(item).unwrap_or_else(|_| {
         // The item unwound mid-plan. Scrub the engine state it may have
         // left behind so the next item starts clean, and charge the loss

@@ -137,12 +137,6 @@ impl<'a> ExecCtx<'a> {
         store.buffer.set_interrupted(false);
         store.buffer.set_io_deadline(hard_ns);
         Self {
-            store,
-            costs,
-            nav_counters: NavCounters::default(),
-            stats: ExecStats::default(),
-            mem_limit,
-            fallback: Cell::new(false),
             gov: Some(GovState {
                 cancel: budget.cancel.clone(),
                 soft_ns: budget.deadline.map(|d| t0.saturating_add(d.soft_ns)),
@@ -152,6 +146,7 @@ impl<'a> ExecCtx<'a> {
                 abort: Cell::new(None),
                 degraded: Cell::new(false),
             }),
+            ..Self::new(store, costs, mem_limit)
         }
     }
 

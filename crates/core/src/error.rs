@@ -1,7 +1,7 @@
 //! Execution errors surfaced by the physical plans.
 //!
-//! Every plan executor ([`crate::plan`], [`crate::concurrent`],
-//! [`crate::multi`]) consumes assembled instances through one output
+//! Every plan executor drives its plans through one driver in
+//! [`crate::plan`], which consumes assembled instances through one output
 //! contract (`plan::result_node`): the right end must be `Done`, `Core`,
 //! or (for zero-step plans) `Cold`. Anything else is a broken operator
 //! contract; instead of panicking in the hot path (DESIGN.md invariant
@@ -17,13 +17,11 @@ pub enum ExecError {
     /// An operator emitted an instance whose right end violates the plan
     /// output contract.
     UnexpectedEnd {
-        /// The executor that caught the violation.
-        executor: &'static str,
         /// Debug rendering of the offending right end.
         end: String,
     },
     /// A parallel batch worker terminated without delivering the result for
-    /// a claimed work item (see [`crate::server`]).
+    /// a claimed work item (see [`crate::batch`]).
     WorkerLost {
         /// Index of the orphaned work item.
         item: usize,
@@ -59,9 +57,8 @@ pub enum ExecError {
 
 impl ExecError {
     /// Builds the contract-violation error for `end`.
-    pub(crate) fn unexpected_end(executor: &'static str, end: &REnd) -> Self {
+    pub(crate) fn unexpected_end(end: &REnd) -> Self {
         ExecError::UnexpectedEnd {
-            executor,
             end: format!("{end:?}"),
         }
     }
@@ -70,9 +67,7 @@ impl ExecError {
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::UnexpectedEnd { executor, end } => {
-                write!(f, "{executor}: unexpected plan output end: {end}")
-            }
+            ExecError::UnexpectedEnd { end } => write!(f, "unexpected plan output end: {end}"),
             ExecError::WorkerLost { item } => {
                 write!(f, "parallel batch: no worker delivered item {item}")
             }

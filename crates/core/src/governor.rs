@@ -7,7 +7,7 @@
 //! This module holds the vocabulary types; enforcement lives at the declared
 //! checkpoints (operator produce loops, queue pops, and the buffer fix path
 //! — see DESIGN §12 for the checkpoint map) and in the governed batch
-//! executor (`server::execute_batch_governed`).
+//! executor ([`crate::batch::execute_batch_governed`]).
 //!
 //! Everything here is simulated-time based: deadlines are expressed in
 //! `SimClock` nanoseconds, never wall-clock, so every governed outcome is

@@ -17,29 +17,32 @@
 //! into an executable plan and runs it against a [`pathix_tree::TreeStore`],
 //! returning result nodes and a full cost report (simulated total time, CPU
 //! share, buffer and device statistics) — everything needed to regenerate
-//! the paper's figures and tables.
+//! the paper's figures and tables. The same driver runs several plans on
+//! one store, interleaved or fed by one shared scan (the paper's §7
+//! outlook); [`batch`] runs independent plans on a worker pool. Every
+//! batch returns a [`BatchRun`].
 
-pub mod concurrent;
+pub mod batch;
 pub mod context;
 pub mod error;
 pub mod governor;
 pub mod instance;
-pub mod multi;
 pub mod ops;
 pub mod optimizer;
 pub mod plan;
 pub mod report;
-pub mod server;
 
-pub use concurrent::{execute_interleaved, ConcurrentRun};
+pub use batch::{
+    execute_batch_governed, execute_batch_parallel, AdmissionConfig, BatchRun, ConcurrentRun,
+    WorkerSeed,
+};
 pub use context::{CostParams, ExecCtx, ExecStats};
 pub use error::ExecError;
 pub use governor::{CancelToken, Deadline, GovernorReport, QueryBudget};
 pub use instance::{Pi, REnd};
-pub use multi::{execute_paths_shared_scan, MultiPathRun};
 pub use optimizer::{Optimizer, PlanEstimate};
-pub use plan::{execute_path, execute_query, Method, PathRun, PlanConfig, QueryRun};
-pub use report::ExecReport;
-pub use server::{
-    execute_batch_governed, execute_batch_parallel, AdmissionConfig, BatchRun, WorkerSeed,
+pub use plan::{
+    execute_interleaved, execute_path, execute_paths_shared_scan, execute_query, Method, PathRun,
+    PlanConfig, QueryRun,
 };
+pub use report::ExecReport;

@@ -20,8 +20,9 @@ use crate::context::ExecCtx;
 use crate::instance::Pi;
 use crate::ops::Operator;
 use pathix_storage::PageId;
-use pathix_tree::{IdMap, NodeId};
+use pathix_tree::{Cluster, IdMap, NodeId};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The sequential-scan I/O operator.
 pub struct XScan {
@@ -62,33 +63,32 @@ impl XScan {
             self.all_contexts.push(id);
         }
     }
+}
 
-    fn visit_cluster(&mut self, cx: &ExecCtx<'_>, page: PageId) {
-        // A failed read records the error on the store; the scan winds down
-        // on the next `next()` turn (io_failed check).
-        let Some(cluster) = cx.store.checked_fix(page) else {
-            return;
-        };
-        // 1. Context instances located in this cluster.
-        if let Some(ctxs) = self.ctx_by_page.get(&page) {
-            for &id in ctxs {
-                cx.charge_instance();
-                let order = cluster.node(id.slot).order;
-                self.emit
-                    .push_back(Pi::swizzled_context(cluster.clone(), id.slot, order));
-            }
-        }
-        // 2. Speculative instances for every border node and step.
-        if self.path_len > 0 {
-            for b in cluster.border_slots() {
-                for i in 0..self.path_len {
-                    cx.charge_instance();
-                    cx.stats
-                        .speculative_generated
-                        .set(cx.stats.speculative_generated.get() + 1);
-                    self.emit.push_back(Pi::speculative(i, cluster.clone(), b));
-                }
-            }
+/// Queues what one scanned cluster contributes to a path of `path_len`
+/// steps: an instance for each of the `contexts`, all stored in it, then a
+/// speculative instance for every border node and every step, so that the
+/// cluster is never loaded again. [`XScan`] and the shared scan over
+/// several paths (`plan::execute_paths_shared_scan`) both emit through it.
+pub(crate) fn emit_cluster(
+    cx: &ExecCtx<'_>,
+    cluster: &Arc<Cluster>,
+    contexts: impl IntoIterator<Item = NodeId>,
+    path_len: u16,
+    out: &mut VecDeque<Pi>,
+) {
+    for id in contexts {
+        cx.charge_instance();
+        let order = cluster.node(id.slot).order;
+        out.push_back(Pi::swizzled_context(Arc::clone(cluster), id.slot, order));
+    }
+    for b in cluster.border_slots() {
+        for i in 0..path_len {
+            cx.charge_instance();
+            cx.stats
+                .speculative_generated
+                .set(cx.stats.speculative_generated.get() + 1);
+            out.push_back(Pi::speculative(i, Arc::clone(cluster), b));
         }
     }
 }
@@ -122,7 +122,12 @@ impl Operator for XScan {
             }
             let &page = self.pages.get(self.pos)?;
             self.pos += 1;
-            self.visit_cluster(cx, page);
+            // A failed read records the error on the store; the scan winds
+            // down at the next turn's checkpoint.
+            if let Some(cluster) = cx.store.checked_fix(page) {
+                let contexts = self.ctx_by_page.get(&page).into_iter().flatten().copied();
+                emit_cluster(cx, &cluster, contexts, self.path_len, &mut self.emit);
+            }
         }
     }
 }

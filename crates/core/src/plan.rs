@@ -8,19 +8,27 @@
 //! * **XSchedule** — `ContextSource → XSchedule → XStep* → XAssembly`
 //!   (with the `Q` feedback edge),
 //! * **XScan** — `ContextSource → XScan → XStep* → XAssembly`.
+//!
+//! One driver runs every plan: alone ([`execute_path`]), interleaved with
+//! others on one device ([`execute_interleaved`]), or as one of several
+//! `XStep* → XAssembly` plans fed by a single scan
+//! ([`execute_paths_shared_scan`]).
 
+use crate::batch::BatchRun;
 use crate::context::{CostParams, ExecCtx};
 use crate::error::ExecError;
 use crate::governor::QueryBudget;
-use crate::instance::REnd;
+use crate::instance::{Pi, REnd};
 use crate::ops::{
-    ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
+    emit_cluster, ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule,
+    XStep,
 };
 use crate::report::ExecReport;
 use pathix_storage::{BufferStats, DeviceStats, IoError, TimeBreakdown};
 use pathix_tree::{IdSet, NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Which physical plan to generate.
@@ -136,7 +144,7 @@ const SORT_CMP_NS: u64 = 30;
 /// crossed when step 2 is a downward axis (a sideways axis such as
 /// `following-sibling` never crosses an edge that has no context on its
 /// near side). Restrict the shortcut accordingly.
-pub(crate) fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
+fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
     let first = path.steps.first()?;
     let starts_dos = first.axis == Axis::DescendantOrSelf && first.test == NodeTest::AnyNode;
     let second_ok = path.steps.get(1).is_none_or(|s| s.axis.is_downward());
@@ -145,7 +153,7 @@ pub(crate) fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
 
 /// Stacks one `step_op` operator (`UnnestMap` or `XStep`) per location
 /// step on `op`.
-pub(crate) fn stack_steps<S: Operator + 'static>(
+fn stack_steps<S: Operator + 'static>(
     store: &TreeStore,
     path: &LocationPath,
     mut op: Box<dyn Operator>,
@@ -158,15 +166,10 @@ pub(crate) fn stack_steps<S: Operator + 'static>(
     op
 }
 
-/// Builds the operator tree for a (normalized) path.
-pub(crate) fn build_plan(
-    store: &TreeStore,
-    path: &LocationPath,
-    contexts: Vec<NodeId>,
-    method: Method,
-) -> Box<dyn Operator> {
+/// Builds the operator tree for a (normalized) path from the document root.
+fn build_plan(store: &TreeStore, path: &LocationPath, method: Method) -> Box<dyn Operator> {
     let len = path.steps.len() as u16;
-    let source: Box<dyn Operator> = Box::new(ContextSource::new(contexts.clone()));
+    let source: Box<dyn Operator> = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
         Method::Simple => stack_steps(store, path, source, UnnestMap::new),
         Method::XSchedule { k, speculative } => {
@@ -179,36 +182,22 @@ pub(crate) fn build_plan(
             let pages = store.meta.page_range().collect();
             let scan = XScan::new(source, pages, len);
             let steps = stack_steps(store, path, Box::new(scan), XStep::new);
-            let all_reachable =
-                scan_all_reachable_step(path).filter(|_| contexts == [store.meta.root]);
+            let all_reachable = scan_all_reachable_step(path);
             Box::new(XAssembly::new(steps, len, None, all_reachable))
         }
     }
 }
 
-/// Executes `path` from `contexts` with the given configuration.
-///
-/// Fails with [`ExecError::UnexpectedEnd`] if an operator breaks the plan
-/// output contract (a bug in the operator tree, never the caller's input).
-pub fn execute_path_from(
-    store: &TreeStore,
-    path: &LocationPath,
-    contexts: Vec<NodeId>,
-    cfg: &PlanConfig,
-) -> Result<PathRun, ExecError> {
-    run_path(store, path, contexts, cfg, None)
-}
-
 /// Snapshot of the clock, buffer and device counters at the start of a
 /// measured interval.
-pub(crate) struct Meter {
+struct Meter {
     time: TimeBreakdown,
     buffer: BufferStats,
     device: DeviceStats,
 }
 
 impl Meter {
-    pub(crate) fn start(store: &TreeStore) -> Self {
+    fn start(store: &TreeStore) -> Self {
         Self {
             time: store.clock().breakdown(),
             buffer: store.buffer.stats(),
@@ -218,7 +207,7 @@ impl Meter {
 
     /// The time/buffer/device delta since [`Self::start`], as a report
     /// whose other fields are empty.
-    pub(crate) fn delta(&self, store: &TreeStore) -> ExecReport {
+    fn delta(&self, store: &TreeStore) -> ExecReport {
         ExecReport {
             time: store.clock().breakdown() - self.time,
             buffer: store.buffer.stats() - self.buffer,
@@ -233,12 +222,8 @@ impl Meter {
 /// Simple plans). Returns the result's `(node, order)`, or `None` when a
 /// `Cold` end's cluster could not be read (the store recorded the error and
 /// the caller winds down). Any other end is a bug in the operator tree,
-/// reported as [`ExecError::UnexpectedEnd`] by `executor`.
-pub(crate) fn result_node(
-    store: &TreeStore,
-    end: &REnd,
-    executor: &'static str,
-) -> Result<Option<(NodeId, u64)>, ExecError> {
+/// reported as [`ExecError::UnexpectedEnd`].
+fn result_node(store: &TreeStore, end: &REnd) -> Result<Option<(NodeId, u64)>, ExecError> {
     Ok(match end {
         REnd::Done { id, order } => Some((*id, *order)),
         REnd::Core {
@@ -249,40 +234,14 @@ pub(crate) fn result_node(
         REnd::Cold { id, .. } => store
             .checked_fix(id.page)
             .map(|cluster| (*id, cluster.node(id.slot).order)),
-        other => return Err(ExecError::unexpected_end(executor, other)),
+        other => return Err(ExecError::unexpected_end(other)),
     })
-}
-
-/// Completes `io`, a [`Meter`] delta, with the algebra counters of `cx`.
-pub(crate) fn exec_report(
-    cx: &ExecCtx<'_>,
-    method: &str,
-    results: usize,
-    io: ExecReport,
-) -> ExecReport {
-    let (nav, stats) = (&cx.nav_counters, &cx.stats);
-    ExecReport {
-        method: method.to_owned(),
-        nodes_visited: nav.nodes_visited.get(),
-        node_tests: nav.node_tests.get(),
-        borders: nav.borders.get(),
-        instances: stats.instances.get(),
-        results: results as u64,
-        r_inserts: stats.r_inserts.get(),
-        s_inserts: stats.s_inserts.get(),
-        s_peak: stats.s_peak.get(),
-        q_pushes: stats.q_pushes.get(),
-        speculative_generated: stats.speculative_generated.get(),
-        fallback: stats.fallback_entered.get(),
-        degraded: cx.governor_degraded(),
-        ..io
-    }
 }
 
 /// Clean abort on the store's `recorded` read failure, if any: discards
 /// the asynchronous reads still queued, so the next run starts from an idle
 /// device, and surfaces the failure as a value.
-pub(crate) fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(), ExecError> {
+fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(), ExecError> {
     let Some(e) = recorded else { return Ok(()) };
     store.buffer.drain_inflight();
     Err(ExecError::Io {
@@ -292,6 +251,120 @@ pub(crate) fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(
     })
 }
 
+/// One plan in execution. Every executor drives its plans through this
+/// one type: [`Driver::start`] builds the context, [`Driver::pull`] takes
+/// one result at a time, and [`Driver::finish`] settles the run.
+/// [`run_path`] drives one plan to exhaustion; [`execute_interleaved`] and
+/// [`execute_paths_shared_scan`] drive several on one store, so a plan
+/// costs the same whichever executor runs it.
+struct Driver<'a> {
+    cx: ExecCtx<'a>,
+    plan: Box<dyn Operator>,
+    cfg: PlanConfig,
+    nodes: Vec<(NodeId, u64)>,
+    /// Results pulled so far, for Simple's final duplicate elimination.
+    seen: IdSet<NodeId>,
+    /// A broken plan output contract, surfaced by [`Driver::finish`].
+    contract: Result<(), ExecError>,
+}
+
+impl<'a> Driver<'a> {
+    /// Starts `plan` under a fresh context for `cfg`, governed by `budget`
+    /// if one is given.
+    fn start(
+        store: &'a TreeStore,
+        cfg: &PlanConfig,
+        budget: Option<&QueryBudget>,
+        plan: Box<dyn Operator>,
+    ) -> Self {
+        let cx = match budget {
+            None => ExecCtx::new(store, cfg.costs, cfg.mem_limit),
+            Some(b) => ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b),
+        };
+        Self {
+            cx,
+            plan,
+            cfg: *cfg,
+            nodes: Vec::new(),
+            seen: IdSet::default(),
+            contract: Ok(()),
+        }
+    }
+
+    /// Pulls one output of the plan. False once the plan is exhausted (for
+    /// now: a plan on a queue source resumes when the queue refills), or
+    /// when it must wind down on a recorded read error or a broken output
+    /// contract.
+    fn pull(&mut self) -> bool {
+        let Some(p) = self.plan.next(&self.cx) else {
+            return false;
+        };
+        let (id, order) = match result_node(self.cx.store, &p.nr) {
+            Ok(Some(node)) => node,
+            Ok(None) => return false, // error recorded; surfaced by the caller
+            Err(e) => {
+                self.contract = Err(e);
+                return false;
+            }
+        };
+        if matches!(self.cfg.method, Method::Simple) {
+            // Final duplicate elimination of the Simple method (§5.1).
+            self.cx.charge_set_op();
+            if !self.seen.insert(id) {
+                return true;
+            }
+        }
+        self.nodes.push((id, order));
+        true
+    }
+
+    /// Settles the run: the governor's verdict, then a broken contract,
+    /// then a recorded read error fail it. Otherwise the results are sorted
+    /// into document order if the plan asked for it (§5.5, charged
+    /// `SORT_CMP_NS·n·log n`) and reported over `io()`, the clock, buffer
+    /// and device delta the caller measures after the sort.
+    fn finish(mut self, io: impl FnOnce() -> ExecReport) -> Result<PathRun, ExecError> {
+        drop(self.plan);
+        let (cx, store) = (&self.cx, self.cx.store);
+        let recorded_io = store.take_io_error();
+        if let Some(abort) = cx.governor_verdict(recorded_io.as_ref()) {
+            return Err(abort);
+        }
+        self.contract?;
+        io_abort(store, recorded_io)?;
+        let n = self.nodes.len() as u64;
+        if self.cfg.sort {
+            if n > 1 {
+                store
+                    .clock()
+                    .charge_cpu(SORT_CMP_NS * n * (64 - n.leading_zeros() as u64));
+            }
+            self.nodes.sort_by_key(|&(_, order)| order);
+        }
+        let (nav, stats) = (&cx.nav_counters, &cx.stats);
+        let report = ExecReport {
+            method: self.cfg.method.label().to_owned(),
+            nodes_visited: nav.nodes_visited.get(),
+            node_tests: nav.node_tests.get(),
+            borders: nav.borders.get(),
+            instances: stats.instances.get(),
+            results: n,
+            r_inserts: stats.r_inserts.get(),
+            s_inserts: stats.s_inserts.get(),
+            s_peak: stats.s_peak.get(),
+            q_pushes: stats.q_pushes.get(),
+            speculative_generated: stats.speculative_generated.get(),
+            fallback: stats.fallback_entered.get(),
+            degraded: cx.governor_degraded(),
+            ..io()
+        };
+        Ok(PathRun {
+            nodes: self.nodes,
+            report,
+        })
+    }
+}
+
 /// The single-path executor. With a `budget`, the soft deadline degrades the
 /// plan into §5.4.6 fallback mode and the hard deadline (or the budget's
 /// cancel token) aborts it with a typed error. An unlimited budget behaves
@@ -299,73 +372,168 @@ pub(crate) fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(
 pub(crate) fn run_path(
     store: &TreeStore,
     path: &LocationPath,
-    contexts: Vec<NodeId>,
     cfg: &PlanConfig,
     budget: Option<&QueryBudget>,
 ) -> Result<PathRun, ExecError> {
-    let path = cfg.prepare(path);
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
-    let cx = match budget {
-        None => ExecCtx::new(store, cfg.costs, cfg.mem_limit),
-        Some(b) => ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b),
-    };
+    let plan = build_plan(store, &cfg.prepare(path), cfg.method);
+    let mut driver = Driver::start(store, cfg, budget, plan);
     let meter = Meter::start(store);
+    while driver.pull() {}
+    driver.finish(|| meter.delta(store))
+}
 
-    let mut plan = build_plan(store, &path, contexts, cfg.method);
-    let mut nodes: Vec<(NodeId, u64)> = Vec::new();
-    let mut dedup: IdSet<NodeId> = IdSet::default();
-    let mut contract = Ok(());
-    let simple = matches!(cfg.method, Method::Simple);
-    while let Some(p) = plan.next(&cx) {
-        let (id, order) = match result_node(store, &p.nr, "execute_path_from") {
-            Ok(Some(node)) => node,
-            Ok(None) => break, // error recorded; abort below
-            Err(e) => {
-                contract = Err(e);
-                break;
-            }
+/// Runs every `(path, method)` item of `work` from the document root,
+/// interleaved on `store`'s one device — the paper's outlook: "We also
+/// expect concurrent queries to strongly benefit from asynchronous I/O, as
+/// scheduling decisions can be made based on more pending requests" (§7),
+/// and the converse warning it cites for the Assembly operator: concurrently
+/// active scan-based plans interfere and cause extra disk-arm movement.
+///
+/// The plans take turns, one pull each, so their I/O requests reach the
+/// device interleaved. Synchronous plans (Simple) ping-pong the head
+/// between working sets; asynchronous plans (XSchedule) pool everything in
+/// the device queue, which reorders across all of them.
+///
+/// Each item is charged exactly as [`execute_path`] charges it alone, and
+/// its report's clock, buffer and device deltas are those of its own turns,
+/// so the items' deltas sum to [`BatchRun::report`], the store's delta over
+/// the batch. The device is the failure domain: an unrecovered read fails
+/// the whole batch with [`ExecError::Io`]. An item that breaks the plan
+/// output contract fails alone with [`ExecError::UnexpectedEnd`].
+pub fn execute_interleaved(
+    store: &TreeStore,
+    work: &[(LocationPath, Method)],
+    cfg: &PlanConfig,
+) -> Result<BatchRun, ExecError> {
+    store.clear_io_error();
+    let meter = Meter::start(store);
+    // (driver, its turns' deltas, still producing)
+    let mut slots: Vec<_> = work
+        .iter()
+        .map(|&(ref path, method)| {
+            let cfg = PlanConfig { method, ..*cfg };
+            let plan = build_plan(store, &cfg.prepare(path), method);
+            let driver = Driver::start(store, &cfg, None, plan);
+            (driver, ExecReport::default(), true)
+        })
+        .collect();
+    let mut live = true;
+    while live && !store.io_failed() {
+        live = false;
+        for (driver, io, more) in slots.iter_mut().filter(|slot| slot.2) {
+            let turn = Meter::start(store);
+            *more = driver.pull();
+            io.absorb(&turn.delta(store));
+            live |= *more;
+        }
+    }
+    io_abort(store, store.take_io_error())?;
+    let runs: Vec<_> = slots
+        .into_iter()
+        .map(|(driver, mut io, _)| {
+            let turn = Meter::start(store);
+            driver.finish(|| {
+                io.absorb(&turn.delta(store));
+                io
+            })
+        })
+        .collect();
+    let report = ExecReport {
+        method: "interleaved".to_owned(),
+        results: runs.iter().flatten().map(|r| r.nodes.len() as u64).sum(),
+        ..meter.delta(store)
+    };
+    Ok(BatchRun::new(runs, report))
+}
+
+/// Pull operator over a queue that the shared scan's page loop fills.
+struct QueueSource(Rc<RefCell<VecDeque<Pi>>>);
+
+impl Operator for QueueSource {
+    fn next(&mut self, _cx: &ExecCtx<'_>) -> Option<Pi> {
+        self.0.borrow_mut().pop_front()
+    }
+}
+
+/// Evaluates every path of `paths` from the document root with **one**
+/// sequential scan — the paper's outlook: "Our method can be easily
+/// extended to evaluate multiple location paths with a single
+/// I/O-performing operator" (§7). A query like XMark Q7 (three `count()`s)
+/// reads the document once instead of three times.
+///
+/// Each path is an `XStep* → XAssembly` plan over a queue. For every
+/// cluster the scan visits, each path's queue receives what [`XScan`]
+/// would emit for it there, and its plan is drained. Every path runs as
+/// `XScan` under `cfg`, except that `cfg.mem_limit` is ignored (fallback
+/// would need a second scan per path).
+///
+/// The scan's clock, buffer and device delta is reported once, in
+/// [`BatchRun::report`], together with the sum of the paths' algebra
+/// counters; an item's own report carries only its algebra counters. An
+/// unrecovered read fails the whole batch with [`ExecError::Io`]; a path
+/// that breaks the plan output contract fails alone with
+/// [`ExecError::UnexpectedEnd`].
+pub fn execute_paths_shared_scan(
+    store: &TreeStore,
+    paths: &[LocationPath],
+    cfg: &PlanConfig,
+) -> Result<BatchRun, ExecError> {
+    let mut cfg = *cfg;
+    (cfg.method, cfg.mem_limit) = (Method::XScan, None);
+    store.clear_io_error();
+    let meter = Meter::start(store);
+    // (driver, the queue it reads, its step count)
+    let mut slots: Vec<_> = paths
+        .iter()
+        .map(|path| {
+            let path = cfg.prepare(path);
+            let len = path.steps.len() as u16;
+            let feed = Rc::new(RefCell::new(VecDeque::new()));
+            let source = Box::new(QueueSource(Rc::clone(&feed)));
+            let steps = stack_steps(store, &path, source, XStep::new);
+            let plan = XAssembly::new(steps, len, None, scan_all_reachable_step(&path));
+            (Driver::start(store, &cfg, None, Box::new(plan)), feed, len)
+        })
+        .collect();
+    let root = store.meta.root;
+    for page in store.meta.page_range() {
+        // An unrecovered read ends the scan; the batch fails below.
+        let Some(cluster) = store.checked_fix(page) else {
+            break;
         };
-        if simple {
-            // Final duplicate elimination of the Simple method (§5.1).
-            cx.charge_set_op();
-            if !dedup.insert(id) {
-                continue;
-            }
+        let context = (page == root.page).then_some(root);
+        for (driver, feed, len) in &mut slots {
+            emit_cluster(&driver.cx, &cluster, context, *len, &mut feed.borrow_mut());
+            while driver.pull() {}
         }
-        nodes.push((id, order));
     }
-    drop(plan);
-
-    let recorded_io = store.take_io_error();
-    if let Some(abort) = cx.governor_verdict(recorded_io.as_ref()) {
-        return Err(abort);
+    io_abort(store, store.take_io_error())?;
+    let runs: Vec<_> = slots
+        .into_iter()
+        .map(|(driver, ..)| driver.finish(ExecReport::default))
+        .collect();
+    let mut report = ExecReport {
+        method: "SharedScan".to_owned(),
+        ..meter.delta(store)
+    };
+    for run in runs.iter().flatten() {
+        report.absorb(&run.report);
     }
-    contract?;
-    io_abort(store, recorded_io)?;
-
-    if cfg.sort {
-        // §5.5: reordered evaluation needs a final sort into document order.
-        let n = nodes.len() as u64;
-        if n > 1 {
-            store
-                .clock()
-                .charge_cpu(SORT_CMP_NS * n * (64 - n.leading_zeros() as u64));
-        }
-        nodes.sort_by_key(|&(_, order)| order);
-    }
-
-    let report = exec_report(&cx, cfg.method.label(), nodes.len(), meter.delta(store));
-    Ok(PathRun { nodes, report })
+    Ok(BatchRun::new(runs, report))
 }
 
 /// Executes `path` from the document root.
+///
+/// Fails with [`ExecError::UnexpectedEnd`] if an operator breaks the plan
+/// output contract (a bug in the operator tree, never the caller's input).
 pub fn execute_path(
     store: &TreeStore,
     path: &LocationPath,
     cfg: &PlanConfig,
 ) -> Result<PathRun, ExecError> {
-    execute_path_from(store, path, vec![store.meta.root], cfg)
+    run_path(store, path, cfg, None)
 }
 
 /// Executes a query (path, count, or sum of counts) from the document root.
@@ -553,11 +721,7 @@ mod tests {
             },
         ];
         for end in &accepted {
-            assert_eq!(
-                result_node(&store, end, "test"),
-                Ok(Some((root, order))),
-                "{end:?}"
-            );
+            assert_eq!(result_node(&store, end), Ok(Some((root, order))), "{end:?}");
         }
         let rejected = [
             REnd::Entry {
@@ -572,11 +736,8 @@ mod tests {
         for end in &rejected {
             assert!(
                 matches!(
-                    result_node(&store, end, "test"),
-                    Err(ExecError::UnexpectedEnd {
-                        executor: "test",
-                        ..
-                    })
+                    result_node(&store, end),
+                    Err(ExecError::UnexpectedEnd { .. })
                 ),
                 "{end:?}"
             );
@@ -633,5 +794,159 @@ mod tests {
             store.meta.page_count
         );
         assert!(run.report.speculative_generated > 0);
+    }
+
+    /// A one-item interleaved batch is charged exactly like its plan run
+    /// alone: Simple's final dedup and the document-order sort cost the
+    /// same CPU in both, so nodes and every report field agree.
+    #[test]
+    fn one_item_interleaved_batch_equals_execute_path() {
+        let doc = sample_doc();
+        let mut sorted = PlanConfig::new(Method::xschedule());
+        sorted.sort = true;
+        for (path, cfg) in [
+            ("//item/..", PlanConfig::new(Method::Simple)),
+            ("/regions//item/name", sorted),
+        ] {
+            let path = parse_path(path).unwrap();
+            let placement = Placement::Shuffled { seed: 5 };
+            let solo = execute_path(&mem_store(&doc, 256, placement), &path, &cfg).unwrap();
+            let store = mem_store(&doc, 256, placement);
+            let batch = execute_interleaved(&store, &[(path, cfg.method)], &cfg).unwrap();
+            let run = batch.runs[0].as_ref().unwrap();
+            assert_eq!(run.nodes, solo.nodes, "{cfg:?}");
+            assert_eq!(format!("{:?}", run.report), format!("{:?}", solo.report));
+        }
+        // The Simple plan pulls one parent per item, so its dedup ran.
+        let items = reference(&doc, "//item").len();
+        assert!(reference(&doc, "//item/..").len() < items);
+    }
+
+    #[test]
+    fn interleaved_plans_all_correct() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 17 });
+        let work = vec![
+            (parse_path("/regions//item").unwrap(), Method::Simple),
+            (parse_path("//email").unwrap(), Method::xschedule()),
+            (parse_path("//name").unwrap(), Method::XScan),
+        ];
+        let mut cfg = PlanConfig::new(Method::Simple);
+        cfg.sort = true;
+        let batch = execute_interleaved(&store, &work, &cfg).expect("plans execute");
+        assert_eq!(batch.runs.len(), 3);
+        for (i, (path, _)) in work.iter().enumerate() {
+            let want = reference(&doc, &path.to_string());
+            let run = batch.runs[i].as_ref().expect("plan succeeds");
+            let got: Vec<u64> = run.nodes.iter().map(|&(_, o)| o).collect();
+            assert_eq!(got, want, "plan {i} diverged under interleaving");
+        }
+        assert!(batch.report.results > 0);
+    }
+
+    #[test]
+    fn two_schedules_share_the_device_queue() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 3 });
+        let work = vec![
+            (parse_path("//item").unwrap(), Method::xschedule()),
+            (parse_path("//email").unwrap(), Method::xschedule()),
+        ];
+        let batch = execute_interleaved(&store, &work, &PlanConfig::new(Method::Simple))
+            .expect("plans execute");
+        for run in &batch.runs {
+            assert!(!run.as_ref().expect("plan succeeds").nodes.is_empty());
+        }
+    }
+
+    #[test]
+    fn per_plan_reports_sum_to_combined() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 23 });
+        let work = vec![
+            (parse_path("//item").unwrap(), Method::Simple),
+            (parse_path("//email").unwrap(), Method::xschedule()),
+            (parse_path("//name").unwrap(), Method::XScan),
+        ];
+        let mut cfg = PlanConfig::new(Method::Simple);
+        cfg.sort = true;
+        let batch = execute_interleaved(&store, &work, &cfg).expect("plans execute");
+        let runs: Vec<&PathRun> = batch.runs.iter().map(|r| r.as_ref().unwrap()).collect();
+        // Every read and every simulated nanosecond of the batch, the final
+        // sorts included, happens inside some plan's bracketed turn, so the
+        // per-plan deltas must sum exactly to the combined report.
+        let combined = &batch.report;
+        let reads: u64 = runs.iter().map(|r| r.report.device.reads).sum();
+        let total_ns: u64 = runs.iter().map(|r| r.report.time.total_ns).sum();
+        let fixes: u64 = runs.iter().map(|r| r.report.buffer.fixes).sum();
+        assert_eq!(reads, combined.device.reads);
+        assert_eq!(total_ns, combined.time.total_ns);
+        assert_eq!(fixes, combined.buffer.fixes);
+        for (run, (_, method)) in runs.iter().zip(&work) {
+            assert_eq!(run.report.results, run.nodes.len() as u64);
+            assert_eq!(run.report.method, method.label());
+            assert!(
+                run.report.instances > 0,
+                "{} did no work?",
+                run.report.method
+            );
+        }
+    }
+
+    fn shared_scan(store: &TreeStore, paths: &[&str], cfg: &PlanConfig) -> BatchRun {
+        let paths: Vec<LocationPath> = paths.iter().map(|p| parse_path(p).unwrap()).collect();
+        execute_paths_shared_scan(store, &paths, cfg).expect("fault-free scan")
+    }
+
+    #[test]
+    fn shared_scan_matches_reference_per_path() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 21 });
+        let paths = ["/regions//item", "//email", "//name/text()", "//item/.."];
+        let mut cfg = PlanConfig::new(Method::XScan);
+        cfg.sort = true;
+        let batch = shared_scan(&store, &paths, &cfg);
+        assert_eq!(batch.runs.len(), paths.len());
+        for (run, path) in batch.runs.iter().zip(paths) {
+            let got: Vec<u64> = run
+                .as_ref()
+                .unwrap()
+                .nodes
+                .iter()
+                .map(|&(_, o)| o)
+                .collect();
+            assert_eq!(got, reference(&doc, path), "path {path}");
+        }
+    }
+
+    #[test]
+    fn single_scan_for_many_paths() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Sequential);
+        let paths = ["/regions//item", "//email", "//description"];
+        let batch = shared_scan(&store, &paths, &PlanConfig::new(Method::XScan));
+        assert_eq!(
+            batch.report.device.reads, store.meta.page_count as u64,
+            "one scan, not one per path"
+        );
+    }
+
+    #[test]
+    fn empty_path_list() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Sequential);
+        let batch = shared_scan(&store, &[], &PlanConfig::new(Method::XScan));
+        assert!(batch.runs.is_empty());
+        assert_eq!(batch.report.results, 0);
+    }
+
+    #[test]
+    fn zero_step_path_yields_context() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Sequential);
+        let batch = shared_scan(&store, &["/"], &PlanConfig::new(Method::XScan));
+        let run = batch.runs[0].as_ref().unwrap();
+        assert_eq!(run.nodes.len(), 1);
+        assert_eq!(run.nodes[0].0, store.meta.root);
     }
 }

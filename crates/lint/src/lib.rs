@@ -30,9 +30,9 @@
 //!   layer stack, and `Pi` instances may only be built through the
 //!   checked constructors in `instance.rs`.
 //! - **R5 — concurrency confinement.** Threading primitives
-//!   (`std::thread`, `parking_lot`, channels, locks, atomics) appear
-//!   only in the storage layer's shared page cache and fault plan, the
-//!   batch-executor module (`core/src/server.rs`) and the governor
+//!   (`std::thread`, channels, locks, atomics) appear only in the
+//!   storage layer's shared page cache and fault plan, the batch
+//!   executor module (`core/src/batch.rs`) and the governor
 //!   (`core/src/governor.rs`); the operator hot path stays
 //!   single-threaded (DESIGN §10).
 //! - **R6 — fault containment.** The fault-injection API

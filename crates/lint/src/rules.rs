@@ -88,7 +88,7 @@ fn in_governor_zone(path: &str) -> bool {
     path == "crates/core/src/governor.rs"
         || path == "crates/core/src/context.rs"
         || path == "crates/core/src/plan.rs"
-        || path == "crates/core/src/server.rs"
+        || path == "crates/core/src/batch.rs"
         || path == "crates/core/src/error.rs"
         || path == "crates/core/src/lib.rs"
         || path == "src/db.rs"
@@ -110,14 +110,7 @@ const CHECKPOINT_FILES: &[&str] = &[
 
 /// Identifiers that indicate threading primitives (R5). `Atomic`-prefixed
 /// identifiers (`AtomicU64`, `AtomicUsize`, …) are matched by prefix.
-const CONCURRENCY_IDENTS: &[&str] = &[
-    "thread",
-    "parking_lot",
-    "mpsc",
-    "Mutex",
-    "RwLock",
-    "Condvar",
-];
+const CONCURRENCY_IDENTS: &[&str] = &["thread", "mpsc", "Mutex", "RwLock", "Condvar"];
 
 /// Files allowed to use threading primitives (R5): the two storage files
 /// that share state across threads (the shared page cache and the fault
@@ -129,7 +122,7 @@ const CONCURRENCY_IDENTS: &[&str] = &[
 fn in_concurrency_zone(path: &str) -> bool {
     path == "crates/storage/src/shared_cache.rs"
         || path == "crates/storage/src/fault.rs"
-        || path == "crates/core/src/server.rs"
+        || path == "crates/core/src/batch.rs"
         || path == "crates/core/src/governor.rs"
 }
 
@@ -332,7 +325,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         message: format!(
                             "threading primitive `{id}` outside the concurrency zone \
                              (storage shared_cache/fault, \
-                             core/src/server.rs, core/src/governor.rs); \
+                             core/src/batch.rs, core/src/governor.rs); \
                              the operator hot path stays single-threaded"
                         ),
                     });
@@ -345,7 +338,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         rule: "R7",
                         message: format!(
                             "governor type `{id}` outside the governor zone \
-                             (core governor/context/plan/server/error/lib, \
+                             (core governor/context/plan/batch/error/lib, \
                              src/db.rs, src/lib.rs, bench, tests); operators \
                              see budgets only through the buffer's interrupt \
                              gate"
@@ -642,11 +635,11 @@ mod tests {
             vec!["R5"]
         );
         // The rest of the storage layer is outside the zone.
-        let lock = "use parking_lot::Mutex;";
+        let lock = "use std::sync::Mutex;";
         assert!(rules_of("crates/storage/src/buffer.rs", lock).contains(&"R5"));
         // The concurrency zone and tests are allowed.
         assert!(rules_of("crates/storage/src/shared_cache.rs", src).is_empty());
-        assert!(rules_of("crates/core/src/server.rs", src).is_empty());
+        assert!(rules_of("crates/core/src/batch.rs", src).is_empty());
         assert!(rules_of("crates/core/src/governor.rs", src).is_empty());
         assert!(rules_of("crates/core/tests/t.rs", src).is_empty());
         // The bench harness runs batches through the facade: no threads.
@@ -663,7 +656,7 @@ mod tests {
         // The governor zone and tests are allowed.
         assert!(!rules_of("crates/core/src/governor.rs", src).contains(&"R7"));
         assert!(!rules_of("crates/core/src/context.rs", src).contains(&"R7"));
-        assert!(!rules_of("crates/core/src/server.rs", src).contains(&"R7"));
+        assert!(!rules_of("crates/core/src/batch.rs", src).contains(&"R7"));
         assert!(!rules_of("src/db.rs", src).contains(&"R7"));
         assert!(!rules_of("crates/bench/src/overload.rs", src).contains(&"R7"));
         assert!(!rules_of("tests/governor_chaos.rs", src).contains(&"R7"));
@@ -706,13 +699,13 @@ mod tests {
     #[test]
     fn io_error_construction_confinement() {
         let build = "fn f() -> IoError { IoError { page: 0, attempts: 1 } }";
-        let diags = rules_of("crates/core/src/server.rs", build);
+        let diags = rules_of("crates/core/src/batch.rs", build);
         // Exactly one R6: the literal, not the return type.
         assert_eq!(diags.iter().filter(|r| **r == "R6").count(), 1);
         // The storage layer constructs freely; consumers may name the type.
         assert!(!rules_of("crates/storage/src/buffer.rs", build).contains(&"R6"));
         let consume = "fn f(e: IoError) -> u32 { e.page }";
-        assert!(!rules_of("crates/core/src/server.rs", consume).contains(&"R6"));
+        assert!(!rules_of("crates/core/src/batch.rs", consume).contains(&"R6"));
     }
 
     #[test]

@@ -39,8 +39,8 @@
 use crate::checksum::CHECKSUM_LEN;
 use crate::clock::SimClock;
 use crate::device::{Completion, Device, IoError, IoErrorKind, PageId};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::shared_cache::lock;
+use std::sync::{Arc, Mutex};
 
 /// What a firing fault rule does to the read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,13 +230,13 @@ impl FaultPlan {
 
     /// Injection counters so far.
     pub fn stats(&self) -> FaultStats {
-        self.inner.lock().stats
+        lock(&self.inner).stats
     }
 
     /// Re-arms every rule and clears the counters (for reusing one plan
     /// across independent runs).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         for st in &mut inner.states {
             *st = RuleState::default();
         }
@@ -255,7 +255,7 @@ impl FaultPlan {
     }
 
     fn consult(&self, page: PageId, writes: bool) -> Option<FaultKind> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut fired: Option<FaultKind> = None;
         let mut fired_idx = None;
         for (i, rule) in inner.rules.iter().enumerate() {
@@ -298,7 +298,7 @@ impl FaultPlan {
             return Arc::clone(bytes);
         }
         let (flip_seed, occurrence) = {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             (inner.flip_seed, inner.stats.corrupt)
         };
         let mut s = flip_seed ^ ((page as u64) << 32) ^ occurrence;
@@ -322,7 +322,7 @@ impl FaultPlan {
             return;
         }
         let (flip_seed, occurrence) = {
-            let inner = self.inner.lock();
+            let inner = lock(&self.inner);
             (inner.flip_seed, inner.stats.torn_writes)
         };
         let mut s = flip_seed ^ 0x7E4A_0000 ^ ((page as u64) << 32) ^ occurrence;
@@ -662,8 +662,8 @@ mod tests {
     fn random_plans_are_deterministic() {
         let a = FaultPlan::random(42, 0, 16, 6);
         let b = FaultPlan::random(42, 0, 16, 6);
-        assert_eq!(a.inner.lock().rules, b.inner.lock().rules);
+        assert_eq!(lock(&a.inner).rules, lock(&b.inner).rules);
         let c = FaultPlan::random(43, 0, 16, 6);
-        assert_ne!(a.inner.lock().rules, c.inner.lock().rules);
+        assert_ne!(lock(&a.inner).rules, lock(&c.inner).rules);
     }
 }

@@ -43,7 +43,7 @@ pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 pub use fault::{splitmix64, FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use mem_device::MemDevice;
-pub use shared_cache::{SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
+pub use shared_cache::{lock, SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
 pub use sim_disk::{DiskProfile, QueuePolicy, SimDisk};
 pub use slotted::{DecodeError, SlottedPageBuilder, SlottedPageReader};
 pub use wal::{

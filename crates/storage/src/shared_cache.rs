@@ -33,10 +33,9 @@
 use crate::checksum::verify_page;
 use crate::clock::SimClock;
 use crate::device::{Completion, Device, IoError, IoErrorKind, PageId};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of lock stripes. Power of two so shard selection is a mask.
 const SHARD_COUNT: usize = 16;
@@ -89,8 +88,18 @@ enum FlightOutcome {
     Failed,
 }
 
+/// Locks `mutex`, taking the guard back if a panicking holder poisoned it.
+/// The one lock entry point of the concurrency zone (lint R5): the shared
+/// page cache, the fault plan and the batch executor. Every critical
+/// section there leaves its data consistent, and a loader that dies
+/// mid-miss leaves its flight `Pending` for a waiter to retire, so one
+/// panicking thread never strands the others.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// An in-progress single-flight load. The loader holds `slot`'s lock for the
-/// whole device read; waiters block on `lock()` and inspect the outcome.
+/// whole device read; waiters block on [`lock`] and inspect the outcome.
 #[derive(Default)]
 struct Flight {
     slot: Mutex<FlightOutcome>,
@@ -149,7 +158,7 @@ impl SharedPageCache {
 
     /// Probes the cache without loading. Counts a hit or a miss.
     pub fn probe(&self, page: PageId) -> Option<Arc<[u8]>> {
-        let shard = self.shard(page).lock();
+        let shard = lock(self.shard(page));
         match shard.pages.get(&page) {
             Some(b) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -175,7 +184,7 @@ impl SharedPageCache {
         F: FnMut() -> Result<Arc<[u8]>, IoError>,
     {
         loop {
-            let mut shard = self.shard(page).lock();
+            let mut shard = lock(self.shard(page));
             if let Some(b) = shard.pages.get(&page) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(b));
@@ -185,14 +194,14 @@ impl SharedPageCache {
                 // shard lock and block on the flight instead of reading.
                 drop(shard);
                 self.single_flight_waits.fetch_add(1, Ordering::Relaxed);
-                if let FlightOutcome::Ready(b) = &*f.slot.lock() {
+                if let FlightOutcome::Ready(b) = &*lock(&f.slot) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Arc::clone(b));
                 }
                 // The loader failed or unwound without publishing. Retire
                 // its stale flight (if still present) and retry from the
                 // top — this worker becomes the next loader.
-                let mut shard = self.shard(page).lock();
+                let mut shard = lock(self.shard(page));
                 let stale = shard
                     .flights
                     .get(&page)
@@ -206,17 +215,17 @@ impl SharedPageCache {
             // flight visible, so waiters can never observe an unresolved
             // slot while the load is still in progress.
             let f = Arc::new(Flight::default());
-            let mut slot = f.slot.lock();
+            let mut slot = lock(&f.slot);
             shard.flights.insert(page, Arc::clone(&f));
             drop(shard);
             self.misses.fetch_add(1, Ordering::Relaxed);
             // If `load` panics, the slot stays Pending and the flight is
-            // retired by the first waiter that observes it (parking_lot
-            // mutexes release on unwind, without libstd poisoning).
+            // retired by the first waiter that observes it (`lock` takes
+            // the guard back from the poisoned mutex).
             match load() {
                 Ok(bytes) => {
                     *slot = FlightOutcome::Ready(Arc::clone(&bytes));
-                    let mut shard = self.shard(page).lock();
+                    let mut shard = lock(self.shard(page));
                     shard.pages.insert(page, Arc::clone(&bytes));
                     shard.flights.remove(&page);
                     self.inserts.fetch_add(1, Ordering::Relaxed);
@@ -226,7 +235,7 @@ impl SharedPageCache {
                 }
                 Err(e) => {
                     *slot = FlightOutcome::Failed;
-                    let mut shard = self.shard(page).lock();
+                    let mut shard = lock(self.shard(page));
                     let stale = shard
                         .flights
                         .get(&page)
@@ -246,7 +255,7 @@ impl SharedPageCache {
     /// Inserts a page image loaded outside the single-flight path (e.g. an
     /// asynchronous completion polled from the underlying device).
     pub fn publish(&self, page: PageId, bytes: Arc<[u8]>) {
-        let mut shard = self.shard(page).lock();
+        let mut shard = lock(self.shard(page));
         if shard.pages.insert(page, bytes).is_none() {
             self.inserts.fetch_add(1, Ordering::Relaxed);
         }
@@ -254,12 +263,12 @@ impl SharedPageCache {
 
     /// Drops the cached image for `page` (after a write).
     pub fn invalidate(&self, page: PageId) {
-        self.shard(page).lock().pages.remove(&page);
+        lock(self.shard(page)).pages.remove(&page);
     }
 
     /// Number of distinct pages currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pages.len()).sum()
+        self.shards.iter().map(|s| lock(s).pages.len()).sum()
     }
 
     /// True when no pages are cached.

@@ -9,7 +9,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, Method, PlanConfig};
+use pathix::{Batch, Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 
 fn main() {
@@ -38,11 +38,16 @@ fn main() {
     db.clear_buffers();
     db.reset_device_stats();
     let shared = db
-        .run_multi(
-            &["/site//description", "/site//annotation", "/site//email"],
+        .run_batch(
+            &[
+                ("/site//description", Method::XScan),
+                ("/site//annotation", Method::XScan),
+                ("/site//email", Method::XScan),
+            ],
             &PlanConfig::new(Method::XScan),
+            Batch::SharedScan,
         )
-        .expect("multi");
+        .expect("shared scan");
     println!(
         "  3 scans: {:>7.3}s / {} reads   1 shared scan: {:>7.3}s / {} reads\n",
         independent.report.total_secs(),
@@ -74,12 +79,14 @@ fn main() {
     for method in [Method::Simple, Method::xschedule()] {
         db.clear_buffers();
         db.reset_device_stats();
-        let (_, report) = db
-            .run_concurrent(
+        let report = db
+            .run_batch(
                 &[("/site/regions//item", method), ("/site//email", method)],
                 &PlanConfig::new(method),
+                Batch::Interleaved,
             )
-            .expect("concurrent");
+            .expect("interleaved")
+            .report;
         println!(
             "  2 x {:<10} combined {:>8.3}s  seek distance {:>9} pages",
             method.label(),

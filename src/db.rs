@@ -3,12 +3,12 @@
 
 use pathix_core::{
     execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_paths_shared_scan,
-    execute_query, AdmissionConfig, BatchRun, ExecError, ExecReport, GovernorReport, Method,
-    MultiPathRun, Optimizer, PathRun, PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
+    execute_query, AdmissionConfig, BatchRun, ExecError, Method, Optimizer, PlanConfig,
+    PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
 };
 use pathix_storage::{
     BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
-    SharedCacheDevice, SharedPageCache, SharedPageCacheStats, SimClock, SimDisk,
+    SharedCacheDevice, SharedPageCache, SimClock, SimDisk,
 };
 use pathix_tree::{import_into, ImportConfig, ImportReport, Placement, TreeStore};
 use pathix_xml::Document;
@@ -106,43 +106,40 @@ impl From<ExecError> for DbError {
     }
 }
 
-/// Result of a parallel batch run (see [`Database::run_parallel`] and
-/// [`Database::run_parallel_governed`]).
-#[derive(Debug)]
-pub struct ParallelRun {
-    /// One result per work item, in batch order. Failures are contained
-    /// per item: a query hitting an unrecoverable page read fails alone
-    /// with [`ExecError::Io`] while the rest of the batch completes. Shed
-    /// items carry [`ExecError::Overloaded`]; deadline-aborted items carry
-    /// [`ExecError::DeadlineExceeded`]; canceled items
-    /// [`ExecError::Canceled`].
-    pub runs: Vec<Result<PathRun, ExecError>>,
-    /// Sum of the successful per-item reports (aggregate simulated work,
-    /// not elapsed wall time — workers run concurrently).
-    pub report: ExecReport,
-    /// Batch-level governor tallies (admitted / shed / degraded / …).
-    pub governor: GovernorReport,
-    /// Shared page cache counters for the whole batch (zero for a governed
-    /// batch, whose workers share no cache).
-    pub cache: SharedPageCacheStats,
-}
-
-impl ParallelRun {
-    fn new(batch: BatchRun, cache: SharedPageCacheStats) -> Self {
-        Self {
-            runs: batch.runs,
-            report: batch.report,
-            governor: batch.governor,
-            cache,
-        }
-    }
-}
-
-/// Parses `(path, method)` work items, rooting each path.
-fn parse_work(work: &[(&str, Method)]) -> Result<Vec<(LocationPath, Method)>, DbError> {
-    work.iter()
-        .map(|(p, m)| Ok((parse_path(p)?.rooted(), *m)))
-        .collect()
+/// How [`Database::run_batch`] runs a batch of `(path, method)` items.
+/// Every mode returns the same [`BatchRun`] and per-item results equal to
+/// running each item alone with [`Database::run`].
+#[derive(Debug, Clone, Copy)]
+pub enum Batch<'a> {
+    /// The plans take turns on this database's device, so their requests
+    /// meet in one device queue (the paper's §7 outlook). `report` is the
+    /// store's delta over the batch; an unrecovered read fails the batch.
+    Interleaved,
+    /// One sequential scan feeds every path ("a single I/O-performing
+    /// operator", §7). Every item must be an XScan item, and `mem_limit` is
+    /// ignored. `report` is the store's delta over the batch, with the
+    /// paths' algebra counters; an unrecovered read fails the batch.
+    SharedScan,
+    /// A pool of `workers` OS threads (at least one), each over a private
+    /// fork of this database's device, all reading through one shared
+    /// page cache whose counters land in [`BatchRun::cache`]. Items fail
+    /// alone; `report` sums the successful ones.
+    Parallel {
+        /// Worker threads.
+        workers: usize,
+    },
+    /// The worker pool under governance: no shared cache, every item starts
+    /// cold so its simulated timeline (and so its deadline outcome) is a
+    /// pure function of the item, per-item `budgets` (matched by index;
+    /// missing entries are unlimited) and `admission` control.
+    Governed {
+        /// Worker threads.
+        workers: usize,
+        /// Per-item budgets, by batch index.
+        budgets: &'a [QueryBudget],
+        /// Admission control: items past its prefix are shed.
+        admission: AdmissionConfig,
+    },
 }
 
 /// A stored document plus everything needed to query it.
@@ -175,7 +172,7 @@ impl Database {
     /// Imports `doc` into a fresh device wrapped in a fault-injection
     /// layer ([`pathix_storage::FaultDevice`]) driven by `plan`. The
     /// import itself writes to the clean inner device; the plan afflicts
-    /// query-time reads only. Forks taken for [`Self::run_parallel`]
+    /// query-time reads only. Forks taken for a worker-pool [`Self::run_batch`]
     /// share the plan (one global occurrence count), so a fault schedule
     /// means the same thing in sequential and parallel runs.
     pub fn from_document_with_faults(
@@ -253,26 +250,6 @@ impl Database {
         Ok(execute_query(&self.store, &q, &cfg.into())?)
     }
 
-    /// Evaluates several location paths with **one** shared sequential scan
-    /// (the paper's multi-path extension). Paths are rooted like `run`.
-    pub fn run_multi(&self, paths: &[&str], cfg: &PlanConfig) -> Result<MultiPathRun, DbError> {
-        let parsed: Vec<LocationPath> = paths
-            .iter()
-            .map(|p| Ok(parse_path(p)?.rooted()))
-            .collect::<Result<_, DbError>>()?;
-        Ok(execute_paths_shared_scan(&self.store, &parsed, cfg)?)
-    }
-
-    /// Runs several `(path, method)` plans concurrently, interleaved on the
-    /// shared device.
-    pub fn run_concurrent(
-        &self,
-        work: &[(&str, Method)],
-        cfg: &PlanConfig,
-    ) -> Result<(Vec<PathRun>, ExecReport), DbError> {
-        Ok(execute_interleaved(&self.store, &parse_work(work)?, cfg)?)
-    }
-
     /// One private fork of this database's device per worker (at least
     /// one), stacked over `cache` if one is given.
     fn worker_seeds(
@@ -280,68 +257,67 @@ impl Database {
         workers: usize,
         cache: Option<&Arc<SharedPageCache>>,
     ) -> Result<Vec<WorkerSeed>, DbError> {
+        let store = &self.store;
         (0..workers.max(1))
             .map(|_| {
-                let fork = self
-                    .store
-                    .buffer
-                    .device_mut()
-                    .try_fork()
-                    .ok_or(DbError::Unsupported("this device cannot be forked"))?;
+                let fork = store.buffer.device_mut().try_fork();
+                let fork = fork.ok_or(DbError::Unsupported("this device cannot be forked"))?;
                 Ok(WorkerSeed {
                     device: match cache {
                         Some(cache) => Box::new(SharedCacheDevice::new(fork, Arc::clone(cache))),
                         None => fork,
                     },
-                    meta: self.store.meta.clone(),
-                    params: self.store.buffer.params(),
+                    meta: store.meta.clone(),
+                    params: store.buffer.params(),
                 })
             })
             .collect()
     }
 
-    /// Runs several `(path, method)` plans in parallel on `workers` OS
-    /// threads over a shared page cache (see `pathix_core::server`). Each
-    /// worker owns a private fork of this database's device, so the main
-    /// store is untouched: its clock, buffer, and statistics do not move.
+    /// Runs a batch of `(path, method)` items from the document root, in
+    /// the given [`Batch`] mode. Paths are rooted like [`Self::run`], and
+    /// results come back in batch order. The worker-pool modes leave this
+    /// database's clock, buffer and statistics untouched.
     ///
-    /// Results are in batch order and bit-identical to running each plan
-    /// sequentially. Fails with [`DbError::Unsupported`] if the device
-    /// cannot be forked.
-    pub fn run_parallel(
+    /// Fails with [`DbError::Unsupported`] for a pool mode over a device
+    /// that cannot be forked and for a shared scan with a non-XScan item,
+    /// and with [`DbError::Exec`] when a one-device batch hits an
+    /// unrecovered read.
+    pub fn run_batch(
         &self,
         work: &[(&str, Method)],
         cfg: &PlanConfig,
-        workers: usize,
-    ) -> Result<ParallelRun, DbError> {
-        let work = parse_work(work)?;
-        let cache = Arc::new(SharedPageCache::new());
-        let batch = execute_batch_parallel(self.worker_seeds(workers, Some(&cache))?, &work, cfg);
-        Ok(ParallelRun::new(batch, cache.stats()))
-    }
-
-    /// Runs a governed parallel batch: each work item carries a
-    /// [`QueryBudget`] (deadline / cancel), and the batch as a
-    /// whole is subject to admission control (`admission`). Budgets are
-    /// matched to work items by batch index; missing entries mean
-    /// "unlimited".
-    ///
-    /// Unlike [`Self::run_parallel`], workers do **not** share a page
-    /// cache: every item starts on a cold private buffer so that its
-    /// simulated timeline — and therefore its deadline outcome — is a
-    /// pure function of the item itself, not of scheduling luck.
-    pub fn run_parallel_governed(
-        &self,
-        work: &[(&str, Method)],
-        cfg: &PlanConfig,
-        workers: usize,
-        budgets: &[QueryBudget],
-        admission: &AdmissionConfig,
-    ) -> Result<ParallelRun, DbError> {
-        let work = parse_work(work)?;
-        let seeds = self.worker_seeds(workers, None)?;
-        let batch = execute_batch_governed(seeds, &work, cfg, budgets, admission);
-        Ok(ParallelRun::new(batch, SharedPageCacheStats::default()))
+        batch: Batch<'_>,
+    ) -> Result<BatchRun, DbError> {
+        let work: Vec<(LocationPath, Method)> = work
+            .iter()
+            .map(|(p, m)| Ok((parse_path(p)?.rooted(), *m)))
+            .collect::<Result<_, DbError>>()?;
+        Ok(match batch {
+            Batch::Interleaved => execute_interleaved(&self.store, &work, cfg)?,
+            Batch::SharedScan => {
+                if work.iter().any(|(_, m)| *m != Method::XScan) {
+                    return Err(DbError::Unsupported("a shared scan of a non-XScan item"));
+                }
+                let paths: Vec<LocationPath> = work.into_iter().map(|(p, _)| p).collect();
+                execute_paths_shared_scan(&self.store, &paths, cfg)?
+            }
+            Batch::Parallel { workers } => {
+                let cache = Arc::new(SharedPageCache::new());
+                let seeds = self.worker_seeds(workers, Some(&cache))?;
+                let mut batch = execute_batch_parallel(seeds, &work, cfg);
+                batch.cache = cache.stats();
+                batch
+            }
+            Batch::Governed {
+                workers,
+                budgets,
+                admission,
+            } => {
+                let seeds = self.worker_seeds(workers, None)?;
+                execute_batch_governed(seeds, &work, cfg, budgets, &admission)
+            }
+        })
     }
 
     fn optimizer(&self) -> Optimizer<'_> {
@@ -509,11 +485,26 @@ mod tests {
         let rule = FaultRule::new(None, FaultKind::PermanentRead).after(4);
         let db = faulty_db(3, rule.times(u32::MAX));
         let cfg = PlanConfig::new(Method::XScan);
-        match db.run_multi(&["/site//email", "//keyword"], &cfg) {
+        let work = [
+            ("/site//email", Method::XScan),
+            ("//keyword", Method::XScan),
+        ];
+        match db.run_batch(&work, &cfg, Batch::SharedScan) {
             Err(DbError::Exec(ExecError::Io { attempts, .. })) => assert!(attempts >= 1),
             other => panic!("expected an I/O abort, got {other:?}"),
         }
         assert!(db.store().take_io_error().is_none(), "error was consumed");
+    }
+
+    #[test]
+    fn shared_scan_rejects_a_non_xscan_item() {
+        let db = Database::from_xmark(0.02, &mem_opts()).unwrap();
+        let work = [("//email", Method::XScan), ("//keyword", Method::Simple)];
+        let cfg = PlanConfig::new(Method::XScan);
+        assert!(matches!(
+            db.run_batch(&work, &cfg, Batch::SharedScan),
+            Err(DbError::Unsupported(_))
+        ));
     }
 
     #[test]

@@ -47,10 +47,13 @@
 //! assert_eq!(items.nodes.len() as u64, simple.value);
 //! ```
 //!
-//! [`Database::run`] runs one query. Batches of location paths go through
-//! [`Database::run_multi`] (one shared scan), [`Database::run_concurrent`]
-//! (interleaved on one device), and [`Database::run_parallel`] /
-//! [`Database::run_parallel_governed`] (a worker pool, failing per item).
+//! [`Database::run`] runs one query. [`Database::run_batch`] runs a batch
+//! of `(path, method)` items in one of four [`Batch`] modes: interleaved on
+//! this database's device, one shared scan for every path, or a worker pool
+//! over device forks, plain or governed by budgets and admission control.
+//! Every mode returns a [`BatchRun`] whose items are the results each path
+//! gets when run alone. The one-device modes fail as a whole on an
+//! unrecovered read; in the pool, an item fails alone.
 
 pub use pathix_core as core;
 pub use pathix_storage as storage;
@@ -61,9 +64,9 @@ pub use pathix_xpath as xpath;
 
 mod db;
 
-pub use db::{Database, DatabaseOptions, DbError, DeviceKind, ParallelRun};
+pub use db::{Batch, Database, DatabaseOptions, DbError, DeviceKind};
 pub use pathix_core::{
-    AdmissionConfig, CancelToken, Deadline, ExecError, ExecReport, GovernorReport, Method,
-    PlanConfig, QueryBudget, QueryRun,
+    AdmissionConfig, BatchRun, CancelToken, Deadline, ExecError, ExecReport, GovernorReport,
+    Method, PathRun, PlanConfig, QueryBudget, QueryRun,
 };
 pub use pathix_storage::{FaultKind, FaultPlan, FaultRule};

@@ -5,7 +5,7 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::{Batch, Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
 use pathix_tree::Placement;
 use pathix_xpath::{eval_path, parse_path};
 
@@ -34,13 +34,14 @@ fn shared_scan_agrees_with_independent_plans() {
     ];
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
-    let multi = db.run_multi(&paths, &cfg).unwrap();
-    for (i, p) in paths.iter().enumerate() {
+    let work = paths.map(|p| (p, Method::XScan));
+    let multi = db.run_batch(&work, &cfg, Batch::SharedScan).unwrap();
+    for (run, p) in multi.runs.iter().zip(paths) {
         let single = db.run(p, cfg).unwrap();
-        assert_eq!(multi.per_path[i], single.nodes, "path {p}");
+        assert_eq!(run.as_ref().unwrap().nodes, single.nodes, "path {p}");
     }
     // One scan total.
-    assert_eq!(multi.per_path.len(), paths.len());
+    assert_eq!(multi.runs.len(), paths.len());
 }
 
 #[test]
@@ -50,9 +51,13 @@ fn shared_scan_reads_document_once() {
     db.clear_buffers();
     db.reset_device_stats();
     let _ = db
-        .run_multi(
-            &["/site//description", "/site//email"],
+        .run_batch(
+            &[
+                ("/site//description", Method::XScan),
+                ("/site//email", Method::XScan),
+            ],
             &PlanConfig::new(Method::XScan),
+            Batch::SharedScan,
         )
         .unwrap();
     let expected: Vec<u32> = db.store().meta.page_range().collect();
@@ -81,14 +86,20 @@ fn concurrent_execution_matches_solo_results() {
     ];
     let mut cfg = PlanConfig::new(Method::Simple);
     cfg.sort = true;
-    let (runs, _) = db.run_concurrent(&work, &cfg).unwrap();
+    let runs = db.run_batch(&work, &cfg, Batch::Interleaved).unwrap().runs;
     for (i, (p, _)) in work.iter().enumerate() {
         let path = parse_path(p).unwrap().rooted().normalize();
         let want: Vec<u64> = eval_path(&doc, doc.root(), &path)
             .iter()
             .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
             .collect();
-        let got: Vec<u64> = runs[i].nodes.iter().map(|&(_, o)| o).collect();
+        let got: Vec<u64> = runs[i]
+            .as_ref()
+            .unwrap()
+            .nodes
+            .iter()
+            .map(|&(_, o)| o)
+            .collect();
         assert_eq!(got, want, "{p} under concurrency");
     }
 }

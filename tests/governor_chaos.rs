@@ -17,7 +17,7 @@
 #![allow(clippy::unwrap_used)]
 
 use pathix::{
-    AdmissionConfig, Database, DatabaseOptions, DeviceKind, ExecError, FaultPlan, Method,
+    AdmissionConfig, Batch, Database, DatabaseOptions, DeviceKind, ExecError, FaultPlan, Method,
     PlanConfig, QueryBudget,
 };
 use pathix_tree::NodeId;
@@ -180,7 +180,11 @@ proptest! {
             .collect();
         let admission = AdmissionConfig { max_admitted: cap };
         let batch = db
-            .run_parallel_governed(&work, &sorted_cfg(), 2, &budgets, &admission)
+            .run_batch(&work, &sorted_cfg(), Batch::Governed {
+                workers: 2,
+                budgets: &budgets,
+                admission,
+            })
             .expect("mem devices fork");
 
         let admitted_cap = cap.unwrap_or(usize::MAX);
@@ -212,8 +216,11 @@ proptest! {
         let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
         let budgets = vec![QueryBudget::unlimited(); work.len()];
         let batch = db
-            .run_parallel_governed(&work, &sorted_cfg(), workers, &budgets,
-                &AdmissionConfig::unlimited())
+            .run_batch(&work, &sorted_cfg(), Batch::Governed {
+                workers,
+                budgets: &budgets,
+                admission: AdmissionConfig::unlimited(),
+            })
             .expect("mem devices fork");
         for (i, run) in batch.runs.iter().enumerate() {
             let run = run.as_ref().expect("no budget, no faults: no aborts");
@@ -251,7 +258,15 @@ fn governed_outcomes_are_deterministic_across_workers_and_runs() {
 
     let outcome_of = |workers: usize| -> Vec<&'static str> {
         let batch = db
-            .run_parallel_governed(&work, &sorted_cfg(), workers, &budgets, &admission)
+            .run_batch(
+                &work,
+                &sorted_cfg(),
+                Batch::Governed {
+                    workers,
+                    budgets: &budgets,
+                    admission,
+                },
+            )
             .expect("mem devices fork");
         classify(
             &batch.runs,

@@ -1,13 +1,13 @@
-//! End-to-end checks of the parallel batch executor (`Database::run_parallel`):
-//! for any worker count and any method mix, parallel results are bit-identical
-//! to sequential one-at-a-time execution, the shared-cache read path performs
-//! zero page copies, and the per-plan report deltas sum to the combined batch
-//! report.
+//! End-to-end checks of the parallel batch executor (`Database::run_batch`
+//! with `Batch::Parallel`): for any worker count and any method mix,
+//! parallel results are bit-identical to sequential one-at-a-time
+//! execution, the batch reads through the shared page cache, and the
+//! per-plan report deltas sum to the combined batch report.
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::{Batch, Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
 
 const PATHS: [&str; 6] = [
     "/site/regions//item",
@@ -52,7 +52,9 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
     assert!(reference.iter().all(|nodes| !nodes.is_empty()));
 
     for workers in [1, 2, 3, 8] {
-        let batch = db.run_parallel(&work, &cfg, workers).unwrap();
+        let batch = db
+            .run_batch(&work, &cfg, Batch::Parallel { workers })
+            .unwrap();
         assert_eq!(batch.runs.len(), reference.len());
         for (i, (run, want)) in batch.runs.iter().zip(&reference).enumerate() {
             let run = run.as_ref().expect("fault-free batch item succeeds");
@@ -72,7 +74,9 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
 #[test]
 fn parallel_batch_reads_through_shared_cache() {
     let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
-    let batch = db.run_parallel(&corpus(), &sorted_cfg(), 4).unwrap();
+    let batch = db
+        .run_batch(&corpus(), &sorted_cfg(), Batch::Parallel { workers: 4 })
+        .unwrap();
     // The cache actually served the batch: every physical read went
     // through it as a miss, and reads happened.
     assert!(batch.cache.misses > 0);
@@ -84,7 +88,9 @@ fn parallel_batch_reads_through_shared_cache() {
 #[test]
 fn per_plan_reports_sum_to_combined() {
     let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
-    let batch = db.run_parallel(&corpus(), &sorted_cfg(), 3).unwrap();
+    let batch = db
+        .run_batch(&corpus(), &sorted_cfg(), Batch::Parallel { workers: 3 })
+        .unwrap();
     let read_sum: u64 = batch
         .runs
         .iter()
@@ -120,7 +126,9 @@ fn mem_device_and_excess_workers() {
             ..cfg
         },
     );
-    let batch = db.run_parallel(&work, &cfg, 16).unwrap();
+    let batch = db
+        .run_batch(&work, &cfg, Batch::Parallel { workers: 16 })
+        .unwrap();
     assert_eq!(batch.runs.len(), 1);
     let run = batch.runs[0].as_ref().expect("item succeeds");
     assert_eq!(run.nodes, want.unwrap().nodes);

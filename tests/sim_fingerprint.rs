@@ -232,10 +232,10 @@ fn count_sum_query_per_method() {
 
 const GOLDEN_INTERLEAVED: &[&str] = &[
     "Simple n=0 h=cbf29ce484222325 Simple t=13413000/240000/13173000 buf=9/4/5/0/0/0/0 dev=5/2/3/83/13173000/0 nav=10/6/8 alg=1/0/0/0/0/0/0 fb=false/false",
-    "XSchedule n=15 h=053cdfc5620a58a0 XSchedule t=26498300/5917150/20581150 buf=53/53/0/48/47/47/0 dev=47/38/9/83/25103000/0 nav=1947/1741/206 alg=447/15/204/0/0/190/0 fb=false/false",
+    "XSchedule n=15 h=053cdfc5620a58a0 XSchedule t=26500100/5918950/20581150 buf=53/53/0/48/47/47/0 dev=47/38/9/83/25103000/0 nav=1947/1741/206 alg=447/15/204/0/0/190/0 fb=false/false",
     "XScan n=0 h=cbf29ce484222325 XScan t=35847600/6758600/29089000 buf=54/4/50/6/45/0/0 dev=55/47/8/66/29389000/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
-    "XSchedule n=30 h=f17d67bb16163186 XSchedule t=19286100/8634950/10651150 buf=34/34/0/20/20/27/0 dev=21/18/3/86/13693000/0 nav=3735/3401/334 alg=1329/30/184/37/33/141/596 fb=false/false",
-    "interleaved t=95045000/21550700/73494300 buf=150/95/55/74/112/74/0 dev=128/105/23/318/81358000/0 nav=0/0/0 alg=0/45/0/0/0/0/0 fb=false/false",
+    "XSchedule n=30 h=f17d67bb16163186 XSchedule t=19290600/8639450/10651150 buf=34/34/0/20/20/27/0 dev=21/18/3/86/13693000/0 nav=3735/3401/334 alg=1329/30/184/37/33/141/596 fb=false/false",
+    "interleaved t=95051300/21557000/73494300 buf=150/95/55/74/112/74/0 dev=128/105/23/318/81358000/0 nav=0/0/0 alg=0/45/0/0/0/0/0 fb=false/false",
 ];
 
 #[test]
@@ -253,10 +253,12 @@ fn interleaved_per_plan_and_combined() {
             },
         ])
         .collect();
-    let (runs, combined) = execute_interleaved(db.store(), &work, &sorted(Method::Simple)).unwrap();
-    let mut got: Vec<String> = runs
+    let batch = execute_interleaved(db.store(), &work, &sorted(Method::Simple)).unwrap();
+    let mut got: Vec<String> = batch
+        .runs
         .iter()
         .map(|r| {
+            let r = r.as_ref().unwrap();
             format!(
                 "{} {} {}",
                 r.report.method,
@@ -265,7 +267,7 @@ fn interleaved_per_plan_and_combined() {
             )
         })
         .collect();
-    got.push(report(&combined));
+    got.push(report(&batch.report));
     check(&got, GOLDEN_INTERLEAVED);
 }
 
@@ -274,15 +276,19 @@ const GOLDEN_SHARED_SCAN: &[&str] = &[
     "n=15 h=053cdfc5620a58a0",
     "n=0 h=cbf29ce484222325",
     "n=30 h=f17d67bb16163186",
-    "SharedScan t=29381750/21119750/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=8205/7351/1797 alg=5388/45/404/1725/821/0/3278 fb=false/false",
+    "SharedScan t=29388050/21126050/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=8205/7351/1797 alg=5388/45/404/1725/821/0/3278 fb=false/false",
 ];
 
 #[test]
 fn shared_scan() {
     let db = db(&doc());
-    let run = execute_paths_shared_scan(db.store(), &paths(), &sorted(Method::XScan)).unwrap();
-    let mut got: Vec<String> = run.per_path.iter().map(|nodes| orders(nodes)).collect();
-    got.push(report(&run.report));
+    let batch = execute_paths_shared_scan(db.store(), &paths(), &sorted(Method::XScan)).unwrap();
+    let mut got: Vec<String> = batch
+        .runs
+        .iter()
+        .map(|r| orders(&r.as_ref().unwrap().nodes))
+        .collect();
+    got.push(report(&batch.report));
     check(&got, GOLDEN_SHARED_SCAN);
 }
 
