@@ -8,7 +8,12 @@
 #   2. cargo build --release  — the workspace compiles with optimizations
 #   3. cargo test -q          — the tier-1 test suite: the root package and
 #      every first-party crate (`default-members` in Cargo.toml); only
-#      the vendored stand-ins under vendor/ stay out
+#      the vendored stand-ins under vendor/ stay out. It includes
+#      pathix-bench's `fast_goldens` test, which runs every report artifact
+#      at its small configuration (the paper's evaluation, ablations and
+#      extensions at SF 0.1, CHAOS and OVERLOAD on an instant disk
+#      profile), fails if any of its checks fails, and diffs it cell by
+#      cell against its committed golden under crates/bench/golden/
 #   4. pathix-lint check      — the R1-R8 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
@@ -24,16 +29,7 @@
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   8. report --fast paper ablations extensions chaos overload — one
-#      smoke of every report artifact at its small configuration: the
-#      paper's evaluation, ablations and extensions at SF 0.1, and the two
-#      substrate harnesses (CHAOS, OVERLOAD) on an instant disk
-#      profile (the same `run(true)` their unit tests run); fails if any
-#      check fails (plans agree, Example 1's scan reads in physical order
-#      and Simple seeks more, shared scan == independent plans, export
-#      walk == scan, zero wrong answers, chaos scenarios pass,
-#      deterministic shedding, p99 bounded); writes no artifact
-#   9. report all chaos overload, simulated identity — every artifact in
+#   8. report all chaos overload, simulated identity — every artifact in
 #      full mode, run in a fresh temporary directory, must write
 #      PAPER.json, ABLATIONS.json, EXTENSIONS.json, CHAOS.json and
 #      OVERLOAD.json byte for byte equal to the committed files (every
@@ -64,9 +60,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-
-echo "==> report artifact smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- --fast paper ablations extensions chaos overload
 
 echo "==> report all chaos overload: every artifact reproduces byte for byte"
 out=$(mktemp -d)

@@ -22,21 +22,9 @@
 #![allow(clippy::print_stdout)]
 
 use pathix_bench::artifact::Artifact;
-use pathix_bench::{ablations, chaos, extensions, overload, paper};
+use pathix_bench::{Entry, REGISTRY};
 
-/// An artifact's command-line name and how to run it.
-type Entry = (&'static str, fn(bool) -> Artifact);
-
-/// Every artifact by name; the first [`ALL`] make up `all`.
-static REGISTRY: [Entry; 5] = [
-    ("paper", paper),
-    ("ablations", ablations),
-    ("extensions", extensions),
-    ("chaos", chaos::run),
-    ("overload", overload::run),
-];
-
-/// How many registry entries `all` runs: the paper's evaluation.
+/// How many [`REGISTRY`] entries `all` runs: the paper's evaluation.
 const ALL: usize = 3;
 
 /// Parses the arguments into fast mode and the selected registry entries,

@@ -34,3 +34,16 @@ pub mod experiments;
 pub mod overload;
 
 pub use experiments::*;
+
+/// An artifact's command-line name and how to run it (`true` = fast mode).
+pub type Entry = (&'static str, fn(bool) -> artifact::Artifact);
+
+/// Every artifact by name, in the order `report` runs them; the first
+/// three are the paper's evaluation (`report all`).
+pub static REGISTRY: [Entry; 5] = [
+    ("paper", paper),
+    ("ablations", ablations),
+    ("extensions", extensions),
+    ("chaos", chaos::run),
+    ("overload", overload::run),
+];

@@ -18,13 +18,17 @@
 //! makes a page physically read by one worker a refcount-bump hit for all
 //! others, with single-flight de-duplication of concurrent misses.
 //!
-//! Work distribution is dynamic: workers claim the next unclaimed batch
-//! item via an atomic cursor, so a worker stuck on an expensive query does
-//! not strand cheap ones behind it. Results are written into per-item
-//! slots, so the output order is the batch order regardless of which worker
-//! ran what — combined with result sets depending only on page *contents*
-//! (never on timing), a parallel batch returns bit-identical results to
-//! sequential one-at-a-time execution.
+//! Work distribution is dynamic and longest-first: the items are ranked
+//! once by the optimizer's estimate of their CPU cost under their own
+//! method (largest first, ties in batch order), and workers claim the next
+//! unclaimed item of that ranking via an atomic cursor. A worker's real
+//! time is engine CPU — simulated I/O wait costs no wall time — so the
+//! straggler starts first and the cheap items fill in around it instead of
+//! one worker running dry while another finishes it. Results are written
+//! into per-item slots, so the output order is the batch order regardless
+//! of which worker ran what — combined with result sets depending only on
+//! page *contents* (never on timing), a parallel batch returns
+//! bit-identical results to sequential one-at-a-time execution.
 //!
 //! Lint rule R5 confines concurrency primitives (`std::thread`, locks,
 //! atomics) to this file, the governor's cancel token, and the two storage
@@ -33,9 +37,10 @@
 
 use crate::error::ExecError;
 use crate::governor::{GovernorReport, QueryBudget};
+use crate::optimizer::Optimizer;
 use crate::plan::{run_path, Method, PathRun, PlanConfig};
 use crate::report::ExecReport;
-use pathix_storage::{lock, BufferParams, Device, SharedPageCacheStats, SimClock};
+use pathix_storage::{lock, BufferParams, Device, DiskProfile, SharedPageCacheStats, SimClock};
 use pathix_tree::{TreeMeta, TreeStore};
 use pathix_xpath::LocationPath;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -191,7 +196,8 @@ pub fn execute_batch_governed(
 type Governance<'a> = (&'a [QueryBudget], &'a AdmissionConfig);
 
 /// The worker loop behind both entry points: `seeds.len()` scoped threads
-/// claim items off an atomic cursor and publish into per-item slots.
+/// claim items in [`claim_order`] off an atomic cursor and publish into
+/// per-item slots.
 fn run_batch(
     seeds: Vec<WorkerSeed>,
     work: &[(LocationPath, Method)],
@@ -199,12 +205,16 @@ fn run_batch(
     governance: Option<Governance<'_>>,
     label: &str,
 ) -> BatchRun {
+    let order = seeds
+        .first()
+        .map(|seed| claim_order(&seed.meta, work))
+        .unwrap_or_default();
     let next = AtomicUsize::new(0);
     let results = Mutex::new(vec![None; work.len()]);
 
     std::thread::scope(|scope| {
         for seed in seeds {
-            let (next, results) = (&next, &results);
+            let (order, next, results) = (&order, &next, &results);
             scope.spawn(move || {
                 // The whole single-threaded engine stack is private to this
                 // thread: fresh clock, fresh buffer, private device fork.
@@ -218,8 +228,7 @@ fn run_batch(
                         seed.params,
                         Rc::new(SimClock::new()),
                     );
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
+                    while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                         let Some((path, method)) = work.get(i) else {
                             break;
                         };
@@ -249,6 +258,22 @@ fn run_batch(
         report.absorb(&run.report);
     }
     BatchRun::new(runs, report)
+}
+
+/// The order the workers claim `work` in: batch indices by the optimizer's
+/// estimate of each item's CPU cost under its own method, largest first,
+/// ties in batch order. Only the CPU part of the estimate is read, so the
+/// disk profile the optimizer is built with does not matter.
+fn claim_order(meta: &TreeMeta, work: &[(LocationPath, Method)]) -> Vec<usize> {
+    let optimizer = Optimizer::new(meta, DiskProfile::default());
+    let mut ranked: Vec<(f64, usize)> = work
+        .iter()
+        .enumerate()
+        .map(|(i, (path, method))| (optimizer.estimate(path).cpu_ns(*method), i))
+        .collect();
+    // A stable sort: equal estimates keep their batch order.
+    ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+    ranked.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Runs batch item `i` on a worker's private `store`, containing a panic to
@@ -349,6 +374,45 @@ mod tests {
                 .map(|r| r.nodes.len() as u64)
                 .sum::<u64>()
         );
+    }
+
+    #[test]
+    fn claim_order_puts_the_costliest_cpu_estimate_first() {
+        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.05));
+        let store = mem_store(&doc, 8192, Placement::Sequential);
+        let rooted = |p: &str| parse_path(p).unwrap().rooted();
+        let deep = "/site/closed_auctions/closed_auction/annotation/description/parlist\
+                    /listitem/parlist/listitem/text/emph/keyword";
+        let work = vec![
+            (rooted("/site/regions"), Method::Simple),
+            (rooted("/site/people"), Method::xschedule()),
+            (rooted("/site/regions"), Method::Simple),
+            (rooted(deep), Method::XScan),
+            // Simple and XSchedule share the navigational CPU estimate.
+            (rooted("/site/people"), Method::Simple),
+        ];
+        let order = claim_order(&store.meta, &work);
+
+        let mut indices = order.clone();
+        indices.sort_unstable();
+        assert_eq!(
+            indices,
+            (0..work.len()).collect::<Vec<_>>(),
+            "a permutation"
+        );
+        assert_eq!(order[0], 3, "the deep XScan item goes first: {order:?}");
+
+        let optimizer = Optimizer::new(&store.meta, DiskProfile::default());
+        let cpu = |i: usize| optimizer.estimate(&work[i].0).cpu_ns(work[i].1);
+        for pair in order.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(cpu(a) >= cpu(b), "estimates do not increase: {order:?}");
+            if cpu(a) == cpu(b) {
+                assert!(a < b, "ties keep batch order: {order:?}");
+            }
+        }
+        let pos = |i: usize| order.iter().position(|&j| j == i).unwrap();
+        assert!(pos(0) < pos(2) && pos(1) < pos(4), "{order:?}");
     }
 
     #[test]

@@ -106,7 +106,6 @@ impl XAssembly {
                     cx.charge_set_op();
                     if self.r.insert((sr, id)) {
                         cx.stats.r_inserts.set(cx.stats.r_inserts.get() + 1);
-                        cx.stats.results.set(cx.stats.results.get() + 1);
                         cx.charge_instance();
                         self.out.push_back(Pi::result(sr, id, order));
                     }
@@ -247,11 +246,6 @@ impl Operator for XAssembly {
                 debug_assert!(false, "unexpected end at XAssembly: {p:?}");
                 continue;
             };
-            if p.nr.is_border() {
-                cx.stats
-                    .borders_deferred
-                    .set(cx.stats.borders_deferred.get() + 1);
-            }
             if !p.li {
                 self.note_right(cx, p.sl, p.nl, p.li, p.sr, end);
             } else {
@@ -332,8 +326,12 @@ mod tests {
         ]);
         let mut asm = XAssembly::new(Box::new(feed), 2, None, None);
         let got = drain(&mut asm, &cx);
-        assert_eq!(got.len(), 2, "duplicates eliminated via R");
-        assert_eq!(cx.stats.results.get(), 2);
+        let emitted: Vec<_> = got.iter().map(|p| (p.sr, p.nr.node_id())).collect();
+        assert_eq!(
+            emitted,
+            vec![(2, n), (2, NodeId::new(1, 2))],
+            "duplicates eliminated via R"
+        );
     }
 
     #[test]

@@ -115,9 +115,6 @@ impl Operator for XStep {
                         }
                         Some(StepItem::Border { proxy, target }) => {
                             cx.charge_instance();
-                            cx.stats
-                                .borders_deferred
-                                .set(cx.stats.borders_deferred.get() + 1);
                             return Some(Pi::band(
                                 *sl,
                                 *nl,

@@ -37,9 +37,24 @@ pub struct PlanEstimate {
     pub xschedule_ns: f64,
     /// Estimated cost of the XScan plan.
     pub xscan_ns: f64,
+    /// CPU part of `simple_ns` and `xschedule_ns` (node inspection and
+    /// decoding of the touched pages).
+    nav_cpu_ns: f64,
+    /// CPU part of `xscan_ns` (decoding every page, node inspection and the
+    /// speculative machinery).
+    xscan_cpu_ns: f64,
 }
 
 impl PlanEstimate {
+    /// The CPU part of `method`'s estimate: its cost without I/O wait, so
+    /// independent of the disk profile.
+    pub fn cpu_ns(&self, method: Method) -> f64 {
+        match method {
+            Method::Simple | Method::XSchedule { .. } => self.nav_cpu_ns,
+            Method::XScan => self.xscan_cpu_ns,
+        }
+    }
+
     /// The recommended I/O operator (XSchedule or XScan).
     pub fn recommend(&self) -> Method {
         if self.xscan_ns < self.xschedule_ns {
@@ -187,18 +202,16 @@ impl<'a> Optimizer<'a> {
 
         // Navigational plans inspect nodes + decode touched pages. Simple's
         // DFS rides sequential runs part of the time; charge a blend.
-        let cpu_nav = inspected_total * node_ns + touched_pages * nodes_per_page * decode_ns;
-        let simple_ns = touched_pages * (0.6 * random + 0.4 * seq as f64) + cpu_nav;
-        let xschedule_ns = touched_pages * (0.6 * batched + 0.4 * seq as f64) + cpu_nav;
+        let nav_cpu_ns = inspected_total * node_ns + touched_pages * nodes_per_page * decode_ns;
+        let simple_ns = touched_pages * (0.6 * random + 0.4 * seq as f64) + nav_cpu_ns;
+        let xschedule_ns = touched_pages * (0.6 * batched + 0.4 * seq as f64) + nav_cpu_ns;
 
         // The scan reads and decodes everything and pays the speculative
         // machinery per border per step.
         let spec_instances =
             pages * self.borders_per_cluster * 2.0 * path.steps.len().max(1) as f64;
-        let xscan_ns = pages * seq as f64
-            + nodes * decode_ns
-            + inspected_total * node_ns
-            + spec_instances * spec_ns;
+        let xscan_cpu_ns = nodes * decode_ns + inspected_total * node_ns + spec_instances * spec_ns;
+        let xscan_ns = pages * seq as f64 + xscan_cpu_ns;
 
         PlanEstimate {
             touched_fraction,
@@ -206,6 +219,8 @@ impl<'a> Optimizer<'a> {
             simple_ns,
             xschedule_ns,
             xscan_ns,
+            nav_cpu_ns,
+            xscan_cpu_ns,
         }
     }
 }
@@ -262,6 +277,23 @@ mod tests {
         let est = opt.estimate(&p);
         assert!(est.touched_fraction < 0.05);
         assert_eq!(est.recommend(), Method::xschedule());
+    }
+
+    #[test]
+    fn cpu_estimate_is_the_profile_free_part() {
+        let meta = xmark_meta();
+        let q7 = parse_path("/site//description").unwrap().rooted();
+        let disk = Optimizer::new(&meta, DiskProfile::default()).estimate(&q7);
+        let instant = Optimizer::new(&meta, DiskProfile::instant()).estimate(&q7);
+        for method in [Method::Simple, Method::xschedule(), Method::XScan] {
+            assert_eq!(disk.cpu_ns(method), instant.cpu_ns(method));
+            assert!(disk.cpu_ns(method) > 0.0);
+        }
+        // On a zero-latency disk a plan's whole cost is its CPU part.
+        assert_eq!(instant.simple_ns, instant.cpu_ns(Method::Simple));
+        assert_eq!(instant.xschedule_ns, instant.cpu_ns(Method::xschedule()));
+        assert_eq!(instant.xscan_ns, instant.cpu_ns(Method::XScan));
+        assert!(disk.cpu_ns(Method::XScan) < disk.xscan_ns);
     }
 
     #[test]

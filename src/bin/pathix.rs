@@ -127,9 +127,18 @@ fn run() -> Result<(), String> {
                 est.touched_pages,
                 db.pages()
             );
-            println!("est. Simple:       {:>10.3} s", est.simple_ns / 1e9);
-            println!("est. XSchedule:    {:>10.3} s", est.xschedule_ns / 1e9);
-            println!("est. XScan:        {:>10.3} s", est.xscan_ns / 1e9);
+            for (method, total_ns) in [
+                (Method::Simple, est.simple_ns),
+                (Method::xschedule(), est.xschedule_ns),
+                (Method::XScan, est.xscan_ns),
+            ] {
+                println!(
+                    "est. {:<14}{:>10.3} s (CPU {:.3} s)",
+                    format!("{}:", method.label()),
+                    total_ns / 1e9,
+                    est.cpu_ns(method) / 1e9
+                );
+            }
             println!("recommended plan:  {}", est.recommend().label());
             Ok(())
         }

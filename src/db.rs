@@ -116,13 +116,17 @@ pub enum Batch<'a> {
     /// store's delta over the batch; an unrecovered read fails the batch.
     Interleaved,
     /// One sequential scan feeds every path ("a single I/O-performing
-    /// operator", §7). Every item must be an XScan item, and `mem_limit` is
-    /// ignored. `report` is the store's delta over the batch, with the
-    /// paths' algebra counters; an unrecovered read fails the batch.
+    /// operator", §7). Every item must be an XScan item, and `mem_limit`
+    /// must be unset: fallback would need a second scan per path. `report`
+    /// is the store's delta over the batch, with the paths' algebra
+    /// counters; an unrecovered read fails the batch.
     SharedScan,
     /// A pool of `workers` OS threads (at least one), each over a private
     /// fork of this database's device, all reading through one shared
-    /// page cache whose counters land in [`BatchRun::cache`]. Items fail
+    /// page cache whose counters land in [`BatchRun::cache`]. Workers claim
+    /// items longest first, by the optimizer's CPU estimate of each item
+    /// under its own method ([`PlanEstimate::cpu_ns`]; ties in batch
+    /// order), so the costliest item does not start last. Items fail
     /// alone; `report` sums the successful ones.
     Parallel {
         /// Worker threads.
@@ -131,7 +135,9 @@ pub enum Batch<'a> {
     /// The worker pool under governance: no shared cache, every item starts
     /// cold so its simulated timeline (and so its deadline outcome) is a
     /// pure function of the item, per-item `budgets` (matched by index;
-    /// missing entries are unlimited) and `admission` control.
+    /// missing entries are unlimited) and `admission` control. Items are
+    /// claimed in the same longest-first order as [`Batch::Parallel`], but
+    /// admission sheds by batch order: the items past its prefix.
     Governed {
         /// Worker threads.
         workers: usize,
@@ -280,9 +286,9 @@ impl Database {
     /// database's clock, buffer and statistics untouched.
     ///
     /// Fails with [`DbError::Unsupported`] for a pool mode over a device
-    /// that cannot be forked and for a shared scan with a non-XScan item,
-    /// and with [`DbError::Exec`] when a one-device batch hits an
-    /// unrecovered read.
+    /// that cannot be forked and for a shared scan with a non-XScan item or
+    /// a `mem_limit`, and with [`DbError::Exec`] when a one-device batch
+    /// hits an unrecovered read.
     pub fn run_batch(
         &self,
         work: &[(&str, Method)],
@@ -298,6 +304,9 @@ impl Database {
             Batch::SharedScan => {
                 if work.iter().any(|(_, m)| *m != Method::XScan) {
                     return Err(DbError::Unsupported("a shared scan of a non-XScan item"));
+                }
+                if cfg.mem_limit.is_some() {
+                    return Err(DbError::Unsupported("a shared scan with a memory limit"));
                 }
                 let paths: Vec<LocationPath> = work.into_iter().map(|(p, _)| p).collect();
                 execute_paths_shared_scan(&self.store, &paths, cfg)?
@@ -505,6 +514,20 @@ mod tests {
             db.run_batch(&work, &cfg, Batch::SharedScan),
             Err(DbError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn shared_scan_rejects_a_memory_limit() {
+        let db = Database::from_xmark(0.02, &mem_opts()).unwrap();
+        let work = [("//email", Method::XScan), ("//keyword", Method::XScan)];
+        let mut cfg = PlanConfig::new(Method::XScan);
+        cfg.mem_limit = Some(1_000);
+        assert!(matches!(
+            db.run_batch(&work, &cfg, Batch::SharedScan),
+            Err(DbError::Unsupported(_))
+        ));
+        cfg.mem_limit = None;
+        assert!(db.run_batch(&work, &cfg, Batch::SharedScan).is_ok());
     }
 
     #[test]

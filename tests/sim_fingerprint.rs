@@ -293,19 +293,19 @@ fn shared_scan() {
 }
 
 const GOLDEN_PARALLEL_1: &[&str] = &[
-    "n=0 h=cbf29ce484222325 Simple t=13418000/245000/13173000 buf=9/4/5/0/0/0/0 dev=5/2/3/83/13173000/0 nav=10/6/8 alg=1/0/0/0/0/0/0 fb=false/false",
-    "n=15 h=053cdfc5620a58a0 Simple t=37124350/5387350/31737000 buf=268/215/53/0/42/0/0 dev=49/43/6/113/31737000/0 nav=2033/1785/248 alg=36/15/0/0/0/0/0 fb=false/false",
+    "n=0 h=cbf29ce484222325 Simple t=161600/161600/0 buf=9/6/3/0/3/0/0 dev=0/0/0/0/0/0 nav=10/6/8 alg=1/0/0/0/0/0/0 fb=false/false",
+    "n=15 h=053cdfc5620a58a0 Simple t=5430450/5430450/0 buf=268/214/54/0/54/0/0 dev=0/0/0/0/0/0 nav=2033/1785/248 alg=36/15/0/0/0/0/0 fb=false/false",
     "n=0 h=cbf29ce484222325 Simple t=35100/35100/0 buf=9/9/0/0/0/0/0 dev=0/0/0/0/0/0 nav=10/6/8 alg=1/0/0/0/0/0/0 fb=false/false",
-    "n=30 h=f17d67bb16163186 Simple t=5149400/5149400/0 buf=213/160/53/0/53/0/0 dev=0/0/0/0/0/0 nav=1840/1686/154 alg=117/30/0/0/0/0/0 fb=false/false",
+    "n=30 h=f17d67bb16163186 Simple t=5192500/5192500/0 buf=213/159/54/0/54/0/0 dev=0/0/0/0/0/0 nav=1840/1686/154 alg=117/30/0/0/0/0/0 fb=false/false",
     "n=0 h=cbf29ce484222325 XSchedule t=97200/97200/0 buf=9/9/0/0/0/0/0 dev=0/0/0/0/0/0 nav=10/6/8 alg=18/0/8/0/0/9/0 fb=false/false",
     "n=15 h=053cdfc5620a58a0 XSchedule t=6028150/6028150/0 buf=52/52/0/48/48/48/0 dev=0/0/0/0/0/0 nav=1947/1741/206 alg=447/15/204/0/0/190/0 fb=false/false",
-    "n=0 h=cbf29ce484222325 XSchedule t=266600/266600/0 buf=5/5/0/4/4/4/0 dev=0/0/0/0/0/0 nav=10/6/8 alg=18/0/8/0/0/9/0 fb=false/false",
-    "n=30 h=f17d67bb16163186 XSchedule t=5703300/5703300/0 buf=15/15/0/51/51/51/0 dev=0/0/0/0/0/0 nav=1840/1686/154 alg=456/30/184/0/0/155/0 fb=false/false",
+    "n=0 h=cbf29ce484222325 XSchedule t=97200/97200/0 buf=9/9/0/0/0/0/0 dev=0/0/0/0/0/0 nav=10/6/8 alg=18/0/8/0/0/9/0 fb=false/false",
+    "n=30 h=f17d67bb16163186 XSchedule t=5571000/5571000/0 buf=20/20/0/46/46/46/0 dev=0/0/0/0/0/0 nav=1840/1686/154 alg=456/30/184/0/0/155/0 fb=false/false",
     "n=0 h=cbf29ce484222325 XScan t=7183150/7183150/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=2433/2225/506 alg=1419/0/8/518/515/0/894 fb=false/false",
-    "n=15 h=053cdfc5620a58a0 XScan t=7298900/7298900/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=2353/2042/311 alg=999/15/204/259/217/0/596 fb=false/false",
+    "n=15 h=053cdfc5620a58a0 XScan t=15560900/7298900/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=2353/2042/311 alg=999/15/204/259/217/0/596 fb=false/false",
     "n=0 h=cbf29ce484222325 XScan t=6781000/6781000/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
     "n=30 h=f17d67bb16163186 XScan t=6476700/6476700/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=1984/1798/186 alg=930/30/184/124/113/0/596 fb=false/false",
-    "parallel t=95561850/50651850/44910000 buf=796/469/327/103/414/103/0 dev=54/45/9/196/44910000/0 nav=15905/14273/2591 alg=6486/135/808/1725/821/363/3278 fb=false/false",
+    "parallel t=58614950/50352950/8262000 buf=805/478/327/94/405/94/0 dev=54/54/0/0/8262000/0 nav=15905/14273/2591 alg=6486/135/808/1725/821/363/3278 fb=false/false",
 ];
 
 #[test]
