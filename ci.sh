@@ -14,10 +14,11 @@
 #      extensions at SF 0.1, CHAOS and OVERLOAD on an instant disk
 #      profile), fails if any of its checks fails, and diffs it cell by
 #      cell against its committed golden under crates/bench/golden/
-#   4. pathix-lint check      — the R1-R8 architectural invariants
+#   4. pathix-lint check      — the R1-R9 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
-#      confinement, `unsafe` only in storage's checksum.rs; see
+#      confinement, `unsafe` only in storage's checksum.rs, `_NS` cost
+#      constants only in storage's cost.rs; see
 #      DESIGN.md "Statically enforced invariants")
 #   5. cargo clippy -D warnings — every target of every workspace crate
 #      is clippy-clean, including the `[workspace.lints]` deny-set

@@ -36,7 +36,7 @@ pub use batch::{
     execute_batch_governed, execute_batch_parallel, AdmissionConfig, BatchRun, ConcurrentRun,
     WorkerSeed,
 };
-pub use context::{CostParams, ExecCtx, ExecStats};
+pub use context::{ExecCtx, ExecStats};
 pub use error::ExecError;
 pub use governor::{CancelToken, Deadline, GovernorReport, QueryBudget};
 pub use instance::{Pi, REnd};

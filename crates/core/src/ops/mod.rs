@@ -85,10 +85,7 @@ pub(crate) mod testutil {
         TreeStore::open(
             Box::new(dev),
             meta,
-            BufferParams {
-                capacity: 128,
-                ..Default::default()
-            },
+            BufferParams { capacity: 128 },
             Rc::new(SimClock::new()),
         )
     }
@@ -133,14 +130,13 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
-    use crate::context::CostParams;
     use pathix_tree::Placement;
 
     #[test]
     fn context_source_emits_context_instances() {
         let doc = sample_doc();
         let store = mem_store(&doc, 512, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let ids = vec![store.root(), NodeId::new(0, 0)];
         let mut src = ContextSource::new(ids.clone());
         let got = drain(&mut src, &cx);
@@ -158,7 +154,7 @@ mod tests {
     fn context_source_tolerates_extra_next() {
         let doc = sample_doc();
         let store = mem_store(&doc, 512, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let mut src = ContextSource::new(vec![store.root()]);
         assert!(src.next(&cx).is_some());
         assert!(src.next(&cx).is_none());

@@ -72,7 +72,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::context::CostParams;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
     use pathix_tree::Placement;
@@ -103,7 +102,7 @@ mod tests {
     fn simple_chain_matches_reference_with_duplicates() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Shuffled { seed: 3 });
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let path = parse_path("/regions//item").unwrap().normalize();
         let got = run_simple(&store, &path, &cx);
         let ranks = doc.preorder_ranks();
@@ -127,7 +126,7 @@ mod tests {
         let c = doc.add_element(b, "name");
         let _ = c;
         let store = mem_store(&doc, 1 << 14, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let path = pathix_xpath::LocationPath::new(vec![
             pathix_xpath::Step::descendant("item"),
             pathix_xpath::Step::descendant("name"),
@@ -141,7 +140,7 @@ mod tests {
     fn unnest_map_fixes_pages_synchronously() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Shuffled { seed: 9 });
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let path = parse_path("//email").unwrap().normalize();
         let _ = run_simple(&store, &path, &cx);
         let stats = store.buffer.stats();

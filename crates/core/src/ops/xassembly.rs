@@ -270,7 +270,6 @@ impl Operator for XAssembly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::CostParams;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use pathix_tree::Placement;
 
@@ -311,7 +310,7 @@ mod tests {
     }
 
     fn cx_for_tests(store: &pathix_tree::TreeStore) -> ExecCtx<'_> {
-        ExecCtx::new(store, CostParams::default(), None)
+        ExecCtx::new(store, None)
     }
 
     #[test]

@@ -138,7 +138,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::context::CostParams;
     use crate::instance::REnd;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
@@ -148,7 +147,7 @@ mod tests {
     fn scans_every_page_exactly_once_in_order() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         {
             let mut dev = store.buffer.device_mut();
             dev.set_trace(true);
@@ -166,7 +165,7 @@ mod tests {
     fn emits_context_plus_speculative_instances() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
         let pages: Vec<PageId> = store.meta.page_range().collect();
         let path_len = 2u16;
@@ -190,7 +189,7 @@ mod tests {
     fn zero_length_path_emits_contexts_only() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
         let pages: Vec<PageId> = store.meta.page_range().collect();
         let mut scan = XScan::new(Box::new(src), pages, 0);
@@ -203,7 +202,7 @@ mod tests {
     fn fallback_reemits_contexts() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
         let pages: Vec<PageId> = store.meta.page_range().collect();
         let mut scan = XScan::new(Box::new(src), pages, 2);

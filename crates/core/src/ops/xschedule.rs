@@ -334,7 +334,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::context::CostParams;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
     use pathix_tree::Placement;
@@ -388,7 +387,7 @@ mod tests {
     fn emits_context_instances_with_swizzled_ends() {
         let doc = sample_doc();
         let store = mem_store(&doc, 512, Placement::Shuffled { seed: 4 });
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
         let mut sched = XSchedule::new(Box::new(src), shared(), 100, false, 2);
         let got = drain(&mut sched, &cx);
@@ -405,7 +404,7 @@ mod tests {
     fn serves_feedback_entries_pushed_by_consumer() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Shuffled { seed: 4 });
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let sh = shared();
         let src = ContextSource::new(vec![store.root()]);
         let mut sched = XSchedule::new(Box::new(src), Rc::clone(&sh), 100, false, 2);
@@ -438,7 +437,7 @@ mod tests {
     fn speculative_generates_per_border_per_step() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
         let path_len = 3;
         let mut sched = XSchedule::new(Box::new(src), shared(), 100, true, path_len);
@@ -461,7 +460,7 @@ mod tests {
     fn prefetches_are_submitted_for_queued_entries() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let sh = shared();
         for p in store.meta.page_range().skip(1).take(3) {
             XSchedule::enqueue(

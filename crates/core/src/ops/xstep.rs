@@ -156,7 +156,6 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::context::CostParams;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
     use pathix_tree::Placement;
@@ -194,7 +193,7 @@ mod tests {
         let doc = sample_doc();
         // Big pages: everything in one cluster, no borders.
         let store = mem_store(&doc, 1 << 15, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = Swizzle {
             inner: ContextSource::new(vec![store.root()]),
         };
@@ -210,7 +209,7 @@ mod tests {
         let doc = sample_doc();
         // Tiny pages: many clusters.
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = Swizzle {
             inner: ContextSource::new(vec![store.root()]),
         };
@@ -246,7 +245,7 @@ mod tests {
     fn passes_through_inapplicable_instances() {
         let doc = sample_doc();
         let store = mem_store(&doc, 1 << 15, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         // An instance already at step 2 flows through XStep_1 untouched.
         let cluster = store.fix(store.root().page);
         let pre = Pi {
@@ -281,7 +280,7 @@ mod tests {
     fn chain_of_steps_full_path_single_cluster() {
         let doc = sample_doc();
         let store = mem_store(&doc, 1 << 15, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = Swizzle {
             inner: ContextSource::new(vec![store.root()]),
         };
@@ -306,7 +305,7 @@ mod tests {
     fn fallback_mode_crosses_borders() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         cx.fallback.set(true);
         let src = Swizzle {
             inner: ContextSource::new(vec![store.root()]),
@@ -334,7 +333,7 @@ mod tests {
         // border, and feed the companion back in as an Entry end.
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, CostParams::default(), None);
+        let cx = ExecCtx::new(&store, None);
         let src = Swizzle {
             inner: ContextSource::new(vec![store.root()]),
         };

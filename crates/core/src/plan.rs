@@ -15,7 +15,7 @@
 //! ([`execute_paths_shared_scan`]).
 
 use crate::batch::BatchRun;
-use crate::context::{CostParams, ExecCtx};
+use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::governor::QueryBudget;
 use crate::instance::{Pi, REnd};
@@ -24,6 +24,7 @@ use crate::ops::{
     XStep,
 };
 use crate::report::ExecReport;
+use pathix_storage::cost::SORT_CMP_NS;
 use pathix_storage::{BufferStats, DeviceStats, IoError, TimeBreakdown};
 use pathix_tree::{IdSet, NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
@@ -72,8 +73,6 @@ impl Method {
 pub struct PlanConfig {
     /// Physical method.
     pub method: Method,
-    /// Cost model.
-    pub costs: CostParams,
     /// `S` memory limit (instances) before fallback; `None` = unlimited.
     pub mem_limit: Option<usize>,
     /// Sort results into document order (§5.5). Counts and aggregates do
@@ -88,7 +87,6 @@ impl PlanConfig {
     pub fn new(method: Method) -> Self {
         Self {
             method,
-            costs: CostParams::default(),
             mem_limit: None,
             sort: false,
             normalize: true,
@@ -132,10 +130,6 @@ pub struct QueryRun {
     /// Aggregated measurements over all paths of the query.
     pub report: ExecReport,
 }
-
-/// CPU cost charged per comparison when sorting results into document
-/// order.
-const SORT_CMP_NS: u64 = 30;
 
 /// §5.4.5.4: with a full scan of a path starting at the document root with
 /// `descendant-or-self::node()`, every end at step 1 may be treated as
@@ -278,8 +272,8 @@ impl<'a> Driver<'a> {
         plan: Box<dyn Operator>,
     ) -> Self {
         let cx = match budget {
-            None => ExecCtx::new(store, cfg.costs, cfg.mem_limit),
-            Some(b) => ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b),
+            None => ExecCtx::new(store, cfg.mem_limit),
+            Some(b) => ExecCtx::with_budget(store, cfg.mem_limit, b),
         };
         Self {
             cx,

@@ -51,6 +51,9 @@
 //!   carry-less-multiply kernel right after the CPU feature check; clippy's
 //!   `undocumented_unsafe_blocks` makes that block carry a `// SAFETY:`
 //!   comment.
+//! - **R9 — one cost table.** Non-test code declares a `const` whose name
+//!   ends in `_NS` only in `crates/storage/src/cost.rs`, the table every
+//!   simulated CPU charge and the optimizer's estimate read.
 
 pub mod rules;
 pub mod tokenizer;

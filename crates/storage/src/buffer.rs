@@ -18,7 +18,7 @@
 //! allocates the image, so there a frame keeps its 8 KiB.
 //!
 //! *Fixing* a resident page still costs a page-table lookup plus latch
-//! (`fix_hit_ns`) — the "swizzling" cost the paper minimizes by passing
+//! ([`FIX_HIT_NS`]) — the "swizzling" cost the paper minimizes by passing
 //! direct pointers between `XStep` operators. The page table is a vector
 //! indexed by page number, not a hash map: page ids are dense device
 //! offsets, so a hit is an index. Callers hold a decoded page as
@@ -48,6 +48,7 @@
 
 use crate::checksum::verify_page;
 use crate::clock::SimClock;
+use crate::cost::{FIX_HIT_NS, MISS_OVERHEAD_NS};
 use crate::device::{Device, DeviceStats, IoError, IoErrorKind, PageId};
 use crate::slotted::DecodeError;
 use std::cell::{Cell, RefCell, RefMut};
@@ -108,19 +109,12 @@ where
 pub struct BufferParams {
     /// Number of page frames.
     pub capacity: usize,
-    /// CPU cost of fixing a resident page (page-table lookup + latch).
-    pub fix_hit_ns: u64,
-    /// Extra CPU overhead of handling a miss (frame allocation, bookkeeping),
-    /// excluding device time and decode time.
-    pub miss_overhead_ns: u64,
 }
 
 impl Default for BufferParams {
     fn default() -> Self {
         Self {
             capacity: 1000, // the paper's Natix configuration
-            fix_hit_ns: 2_500,
-            miss_overhead_ns: 12_000,
         }
     }
 }
@@ -444,8 +438,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     /// exhausted attempt budget is returned as [`IoError`] with the final
     /// attempt count filled in.
     pub fn try_fix(&self, page: PageId) -> Result<Arc<T>, IoError> {
-        let p = self.params.get();
-        self.clock.charge_cpu(p.fix_hit_ns);
+        self.clock.charge_cpu(FIX_HIT_NS);
         self.stats.borrow_mut().fixes += 1;
         if let Some(data) = self.frames.borrow_mut().get(page) {
             self.stats.borrow_mut().hits += 1;
@@ -488,7 +481,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         }
         // Cold miss: synchronous read with bounded retry.
         self.stats.borrow_mut().misses += 1;
-        self.clock.charge_cpu(p.miss_overhead_ns);
+        self.clock.charge_cpu(MISS_OVERHEAD_NS);
         let retry = self.retry.get();
         let mut attempt = 1u32;
         let bytes = loop {
@@ -564,7 +557,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     fn install_completion(&self, page: PageId, bytes: &Arc<[u8]>) -> Result<Arc<T>, DecodeError> {
         self.submitted.borrow_mut().remove(&page);
         self.stats.borrow_mut().async_loads += 1;
-        self.clock.charge_cpu(self.params.get().miss_overhead_ns);
+        self.clock.charge_cpu(MISS_OVERHEAD_NS);
         if let Some(existing) = self.frames.borrow_mut().get(page) {
             // Raced with a synchronous fix; keep the existing frame.
             return Ok(existing);
@@ -680,16 +673,7 @@ mod tests {
             dev.append_page(vec![i as u8]);
         }
         let clock = Rc::new(SimClock::new());
-        BufferManager::new(
-            Box::new(dev),
-            FirstByte,
-            BufferParams {
-                capacity,
-                fix_hit_ns: 100,
-                miss_overhead_ns: 0,
-            },
-            clock,
-        )
+        BufferManager::new(Box::new(dev), FirstByte, BufferParams { capacity }, clock)
     }
 
     #[test]
@@ -786,8 +770,11 @@ mod tests {
         let cpu0 = b.clock().cpu_ns();
         b.fix(0);
         b.fix(0);
-        // 2 fixes * fix_hit(100) + 1 decode * 10
-        assert_eq!(b.clock().cpu_ns() - cpu0, 210);
+        // 2 fixes, 1 miss, 1 decode (10 ns in the test decoder)
+        assert_eq!(
+            b.clock().cpu_ns() - cpu0,
+            2 * FIX_HIT_NS + MISS_OVERHEAD_NS + 10
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use crate::checksum::verify_page;
 use crate::clock::SimClock;
+use crate::cost::CACHE_PROBE_NS;
 use crate::device::{Completion, Device, IoError, IoErrorKind, PageId};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,9 +40,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of lock stripes. Power of two so shard selection is a mask.
 const SHARD_COUNT: usize = 16;
-
-/// Simulated CPU cost of a shared-cache probe (hash + lock + refcount).
-const CACHE_PROBE_NS: u64 = 1_000;
 
 /// Snapshot of cumulative cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -236,10 +236,7 @@ mod tests {
         let store = TreeStore::open(
             Box::new(dev),
             meta,
-            BufferParams {
-                capacity: 4096,
-                ..Default::default()
-            },
+            BufferParams { capacity: 4096 },
             Rc::new(SimClock::new()),
         );
         store.buffer.device_mut().set_trace(true);

@@ -22,6 +22,7 @@
 //! the cycle does not end), and a border's target slot is not checked
 //! against the companion page.
 
+use pathix_storage::cost::DECODE_NODE_NS;
 pub use pathix_storage::DecodeError;
 use pathix_storage::{PageId, SimClock, SlottedPageBuilder, SlottedPageReader};
 use pathix_xml::Symbol;
@@ -530,10 +531,8 @@ fn decode_node(
     })
 }
 
-/// CPU cost of decoding one node record (representation change, §3.6).
-pub const DECODE_NODE_NS: u64 = 700;
-
-/// Indexes the records of a verified page image, charging decode cost, or
+/// Indexes the records of a verified page image, charging
+/// [`DECODE_NODE_NS`] per record, or
 /// reports the first record that does not decode (charging nothing). The
 /// cluster keeps `bytes` — the device's allocation, not a copy — and its
 /// nodes' payload spans point into it.

@@ -34,10 +34,7 @@ fn build() -> (Document, TreeStore, pathix_storage::SnapshotHandle) {
     let store = TreeStore::open(
         Box::new(snap_dev),
         meta,
-        BufferParams {
-            capacity: 32,
-            ..Default::default()
-        },
+        BufferParams { capacity: 32 },
         Rc::new(SimClock::new()),
     );
     (doc, store, handle)

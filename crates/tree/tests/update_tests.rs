@@ -29,10 +29,7 @@ fn store_for(doc: &Document, page_size: usize) -> TreeStore {
     TreeStore::open(
         Box::new(dev),
         meta,
-        BufferParams {
-            capacity: 64,
-            ..Default::default()
-        },
+        BufferParams { capacity: 64 },
         Rc::new(SimClock::new()),
     )
 }
