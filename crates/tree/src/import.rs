@@ -489,6 +489,7 @@ pub fn import_into(
         element_count: doc.element_count() as u64,
         tag_counts,
         tag_descendants,
+        border_edges,
     };
     let report = ImportReport {
         clusters: n as u32,

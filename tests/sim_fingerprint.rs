@@ -302,8 +302,8 @@ const GOLDEN_PARALLEL_1: &[&str] = &[
     "n=0 h=cbf29ce484222325 XSchedule t=97200/97200/0 buf=9/9/0/0/0/0/0 dev=0/0/0/0/0/0 nav=10/6/8 alg=18/0/8/0/0/9/0 fb=false/false",
     "n=30 h=f17d67bb16163186 XSchedule t=5571000/5571000/0 buf=20/20/0/46/46/46/0 dev=0/0/0/0/0/0 nav=1840/1686/154 alg=456/30/184/0/0/155/0 fb=false/false",
     "n=0 h=cbf29ce484222325 XScan t=7183150/7183150/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=2433/2225/506 alg=1419/0/8/518/515/0/894 fb=false/false",
-    "n=15 h=053cdfc5620a58a0 XScan t=15560900/7298900/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=2353/2042/311 alg=999/15/204/259/217/0/596 fb=false/false",
-    "n=0 h=cbf29ce484222325 XScan t=6781000/6781000/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
+    "n=15 h=053cdfc5620a58a0 XScan t=7298900/7298900/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=2353/2042/311 alg=999/15/204/259/217/0/596 fb=false/false",
+    "n=0 h=cbf29ce484222325 XScan t=15043000/6781000/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
     "n=30 h=f17d67bb16163186 XScan t=6476700/6476700/0 buf=54/0/54/0/54/0/0 dev=0/0/0/0/0/0 nav=1984/1798/186 alg=930/30/184/124/113/0/596 fb=false/false",
     "parallel t=58614950/50352950/8262000 buf=805/478/327/94/405/94/0 dev=54/54/0/0/8262000/0 nav=15905/14273/2591 alg=6486/135/808/1725/821/363/3278 fb=false/false",
 ];

@@ -119,3 +119,23 @@ fn generated_corpus_statistics_are_sane() {
     let emails = db.run("count(/site//email)", Method::XScan).unwrap();
     assert_eq!(emails.value as usize, s.emails);
 }
+
+/// `pathix explain` and the worker pool's longest-first ranking price a
+/// path with the same estimator: the facade's estimate is the optimizer's
+/// over the stored metadata, with no calibration of its own.
+#[test]
+fn database_estimate_is_the_optimizers() {
+    let opts = opts(Placement::Sequential);
+    let db = Database::from_xmark(0.05, &opts).unwrap();
+    for q in QUERIES {
+        let path = parse_query(q).unwrap().rooted().paths()[0].clone();
+        let own = pathix::core::Optimizer::new(&db.store().meta, opts.profile).estimate(&path);
+        let facade = db.estimate(q).unwrap();
+        assert_eq!(facade, own, "{q}");
+        assert_eq!(
+            facade.cpu_ns(Method::XScan),
+            own.cpu_ns(Method::XScan),
+            "{q}"
+        );
+    }
+}
