@@ -50,8 +50,10 @@ impl Cell {
         Self::new(name, Value::Real(v, Some(decimals)))
     }
 
-    /// A real parameter printed in its shortest form (e.g. a scale factor).
-    pub fn param(name: &'static str, v: f64) -> Self {
+    /// A real number printed in the shortest form that reads back exactly:
+    /// a parameter such as a scale factor, or a simulated time whose every
+    /// nanosecond must show.
+    pub fn exact(name: &'static str, v: f64) -> Self {
         Self::new(name, Value::Real(v, None))
     }
 
@@ -259,7 +261,7 @@ mod tests {
         Artifact {
             name: "BENCH_X",
             description: "a \"quoted\" sample",
-            params: vec![Cell::param("engine_scale_factor", 0.25)],
+            params: vec![Cell::exact("engine_scale_factor", 0.25)],
             tables: vec![Table {
                 name: "rows",
                 rows: vec![row(1, true), row(8, false)],

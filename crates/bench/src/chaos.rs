@@ -300,7 +300,7 @@ pub fn run(fast: bool) -> Artifact {
     Artifact {
         name: "CHAOS",
         description: "fault-injection chaos sweep: transient/corrupt/permanent/latency faults and random schedules over the mixed query corpus; every query must end in the oracle result or a clean ExecError::Io, never a panic, hang, or wrong answer",
-        params: vec![Cell::param("engine_scale_factor", scale)],
+        params: vec![Cell::exact("engine_scale_factor", scale)],
         tables: vec![Table {
             name: "scenarios",
             rows,

@@ -177,7 +177,7 @@ mod tests {
         Artifact {
             name: "T",
             description: "a \"quoted\" test",
-            params: vec![Cell::param("scale_factor", 0.5)],
+            params: vec![Cell::exact("scale_factor", 0.5)],
             tables: vec![Table {
                 name: "runs",
                 rows: rows

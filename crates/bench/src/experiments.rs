@@ -137,7 +137,7 @@ pub fn paper(fast: bool) -> Artifact {
             let runs = run_plans(&db, query);
             let [simple_s, sched_s, scan_s] = runs.each_ref().map(|r| r.report.total_secs());
             rows.push(vec![
-                Cell::param("sf", sf),
+                Cell::exact("sf", sf),
                 Cell::int("pages", db.pages().into()),
                 Cell::int("result", runs[0].value),
                 secs("simple_s", simple_s),
@@ -164,7 +164,7 @@ pub fn paper(fast: bool) -> Artifact {
     }
     let [fig9, fig10, fig11] = figures;
     let mut params: Vec<Cell> = QUERIES.iter().map(|&(l, q)| Cell::text(l, q)).collect();
-    params.push(Cell::param("tab3_scale_factor", tab3_scale));
+    params.push(Cell::exact("tab3_scale_factor", tab3_scale));
     Artifact {
         name: "PAPER",
         description: "the paper's evaluation on the simulated disk: page access order per plan (Example 1), total time vs XMark scaling factor for Q6'/Q7/Q15 (Figs. 9-11), total and CPU time per query and plan (Tab. 3)",
@@ -341,7 +341,7 @@ pub fn ablations(fast: bool) -> Artifact {
     Artifact {
         name: "ABLATIONS",
         description: "ablations of the paper's design choices: XSchedule queue depth k (A1), device queue window (A1b), page placement (A2), speculative XSchedule (A3), fallback memory limit (A4), buffer size (A5), device queue policy (A6)",
-        params: vec![Cell::param("scale_factor", scale)],
+        params: vec![Cell::exact("scale_factor", scale)],
         tables: vec![
             table("a1_queue_depth_k", a1),
             table("a1b_device_window", a1b),
@@ -357,6 +357,8 @@ pub fn ablations(fast: bool) -> Artifact {
 
 /// Extensions E7–E11 (the paper's §7 outlook) at SF 1; E11 ages an SF 0.5
 /// database with up to 5000 updates. Fast: SF 0.1, up to 500 updates.
+/// Simulated seconds print in full, so a one-nanosecond cost drift shows
+/// in the fast golden.
 pub fn extensions(fast: bool) -> Artifact {
     let (scale, aging_levels): (f64, &[usize]) = if fast {
         (FAST_SCALE, &[0, 500])
@@ -387,7 +389,7 @@ pub fn extensions(fast: bool) -> Artifact {
     .map(|(plan, report)| {
         vec![
             Cell::text("plan", plan),
-            secs("total_s", report.total_secs()),
+            Cell::exact("total_s", report.total_secs()),
             Cell::int("device_reads", report.device.reads),
         ]
     })
@@ -406,7 +408,7 @@ pub fn extensions(fast: bool) -> Artifact {
     let (walked, walk_s) = export(Database::export);
     let (scanned, scan_s) = export(Database::export_scan);
     let e8 = [("structural walk", walk_s), ("sequential scan", scan_s)]
-        .map(|(strategy, s)| vec![Cell::text("strategy", strategy), secs("total_s", s)])
+        .map(|(strategy, s)| vec![Cell::text("strategy", strategy), Cell::exact("total_s", s)])
         .to_vec();
 
     // E9: the cost model's choice of I/O operator — calibrated from import
@@ -434,8 +436,8 @@ pub fn extensions(fast: bool) -> Artifact {
                 Cell::text("query", label),
                 Cell::text("recommended", recommended.label()),
                 Cell::text("measured_best", best.label()),
-                secs("recommended_s", recommended_s),
-                secs("best_s", best_s),
+                Cell::exact("recommended_s", recommended_s),
+                Cell::exact("best_s", best_s),
             ]
         })
         .to_vec();
@@ -459,7 +461,7 @@ pub fn extensions(fast: bool) -> Artifact {
         let report = &batch.report;
         vec![
             Cell::text("workload", workload),
-            secs("combined_s", report.total_secs()),
+            Cell::exact("combined_s", report.total_secs()),
             Cell::int("seek_distance", report.device.seek_distance_pages),
             Cell::check(
                 "both_answered",
@@ -473,8 +475,8 @@ pub fn extensions(fast: bool) -> Artifact {
         name: "EXTENSIONS",
         description: "the paper's outlook (section 7) measured: one shared scan for several paths (E7), document export (E8), the cost model's operator choice (E9), concurrent queries (E10), aging by updates (E11)",
         params: vec![
-            Cell::param("scale_factor", scale),
-            Cell::param("aging_scale_factor", aging_scale),
+            Cell::exact("scale_factor", scale),
+            Cell::exact("aging_scale_factor", aging_scale),
         ],
         tables: vec![
             table("e7_shared_scan", e7),
@@ -533,9 +535,9 @@ fn aging(scale: f64, levels: &[usize]) -> Vec<Vec<Cell>> {
         rows.push(vec![
             Cell::int("updates", level as u64),
             Cell::int("pages", db.pages().into()),
-            secs("simple_s", simple_s),
-            secs("xschedule_s", sched_s),
-            secs("xscan_s", scan_s),
+            Cell::exact("simple_s", simple_s),
+            Cell::exact("xschedule_s", sched_s),
+            Cell::exact("xscan_s", scan_s),
             plans_agree(&runs),
         ]);
     }

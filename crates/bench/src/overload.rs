@@ -152,7 +152,7 @@ pub fn run(fast: bool) -> Artifact {
         name: "OVERLOAD",
         description: "governed batch executor under an open-loop arrival ramp: admission control sheds the over-capacity batch tail deterministically, two-stage deadlines degrade then abort the rest, and answered items are always oracle-correct",
         params: vec![
-            Cell::param("engine_scale_factor", scale),
+            Cell::exact("engine_scale_factor", scale),
             Cell::int("workers", OVERLOAD_WORKERS as u64),
             Cell::text("batch", "Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan"),
         ],
