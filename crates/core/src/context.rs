@@ -39,8 +39,8 @@ pub struct ExecCtx<'a> {
     /// Maximum number of instances `S` may hold before the plan reverts to
     /// fallback mode (`None` = unlimited).
     pub mem_limit: Option<usize>,
-    /// Fallback switch (§5.4.6): once set, `XStep`s navigate across borders
-    /// like Unnest-Maps and the I/O operators stop speculating.
+    /// Fallback switch (§5.4.6): once set, `XStep`'s steps navigate across
+    /// borders like Unnest-Maps and the I/O operators stop speculating.
     pub fallback: Cell<bool>,
     /// Governor state; `None` for ungoverned execution (the default — every
     /// checkpoint then reduces to the check for a recorded I/O error).
@@ -146,8 +146,14 @@ impl<'a> ExecCtx<'a> {
     /// Charges the creation/forwarding of one path instance.
     #[inline]
     pub fn charge_instance(&self) {
-        self.stats.instances.set(self.stats.instances.get() + 1);
-        self.clock().charge_cpu(INSTANCE_NS);
+        self.charge_instances(1);
+    }
+
+    /// Charges the creation of `n` path instances at once.
+    #[inline]
+    pub(crate) fn charge_instances(&self, n: u64) {
+        self.stats.instances.set(self.stats.instances.get() + n);
+        self.clock().charge_cpu(INSTANCE_NS * n);
     }
 
     /// True once the plan has switched to fallback mode.

@@ -6,10 +6,10 @@
 //! the four values `(S_L, N_L, S_R, N_R)`, so an instance is a flat tuple.
 //!
 //! The right end additionally carries the *swizzled* form of the node — an
-//! `Arc` to its decoded cluster — while the instance flows between `XStep`
-//! operators (§5.3.2.3: direct pointers are passed along the XStep chain;
-//! only ends stored in the main-memory structures `Q`/`R`/`S` are
-//! unswizzled back to NodeIDs).
+//! `Arc` to its decoded cluster — while the instance flows from step to
+//! step through `XStep` (§5.3.2.3: direct pointers are passed along the
+//! XStep chain; only ends stored in the main-memory structures `Q`/`R`/`S`
+//! are unswizzled back to NodeIDs).
 
 use pathix_tree::{Cluster, NodeId};
 use std::sync::Arc;

@@ -7,7 +7,7 @@
 //!
 //! | Paper operator | Type |
 //! |----------------|------|
-//! | `XStep`        | [`ops::XStep`] — intra-cluster navigation per step |
+//! | `XStep`        | [`ops::XStep`] — intra-cluster navigation; one operator routes each instance to the step it applies to |
 //! | `XAssembly`(^R)| [`ops::XAssembly`] — result filtering, duplicate elimination (`R`), speculative-instance matching (`S`) |
 //! | `XSchedule`(^R)| [`ops::XSchedule`] — pooled asynchronous cluster access |
 //! | `XScan`        | [`ops::XScan`] — single sequential scan with speculative evaluation |

@@ -10,7 +10,7 @@ mod xstep;
 
 pub use unnest::UnnestMap;
 pub use xassembly::XAssembly;
-pub(crate) use xscan::emit_cluster;
+pub(crate) use xscan::ClusterEmit;
 pub use xscan::XScan;
 pub use xschedule::{SchedShared, XSchedule};
 pub use xstep::XStep;

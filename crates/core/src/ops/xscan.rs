@@ -11,9 +11,13 @@
 //!    to the path is extracted in this single visit — the cluster is never
 //!    loaded again.
 //!
+//! A [`ClusterEmit`] hands these out one at a time, so no cluster's
+//! instances are ever queued; the shared scan over several paths and the
+//! speculative `XSchedule` emit through the same type.
+//!
 //! In fallback mode (§5.4.6) the operator restarts its (materialized)
 //! producer and degrades to the identity: it re-emits context nodes and the
-//! now-border-crossing `XStep`s recompute the full result, deduplicated by
+//! now-border-crossing `XStep` recomputes the full result, deduplicated by
 //! `XAssembly`'s surviving `R` structure.
 
 use crate::context::ExecCtx;
@@ -21,8 +25,81 @@ use crate::instance::Pi;
 use crate::ops::Operator;
 use pathix_storage::PageId;
 use pathix_tree::{Cluster, IdMap, NodeId};
-use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// What one scanned cluster contributes to a path of `path_len` steps,
+/// handed out one instance at a time: an instance for each context stored
+/// in the cluster, then a speculative instance `l_{b,i}` for every border
+/// node `b` and every step `i < path_len`, border by border.
+///
+/// All of them are charged when the emitter is made, that is when the page
+/// is scanned. The emitter pins the cluster only while some of its
+/// instances are still to come: the last one takes the emitter's own
+/// `Arc`, and a cluster that contributes nothing is not kept at all.
+#[derive(Default)]
+pub(crate) struct ClusterEmit {
+    /// The scanned cluster; `None` once its last instance is out.
+    cluster: Option<Arc<Cluster>>,
+    /// Contexts stored in the cluster, handed out first, in order.
+    contexts: std::vec::IntoIter<NodeId>,
+    /// Slot where the search for the current border node starts.
+    slot: usize,
+    /// Step of the next speculative instance at the current border.
+    step: u16,
+    path_len: u16,
+    /// Instances still to be handed out.
+    left: usize,
+}
+
+impl ClusterEmit {
+    /// Charges and prepares what `cluster` contributes: `contexts` (all
+    /// stored in it), then `path_len` speculative instances per border.
+    pub(crate) fn new(
+        cx: &ExecCtx<'_>,
+        cluster: Arc<Cluster>,
+        contexts: Vec<NodeId>,
+        path_len: u16,
+    ) -> Self {
+        let speculative = cluster.border_slots().count() * usize::from(path_len);
+        let left = contexts.len() + speculative;
+        cx.charge_instances(left as u64);
+        let generated = &cx.stats.speculative_generated;
+        generated.set(generated.get() + speculative as u64);
+        Self {
+            cluster: (left > 0).then_some(cluster),
+            contexts: contexts.into_iter(),
+            slot: 0,
+            step: 0,
+            path_len,
+            left,
+        }
+    }
+
+    /// The next instance, or `None` once the cluster's are all out.
+    pub(crate) fn next(&mut self) -> Option<Pi> {
+        self.left = self.left.checked_sub(1)?;
+        let cluster = if self.left == 0 {
+            self.cluster.take()?
+        } else {
+            Arc::clone(self.cluster.as_ref()?)
+        };
+        if let Some(id) = self.contexts.next() {
+            let order = cluster.node(id.slot).order;
+            return Some(Pi::swizzled_context(cluster, id.slot, order));
+        }
+        if self.step == 0 {
+            // Move on to the next border node.
+            let found = cluster.nodes.get(self.slot..)?.iter();
+            self.slot += found.take_while(|n| !n.kind.is_border()).count();
+        }
+        let (slot, step) = (self.slot as u16, self.step);
+        self.step += 1;
+        if self.step == self.path_len {
+            (self.slot, self.step) = (self.slot + 1, 0);
+        }
+        Some(Pi::speculative(step, cluster, slot))
+    }
+}
 
 /// The sequential-scan I/O operator.
 pub struct XScan {
@@ -32,7 +109,8 @@ pub struct XScan {
     pos: usize,
     ctx_by_page: IdMap<PageId, Vec<NodeId>>,
     all_contexts: Vec<NodeId>,
-    emit: VecDeque<Pi>,
+    /// What the last scanned cluster has still to hand out.
+    emit: ClusterEmit,
     /// Fallback restart state.
     fb_pos: Option<usize>,
 }
@@ -47,7 +125,7 @@ impl XScan {
             pos: 0,
             ctx_by_page: IdMap::default(),
             all_contexts: Vec::new(),
-            emit: VecDeque::new(),
+            emit: ClusterEmit::default(),
             fb_pos: None,
         }
     }
@@ -65,34 +143,6 @@ impl XScan {
     }
 }
 
-/// Queues what one scanned cluster contributes to a path of `path_len`
-/// steps: an instance for each of the `contexts`, all stored in it, then a
-/// speculative instance for every border node and every step, so that the
-/// cluster is never loaded again. [`XScan`] and the shared scan over
-/// several paths (`plan::execute_paths_shared_scan`) both emit through it.
-pub(crate) fn emit_cluster(
-    cx: &ExecCtx<'_>,
-    cluster: &Arc<Cluster>,
-    contexts: impl IntoIterator<Item = NodeId>,
-    path_len: u16,
-    out: &mut VecDeque<Pi>,
-) {
-    for id in contexts {
-        cx.charge_instance();
-        let order = cluster.node(id.slot).order;
-        out.push_back(Pi::swizzled_context(Arc::clone(cluster), id.slot, order));
-    }
-    for b in cluster.border_slots() {
-        for i in 0..path_len {
-            cx.charge_instance();
-            cx.stats
-                .speculative_generated
-                .set(cx.stats.speculative_generated.get() + 1);
-            out.push_back(Pi::speculative(i, Arc::clone(cluster), b));
-        }
-    }
-}
-
 impl Operator for XScan {
     fn next(&mut self, cx: &ExecCtx<'_>) -> Option<Pi> {
         self.materialize_contexts(cx);
@@ -101,15 +151,15 @@ impl Operator for XScan {
             // passed hard deadline aborts the plan — stop emitting so the
             // pipeline winds down and the executor can surface it.
             if cx.interrupted() {
-                self.emit.clear();
+                self.emit = ClusterEmit::default();
                 return None;
             }
             if cx.in_fallback() && self.fb_pos.is_none() {
                 // Restart as identity over the context nodes (§5.4.6).
-                self.emit.clear();
+                self.emit = ClusterEmit::default();
                 self.fb_pos = Some(0);
             }
-            if let Some(pi) = self.emit.pop_front() {
+            if let Some(pi) = self.emit.next() {
                 return Some(pi);
             }
             if let Some(fb) = &mut self.fb_pos {
@@ -125,8 +175,8 @@ impl Operator for XScan {
             // A failed read records the error on the store; the scan winds
             // down at the next turn's checkpoint.
             if let Some(cluster) = cx.store.checked_fix(page) {
-                let contexts = self.ctx_by_page.get(&page).into_iter().flatten().copied();
-                emit_cluster(cx, &cluster, contexts, self.path_len, &mut self.emit);
+                let contexts = self.ctx_by_page.remove(&page).unwrap_or_default();
+                self.emit = ClusterEmit::new(cx, cluster, contexts, self.path_len);
             }
         }
     }
@@ -142,6 +192,7 @@ mod tests {
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
     use pathix_tree::Placement;
+    use std::sync::Weak;
 
     #[test]
     fn scans_every_page_exactly_once_in_order() {
@@ -196,6 +247,61 @@ mod tests {
         let got = drain(&mut scan, &cx);
         assert_eq!(got.len(), 1);
         assert!(got[0].is_full(0));
+    }
+
+    /// The scan pins a cluster's frame only while one of its instances is
+    /// still out: once the last instance of a page has been handed out and
+    /// dropped, the frame is evictable again — before the scan loads the
+    /// next page — and a page that contributes no instance (no context,
+    /// and no border or no step to speculate for) is never kept.
+    #[test]
+    fn a_scanned_frame_stays_pinned_only_while_its_instances_are_out() {
+        let doc = sample_doc();
+        for path_len in [0u16, 2] {
+            let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
+            let cx = ExecCtx::new(&store, None);
+            // A weak handle on every resident frame: a frame is pinned
+            // while anyone but the buffer holds a strong one.
+            let frames: IdMap<PageId, Weak<Cluster>> = store
+                .meta
+                .page_range()
+                .map(|p| (p, Arc::downgrade(&store.fix(p))))
+                .collect();
+            let pinned = |page: PageId| frames[&page].strong_count() > 1;
+            let expected = |page: PageId| {
+                let borders = frames[&page].upgrade().unwrap().border_slots().count();
+                borders * usize::from(path_len) + usize::from(page == store.root().page)
+            };
+            // Every page of a split document has borders, so only the
+            // zero-step path has pages that contribute nothing.
+            let idle = store
+                .meta
+                .page_range()
+                .filter(|&p| expected(p) == 0)
+                .count();
+            assert_eq!(idle > 0, path_len == 0);
+            let src = ContextSource::new(vec![store.root()]);
+            let pages: Vec<PageId> = store.meta.page_range().collect();
+            let mut scan = XScan::new(Box::new(src), pages, path_len);
+            let mut held: Vec<Pi> = Vec::new();
+            while let Some(p) = scan.next(&cx) {
+                let page = p.nr.node_id().page;
+                assert!(held.iter().all(|q| q.nr.node_id().page == page));
+                held.push(p);
+                for other in store.meta.page_range().filter(|&q| q != page) {
+                    assert!(!pinned(other), "page {other} pinned while {page} is out");
+                }
+                assert!(pinned(page), "page {page} unpinned with an instance held");
+                if held.len() == expected(page) {
+                    held.clear();
+                    assert!(!pinned(page), "page {page} pinned after its last instance");
+                }
+            }
+            assert!(held.is_empty(), "every page hands out what it charged");
+            for page in store.meta.page_range() {
+                assert!(!pinned(page), "page {page} pinned after the scan");
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,11 @@
 
 use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
-use crate::ops::Operator;
+use crate::ops::{ClusterEmit, Operator};
 use pathix_storage::PageId;
 use pathix_tree::{Cluster, IdSet, NodeId};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -155,7 +155,8 @@ pub struct XSchedule {
     path_len: u16,
     shared: Rc<RefCell<SchedShared>>,
     current: Option<Arc<Cluster>>,
-    emit: VecDeque<Pi>,
+    /// The current cluster's speculative instances still to come.
+    emit: ClusterEmit,
     producer_done: bool,
 }
 
@@ -177,7 +178,7 @@ impl XSchedule {
             path_len,
             shared,
             current: None,
-            emit: VecDeque::new(),
+            emit: ClusterEmit::default(),
             producer_done: false,
         }
     }
@@ -217,15 +218,7 @@ impl XSchedule {
         if !self.shared.borrow_mut().visited.insert(cluster.page) {
             return;
         }
-        for b in cluster.border_slots() {
-            for i in 0..self.path_len {
-                cx.charge_instance();
-                cx.stats
-                    .speculative_generated
-                    .set(cx.stats.speculative_generated.get() + 1);
-                self.emit.push_back(Pi::speculative(i, cluster.clone(), b));
-            }
-        }
+        self.emit = ClusterEmit::new(cx, Arc::clone(cluster), Vec::new(), self.path_len);
     }
 }
 
@@ -236,11 +229,11 @@ impl Operator for XSchedule {
             // passed hard deadline aborts the plan — stop emitting so the
             // pipeline winds down and the executor can surface it.
             if cx.interrupted() {
-                self.emit.clear();
+                self.emit = ClusterEmit::default();
                 self.current = None;
                 return None;
             }
-            if let Some(pi) = self.emit.pop_front() {
+            if let Some(pi) = self.emit.next() {
                 return Some(pi);
             }
             // Replenish Q from the producer up to the desired minimum k.

@@ -5,13 +5,15 @@
 //! to the three plan shapes the evaluation compares:
 //!
 //! * **Simple** — `ContextSource → UnnestMap* → DupElim`,
-//! * **XSchedule** — `ContextSource → XSchedule → XStep* → XAssembly`
+//! * **XSchedule** — `ContextSource → XSchedule → XStep → XAssembly`
 //!   (with the `Q` feedback edge),
-//! * **XScan** — `ContextSource → XScan → XStep* → XAssembly`.
+//! * **XScan** — `ContextSource → XScan → XStep → XAssembly`,
+//!
+//! where the one `XStep` plays every location step of the path.
 //!
 //! One driver runs every plan: alone ([`execute_path`]), interleaved with
 //! others on one device ([`execute_interleaved`]), or as one of several
-//! `XStep* → XAssembly` plans fed by a single scan
+//! `XStep → XAssembly` plans fed by a single scan
 //! ([`execute_paths_shared_scan`]).
 
 use crate::batch::BatchRun;
@@ -20,7 +22,7 @@ use crate::error::ExecError;
 use crate::governor::QueryBudget;
 use crate::instance::{Pi, REnd};
 use crate::ops::{
-    emit_cluster, ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule,
+    ClusterEmit, ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule,
     XStep,
 };
 use crate::report::ExecReport;
@@ -29,8 +31,8 @@ use pathix_storage::{BufferStats, DeviceStats, IoError, TimeBreakdown};
 use pathix_tree::{IdSet, NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which physical plan to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,17 +147,24 @@ fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
     (starts_dos && second_ok).then_some(1)
 }
 
-/// Stacks one `step_op` operator (`UnnestMap` or `XStep`) per location
-/// step on `op`.
-fn stack_steps<S: Operator + 'static>(
+/// The path's steps as `axis::test` with the test resolved against the
+/// document's alphabet, step 1 first.
+fn resolve_steps(store: &TreeStore, path: &LocationPath) -> Vec<(Axis, ResolvedTest)> {
+    let symbols = &store.meta.symbols;
+    let resolve =
+        |step: &pathix_xpath::Step| (step.axis, ResolvedTest::resolve(&step.test, symbols));
+    path.steps.iter().map(resolve).collect()
+}
+
+/// The Simple method's nested loops: one `UnnestMap` per location step,
+/// stacked on `op`.
+fn stack_steps(
     store: &TreeStore,
     path: &LocationPath,
     mut op: Box<dyn Operator>,
-    step_op: fn(Box<dyn Operator>, u16, Axis, ResolvedTest) -> S,
 ) -> Box<dyn Operator> {
-    for (idx, step) in path.steps.iter().enumerate() {
-        let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
-        op = Box::new(step_op(op, idx as u16 + 1, step.axis, test));
+    for ((axis, test), i) in resolve_steps(store, path).into_iter().zip(1..) {
+        op = Box::new(UnnestMap::new(op, i, axis, test));
     }
     op
 }
@@ -165,19 +174,19 @@ fn build_plan(store: &TreeStore, path: &LocationPath, method: Method) -> Box<dyn
     let len = path.steps.len() as u16;
     let source: Box<dyn Operator> = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
-        Method::Simple => stack_steps(store, path, source, UnnestMap::new),
+        Method::Simple => stack_steps(store, path, source),
         Method::XSchedule { k, speculative } => {
             let shared = Rc::new(RefCell::new(SchedShared::default()));
             let sched = XSchedule::new(source, Rc::clone(&shared), k, speculative, len);
-            let steps = stack_steps(store, path, Box::new(sched), XStep::new);
-            Box::new(XAssembly::new(steps, len, Some(shared), None))
+            let steps = XStep::new(Box::new(sched), resolve_steps(store, path));
+            Box::new(XAssembly::new(Box::new(steps), len, Some(shared), None))
         }
         Method::XScan => {
             let pages = store.meta.page_range().collect();
             let scan = XScan::new(source, pages, len);
-            let steps = stack_steps(store, path, Box::new(scan), XStep::new);
+            let steps = XStep::new(Box::new(scan), resolve_steps(store, path));
             let all_reachable = scan_all_reachable_step(path);
-            Box::new(XAssembly::new(steps, len, None, all_reachable))
+            Box::new(XAssembly::new(Box::new(steps), len, None, all_reachable))
         }
     }
 }
@@ -442,12 +451,13 @@ pub fn execute_interleaved(
     Ok(BatchRun::new(runs, report))
 }
 
-/// Pull operator over a queue that the shared scan's page loop fills.
-struct QueueSource(Rc<RefCell<VecDeque<Pi>>>);
+/// Pull operator over the cluster that the shared scan's page loop has
+/// just scanned for its path.
+struct EmitSource(Rc<RefCell<ClusterEmit>>);
 
-impl Operator for QueueSource {
+impl Operator for EmitSource {
     fn next(&mut self, _cx: &ExecCtx<'_>) -> Option<Pi> {
-        self.0.borrow_mut().pop_front()
+        self.0.borrow_mut().next()
     }
 }
 
@@ -457,9 +467,9 @@ impl Operator for QueueSource {
 /// I/O-performing operator" (§7). A query like XMark Q7 (three `count()`s)
 /// reads the document once instead of three times.
 ///
-/// Each path is an `XStep* → XAssembly` plan over a queue. For every
-/// cluster the scan visits, each path's queue receives what [`XScan`]
-/// would emit for it there, and its plan is drained. Every path runs as
+/// Each path is an `XStep → XAssembly` plan over the scanned cluster. For
+/// every cluster the scan visits, each path's plan is handed what
+/// [`XScan`] would emit for it there, and is drained. Every path runs as
 /// `XScan` under `cfg`, except that `cfg.mem_limit` is ignored (fallback
 /// would need a second scan per path).
 ///
@@ -478,15 +488,15 @@ pub fn execute_paths_shared_scan(
     (cfg.method, cfg.mem_limit) = (Method::XScan, None);
     store.clear_io_error();
     let meter = Meter::start(store);
-    // (driver, the queue it reads, its step count)
+    // (driver, the cluster it reads, its step count)
     let mut slots: Vec<_> = paths
         .iter()
         .map(|path| {
             let path = cfg.prepare(path);
             let len = path.steps.len() as u16;
-            let feed = Rc::new(RefCell::new(VecDeque::new()));
-            let source = Box::new(QueueSource(Rc::clone(&feed)));
-            let steps = stack_steps(store, &path, source, XStep::new);
+            let feed = Rc::new(RefCell::new(ClusterEmit::default()));
+            let source = Box::new(EmitSource(Rc::clone(&feed)));
+            let steps = Box::new(XStep::new(source, resolve_steps(store, &path)));
             let plan = XAssembly::new(steps, len, None, scan_all_reachable_step(&path));
             (Driver::start(store, &cfg, None, Box::new(plan)), feed, len)
         })
@@ -499,7 +509,8 @@ pub fn execute_paths_shared_scan(
         };
         let context = (page == root.page).then_some(root);
         for (driver, feed, len) in &mut slots {
-            emit_cluster(&driver.cx, &cluster, context, *len, &mut feed.borrow_mut());
+            let contexts = context.into_iter().collect();
+            *feed.borrow_mut() = ClusterEmit::new(&driver.cx, Arc::clone(&cluster), contexts, *len);
             while driver.pull() {}
         }
     }
@@ -578,7 +589,6 @@ mod tests {
     use crate::ops::testutil::{mem_store, sample_doc};
     use pathix_tree::Placement;
     use pathix_xpath::{parse_path, parse_query};
-    use std::sync::Arc;
 
     fn all_methods() -> [Method; 4] {
         [

@@ -19,7 +19,7 @@
 //!
 //! *Fixing* a resident page still costs a page-table lookup plus latch
 //! ([`FIX_HIT_NS`]) — the "swizzling" cost the paper minimizes by passing
-//! direct pointers between `XStep` operators. The page table is a vector
+//! direct pointers from step to step. The page table is a vector
 //! indexed by page number, not a hash map: page ids are dense device
 //! offsets, so a hit is an index. Callers hold a decoded page as
 //! an `Arc`, which doubles as the pin: frames with outstanding references are

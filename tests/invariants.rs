@@ -72,7 +72,7 @@ fn speculative_xschedule_never_rereads() {
 }
 
 /// Invariant 4: outside fallback mode, only the I/O operator reads pages —
-/// the XStep chain works purely on pinned clusters. Detectable via fix
+/// the XStep operator works purely on pinned clusters. Detectable via fix
 /// counts: every buffer fix in an XScan plan happens for the scan itself.
 #[test]
 fn xscan_fix_count_equals_page_count() {
