@@ -31,8 +31,9 @@ pub struct TreeMeta {
     /// tag — `tag_descendants[t] / tag_counts[t]` is the average subtree a
     /// `descendant` step from a `t` element inspects.
     pub tag_descendants: Vec<u64>,
-    /// Inter-cluster edges (border-node pairs) at import; the optimizer
-    /// prices XScan's speculation from it. Updates do not maintain it.
+    /// Inter-cluster edges (border-node pairs, one per live `BorderDown`
+    /// record); the optimizer prices XScan's speculation from it. Counted
+    /// at import and kept current by [`crate::TreeUpdater`].
     pub border_edges: u64,
 }
 

@@ -317,6 +317,7 @@ impl<'a> TreeUpdater<'a> {
         });
         self.write(&cluster);
         self.write(&fresh);
+        self.store.meta.border_edges += 1;
         self.bump_stats(&kind);
         Ok(NodeId::new(new_page, 1))
     }
@@ -350,6 +351,7 @@ impl<'a> TreeUpdater<'a> {
         };
         self.store.meta.page_count += 1;
         let mut overflow = Cluster::new(overflow_page);
+        let mut relocated = 0;
         while Self::cluster_bytes(cluster) + needed > page_size - CHECKSUM_LEN {
             let Some((_, slot)) = candidates.pop() else {
                 // Abandon the relocation. The caller drops its in-memory
@@ -387,8 +389,11 @@ impl<'a> TreeUpdater<'a> {
             };
             // parent/sibling links and the slot stay exactly as they were.
             rec.first_child = None;
+            relocated += 1;
         }
         self.write(&overflow);
+        // One border pair per relocated record.
+        self.store.meta.border_edges += relocated;
         Ok(())
     }
 
@@ -493,6 +498,7 @@ impl<'a> TreeUpdater<'a> {
             let n = cluster.nodes[s as usize];
             if let NodeKind::BorderDown { target } = n.kind {
                 remote.push(target);
+                self.store.meta.border_edges -= 1;
             }
             let mut c = n.first_child;
             while let Some(cs) = c {
@@ -554,6 +560,7 @@ impl<'a> TreeUpdater<'a> {
         let n = Self::unlink(&mut cluster, down.slot);
         debug_assert!(matches!(n.kind, NodeKind::BorderDown { .. }));
         cluster.nodes[down.slot as usize] = Node::FREE;
+        self.store.meta.border_edges -= 1;
         // If the proxy's parent was a BorderUp whose chain is now empty,
         // cascade the cleanup to *its* companion.
         if let Some((up_slot, companion)) = n.parent.and_then(|p| Self::emptied_proxy(&cluster, p))

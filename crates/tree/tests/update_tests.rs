@@ -368,3 +368,74 @@ fn relocated_leaves_keep_their_payload() {
     );
     assert!(relocated, "no attributed leaf was relocated");
 }
+
+/// Live `BorderDown` records over the document's pages: one per
+/// inter-cluster edge.
+fn live_border_downs(store: &TreeStore) -> u64 {
+    store
+        .meta
+        .page_range()
+        .map(|p| {
+            let c = store.fix(p);
+            let downs = c
+                .nodes
+                .iter()
+                .filter(|n| matches!(n.kind, pathix_tree::NodeKind::BorderDown { .. }));
+            downs.count() as u64
+        })
+        .sum()
+}
+
+/// `TreeMeta::border_edges` follows the updates: a seeded script of long
+/// text inserts (which overflow onto fresh pages), element inserts into
+/// full pages (which force `make_room` to relocate leaves first) and
+/// subtree deletes keeps it equal to a fresh count of the live border
+/// pairs after every commit.
+#[test]
+fn updates_keep_border_edges_current() {
+    let mut doc = Document::new("r");
+    for i in 0..24 {
+        let item = doc.add_element(doc.root(), "item");
+        let desc = doc.add_element(item, "desc");
+        doc.add_text(desc, &"long text leaf ".repeat(2 + i % 5));
+    }
+    let mut store = store_for(&doc, 512);
+    assert_eq!(store.meta.border_edges, live_border_downs(&store));
+    let mut rng = StdRng::seed_from_u64(0x00B0_4DE5);
+    let (mut overflows, mut relocations, mut drops) = (0, 0, 0);
+    for step in 0..150 {
+        // Any core node but the root, which comes first in document order.
+        let nodes: Vec<NodeId> = by_order(&store).into_values().skip(1).collect();
+        let pick = nodes[rng.random_range(0..nodes.len())];
+        let is_element = matches!(
+            store.fix(pick.page).node(pick.slot).kind,
+            pathix_tree::NodeKind::Element { .. }
+        );
+        let before = store.meta.border_edges;
+        let mut up = TreeUpdater::new(&mut store);
+        let _ = match rng.random_range(0..10) {
+            0..=3 => up
+                .insert(
+                    InsertPos::After(pick),
+                    NewNode::Text(format!("inserted text number {step}")),
+                )
+                .map(drop),
+            4..=7 if is_element => up
+                .insert(InsertPos::FirstChildOf(pick), NewNode::Element("e".into()))
+                .map(drop),
+            _ => up.delete(pick),
+        };
+        up.commit();
+        let after = store.meta.border_edges;
+        assert_eq!(after, live_border_downs(&store), "step {step}");
+        match after.cmp(&before) {
+            std::cmp::Ordering::Greater if after - before > 1 => relocations += 1,
+            std::cmp::Ordering::Greater => overflows += 1,
+            std::cmp::Ordering::Less => drops += 1,
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+    assert!(overflows > 0, "no insert overflowed onto a fresh page");
+    assert!(relocations > 0, "no insert relocated leaves");
+    assert!(drops > 0, "no delete removed a border pair");
+}
