@@ -30,14 +30,16 @@
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   8. report all chaos overload, simulated identity — every artifact in
+#   8. examples               — every program under examples/ is built in
+#      release and runs to exit 0 (`cargo test` only compiles them)
+#   9. report all chaos overload, simulated identity — every artifact in
 #      full mode, run in a fresh temporary directory, must write
 #      PAPER.json, ABLATIONS.json, EXTENSIONS.json, CHAOS.json and
 #      OVERLOAD.json byte for byte equal to the committed files (every
 #      cell is simulated time, a count or an outcome, so any drift is a
 #      cost-model change that must regenerate them on purpose); on a
 #      mismatch, `report diff` first names every moved cell
-#   9. the tree as found      — `git status --porcelain` and a hash of
+#  10. the tree as found      — `git status --porcelain` and a hash of
 #      `git diff`, taken before stage 1, are unchanged: no stage may write
 #      into the tree (a blessed golden, an artifact written in place)
 set -euo pipefail
@@ -74,6 +76,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> examples: each runs to exit 0"
+cargo build -q --release --examples
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "--> $name"
+  "./target/release/examples/$name" >/dev/null
+done
 
 echo "==> report all chaos overload: every artifact reproduces byte for byte"
 out=$(mktemp -d)

@@ -379,7 +379,7 @@ pub fn extensions(fast: bool) -> Artifact {
                 ("/site//email", Method::XScan),
             ],
             &PlanConfig::new(Method::XScan),
-            Batch::SharedScan,
+            Batch::Interleaved,
         )
         .expect("shared scan");
     let e7 = [

@@ -3,10 +3,10 @@
 //!
 //! The paper's outlook (§7) expects concurrent queries to "strongly benefit
 //! from asynchronous I/O". [`crate::plan::execute_interleaved`] realizes
-//! that on one thread by interleaving plans over one device queue, and
-//! [`crate::plan::execute_paths_shared_scan`] feeds several paths from one
-//! scan. This module adds the orthogonal axis: running *independent*
-//! `(path, method)` queries on multiple OS threads at once.
+//! that on one thread by interleaving plans over one device queue, with
+//! their XScans reading one shared scan. This module adds the orthogonal
+//! axis: running *independent* `(path, method)` queries on multiple OS
+//! threads at once.
 //!
 //! The engine's operator hot path is deliberately single-threaded
 //! (`Rc`/`RefCell`/`Cell` throughout `ExecCtx`, `BufferManager`, and
@@ -74,11 +74,11 @@ pub struct BatchRun {
     /// [`ExecError::WorkerLost`] if its worker died before publishing a
     /// result; under governance, shed items carry [`ExecError::Overloaded`]
     /// and aborted ones [`ExecError::DeadlineExceeded`] /
-    /// [`ExecError::Canceled`]. The one-device executors fail as a whole on
-    /// an unrecovered read instead, so their items fail only by breaking
+    /// [`ExecError::Canceled`]. The interleaved executor fails as a whole on
+    /// an unrecovered read instead, so its items fail only by breaking
     /// the plan output contract.
     pub runs: Vec<Result<PathRun, ExecError>>,
-    /// The batch's cost. For the one-device executors, the store's clock,
+    /// The batch's cost. For the interleaved executor, the store's clock,
     /// buffer and device delta over the whole batch. For the worker pool,
     /// the sum of the *successful* per-item reports: `time` is then
     /// aggregate simulated time across all workers (simulated clocks run

@@ -18,9 +18,9 @@
 //! returning result nodes and a full cost report (simulated total time, CPU
 //! share, buffer and device statistics) — everything needed to regenerate
 //! the paper's figures and tables. The same driver runs several plans on
-//! one store, interleaved or fed by one shared scan (the paper's §7
-//! outlook); [`batch`] runs independent plans on a worker pool. Every
-//! batch returns a [`BatchRun`].
+//! one store, interleaved, with their XScans reading one shared scan (the
+//! paper's §7 outlook); [`batch`] runs independent plans on a worker pool.
+//! Every batch returns a [`BatchRun`].
 
 pub mod batch;
 pub mod context;
@@ -42,7 +42,6 @@ pub use governor::{CancelToken, Deadline, GovernorReport, QueryBudget};
 pub use instance::{Pi, REnd};
 pub use optimizer::{Optimizer, PlanEstimate};
 pub use plan::{
-    execute_interleaved, execute_path, execute_paths_shared_scan, execute_query, Method, PathRun,
-    PlanConfig, QueryRun,
+    execute_interleaved, execute_path, execute_query, Method, PathRun, PlanConfig, QueryRun,
 };
 pub use report::ExecReport;

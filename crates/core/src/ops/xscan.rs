@@ -12,19 +12,25 @@
 //!    loaded again.
 //!
 //! A [`ClusterEmit`] hands these out one at a time, so no cluster's
-//! instances are ever queued; the shared scan over several paths and the
-//! speculative `XSchedule` emit through the same type.
+//! instances are ever queued; the speculative `XSchedule` emits through the
+//! same type.
 //!
-//! In fallback mode (§5.4.6) the operator restarts its (materialized)
-//! producer and degrades to the identity: it re-emits context nodes and the
-//! now-border-crossing `XStep` recomputes the full result, deduplicated by
-//! `XAssembly`'s surviving `R` structure.
+//! Several `XScan`s, one per path, may read one [`ScanCursor`], "a single
+//! I/O-performing operator" for several location paths (§7).
+//!
+//! In fallback mode (§5.4.6) the operator leaves its cursor, restarts its
+//! (materialized) producer and degrades to the identity: it re-emits context
+//! nodes and the now-border-crossing `XStep` recomputes the full result,
+//! deduplicated by `XAssembly`'s surviving `R` structure.
 
 use crate::context::ExecCtx;
 use crate::instance::Pi;
 use crate::ops::Operator;
 use pathix_storage::PageId;
 use pathix_tree::{Cluster, IdMap, NodeId};
+use std::cell::RefCell;
+use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// What one scanned cluster contributes to a path of `path_len` steps,
@@ -101,12 +107,77 @@ impl ClusterEmit {
     }
 }
 
+/// The page cursor of a sequential scan: it fixes each page once, in
+/// physical order, for every [`XScan`] that reads it. A reader that has
+/// taken the current page waits (returns `None`) until all others took it;
+/// the next to ask fixes the next page. A reader leaves when it enters
+/// fallback, is interrupted or is dropped. A lone `XScan` is one reader.
+#[derive(Clone, Default)]
+pub struct ScanCursor(Rc<RefCell<CursorState>>);
+
+#[derive(Default)]
+struct CursorState {
+    /// Pages still to be fixed.
+    pages: Range<PageId>,
+    /// The last page fixed, until all took it; `None` if its read failed.
+    current: Option<Arc<Cluster>>,
+    readers: usize,
+    /// Readers that have still to take the current page.
+    pending: usize,
+}
+
+impl ScanCursor {
+    /// A cursor over `pages`, with no reader yet.
+    pub fn new(pages: Range<PageId>) -> Self {
+        let cursor = Self::default();
+        cursor.0.borrow_mut().pages = pages;
+        cursor
+    }
+
+    /// True while some reader has a page still to take.
+    pub(crate) fn open(&self) -> bool {
+        let state = self.0.borrow();
+        state.pending > 0 || (state.readers > 0 && !state.pages.is_empty())
+    }
+}
+
+impl CursorState {
+    /// The next page for a reader whose first untaken page is `unread`, or
+    /// `None` while the reader waits for the others and after the last.
+    fn take(&mut self, unread: &mut PageId, cx: &ExecCtx<'_>) -> Option<Option<Arc<Cluster>>> {
+        if *unread == self.pages.start {
+            if self.pending > 0 {
+                return None;
+            }
+            let page = self.pages.next()?;
+            // A failed read records the error on the store.
+            self.current = cx.store.checked_fix(page);
+            self.pending = self.readers;
+        }
+        *unread = self.pages.start;
+        Some(self.release())
+    }
+
+    /// A pending reader is done with the current page; the last one takes
+    /// the cursor's handle on it, so the cursor pins no frame.
+    fn release(&mut self) -> Option<Arc<Cluster>> {
+        self.pending -= 1;
+        if self.pending == 0 {
+            self.current.take()
+        } else {
+            self.current.clone()
+        }
+    }
+}
+
 /// The sequential-scan I/O operator.
 pub struct XScan {
     producer: Option<Box<dyn Operator>>,
     path_len: u16,
-    pages: Vec<PageId>,
-    pos: usize,
+    /// The cursor this scan reads, until it leaves.
+    cursor: Option<ScanCursor>,
+    /// The first page not taken from the cursor.
+    unread: PageId,
     ctx_by_page: IdMap<PageId, Vec<NodeId>>,
     all_contexts: Vec<NodeId>,
     /// What the last scanned cluster has still to hand out.
@@ -116,13 +187,16 @@ pub struct XScan {
 }
 
 impl XScan {
-    /// Creates a scan over the document's page range.
-    pub fn new(producer: Box<dyn Operator>, pages: Vec<PageId>, path_len: u16) -> Self {
+    /// Creates a scan that reads `cursor`'s pages, from the next one it
+    /// fixes on, together with the cursor's other readers.
+    pub fn new(producer: Box<dyn Operator>, cursor: &ScanCursor, path_len: u16) -> Self {
+        let mut state = cursor.0.borrow_mut();
+        state.readers += 1;
         Self {
             producer: Some(producer),
             path_len,
-            pages,
-            pos: 0,
+            cursor: Some(cursor.clone()),
+            unread: state.pages.start,
             ctx_by_page: IdMap::default(),
             all_contexts: Vec::new(),
             emit: ClusterEmit::default(),
@@ -141,6 +215,24 @@ impl XScan {
             self.all_contexts.push(id);
         }
     }
+
+    /// Stops scanning: no one waits for this reader any more.
+    fn leave(&mut self) {
+        self.emit = ClusterEmit::default();
+        if let Some(cursor) = self.cursor.take() {
+            let mut state = cursor.0.borrow_mut();
+            state.readers -= 1;
+            if self.unread < state.pages.start {
+                state.release();
+            }
+        }
+    }
+}
+
+impl Drop for XScan {
+    fn drop(&mut self) {
+        self.leave();
+    }
 }
 
 impl Operator for XScan {
@@ -151,12 +243,12 @@ impl Operator for XScan {
             // passed hard deadline aborts the plan — stop emitting so the
             // pipeline winds down and the executor can surface it.
             if cx.interrupted() {
-                self.emit = ClusterEmit::default();
+                self.leave();
                 return None;
             }
             if cx.in_fallback() && self.fb_pos.is_none() {
                 // Restart as identity over the context nodes (§5.4.6).
-                self.emit = ClusterEmit::default();
+                self.leave();
                 self.fb_pos = Some(0);
             }
             if let Some(pi) = self.emit.next() {
@@ -170,12 +262,11 @@ impl Operator for XScan {
                 cx.charge_instance();
                 return Some(Pi::swizzled_context(cluster, id.slot, order));
             }
-            let &page = self.pages.get(self.pos)?;
-            self.pos += 1;
-            // A failed read records the error on the store; the scan winds
-            // down at the next turn's checkpoint.
-            if let Some(cluster) = cx.store.checked_fix(page) {
-                let contexts = self.ctx_by_page.remove(&page).unwrap_or_default();
+            let cursor = self.cursor.as_ref()?;
+            let cluster = cursor.0.borrow_mut().take(&mut self.unread, cx)?;
+            // After a failed read, the next turn's checkpoint winds down.
+            if let Some(cluster) = cluster {
+                let contexts = self.ctx_by_page.remove(&cluster.page).unwrap_or_default();
                 self.emit = ClusterEmit::new(cx, cluster, contexts, self.path_len);
             }
         }
@@ -191,8 +282,13 @@ mod tests {
     use crate::instance::REnd;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
-    use pathix_tree::Placement;
+    use pathix_tree::{Placement, TreeStore};
     use std::sync::Weak;
+
+    /// A cursor over the whole document, for one reader.
+    fn lone(store: &TreeStore) -> ScanCursor {
+        ScanCursor::new(store.meta.page_range())
+    }
 
     #[test]
     fn scans_every_page_exactly_once_in_order() {
@@ -205,7 +301,7 @@ mod tests {
         }
         let src = ContextSource::new(vec![store.root()]);
         let pages: Vec<PageId> = store.meta.page_range().collect();
-        let mut scan = XScan::new(Box::new(src), pages.clone(), 2);
+        let mut scan = XScan::new(Box::new(src), &lone(&store), 2);
         let _ = drain(&mut scan, &cx);
         let dev = store.buffer.device_mut();
         let trace = dev.access_trace().to_vec();
@@ -218,9 +314,8 @@ mod tests {
         let store = mem_store(&doc, 256, Placement::Sequential);
         let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
-        let pages: Vec<PageId> = store.meta.page_range().collect();
         let path_len = 2u16;
-        let mut scan = XScan::new(Box::new(src), pages.clone(), path_len);
+        let mut scan = XScan::new(Box::new(src), &lone(&store), path_len);
         let got = drain(&mut scan, &cx);
         let mut total_borders = 0usize;
         for p in store.meta.page_range() {
@@ -242,8 +337,7 @@ mod tests {
         let store = mem_store(&doc, 256, Placement::Sequential);
         let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
-        let pages: Vec<PageId> = store.meta.page_range().collect();
-        let mut scan = XScan::new(Box::new(src), pages, 0);
+        let mut scan = XScan::new(Box::new(src), &lone(&store), 0);
         let got = drain(&mut scan, &cx);
         assert_eq!(got.len(), 1);
         assert!(got[0].is_full(0));
@@ -281,8 +375,7 @@ mod tests {
                 .count();
             assert_eq!(idle > 0, path_len == 0);
             let src = ContextSource::new(vec![store.root()]);
-            let pages: Vec<PageId> = store.meta.page_range().collect();
-            let mut scan = XScan::new(Box::new(src), pages, path_len);
+            let mut scan = XScan::new(Box::new(src), &lone(&store), path_len);
             let mut held: Vec<Pi> = Vec::new();
             while let Some(p) = scan.next(&cx) {
                 let page = p.nr.node_id().page;
@@ -304,14 +397,66 @@ mod tests {
         }
     }
 
+    /// A reader that is dropped or enters fallback leaves the cursor, so it
+    /// stalls no one: of three readers taking turns, one enters fallback
+    /// and one is dropped, each while it has still to take the current
+    /// page, and the last still gets every page, each read once.
+    #[test]
+    fn a_reader_that_leaves_stalls_no_one() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Sequential);
+        store.buffer.device_mut().set_trace(true);
+        let pages: Vec<PageId> = store.meta.page_range().collect();
+        assert!(pages.len() > 4);
+        let cursor = lone(&store);
+        let cxs: Vec<_> = (0..3).map(|_| ExecCtx::new(&store, None)).collect();
+        let mut scans: Vec<Option<XScan>> = (0..3)
+            .map(|_| {
+                let src = ContextSource::new(vec![store.root()]);
+                Some(XScan::new(Box::new(src), &cursor, 2))
+            })
+            .collect();
+        // Reader 0 takes each page first and fixes it; readers 1 and 2
+        // have still to take page 2 when reader 1 enters fallback, and
+        // page 3 when reader 2 is dropped.
+        let mut last_pages = Vec::new();
+        let mut round = 0;
+        while cursor.open() {
+            assert!(round <= pages.len(), "the cursor stalled");
+            for (i, (scan, cx)) in scans.iter_mut().zip(&cxs).enumerate() {
+                match (round, i) {
+                    (2, 1) => cx.fallback.set(true),
+                    (3, 2) => *scan = None,
+                    _ => {}
+                }
+                let Some(scan) = scan else { continue };
+                while let Some(p) = scan.next(cx) {
+                    if i == 0 {
+                        last_pages.push(p.nr.node_id().page);
+                    }
+                }
+            }
+            round += 1;
+        }
+        last_pages.dedup();
+        assert_eq!(last_pages, pages, "the last reader gets every page");
+        assert_eq!(
+            store.buffer.device_mut().access_trace(),
+            pages,
+            "each page read once"
+        );
+        // Every page fixed once, plus the fallback reader's own context.
+        assert_eq!(store.buffer.stats().fixes, pages.len() as u64 + 1);
+        assert!(cxs[1].in_fallback());
+    }
+
     #[test]
     fn fallback_reemits_contexts() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
         let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
-        let pages: Vec<PageId> = store.meta.page_range().collect();
-        let mut scan = XScan::new(Box::new(src), pages, 2);
+        let mut scan = XScan::new(Box::new(src), &lone(&store), 2);
         // Pull a few instances, then force fallback mid-scan.
         let _ = scan.next(&cx).expect("some instance");
         cx.fallback.set(true);

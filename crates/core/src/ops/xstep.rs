@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::governor::{Deadline, QueryBudget};
     use crate::ops::testutil::{drain, mem_store, sample_doc};
-    use crate::ops::{ContextSource, SchedShared, XAssembly, XScan, XSchedule};
+    use crate::ops::{ContextSource, ScanCursor, SchedShared, XAssembly, XScan, XSchedule};
     use pathix_tree::{Placement, TreeStore};
     use pathix_xpath::NodeTest;
     use rand::rngs::StdRng;
@@ -576,8 +576,8 @@ mod tests {
         let context = Box::new(ContextSource::new(vec![store.root()]));
         let (io, sched): (Box<dyn Operator>, _) = match source {
             Source::Scan => {
-                let pages = store.meta.page_range().collect();
-                (Box::new(XScan::new(context, pages, len)), None)
+                let cursor = ScanCursor::new(store.meta.page_range());
+                (Box::new(XScan::new(context, &cursor, len)), None)
             }
             Source::Schedule { speculative } => {
                 let shared = Rc::new(RefCell::new(SchedShared::default()));

@@ -11,19 +11,17 @@
 //!
 //! where the one `XStep` plays every location step of the path.
 //!
-//! One driver runs every plan: alone ([`execute_path`]), interleaved with
-//! others on one device ([`execute_interleaved`]), or as one of several
-//! `XStep → XAssembly` plans fed by a single scan
-//! ([`execute_paths_shared_scan`]).
+//! One driver runs every plan, alone ([`execute_path`]) or interleaved with
+//! others on one device ([`execute_interleaved`]), where the XScan plans
+//! read one shared scan.
 
 use crate::batch::BatchRun;
 use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::governor::QueryBudget;
-use crate::instance::{Pi, REnd};
+use crate::instance::REnd;
 use crate::ops::{
-    ClusterEmit, ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule,
-    XStep,
+    ContextSource, Operator, ScanCursor, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
 };
 use crate::report::ExecReport;
 use pathix_storage::cost::SORT_CMP_NS;
@@ -32,7 +30,6 @@ use pathix_tree::{IdSet, NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Which physical plan to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,13 +153,12 @@ fn resolve_steps(store: &TreeStore, path: &LocationPath) -> Vec<(Axis, ResolvedT
     path.steps.iter().map(resolve).collect()
 }
 
+/// An operator tree, run by pulling its root.
+type Plan = Box<dyn Operator>;
+
 /// The Simple method's nested loops: one `UnnestMap` per location step,
 /// stacked on `op`.
-fn stack_steps(
-    store: &TreeStore,
-    path: &LocationPath,
-    mut op: Box<dyn Operator>,
-) -> Box<dyn Operator> {
+fn stack_steps(store: &TreeStore, path: &LocationPath, mut op: Plan) -> Plan {
     for ((axis, test), i) in resolve_steps(store, path).into_iter().zip(1..) {
         op = Box::new(UnnestMap::new(op, i, axis, test));
     }
@@ -170,9 +166,10 @@ fn stack_steps(
 }
 
 /// Builds the operator tree for a (normalized) path from the document root.
-fn build_plan(store: &TreeStore, path: &LocationPath, method: Method) -> Box<dyn Operator> {
+/// An XScan plan reads `scan`'s pages.
+fn build_plan(store: &TreeStore, path: &LocationPath, method: Method, scan: &ScanCursor) -> Plan {
     let len = path.steps.len() as u16;
-    let source: Box<dyn Operator> = Box::new(ContextSource::new(vec![store.meta.root]));
+    let source: Plan = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
         Method::Simple => stack_steps(store, path, source),
         Method::XSchedule { k, speculative } => {
@@ -182,8 +179,7 @@ fn build_plan(store: &TreeStore, path: &LocationPath, method: Method) -> Box<dyn
             Box::new(XAssembly::new(Box::new(steps), len, Some(shared), None))
         }
         Method::XScan => {
-            let pages = store.meta.page_range().collect();
-            let scan = XScan::new(source, pages, len);
+            let scan = XScan::new(source, scan, len);
             let steps = XStep::new(Box::new(scan), resolve_steps(store, path));
             let all_reachable = scan_all_reachable_step(path);
             Box::new(XAssembly::new(Box::new(steps), len, None, all_reachable))
@@ -256,13 +252,12 @@ fn io_abort(store: &TreeStore, recorded: Option<IoError>) -> Result<(), ExecErro
 
 /// One plan in execution. Every executor drives its plans through this
 /// one type: [`Driver::start`] builds the context, [`Driver::pull`] takes
-/// one result at a time, and [`Driver::finish`] settles the run.
-/// [`run_path`] drives one plan to exhaustion; [`execute_interleaved`] and
-/// [`execute_paths_shared_scan`] drive several on one store, so a plan
-/// costs the same whichever executor runs it.
+/// one result at a time, and [`Driver::finish`] settles the run. So a plan
+/// costs the same whether [`run_path`] or [`execute_interleaved`] runs it.
 struct Driver<'a> {
     cx: ExecCtx<'a>,
-    plan: Box<dyn Operator>,
+    /// Dropped once it breaks the output contract, so no scan waits for it.
+    plan: Option<Plan>,
     cfg: PlanConfig,
     nodes: Vec<(NodeId, u64)>,
     /// Results pulled so far, for Simple's final duplicate elimination.
@@ -278,7 +273,7 @@ impl<'a> Driver<'a> {
         store: &'a TreeStore,
         cfg: &PlanConfig,
         budget: Option<&QueryBudget>,
-        plan: Box<dyn Operator>,
+        plan: Plan,
     ) -> Self {
         let cx = match budget {
             None => ExecCtx::new(store, cfg.mem_limit),
@@ -286,7 +281,7 @@ impl<'a> Driver<'a> {
         };
         Self {
             cx,
-            plan,
+            plan: Some(plan),
             cfg: *cfg,
             nodes: Vec::new(),
             seen: IdSet::default(),
@@ -294,12 +289,11 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Pulls one output of the plan. False once the plan is exhausted (for
-    /// now: a plan on a queue source resumes when the queue refills), or
-    /// when it must wind down on a recorded read error or a broken output
-    /// contract.
+    /// Pulls one output of the plan. False once it is exhausted for now (an
+    /// XScan plan waits for the other readers of its scan), or must wind
+    /// down on a recorded read error or a broken output contract.
     fn pull(&mut self) -> bool {
-        let Some(p) = self.plan.next(&self.cx) else {
+        let Some(p) = self.plan.as_mut().and_then(|plan| plan.next(&self.cx)) else {
             return false;
         };
         let (id, order) = match result_node(self.cx.store, &p.nr) {
@@ -307,6 +301,7 @@ impl<'a> Driver<'a> {
             Ok(None) => return false, // error recorded; surfaced by the caller
             Err(e) => {
                 self.contract = Err(e);
+                self.plan = None;
                 return false;
             }
         };
@@ -327,7 +322,7 @@ impl<'a> Driver<'a> {
     /// `SORT_CMP_NS·n·log n`) and reported over `io()`, the clock, buffer
     /// and device delta the caller measures after the sort.
     fn finish(mut self, io: impl FnOnce() -> ExecReport) -> Result<PathRun, ExecError> {
-        drop(self.plan);
+        self.plan = None;
         let (cx, store) = (&self.cx, self.cx.store);
         let recorded_io = store.take_io_error();
         if let Some(abort) = cx.governor_verdict(recorded_io.as_ref()) {
@@ -380,7 +375,8 @@ pub(crate) fn run_path(
 ) -> Result<PathRun, ExecError> {
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
-    let plan = build_plan(store, &cfg.prepare(path), cfg.method);
+    let scan = ScanCursor::new(store.meta.page_range());
+    let plan = build_plan(store, &cfg.prepare(path), cfg.method, &scan);
     let mut driver = Driver::start(store, cfg, budget, plan);
     let meter = Meter::start(store);
     while driver.pull() {}
@@ -399,12 +395,18 @@ pub(crate) fn run_path(
 /// between working sets; asynchronous plans (XSchedule) pool everything in
 /// the device queue, which reorders across all of them.
 ///
+/// The XScan items read one [`ScanCursor`], "a single I/O-performing
+/// operator" for several paths (§7): XMark Q7's three paths read the
+/// document once, not three times. An item whose `S` outgrows `mem_limit`
+/// leaves the scan for its §5.4.6 fallback; the others scan on.
+///
 /// Each item is charged exactly as [`execute_path`] charges it alone, and
-/// its report's clock, buffer and device deltas are those of its own turns,
-/// so the items' deltas sum to [`BatchRun::report`], the store's delta over
-/// the batch. The device is the failure domain: an unrecovered read fails
-/// the whole batch with [`ExecError::Io`]. An item that breaks the plan
-/// output contract fails alone with [`ExecError::UnexpectedEnd`].
+/// its report's clock, buffer and device deltas are those of its own turns
+/// (a shared page read falls to the turn that makes it), so the items'
+/// deltas sum to [`BatchRun::report`], the store's delta over the batch.
+/// The device is the failure domain: an unrecovered read fails the whole
+/// batch with [`ExecError::Io`]. An item that breaks the plan output
+/// contract fails alone with [`ExecError::UnexpectedEnd`].
 pub fn execute_interleaved(
     store: &TreeStore,
     work: &[(LocationPath, Method)],
@@ -412,30 +414,31 @@ pub fn execute_interleaved(
 ) -> Result<BatchRun, ExecError> {
     store.clear_io_error();
     let meter = Meter::start(store);
-    // (driver, its turns' deltas, still producing)
+    let scan = ScanCursor::new(store.meta.page_range());
+    // (driver, its turns' deltas)
     let mut slots: Vec<_> = work
         .iter()
         .map(|&(ref path, method)| {
             let cfg = PlanConfig { method, ..*cfg };
-            let plan = build_plan(store, &cfg.prepare(path), method);
+            let plan = build_plan(store, &cfg.prepare(path), method, &scan);
             let driver = Driver::start(store, &cfg, None, plan);
-            (driver, ExecReport::default(), true)
+            (driver, ExecReport::default())
         })
         .collect();
+    // Rounds until no plan produced and no scan reader waits.
     let mut live = true;
     while live && !store.io_failed() {
-        live = false;
-        for (driver, io, more) in slots.iter_mut().filter(|slot| slot.2) {
+        live = scan.open();
+        for (driver, io) in &mut slots {
             let turn = Meter::start(store);
-            *more = driver.pull();
+            live |= driver.pull();
             io.absorb(&turn.delta(store));
-            live |= *more;
         }
     }
     io_abort(store, store.take_io_error())?;
     let runs: Vec<_> = slots
         .into_iter()
-        .map(|(driver, mut io, _)| {
+        .map(|(driver, mut io)| {
             let turn = Meter::start(store);
             driver.finish(|| {
                 io.absorb(&turn.delta(store));
@@ -448,84 +451,6 @@ pub fn execute_interleaved(
         results: runs.iter().flatten().map(|r| r.nodes.len() as u64).sum(),
         ..meter.delta(store)
     };
-    Ok(BatchRun::new(runs, report))
-}
-
-/// Pull operator over the cluster that the shared scan's page loop has
-/// just scanned for its path.
-struct EmitSource(Rc<RefCell<ClusterEmit>>);
-
-impl Operator for EmitSource {
-    fn next(&mut self, _cx: &ExecCtx<'_>) -> Option<Pi> {
-        self.0.borrow_mut().next()
-    }
-}
-
-/// Evaluates every path of `paths` from the document root with **one**
-/// sequential scan — the paper's outlook: "Our method can be easily
-/// extended to evaluate multiple location paths with a single
-/// I/O-performing operator" (§7). A query like XMark Q7 (three `count()`s)
-/// reads the document once instead of three times.
-///
-/// Each path is an `XStep → XAssembly` plan over the scanned cluster. For
-/// every cluster the scan visits, each path's plan is handed what
-/// [`XScan`] would emit for it there, and is drained. Every path runs as
-/// `XScan` under `cfg`, except that `cfg.mem_limit` is ignored (fallback
-/// would need a second scan per path).
-///
-/// The scan's clock, buffer and device delta is reported once, in
-/// [`BatchRun::report`], together with the sum of the paths' algebra
-/// counters; an item's own report carries only its algebra counters. An
-/// unrecovered read fails the whole batch with [`ExecError::Io`]; a path
-/// that breaks the plan output contract fails alone with
-/// [`ExecError::UnexpectedEnd`].
-pub fn execute_paths_shared_scan(
-    store: &TreeStore,
-    paths: &[LocationPath],
-    cfg: &PlanConfig,
-) -> Result<BatchRun, ExecError> {
-    let mut cfg = *cfg;
-    (cfg.method, cfg.mem_limit) = (Method::XScan, None);
-    store.clear_io_error();
-    let meter = Meter::start(store);
-    // (driver, the cluster it reads, its step count)
-    let mut slots: Vec<_> = paths
-        .iter()
-        .map(|path| {
-            let path = cfg.prepare(path);
-            let len = path.steps.len() as u16;
-            let feed = Rc::new(RefCell::new(ClusterEmit::default()));
-            let source = Box::new(EmitSource(Rc::clone(&feed)));
-            let steps = Box::new(XStep::new(source, resolve_steps(store, &path)));
-            let plan = XAssembly::new(steps, len, None, scan_all_reachable_step(&path));
-            (Driver::start(store, &cfg, None, Box::new(plan)), feed, len)
-        })
-        .collect();
-    let root = store.meta.root;
-    for page in store.meta.page_range() {
-        // An unrecovered read ends the scan; the batch fails below.
-        let Some(cluster) = store.checked_fix(page) else {
-            break;
-        };
-        let context = (page == root.page).then_some(root);
-        for (driver, feed, len) in &mut slots {
-            let contexts = context.into_iter().collect();
-            *feed.borrow_mut() = ClusterEmit::new(&driver.cx, Arc::clone(&cluster), contexts, *len);
-            while driver.pull() {}
-        }
-    }
-    io_abort(store, store.take_io_error())?;
-    let runs: Vec<_> = slots
-        .into_iter()
-        .map(|(driver, ..)| driver.finish(ExecReport::default))
-        .collect();
-    let mut report = ExecReport {
-        method: "SharedScan".to_owned(),
-        ..meter.delta(store)
-    };
-    for run in runs.iter().flatten() {
-        report.absorb(&run.report);
-    }
     Ok(BatchRun::new(runs, report))
 }
 
@@ -589,6 +514,7 @@ mod tests {
     use crate::ops::testutil::{mem_store, sample_doc};
     use pathix_tree::Placement;
     use pathix_xpath::{parse_path, parse_query};
+    use std::sync::Arc;
 
     fn all_methods() -> [Method; 4] {
         [
@@ -824,6 +750,47 @@ mod tests {
         // The Simple plan pulls one parent per item, so its dedup ran.
         let items = reference(&doc, "//item").len();
         assert!(reference(&doc, "//item/..").len() < items);
+
+        // The XScan items of a batch share one scan, yet each is charged
+        // like its path alone, next to an XSchedule item.
+        let placement = Placement::Shuffled { seed: 5 };
+        let paths = ["/regions//item", "//email", "//name/text()", "//item/.."];
+        let mut work: Vec<_> = paths
+            .iter()
+            .map(|p| (parse_path(p).unwrap(), Method::XScan))
+            .collect();
+        work.push((
+            parse_path("/regions//item/name").unwrap(),
+            Method::xschedule(),
+        ));
+        let counters = |r: &ExecReport| {
+            [
+                r.instances,
+                r.r_inserts,
+                r.s_inserts,
+                r.s_peak,
+                r.speculative_generated,
+                r.nodes_visited,
+                r.node_tests,
+                r.borders,
+            ]
+        };
+        for page_size in [256, 512] {
+            let store = mem_store(&doc, page_size, placement);
+            let batch = execute_interleaved(&store, &work, &sorted).unwrap();
+            assert_eq!(batch.report.device.reads, u64::from(store.meta.page_count));
+            for ((path, method), run) in work.iter().zip(&batch.runs) {
+                let cfg = PlanConfig {
+                    method: *method,
+                    ..sorted
+                };
+                let solo = execute_path(&mem_store(&doc, page_size, placement), path, &cfg);
+                let (run, solo) = (run.as_ref().unwrap(), solo.unwrap());
+                assert_eq!(run.nodes, solo.nodes, "{path} at {page_size} B");
+                let (got, want) = (counters(&run.report), counters(&solo.report));
+                assert_eq!(got, want, "{path} at {page_size} B");
+            }
+        }
     }
 
     #[test]
@@ -897,9 +864,13 @@ mod tests {
         }
     }
 
+    /// One interleaved batch of an XScan item per path.
     fn shared_scan(store: &TreeStore, paths: &[&str], cfg: &PlanConfig) -> BatchRun {
-        let paths: Vec<LocationPath> = paths.iter().map(|p| parse_path(p).unwrap()).collect();
-        execute_paths_shared_scan(store, &paths, cfg).expect("fault-free scan")
+        let work: Vec<_> = paths
+            .iter()
+            .map(|p| (parse_path(p).unwrap(), Method::XScan))
+            .collect();
+        execute_interleaved(store, &work, cfg).expect("fault-free scan")
     }
 
     #[test]
@@ -942,13 +913,14 @@ mod tests {
         let batch = shared_scan(&store, &[], &PlanConfig::new(Method::XScan));
         assert!(batch.runs.is_empty());
         assert_eq!(batch.report.results, 0);
+        assert_eq!(batch.report.device.reads, 0);
     }
 
     #[test]
     fn zero_step_path_yields_context() {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
-        let batch = shared_scan(&store, &["/"], &PlanConfig::new(Method::XScan));
+        let batch = shared_scan(&store, &["/", "//email"], &PlanConfig::new(Method::XScan));
         let run = batch.runs[0].as_ref().unwrap();
         assert_eq!(run.nodes.len(), 1);
         assert_eq!(run.nodes[0].0, store.meta.root);

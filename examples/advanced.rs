@@ -45,7 +45,7 @@ fn main() {
                 ("/site//email", Method::XScan),
             ],
             &PlanConfig::new(Method::XScan),
-            Batch::SharedScan,
+            Batch::Interleaved,
         )
         .expect("shared scan");
     println!(

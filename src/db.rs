@@ -2,9 +2,9 @@
 //! queries with any of the paper's three physical methods.
 
 use pathix_core::{
-    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_paths_shared_scan,
-    execute_query, AdmissionConfig, BatchRun, ExecError, Method, Optimizer, PlanConfig,
-    PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
+    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_query,
+    AdmissionConfig, BatchRun, ExecError, Method, Optimizer, PlanConfig, PlanEstimate, QueryBudget,
+    QueryRun, WorkerSeed,
 };
 use pathix_storage::{
     BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
@@ -112,15 +112,10 @@ impl From<ExecError> for DbError {
 #[derive(Debug, Clone, Copy)]
 pub enum Batch<'a> {
     /// The plans take turns on this database's device, so their requests
-    /// meet in one device queue (the paper's §7 outlook). `report` is the
-    /// store's delta over the batch; an unrecovered read fails the batch.
+    /// meet in one device queue, and the XScan items read one shared scan
+    /// (the paper's §7 outlook). `report` is the store's delta over the
+    /// batch; an unrecovered read fails the batch.
     Interleaved,
-    /// One sequential scan feeds every path ("a single I/O-performing
-    /// operator", §7). Every item must be an XScan item, and `mem_limit`
-    /// must be unset: fallback would need a second scan per path. `report`
-    /// is the store's delta over the batch, with the paths' algebra
-    /// counters; an unrecovered read fails the batch.
-    SharedScan,
     /// A pool of `workers` OS threads (at least one), each over a private
     /// fork of this database's device, all reading through one shared
     /// page cache whose counters land in [`BatchRun::cache`]. Workers claim
@@ -285,9 +280,8 @@ impl Database {
     /// database's clock, buffer and statistics untouched.
     ///
     /// Fails with [`DbError::Unsupported`] for a pool mode over a device
-    /// that cannot be forked and for a shared scan with a non-XScan item or
-    /// a `mem_limit`, and with [`DbError::Exec`] when a one-device batch
-    /// hits an unrecovered read.
+    /// that cannot be forked, and with [`DbError::Exec`] when an
+    /// interleaved batch hits an unrecovered read.
     pub fn run_batch(
         &self,
         work: &[(&str, Method)],
@@ -300,16 +294,6 @@ impl Database {
             .collect::<Result<_, DbError>>()?;
         Ok(match batch {
             Batch::Interleaved => execute_interleaved(&self.store, &work, cfg)?,
-            Batch::SharedScan => {
-                if work.iter().any(|(_, m)| *m != Method::XScan) {
-                    return Err(DbError::Unsupported("a shared scan of a non-XScan item"));
-                }
-                if cfg.mem_limit.is_some() {
-                    return Err(DbError::Unsupported("a shared scan with a memory limit"));
-                }
-                let paths: Vec<LocationPath> = work.into_iter().map(|(p, _)| p).collect();
-                execute_paths_shared_scan(&self.store, &paths, cfg)?
-            }
             Batch::Parallel { workers } => {
                 let cache = Arc::new(SharedPageCache::new());
                 let seeds = self.worker_seeds(workers, Some(&cache))?;
@@ -488,36 +472,57 @@ mod tests {
             ("/site//email", Method::XScan),
             ("//keyword", Method::XScan),
         ];
-        match db.run_batch(&work, &cfg, Batch::SharedScan) {
+        match db.run_batch(&work, &cfg, Batch::Interleaved) {
             Err(DbError::Exec(ExecError::Io { attempts, .. })) => assert!(attempts >= 1),
             other => panic!("expected an I/O abort, got {other:?}"),
         }
         assert!(db.store().take_io_error().is_none(), "error was consumed");
     }
 
+    /// The §5.4.6 memory bound holds on a shared scan: an item whose `S`
+    /// outgrows `mem_limit` leaves the scan for its fallback, the others
+    /// scan on, and every item still answers exactly.
     #[test]
-    fn shared_scan_rejects_a_non_xscan_item() {
-        let db = Database::from_xmark(0.02, &mem_opts()).unwrap();
-        let work = [("//email", Method::XScan), ("//keyword", Method::Simple)];
-        let cfg = PlanConfig::new(Method::XScan);
-        assert!(matches!(
-            db.run_batch(&work, &cfg, Batch::SharedScan),
-            Err(DbError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn shared_scan_rejects_a_memory_limit() {
-        let db = Database::from_xmark(0.02, &mem_opts()).unwrap();
-        let work = [("//email", Method::XScan), ("//keyword", Method::XScan)];
+    fn shared_scan_holds_the_memory_bound() {
+        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
+        let db = Database::from_document(&doc, &mem_opts()).unwrap();
+        let paths = [
+            "/site//description",
+            "/site//annotation",
+            "/site//email",
+            "/site/regions//item",
+        ];
+        let work = paths.map(|p| (p, Method::XScan));
         let mut cfg = PlanConfig::new(Method::XScan);
-        cfg.mem_limit = Some(1_000);
-        assert!(matches!(
-            db.run_batch(&work, &cfg, Batch::SharedScan),
-            Err(DbError::Unsupported(_))
-        ));
-        cfg.mem_limit = None;
-        assert!(db.run_batch(&work, &cfg, Batch::SharedScan).is_ok());
+        cfg.sort = true;
+        let unlimited = db.run_batch(&work, &cfg, Batch::Interleaved).unwrap();
+        let peaks: Vec<u64> = unlimited
+            .runs
+            .iter()
+            .map(|r| r.as_ref().unwrap().report.s_peak)
+            .collect();
+        let (least, most) = (peaks.iter().min().unwrap(), peaks.iter().max().unwrap());
+        let limit = most / 2;
+        assert!(*least < limit && limit > 0, "s_peak per path: {peaks:?}");
+        cfg.mem_limit = Some(limit as usize);
+        let batch = db.run_batch(&work, &cfg, Batch::Interleaved).unwrap();
+        let ranks = doc.preorder_ranks();
+        let mut fallbacks = Vec::new();
+        for (run, path) in batch.runs.iter().zip(paths) {
+            let run = run.as_ref().unwrap();
+            let rooted = parse_path(path).unwrap().rooted();
+            let want: Vec<u64> = pathix_xpath::eval_path(&doc, doc.root(), &rooted)
+                .iter()
+                .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
+                .collect();
+            let got: Vec<u64> = run.nodes.iter().map(|&(_, order)| order).collect();
+            assert_eq!(got, want, "{path}");
+            fallbacks.push(run.report.fallback);
+        }
+        assert!(
+            fallbacks.contains(&true) && fallbacks.contains(&false),
+            "{fallbacks:?}"
+        );
     }
 
     #[test]

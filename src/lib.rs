@@ -48,12 +48,12 @@
 //! ```
 //!
 //! [`Database::run`] runs one query. [`Database::run_batch`] runs a batch
-//! of `(path, method)` items in one of four [`Batch`] modes: interleaved on
-//! this database's device, one shared scan for every path, or a worker pool
-//! over device forks, plain or governed by budgets and admission control.
-//! Every mode returns a [`BatchRun`] whose items are the results each path
-//! gets when run alone. The one-device modes fail as a whole on an
-//! unrecovered read; in the pool, an item fails alone.
+//! of `(path, method)` items in one of three [`Batch`] modes: interleaved on
+//! this database's device (its XScan items read one shared scan), or a
+//! worker pool over device forks, plain or governed by budgets and
+//! admission control. Every mode returns a [`BatchRun`] whose items are the
+//! results each path gets when run alone. An interleaved batch fails as a
+//! whole on an unrecovered read; in the pool, an item fails alone.
 
 pub use pathix_core as core;
 pub use pathix_storage as storage;

@@ -35,7 +35,7 @@ fn shared_scan_agrees_with_independent_plans() {
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
     let work = paths.map(|p| (p, Method::XScan));
-    let multi = db.run_batch(&work, &cfg, Batch::SharedScan).unwrap();
+    let multi = db.run_batch(&work, &cfg, Batch::Interleaved).unwrap();
     for (run, p) in multi.runs.iter().zip(paths) {
         let single = db.run(p, cfg).unwrap();
         assert_eq!(run.as_ref().unwrap().nodes, single.nodes, "path {p}");
@@ -57,7 +57,7 @@ fn shared_scan_reads_document_once() {
                 ("/site//email", Method::XScan),
             ],
             &PlanConfig::new(Method::XScan),
-            Batch::SharedScan,
+            Batch::Interleaved,
         )
         .unwrap();
     let expected: Vec<u32> = db.store().meta.page_range().collect();

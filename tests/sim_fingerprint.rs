@@ -17,8 +17,8 @@
 
 use pathix::core::plan::execute_path;
 use pathix::core::{
-    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_paths_shared_scan,
-    execute_query, AdmissionConfig, ExecError, ExecReport, Method, PathRun, PlanConfig, WorkerSeed,
+    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_query,
+    AdmissionConfig, ExecError, ExecReport, Method, PathRun, PlanConfig, WorkerSeed,
 };
 use pathix::storage::{BufferStats, DeviceStats, SharedCacheDevice, SharedPageCache};
 use pathix::tree::NodeId;
@@ -272,21 +272,25 @@ fn interleaved_per_plan_and_combined() {
 }
 
 const GOLDEN_SHARED_SCAN: &[&str] = &[
-    "n=0 h=cbf29ce484222325",
-    "n=15 h=053cdfc5620a58a0",
-    "n=0 h=cbf29ce484222325",
-    "n=30 h=f17d67bb16163186",
-    "SharedScan t=29388050/21126050/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=8205/7351/1797 alg=5388/45/404/1725/821/0/3278 fb=false/false",
+    "n=0 h=cbf29ce484222325 XScan t=7498850/5509850/1989000 buf=13/0/13/0/8/0/0 dev=13/13/0/0/1989000/0 nav=2433/2225/506 alg=1419/0/8/518/515/0/894 fb=false/false",
+    "n=15 h=053cdfc5620a58a0 XScan t=7235500/5552500/1683000 buf=11/0/11/0/8/0/0 dev=11/11/0/0/1683000/0 nav=2353/2042/311 alg=999/15/204/259/217/0/596 fb=false/false",
+    "n=0 h=cbf29ce484222325 XScan t=7446400/5151400/2295000 buf=15/0/15/0/11/0/0 dev=15/15/0/0/2295000/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
+    "n=30 h=f17d67bb16163186 XScan t=7209300/4914300/2295000 buf=15/0/15/0/11/0/0 dev=15/15/0/0/2295000/0 nav=1984/1798/186 alg=930/30/184/124/113/0/596 fb=false/false",
+    "interleaved t=29390050/21128050/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=0/0/0 alg=0/45/0/0/0/0/0 fb=false/false",
 ];
 
 #[test]
 fn shared_scan() {
     let db = db(&doc());
-    let batch = execute_paths_shared_scan(db.store(), &paths(), &sorted(Method::XScan)).unwrap();
+    let work: Vec<_> = paths().into_iter().map(|p| (p, Method::XScan)).collect();
+    let batch = execute_interleaved(db.store(), &work, &sorted(Method::XScan)).unwrap();
     let mut got: Vec<String> = batch
         .runs
         .iter()
-        .map(|r| orders(&r.as_ref().unwrap().nodes))
+        .map(|r| {
+            let r = r.as_ref().unwrap();
+            format!("{} {}", orders(&r.nodes), report(&r.report))
+        })
         .collect();
     got.push(report(&batch.report));
     check(&got, GOLDEN_SHARED_SCAN);
