@@ -78,13 +78,14 @@ pub struct BatchRun {
     /// an unrecovered read instead, so its items fail only by breaking
     /// the plan output contract.
     pub runs: Vec<Result<PathRun, ExecError>>,
-    /// The batch's cost. For the interleaved executor, the store's clock,
-    /// buffer and device delta over the whole batch. For the worker pool,
-    /// the sum of the *successful* per-item reports: `time` is then
-    /// aggregate simulated time across all workers (simulated clocks run
-    /// concurrently, so this is total *work*, not elapsed time);
-    /// wall-clock elapsed time is perfbench's concern, not the engine's
-    /// (R2 determinism).
+    /// The batch's cost, whichever executor ran it: the sum of the
+    /// *successful* items' reports ([`ExecReport::absorb`]), labelled with
+    /// the executor. Interleaved items' clock, buffer and device deltas are
+    /// those of their own turns, so with no failed item `time` is the
+    /// store's elapsed simulated time over the batch. In the worker pool
+    /// the simulated clocks run concurrently, so `time` is total *work*
+    /// across all workers, not elapsed time; wall-clock elapsed time is
+    /// perfbench's concern, not the engine's (R2 determinism).
     pub report: ExecReport,
     /// Batch-level governor tally. Without governance every item counts
     /// as admitted and nothing is shed, degraded or aborted.
@@ -96,9 +97,13 @@ pub struct BatchRun {
 }
 
 impl BatchRun {
-    /// Wraps per-item `runs` and the batch `report`, tallying the governor
-    /// outcomes of the items.
-    pub(crate) fn new(runs: Vec<Result<PathRun, ExecError>>, report: ExecReport) -> Self {
+    /// Wraps per-item `runs` of the executor `label`: sums the successful
+    /// items into the batch report and tallies their governor outcomes.
+    pub(crate) fn new(runs: Vec<Result<PathRun, ExecError>>, label: &str) -> Self {
+        let mut report = ExecReport {
+            method: label.to_owned(),
+            ..Default::default()
+        };
         let mut governor = GovernorReport::default();
         for run in &runs {
             match run {
@@ -106,7 +111,10 @@ impl BatchRun {
                     governor.shed += 1;
                     continue;
                 }
-                Ok(r) => governor.degraded += u64::from(r.report.degraded),
+                Ok(r) => {
+                    report.absorb(&r.report);
+                    governor.degraded += u64::from(r.report.degraded);
+                }
                 Err(ExecError::DeadlineExceeded { .. }) => governor.deadline_aborted += 1,
                 Err(ExecError::Canceled) => governor.canceled += 1,
                 Err(_) => {}
@@ -250,14 +258,7 @@ fn run_batch(
         .enumerate()
         .map(|(i, slot)| slot.unwrap_or(Err(ExecError::WorkerLost { item: i })))
         .collect();
-    let mut report = ExecReport {
-        method: label.to_owned(),
-        ..Default::default()
-    };
-    for run in runs.iter().flatten() {
-        report.absorb(&run.report);
-    }
-    BatchRun::new(runs, report)
+    BatchRun::new(runs, label)
 }
 
 /// The order the workers claim `work` in: batch indices by the optimizer's

@@ -11,7 +11,7 @@
 //! | `XAssembly`(^R)| [`ops::XAssembly`] — result filtering, duplicate elimination (`R`), speculative-instance matching (`S`) |
 //! | `XSchedule`(^R)| [`ops::XSchedule`] — pooled asynchronous cluster access |
 //! | `XScan`        | [`ops::XScan`] — single sequential scan with speculative evaluation |
-//! | Unnest-Map     | [`ops::UnnestMap`] — the baseline Simple method |
+//! | Unnest-Map     | [`ops::XStep`] over unswizzled ends — the baseline Simple method, also the steps of a plan in fallback |
 //!
 //! [`plan`] compiles a [`pathix_xpath::LocationPath`] plus a [`plan::Method`]
 //! into an executable plan and runs it against a [`pathix_tree::TreeStore`],

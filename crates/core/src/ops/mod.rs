@@ -2,13 +2,11 @@
 //! classic Graefe sense: `next()` produces one partial path instance at a
 //! time; `open`/`close` are folded into construction and drop.
 
-mod unnest;
 mod xassembly;
 mod xscan;
 mod xschedule;
 mod xstep;
 
-pub use unnest::UnnestMap;
 pub use xassembly::XAssembly;
 pub(crate) use xscan::ClusterEmit;
 pub use xscan::{ScanCursor, XScan};

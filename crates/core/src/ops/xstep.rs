@@ -22,9 +22,12 @@
 //! each, are consecutive, the highest of them runs, and the steps an
 //! instance skips are idle.
 //!
-//! In **fallback mode** (§5.4.6) a step behaves as a plain Unnest-Map: it
-//! navigates across borders with a [`FullCursor`], issuing synchronous
-//! I/O, and emits only complete extensions.
+//! An unswizzled end gets a [`FullCursor`], which navigates across
+//! borders with synchronous I/O and emits only complete extensions: the
+//! nested Unnest-Map loops of the Simple method (§5.1). Every end of a
+//! Simple plan is unswizzled (`ContextSource → XStep`), and in **fallback
+//! mode** (§5.4.6) every end is treated as one, so a degraded plan runs
+//! its steps as the Simple method does.
 
 use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
@@ -94,6 +97,13 @@ impl XStep {
         }
     }
 
+    /// The producer's next instance.
+    fn pull(&mut self, cx: &ExecCtx<'_>) -> Option<Pi> {
+        let p = self.producer.next(cx)?;
+        debug_assert!(p.validate(self.steps.len() as u16).is_ok(), "{p:?}");
+        Some(p)
+    }
+
     /// Hands `p` to the step it applies to, which becomes the running
     /// step; `p` itself comes back if no step applies to it.
     fn route(&mut self, cx: &ExecCtx<'_>, p: Pi) -> Option<Pi> {
@@ -142,41 +152,38 @@ fn start_cursor(
         Some(cluster) if !cx.in_fallback() => {
             Cursor::Intra(StepCursor::new(cluster, entry, axis, test))
         }
-        // Unswizzled ends reach XStep only in fallback mode (results of
-        // the simple method pass Done ends around) — fix and navigate.
-        _ => {
-            debug_assert!(cx.in_fallback(), "cold end at XStep outside fallback");
-            Cursor::Full(FullCursor::with_entry(cx.store, id, entry, axis, test))
-        }
+        // An unswizzled end, or any end in fallback: fix and navigate.
+        _ => Cursor::Full(FullCursor::with_entry(cx.store, id, entry, axis, test)),
     })
 }
 
 impl Operator for XStep {
     fn next(&mut self, cx: &ExecCtx<'_>) -> Option<Pi> {
         loop {
-            // Governor checkpoint, before every cursor advance and every
-            // pull from the producer: an unrecovered read error, a cancel,
-            // or a passed hard deadline aborts the plan — wind down instead
-            // of extending further instances over the failed store.
+            // Governor checkpoint where each loop of the chain has one:
+            // before every cursor advance, and before a producer pull
+            // unless step 1's cursor just ran dry. An unrecovered read
+            // error, a cancel, or a passed hard deadline aborts the plan —
+            // wind down instead of extending further instances.
             if cx.interrupted() {
                 self.busy.clear();
                 return None;
             }
             let p = match self.busy.last_mut() {
-                None => {
-                    let p = self.producer.next(cx)?;
-                    debug_assert!(p.validate(self.steps.len() as u16).is_ok(), "{p:?}");
-                    p
-                }
+                None => self.pull(cx)?,
                 Some(b) => match b.cursor.next(cx, b.i) {
                     Some((sr, nr)) => {
                         cx.charge_instance();
                         Pi::band(b.sl, b.nl, sr, nr, b.li)
                     }
                     None => {
-                        // Step `i` is exhausted; the step below runs on.
+                        // Step `i` is exhausted; the step below runs on,
+                        // or step 1 takes its next input at once.
                         self.busy.pop();
-                        continue;
+                        if !self.busy.is_empty() {
+                            continue;
+                        }
+                        self.pull(cx)?
                     }
                 },
             };
@@ -310,6 +317,11 @@ mod tests {
         })
     }
 
+    /// The Simple method's source: the root as an unswizzled context.
+    fn cold(store: &TreeStore) -> Box<dyn Operator> {
+        Box::new(ContextSource::new(vec![store.root()]))
+    }
+
     fn reference_len(doc: &pathix_xml::Document, path: &str) -> usize {
         let path = pathix_xpath::parse_path(path).unwrap().normalize();
         pathix_xpath::eval_path(doc, doc.root(), &path).len()
@@ -389,6 +401,10 @@ mod tests {
         assert_eq!(cx.nav_counters.nodes_visited.get(), 0);
     }
 
+    /// The raw stream of the steps is the nested loops' output, duplicates
+    /// included (the plan removes them): on `//item//name` over nested
+    /// items the inner `name` comes once per `item`, from a swizzled
+    /// context as from the Simple method's unswizzled one.
     #[test]
     fn chain_of_steps_full_path_single_cluster() {
         let doc = sample_doc();
@@ -403,25 +419,82 @@ mod tests {
         // Reference: 10 items + 3 nested items (i % 2 == 0 in eu and us).
         assert_eq!(got.len(), reference_len(&doc, "/regions//item"));
         assert!(got.iter().all(|p| p.is_full(2)));
+
+        let mut nested = pathix_xml::Document::new("r");
+        let outer = nested.add_element(nested.root(), "item");
+        let inner = nested.add_element(outer, "item");
+        nested.add_element(inner, "name");
+        let store = mem_store(&nested, 1 << 14, Placement::Sequential);
+        for simple in [false, true] {
+            let cx = ExecCtx::new(&store, None);
+            let source = if simple {
+                cold(&store)
+            } else {
+                from_root(&store)
+            };
+            let steps = vec![
+                (Axis::Descendant, resolved(&store, "item")),
+                (Axis::Descendant, resolved(&store, "name")),
+            ];
+            let got = drain(&mut XStep::new(source, steps), &cx);
+            let names: Vec<NodeId> = got.iter().map(|p| p.nr.node_id()).collect();
+            assert_eq!(
+                names.len(),
+                2,
+                "name reached via both items, simple: {simple}"
+            );
+            assert_eq!(names[0], names[1], "the same node twice, simple: {simple}");
+        }
     }
 
+    /// A `FullCursor` crosses borders with synchronous I/O and never
+    /// prefetches: in fallback, from a swizzled context, and over the
+    /// Simple method's unswizzled one. Either way the raw stream is the
+    /// reference result (these paths produce no duplicates).
     #[test]
     fn fallback_mode_crosses_borders() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Sequential);
-        let cx = ExecCtx::new(&store, None);
-        cx.fallback.set(true);
-        let steps = vec![
-            (Axis::Child, resolved(&store, "regions")),
-            (Axis::Descendant, resolved(&store, "item")),
-        ];
-        let mut step = XStep::new(from_root(&store), steps);
-        let got = drain(&mut step, &cx);
-        let want = reference_len(&doc, "/regions//item");
-        assert_eq!(got.len(), want, "fallback must produce the full result");
-        assert!(got.iter().all(|p| p.is_full(2)));
-        // In fallback the steps do fix pages.
-        assert!(store.buffer.stats().fixes > 1);
+        let ranks = doc.preorder_ranks();
+        for (path, placement) in [
+            ("/regions//item", Placement::Sequential),
+            ("//email", Placement::Shuffled { seed: 9 }),
+        ] {
+            let path = pathix_xpath::parse_path(path).unwrap().normalize();
+            let mut want: Vec<u64> = pathix_xpath::eval_path(&doc, doc.root(), &path)
+                .iter()
+                .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
+                .collect();
+            want.sort_unstable();
+            for simple in [false, true] {
+                let store = mem_store(&doc, 256, placement);
+                let cx = ExecCtx::new(&store, None);
+                cx.fallback.set(!simple);
+                let source = if simple {
+                    cold(&store)
+                } else {
+                    from_root(&store)
+                };
+                let steps: Vec<_> = path
+                    .steps
+                    .iter()
+                    .map(|s| (s.axis, ResolvedTest::resolve(&s.test, &store.meta.symbols)))
+                    .collect();
+                let len = steps.len() as u16;
+                let mut got: Vec<u64> = drain(&mut XStep::new(source, steps), &cx)
+                    .iter()
+                    .map(|p| match p.nr {
+                        REnd::Done { order, .. } if p.is_full(len) => order,
+                        ref other => panic!("unexpected end {other:?} at step {}", p.sr),
+                    })
+                    .collect();
+                got.sort_unstable();
+                let case = format!("{path}, simple: {simple}");
+                assert_eq!(got, want, "{case}: the full result");
+                let stats = store.buffer.stats();
+                assert!(stats.misses > 1, "{case}: the steps read pages mid-step");
+                assert_eq!(stats.prefetches, 0, "{case}: a FullCursor never prefetches");
+            }
+        }
     }
 
     #[test]
@@ -529,8 +602,13 @@ mod tests {
 
     #[derive(Debug, Clone, Copy)]
     enum Source {
+        /// The Simple method: the unswizzled context straight into the
+        /// steps, and no `XAssembly`.
+        Simple,
         Scan,
-        Schedule { speculative: bool },
+        Schedule {
+            speculative: bool,
+        },
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -549,9 +627,10 @@ mod tests {
         aborted: bool,
     }
 
-    /// Runs `source → steps → XAssembly` from the root on `store`, with the
-    /// steps as one router or as the reference chain, and logs every pull
-    /// from the step layer.
+    /// Runs `source → steps → XAssembly` from the root on `store` (just
+    /// `ContextSource → steps` for [`Source::Simple`]), with the steps as
+    /// one router or as the reference chain, and logs every pull from the
+    /// step layer.
     fn run_plan(
         store: &TreeStore,
         steps: &[(Axis, ResolvedTest)],
@@ -573,8 +652,9 @@ mod tests {
         };
         let t0 = cx.clock().now_ns();
         let len = steps.len() as u16;
-        let context = Box::new(ContextSource::new(vec![store.root()]));
+        let context = cold(store);
         let (io, sched): (Box<dyn Operator>, _) = match source {
+            Source::Simple => (context, None),
             Source::Scan => {
                 let cursor = ScanCursor::new(store.meta.page_range());
                 (Box::new(XScan::new(context, &cursor, len)), None)
@@ -595,7 +675,10 @@ mod tests {
             inner,
             log: Rc::clone(&log),
         };
-        let mut plan = XAssembly::new(Box::new(tap), len, sched, None);
+        let mut plan: Box<dyn Operator> = match source {
+            Source::Simple => Box::new(tap),
+            _ => Box::new(XAssembly::new(Box::new(tap), len, sched, None)),
+        };
         while plan.next(&cx).is_some() {}
         drop(plan);
         let outcome = Outcome {
@@ -649,19 +732,22 @@ mod tests {
 
     /// The router reproduces the per-step chain exactly: after every pull
     /// from the step layer, the same instance, the same simulated clock and
-    /// the same navigation and operator counters — under XScan and
-    /// XSchedule with and without speculation, unlimited, with a memory
-    /// limit below the peak of `S`, with a soft deadline that flips
-    /// fallback mid-plan, and with a hard deadline.
+    /// the same navigation and operator counters — for Simple plans and
+    /// under XScan and XSchedule with and without speculation, unlimited,
+    /// with a memory limit below the peak of `S`, with a soft deadline that
+    /// flips fallback mid-plan, and with a hard deadline. Over the Simple
+    /// method's unswizzled ends the chain is the nested Unnest-Map loops.
     #[test]
     fn router_reproduces_the_step_chain() {
         let sources = [
+            Source::Simple,
             Source::Scan,
             Source::Schedule { speculative: true },
             Source::Schedule { speculative: false },
         ];
         let mut rng = StdRng::seed_from_u64(0x0051_57E9);
-        let (mut mem_fallbacks, mut soft_flips, mut aborts) = (0, 0, 0);
+        // Soft flips and aborts counted apart for Simple plans (index 1).
+        let (mut mem_fallbacks, mut soft_flips, mut aborts) = (0, [0, 0], [0, 0]);
         let cases = [(256usize, [1, 5, 9]), (512, [2, 6, 12]), (1024, [3, 7, 10])];
         for (d, (page_size, lens)) in cases.into_iter().enumerate() {
             // Short prose, so that every text record fits a 256-B page.
@@ -676,6 +762,7 @@ mod tests {
             for len in lens {
                 let steps = random_steps(&mut rng, &symbols, len);
                 for source in sources {
+                    let simple = usize::from(matches!(source, Source::Simple));
                     let base = run_plan(&fresh(), &steps, source, Limit::Unlimited, false);
                     let mut limits = vec![
                         Limit::Unlimited,
@@ -699,8 +786,8 @@ mod tests {
                         }
                         match limit {
                             Limit::Memory(_) => mem_fallbacks += usize::from(chain.fallback),
-                            Limit::Budget(_) if chain.aborted => aborts += 1,
-                            Limit::Budget(_) => soft_flips += usize::from(chain.fallback),
+                            Limit::Budget(_) if chain.aborted => aborts[simple] += 1,
+                            Limit::Budget(_) => soft_flips[simple] += usize::from(chain.fallback),
                             Limit::Unlimited => {}
                         }
                     }
@@ -708,7 +795,13 @@ mod tests {
             }
         }
         assert!(mem_fallbacks > 0, "no memory-limit fallback was exercised");
-        assert!(soft_flips > 0, "no soft deadline flipped fallback");
-        assert!(aborts > 0, "no hard deadline aborted a plan");
+        assert!(
+            soft_flips.iter().all(|&n| n > 0),
+            "no soft deadline flipped fallback: {soft_flips:?}"
+        );
+        assert!(
+            aborts.iter().all(|&n| n > 0),
+            "no hard deadline aborted a plan: {aborts:?}"
+        );
     }
 }

@@ -4,12 +4,16 @@
 //! This is the role of the paper's algebraic XPath compiler (§6.1), reduced
 //! to the three plan shapes the evaluation compares:
 //!
-//! * **Simple** — `ContextSource → UnnestMap* → DupElim`,
+//! * **Simple** — `ContextSource → XStep → DupElim`,
 //! * **XSchedule** — `ContextSource → XSchedule → XStep → XAssembly`
 //!   (with the `Q` feedback edge),
 //! * **XScan** — `ContextSource → XScan → XStep → XAssembly`,
 //!
-//! where the one `XStep` plays every location step of the path.
+//! where the one `XStep` plays every location step of the path. A Simple
+//! plan's ends are never swizzled, so its `XStep` runs the nested
+//! Unnest-Map loops of §5.1 (a `FullCursor` per step, synchronous I/O at
+//! every border), and `DupElim` is the driver's final duplicate
+//! elimination.
 //!
 //! One driver runs every plan, alone ([`execute_path`]) or interleaved with
 //! others on one device ([`execute_interleaved`]), where the XScan plans
@@ -21,7 +25,7 @@ use crate::error::ExecError;
 use crate::governor::QueryBudget;
 use crate::instance::REnd;
 use crate::ops::{
-    ContextSource, Operator, ScanCursor, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
+    ContextSource, Operator, ScanCursor, SchedShared, XAssembly, XScan, XSchedule, XStep,
 };
 use crate::report::ExecReport;
 use pathix_storage::cost::SORT_CMP_NS;
@@ -156,22 +160,13 @@ fn resolve_steps(store: &TreeStore, path: &LocationPath) -> Vec<(Axis, ResolvedT
 /// An operator tree, run by pulling its root.
 type Plan = Box<dyn Operator>;
 
-/// The Simple method's nested loops: one `UnnestMap` per location step,
-/// stacked on `op`.
-fn stack_steps(store: &TreeStore, path: &LocationPath, mut op: Plan) -> Plan {
-    for ((axis, test), i) in resolve_steps(store, path).into_iter().zip(1..) {
-        op = Box::new(UnnestMap::new(op, i, axis, test));
-    }
-    op
-}
-
 /// Builds the operator tree for a (normalized) path from the document root.
 /// An XScan plan reads `scan`'s pages.
 fn build_plan(store: &TreeStore, path: &LocationPath, method: Method, scan: &ScanCursor) -> Plan {
     let len = path.steps.len() as u16;
     let source: Plan = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
-        Method::Simple => stack_steps(store, path, source),
+        Method::Simple => Box::new(XStep::new(source, resolve_steps(store, path))),
         Method::XSchedule { k, speculative } => {
             let shared = Rc::new(RefCell::new(SchedShared::default()));
             let sched = XSchedule::new(source, Rc::clone(&shared), k, speculative, len);
@@ -402,8 +397,9 @@ pub(crate) fn run_path(
 ///
 /// Each item is charged exactly as [`execute_path`] charges it alone, and
 /// its report's clock, buffer and device deltas are those of its own turns
-/// (a shared page read falls to the turn that makes it), so the items'
-/// deltas sum to [`BatchRun::report`], the store's delta over the batch.
+/// (a shared page read falls to the turn that makes it). [`BatchRun::report`]
+/// sums the successful items, as for every batch; with none failed, its
+/// deltas are the store's over the batch.
 /// The device is the failure domain: an unrecovered read fails the whole
 /// batch with [`ExecError::Io`]. An item that breaks the plan output
 /// contract fails alone with [`ExecError::UnexpectedEnd`].
@@ -413,7 +409,6 @@ pub fn execute_interleaved(
     cfg: &PlanConfig,
 ) -> Result<BatchRun, ExecError> {
     store.clear_io_error();
-    let meter = Meter::start(store);
     let scan = ScanCursor::new(store.meta.page_range());
     // (driver, its turns' deltas)
     let mut slots: Vec<_> = work
@@ -446,12 +441,7 @@ pub fn execute_interleaved(
             })
         })
         .collect();
-    let report = ExecReport {
-        method: "interleaved".to_owned(),
-        results: runs.iter().flatten().map(|r| r.nodes.len() as u64).sum(),
-        ..meter.delta(store)
-    };
-    Ok(BatchRun::new(runs, report))
+    Ok(BatchRun::new(runs, "interleaved"))
 }
 
 /// Executes `path` from the document root.
@@ -830,6 +820,10 @@ mod tests {
         }
     }
 
+    /// The batch report sums its items, like every batch report, and its
+    /// time, buffer and device deltas are the store's over the call:
+    /// every read and every simulated nanosecond of the batch, the final
+    /// sorts included, happens inside some plan's bracketed turn.
     #[test]
     fn per_plan_reports_sum_to_combined() {
         let doc = sample_doc();
@@ -841,18 +835,35 @@ mod tests {
         ];
         let mut cfg = PlanConfig::new(Method::Simple);
         cfg.sort = true;
+        let before = (
+            store.clock().breakdown(),
+            store.buffer.stats(),
+            store.buffer.device_stats(),
+        );
         let batch = execute_interleaved(&store, &work, &cfg).expect("plans execute");
-        let runs: Vec<&PathRun> = batch.runs.iter().map(|r| r.as_ref().unwrap()).collect();
-        // Every read and every simulated nanosecond of the batch, the final
-        // sorts included, happens inside some plan's bracketed turn, so the
-        // per-plan deltas must sum exactly to the combined report.
         let combined = &batch.report;
-        let reads: u64 = runs.iter().map(|r| r.report.device.reads).sum();
-        let total_ns: u64 = runs.iter().map(|r| r.report.time.total_ns).sum();
-        let fixes: u64 = runs.iter().map(|r| r.report.buffer.fixes).sum();
-        assert_eq!(reads, combined.device.reads);
-        assert_eq!(total_ns, combined.time.total_ns);
-        assert_eq!(fixes, combined.buffer.fixes);
+        assert_eq!(combined.time, store.clock().breakdown() - before.0);
+        assert_eq!(combined.buffer, store.buffer.stats() - before.1);
+        assert_eq!(combined.device, store.buffer.device_stats() - before.2);
+        let runs: Vec<&PathRun> = batch.runs.iter().map(|r| r.as_ref().unwrap()).collect();
+        let sum =
+            |field: fn(&ExecReport) -> u64| -> u64 { runs.iter().map(|r| field(&r.report)).sum() };
+        for (name, got, want) in [
+            ("instances", combined.instances, sum(|r| r.instances)),
+            (
+                "nodes_visited",
+                combined.nodes_visited,
+                sum(|r| r.nodes_visited),
+            ),
+            ("r_inserts", combined.r_inserts, sum(|r| r.r_inserts)),
+            ("results", combined.results, sum(|r| r.results)),
+        ] {
+            assert!(want > 0, "{name}: no item did any work");
+            assert_eq!(got, want, "{name}");
+        }
+        let s_peak = runs.iter().map(|r| r.report.s_peak).max();
+        assert_eq!(Some(combined.s_peak), s_peak);
+        assert_eq!(combined.method, "interleaved");
         for (run, (_, method)) in runs.iter().zip(&work) {
             assert_eq!(run.report.results, run.nodes.len() as u64);
             assert_eq!(run.report.method, method.label());

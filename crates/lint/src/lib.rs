@@ -3,8 +3,8 @@
 //!
 //! The paper's physical algebra rests on contracts that the type system
 //! cannot express: XStep and XAssembly never touch the buffer manager
-//! (§5.2, §5.4.2), only XSchedule/XScan/UnnestMap perform cluster I/O
-//! (§5.3.4, §5.4.3), replayed runs are bit-identical (DESIGN §3), the
+//! (§5.2, §5.4.2), only XSchedule/XScan perform cluster I/O (§5.3.4,
+//! §5.4.3), replayed runs are bit-identical (DESIGN §3), the
 //! operator hot path never panics, and the crate graph flows
 //! `xml → tree → core`. This crate enforces them statically with a
 //! hand-rolled tokenizer and a per-file rule engine — no dependencies,
@@ -17,7 +17,8 @@
 //! Rules:
 //! - **R1 — I/O confinement.** Navigation-only operators must not
 //!   reference `Buffer::fix`, `Device`, `pathix_storage`, or any other
-//!   physical-I/O API.
+//!   physical-I/O API; XStep reads pages (Simple method, fallback mode)
+//!   only through `pathix_tree::FullCursor`.
 //! - **R2 — determinism.** No `Instant`/`SystemTime` anywhere (wall-clock
 //!   time is measured by perfbench, outside the workspace); no `rand`
 //!   outside xmlgen/bench/tests; no `HashMap` in cost-accounting/report

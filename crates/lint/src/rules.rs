@@ -31,9 +31,10 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Operator files allowed to perform cluster I/O (paper §5.3.4, §5.4.3:
-/// XSchedule and XScan are *the* I/O-performing operators; UnnestMap is
-/// the deliberately I/O-naive baseline).
-const IO_OPERATOR_FILES: &[&str] = &["xschedule.rs", "xscan.rs", "unnest.rs"];
+/// XSchedule and XScan are *the* I/O-performing operators). XStep's
+/// synchronous reads for an unswizzled end, the Simple method and the
+/// fallback mode, go through `pathix_tree::FullCursor`, never the buffer.
+const IO_OPERATOR_FILES: &[&str] = &["xschedule.rs", "xscan.rs"];
 
 /// Identifiers that indicate physical I/O or storage-layer access.
 const IO_IDENTS: &[&str] = &[
@@ -99,14 +100,8 @@ fn in_governor_zone(path: &str) -> bool {
 /// Operator files that are declared budget checkpoints (R7, DESIGN §12):
 /// the only `ops/` files that may consult the buffer's interrupt gate.
 /// XStep/XAssembly check in their produce loops, XSchedule/XScan at queue
-/// pops, UnnestMap per context row.
-const CHECKPOINT_FILES: &[&str] = &[
-    "xstep.rs",
-    "xscan.rs",
-    "xschedule.rs",
-    "xassembly.rs",
-    "unnest.rs",
-];
+/// pops.
+const CHECKPOINT_FILES: &[&str] = &["xstep.rs", "xscan.rs", "xschedule.rs", "xassembly.rs"];
 
 /// Identifiers that indicate threading primitives (R5). `Atomic`-prefixed
 /// identifiers (`AtomicU64`, `AtomicUsize`, …) are matched by prefix.
@@ -249,7 +244,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         rule: "R1",
                         message: format!(
                             "I/O API `{id}` referenced in a navigation-only operator; \
-                             only XSchedule/XScan/UnnestMap perform cluster I/O"
+                             only XSchedule/XScan perform cluster I/O"
                         ),
                     });
                 }
@@ -359,7 +354,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         rule: "R7",
                         message: "interrupt gate consulted outside the declared \
                                   checkpoint operators (xstep/xscan/xschedule/\
-                                  xassembly/unnest); see DESIGN §12"
+                                  xassembly); see DESIGN §12"
                             .to_owned(),
                     });
                 }
@@ -581,6 +576,24 @@ mod tests {
             .into_iter()
             .map(|d| d.rule)
             .collect()
+    }
+
+    /// Every file an allow-list names exists, so no exemption outlives the
+    /// file it was made for.
+    #[test]
+    fn allow_lists_name_existing_files() {
+        let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let root = crate::workspace::find_workspace_root(here).expect("workspace root");
+        let ops = IO_OPERATOR_FILES
+            .iter()
+            .chain(CHECKPOINT_FILES)
+            .map(|f| format!("crates/core/src/ops/{f}"));
+        for file in ops.chain([UNSAFE_FILE, COST_FILE].map(str::to_owned)) {
+            assert!(
+                root.join(&file).is_file(),
+                "{file} is named by an allow-list but does not exist"
+            );
+        }
     }
 
     #[test]

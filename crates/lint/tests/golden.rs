@@ -338,7 +338,7 @@ fn r6_good_io_error_consumed_outside_storage() {
 #[test]
 fn r6_bad_exec_error_inside_operator() {
     let src = "fn f() -> ExecError { ExecError::WorkerLost { item: 0 } }";
-    let diags = check_source("crates/core/src/ops/unnest.rs", src);
+    let diags = check_source("crates/core/src/ops/xstep.rs", src);
     assert!(diags.iter().any(|d| d.rule == "R6"));
 }
 
@@ -417,7 +417,6 @@ fn r7_good_interrupt_gate_at_checkpoints() {
         "crates/core/src/ops/xscan.rs",
         "crates/core/src/ops/xschedule.rs",
         "crates/core/src/ops/xassembly.rs",
-        "crates/core/src/ops/unnest.rs",
     ] {
         assert!(
             !rules_of(path, src).contains(&"R7"),

@@ -7,12 +7,14 @@
 use pathix_storage::{BufferParams, MemDevice, SimClock};
 use pathix_tree::export::export;
 use pathix_tree::{
-    import_into, ImportConfig, InsertPos, NewNode, NodeId, Placement, TreeStore, TreeUpdater,
-    UpdateError,
+    import_into, FullCursor, ImportConfig, InsertPos, NavCharge, NavCounters, NavParams, NewNode,
+    NodeId, Placement, ResolvedTest, TreeStore, TreeUpdater, UpdateError,
 };
 use pathix_xml::Document;
+use pathix_xpath::{eval_path, parse_path, LocationPath};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 fn store_for(doc: &Document, page_size: usize) -> TreeStore {
@@ -227,12 +229,49 @@ fn invalid_targets_are_rejected() {
     ));
 }
 
+/// `path` from the root of `store`, navigated as the Simple method does:
+/// one `FullCursor` per step and context, crossing borders with synchronous
+/// reads. The distinct results, in document order.
+fn simple_eval(store: &TreeStore, path: &LocationPath) -> Vec<NodeId> {
+    let counters = NavCounters::default();
+    let charge = NavCharge {
+        clock: store.clock(),
+        params: NavParams::default(),
+        counters: &counters,
+    };
+    let mut current = vec![store.root()];
+    for step in &path.steps {
+        let mut next = BTreeMap::new();
+        for &context in &current {
+            let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
+            let mut cursor = FullCursor::new(store, context, step.axis, test);
+            while let Some((id, order)) = cursor.next(store, &charge) {
+                next.insert(order, id);
+            }
+        }
+        current = next.into_values().collect();
+    }
+    current
+}
+
+/// Paths over the `a`/`t0..t3`/text nodes of the randomized test, covering
+/// the child, descendant, parent and following-sibling axes.
+const MUTATION_PATHS: [&str; 6] = [
+    "/a/t1",
+    "//t2",
+    "//t3/..",
+    "//text()/..",
+    "//a/following-sibling::text()",
+    "//t0/following-sibling::*",
+];
+
 /// The workhorse: random interleaved inserts/deletes mirrored on the
 /// logical document; export must match after every batch, and queries over
 /// the mutated store must match the reference evaluator.
 #[test]
 fn randomized_mutations_stay_equivalent() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let mut answered = [0usize; MUTATION_PATHS.len()];
     for round in 0..6 {
         let mut doc = Document::new("r");
         for _ in 0..20 {
@@ -297,7 +336,36 @@ fn randomized_mutations_stay_equivalent() {
         assert_eq!(store.meta.node_count, {
             doc.descendants_or_self(doc.root()).count() as u64
         });
+        // Both sides as positions in document order, paired as above.
+        let doc_pos: HashMap<_, _> = doc
+            .descendants_or_self(doc.root())
+            .enumerate()
+            .map(|(i, n)| (n, i))
+            .collect();
+        let store_pos: HashMap<_, _> = by_order(&store)
+            .into_values()
+            .enumerate()
+            .map(|(i, id)| (id, i))
+            .collect();
+        for (path, answered) in MUTATION_PATHS.iter().zip(&mut answered) {
+            let parsed = parse_path(path).unwrap().normalize();
+            let mut want: Vec<usize> = eval_path(&doc, doc.root(), &parsed)
+                .iter()
+                .map(|n| doc_pos[n])
+                .collect();
+            want.sort_unstable();
+            let got: Vec<usize> = simple_eval(&store, &parsed)
+                .iter()
+                .map(|id| store_pos[id])
+                .collect();
+            assert_eq!(got, want, "round {round}: {path}");
+            *answered += usize::from(!got.is_empty());
+        }
     }
+    assert!(
+        answered.iter().all(|&n| n > 0),
+        "a path never had a result: {answered:?}"
+    );
 }
 
 /// `make_room` moves payload-carrying leaves — attributed elements and long

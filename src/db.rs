@@ -113,8 +113,8 @@ impl From<ExecError> for DbError {
 pub enum Batch<'a> {
     /// The plans take turns on this database's device, so their requests
     /// meet in one device queue, and the XScan items read one shared scan
-    /// (the paper's §7 outlook). `report` is the store's delta over the
-    /// batch; an unrecovered read fails the batch.
+    /// (the paper's §7 outlook). `report` sums the successful items, as
+    /// for every batch; an unrecovered read fails the batch.
     Interleaved,
     /// A pool of `workers` OS threads (at least one), each over a private
     /// fork of this database's device, all reading through one shared

@@ -235,7 +235,7 @@ const GOLDEN_INTERLEAVED: &[&str] = &[
     "XSchedule n=15 h=053cdfc5620a58a0 XSchedule t=26500100/5918950/20581150 buf=53/53/0/48/47/47/0 dev=47/38/9/83/25103000/0 nav=1947/1741/206 alg=447/15/204/0/0/190/0 fb=false/false",
     "XScan n=0 h=cbf29ce484222325 XScan t=35847600/6758600/29089000 buf=54/4/50/6/45/0/0 dev=55/47/8/66/29389000/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
     "XSchedule n=30 h=f17d67bb16163186 XSchedule t=19290600/8639450/10651150 buf=34/34/0/20/20/27/0 dev=21/18/3/86/13693000/0 nav=3735/3401/334 alg=1329/30/184/37/33/141/596 fb=false/false",
-    "interleaved t=95051300/21557000/73494300 buf=150/95/55/74/112/74/0 dev=128/105/23/318/81358000/0 nav=0/0/0 alg=0/45/0/0/0/0/0 fb=false/false",
+    "interleaved t=95051300/21557000/73494300 buf=150/95/55/74/112/74/0 dev=128/105/23/318/81358000/0 nav=7127/6434/1342 alg=3821/45/396/861/821/331/1788 fb=false/false",
 ];
 
 #[test]
@@ -276,7 +276,7 @@ const GOLDEN_SHARED_SCAN: &[&str] = &[
     "n=15 h=053cdfc5620a58a0 XScan t=7235500/5552500/1683000 buf=11/0/11/0/8/0/0 dev=11/11/0/0/1683000/0 nav=2353/2042/311 alg=999/15/204/259/217/0/596 fb=false/false",
     "n=0 h=cbf29ce484222325 XScan t=7446400/5151400/2295000 buf=15/0/15/0/11/0/0 dev=15/15/0/0/2295000/0 nav=1435/1286/794 alg=2044/0/8/824/821/0/1192 fb=false/false",
     "n=30 h=f17d67bb16163186 XScan t=7209300/4914300/2295000 buf=15/0/15/0/11/0/0 dev=15/15/0/0/2295000/0 nav=1984/1798/186 alg=930/30/184/124/113/0/596 fb=false/false",
-    "interleaved t=29390050/21128050/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=0/0/0 alg=0/45/0/0/0/0/0 fb=false/false",
+    "interleaved t=29390050/21128050/8262000 buf=54/0/54/0/38/0/0 dev=54/54/0/0/8262000/0 nav=8205/7351/1797 alg=5392/45/404/1725/821/0/3278 fb=false/false",
 ];
 
 #[test]
