@@ -31,9 +31,9 @@
 //! bit-identical results to sequential one-at-a-time execution.
 //!
 //! Lint rule R5 confines concurrency primitives (`std::thread`, locks,
-//! atomics) to this file, the governor's cancel token, and the two storage
-//! files that share state across threads (the shared page cache and the
-//! fault plan); the operators never see them.
+//! atomics) to this file and the two storage files that share state across
+//! threads (the shared page cache and the fault plan); the operators never
+//! see them.
 
 use crate::error::ExecError;
 use crate::governor::{GovernorReport, QueryBudget};
@@ -73,10 +73,9 @@ pub struct BatchRun {
     /// [`ExecError::Io`] for an unrecovered page read or
     /// [`ExecError::WorkerLost`] if its worker died before publishing a
     /// result; under governance, shed items carry [`ExecError::Overloaded`]
-    /// and aborted ones [`ExecError::DeadlineExceeded`] /
-    /// [`ExecError::Canceled`]. The interleaved executor fails as a whole on
-    /// an unrecovered read instead, so its items fail only by breaking
-    /// the plan output contract.
+    /// and aborted ones [`ExecError::DeadlineExceeded`]. The interleaved
+    /// executor fails as a whole on an unrecovered read instead, so its
+    /// items fail only by breaking the plan output contract.
     pub runs: Vec<Result<PathRun, ExecError>>,
     /// The batch's cost, whichever executor ran it: the sum of the
     /// *successful* items' reports ([`ExecReport::absorb`]), labelled with
@@ -116,7 +115,6 @@ impl BatchRun {
                     governor.degraded += u64::from(r.report.degraded);
                 }
                 Err(ExecError::DeadlineExceeded { .. }) => governor.deadline_aborted += 1,
-                Err(ExecError::Canceled) => governor.canceled += 1,
                 Err(_) => {}
             }
             governor.admitted += 1;
@@ -312,7 +310,6 @@ fn run_item(
         // to this slot only.
         store.buffer.drain_inflight();
         store.buffer.set_io_deadline(None);
-        store.buffer.set_interrupted(false);
         store.clear_io_error();
         Err(ExecError::WorkerLost { item: i })
     })
@@ -617,23 +614,5 @@ mod tests {
         }
         assert_eq!(batch.governor.deadline_aborted, work.len() as u64);
         assert_eq!(batch.governor.admitted, work.len() as u64);
-    }
-
-    #[test]
-    fn pre_canceled_budget_yields_canceled() {
-        let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Sequential);
-        let work = vec![(parse_path("//item").unwrap(), Method::xschedule())];
-        let budget = QueryBudget::unlimited();
-        budget.cancel.cancel();
-        let batch = execute_batch_governed(
-            plain_seeds(&store, 1),
-            &work,
-            &PlanConfig::new(Method::Simple),
-            &[budget],
-            &AdmissionConfig::unlimited(),
-        );
-        assert!(matches!(batch.runs[0], Err(ExecError::Canceled)));
-        assert_eq!(batch.governor.canceled, 1);
     }
 }

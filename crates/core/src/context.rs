@@ -3,7 +3,7 @@
 //! operators of one plan.
 
 use crate::error::ExecError;
-use crate::governor::{CancelToken, QueryBudget};
+use crate::governor::QueryBudget;
 use pathix_storage::cost::{INSTANCE_NS, QUEUE_OP_NS, SET_OP_NS};
 use pathix_storage::{IoError, IoErrorKind, SimClock};
 use pathix_tree::{NavCharge, NavCounters, NavParams, TreeStore};
@@ -24,8 +24,6 @@ pub struct ExecStats {
     pub q_pushes: Cell<u64>,
     /// Speculative left-incomplete instances generated by the I/O operator.
     pub speculative_generated: Cell<u64>,
-    /// Whether fallback mode was entered.
-    pub fallback_entered: Cell<bool>,
 }
 
 /// Shared execution context handed to every operator call.
@@ -48,20 +46,8 @@ pub struct ExecCtx<'a> {
     gov: Option<GovState>,
 }
 
-/// Why a governed query aborted (surfaced by the executor as the matching
-/// `ExecError` variant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AbortReason {
-    /// The cancel token fired.
-    Canceled,
-    /// The hard deadline passed.
-    Deadline,
-}
-
-/// Per-query governor state: absolute sim-time deadlines and the cancel
-/// token.
+/// Per-query governor state: absolute sim-time deadlines.
 struct GovState {
-    cancel: CancelToken,
     /// Absolute sim-time of the soft (degrade) stage.
     soft_ns: Option<u64>,
     /// Absolute sim-time of the hard (abort) stage.
@@ -70,8 +56,8 @@ struct GovState {
     t0_ns: u64,
     /// Device reads at query start (for `DeadlineExceeded::page_reads`).
     reads0: u64,
-    /// First abort cause observed at a checkpoint; sticky.
-    abort: Cell<Option<AbortReason>>,
+    /// A checkpoint saw the hard deadline pass; sticky.
+    abort: Cell<bool>,
     /// The query degraded at its soft deadline — distinct from a plain
     /// `mem_limit` fallback.
     degraded: Cell<bool>,
@@ -91,9 +77,9 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Creates a governed context: `budget`'s deadlines are anchored at the
-    /// current sim-time. Arms the buffer's governor gate: past the hard
-    /// deadline no further device I/O is issued and retry backoff is
-    /// clamped, even between operator checkpoints. The executor's
+    /// current sim-time. Arms the buffer's governor gate at the hard
+    /// deadline: past it no further device I/O is issued and retry backoff
+    /// is clamped, even between operator checkpoints. The executor's
     /// epilogue (`governor_verdict`) disarms it.
     pub fn with_budget(
         store: &'a TreeStore,
@@ -102,16 +88,14 @@ impl<'a> ExecCtx<'a> {
     ) -> Self {
         let t0 = store.clock().now_ns();
         let hard_ns = budget.deadline.map(|d| t0.saturating_add(d.hard_ns));
-        store.buffer.set_interrupted(false);
         store.buffer.set_io_deadline(hard_ns);
         Self {
             gov: Some(GovState {
-                cancel: budget.cancel.clone(),
                 soft_ns: budget.deadline.map(|d| t0.saturating_add(d.soft_ns)),
                 hard_ns,
                 t0_ns: t0,
                 reads0: store.buffer.device_stats().reads,
-                abort: Cell::new(None),
+                abort: Cell::new(false),
                 degraded: Cell::new(false),
             }),
             ..Self::new(store, mem_limit)
@@ -165,8 +149,8 @@ impl<'a> ExecCtx<'a> {
 
     /// The governor checkpoint, called at operator loop tops and queue pops
     /// (the declared sites of lint rule R7). True once the plan must wind
-    /// down — because an I/O error was recorded, the query was
-    /// canceled, or its hard deadline passed. Crossing the *soft* deadline
+    /// down — because an I/O error was recorded or the query's hard
+    /// deadline passed. Crossing the *soft* deadline
     /// does not interrupt: it flips the §5.4.6 fallback switch and the plan
     /// keeps answering, degraded.
     ///
@@ -182,28 +166,22 @@ impl<'a> ExecCtx<'a> {
         self.store.io_failed()
     }
 
-    /// Slow path of [`Self::interrupted`]: polls the cancel token and the
-    /// sim-clock against both deadline stages, recording the abort cause
-    /// and arming the buffer's I/O gate on the hard stage.
+    /// Slow path of [`Self::interrupted`]: checks the sim-clock against
+    /// both deadline stages and records a hard-stage abort. The buffer's
+    /// I/O gate needs no arming here: it refuses device access from the
+    /// same instant on, as `with_budget` set it to the same deadline.
     fn governor_trip(&self, g: &GovState) -> bool {
-        if g.abort.get().is_some() {
-            return true;
-        }
-        if g.cancel.is_canceled() {
-            g.abort.set(Some(AbortReason::Canceled));
-            self.store.buffer.set_interrupted(true);
+        if g.abort.get() {
             return true;
         }
         let now = self.clock().now_ns();
         if g.hard_ns.is_some_and(|hard| now >= hard) {
-            g.abort.set(Some(AbortReason::Deadline));
-            self.store.buffer.set_interrupted(true);
+            g.abort.set(true);
             return true;
         }
         if g.soft_ns.is_some_and(|soft| now >= soft) && !self.fallback.get() {
             // Soft stage: degrade into fallback, keep going.
             self.fallback.set(true);
-            self.stats.fallback_entered.set(true);
             g.degraded.set(true);
         }
         false
@@ -219,13 +197,12 @@ impl<'a> ExecCtx<'a> {
             return false;
         }
         self.fallback.set(true);
-        self.stats.fallback_entered.set(true);
         true
     }
 
-    /// The abort cause recorded at a checkpoint, if any.
-    pub(crate) fn governor_abort(&self) -> Option<AbortReason> {
-        self.gov.as_ref().and_then(|g| g.abort.get())
+    /// Whether a checkpoint aborted this query at its hard deadline.
+    pub(crate) fn governor_abort(&self) -> bool {
+        self.gov.as_ref().is_some_and(|g| g.abort.get())
     }
 
     /// Whether the governor degraded this query (soft deadline).
@@ -245,24 +222,14 @@ impl<'a> ExecCtx<'a> {
         let g = self.gov.as_ref()?;
         let buffer = &self.store.buffer;
         buffer.set_io_deadline(None);
-        buffer.set_interrupted(false);
         let gate_refused = recorded_io.is_some_and(|e| e.kind == IoErrorKind::Interrupted);
-        let reason = self.governor_abort().or_else(|| {
-            gate_refused.then(|| {
-                if g.cancel.is_canceled() {
-                    AbortReason::Canceled
-                } else {
-                    AbortReason::Deadline
-                }
-            })
-        })?;
+        if !(self.governor_abort() || gate_refused) {
+            return None;
+        }
         buffer.drain_inflight();
-        Some(match reason {
-            AbortReason::Canceled => ExecError::Canceled,
-            AbortReason::Deadline => ExecError::DeadlineExceeded {
-                page_reads: buffer.device_stats().reads - g.reads0,
-                elapsed: self.clock().now_ns().saturating_sub(g.t0_ns),
-            },
+        Some(ExecError::DeadlineExceeded {
+            page_reads: buffer.device_stats().reads - g.reads0,
+            elapsed: self.clock().now_ns().saturating_sub(g.t0_ns),
         })
     }
 }
@@ -321,7 +288,7 @@ mod tests {
         assert!(cx.in_fallback());
         assert!(!cx.note_s_size(50), "fallback triggers only once");
         assert_eq!(cx.stats.s_peak.get(), 50);
-        assert!(cx.stats.fallback_entered.get());
+        assert!(cx.in_fallback());
     }
 
     #[test]
@@ -337,21 +304,7 @@ mod tests {
         let store = tiny_store();
         let cx = ExecCtx::new(&store, None);
         assert!(!cx.interrupted());
-        assert!(cx.governor_abort().is_none());
-    }
-
-    #[test]
-    fn cancel_trips_checkpoint_and_arms_buffer_gate() {
-        let store = tiny_store();
-        let budget = QueryBudget::unlimited();
-        let token = budget.cancel.clone();
-        let cx = ExecCtx::with_budget(&store, None, &budget);
-        assert!(!cx.interrupted());
-        token.cancel();
-        assert!(cx.interrupted());
-        assert_eq!(cx.governor_abort(), Some(AbortReason::Canceled));
-        assert!(store.buffer.interrupted(), "cancel must stop further I/O");
-        store.buffer.set_interrupted(false);
+        assert!(!cx.governor_abort());
     }
 
     #[test]
@@ -366,7 +319,21 @@ mod tests {
         assert!(cx.governor_degraded());
         store.clock().wait_until(store.clock().now_ns() + 200_000);
         assert!(cx.interrupted());
-        assert_eq!(cx.governor_abort(), Some(AbortReason::Deadline));
-        store.buffer.set_interrupted(false);
+        assert!(cx.governor_abort());
+        // The hard trip must stop further I/O: the buffer's deadline gate
+        // refuses the miss and drops the prefetch.
+        let page = store.meta.root.page;
+        let reads = store.buffer.device_stats().reads;
+        let e = store.buffer.try_fix(page).unwrap_err();
+        assert_eq!(e.kind, IoErrorKind::Interrupted);
+        store.buffer.prefetch(page);
+        assert_eq!(store.buffer.in_flight(), 0);
+        assert_eq!(store.buffer.device_stats().reads, reads);
+        // The epilogue classifies the abort and disarms the gate.
+        assert!(matches!(
+            cx.governor_verdict(Some(&e)),
+            Some(ExecError::DeadlineExceeded { .. })
+        ));
+        assert!(store.buffer.try_fix(page).is_ok());
     }
 }

@@ -46,9 +46,6 @@ pub enum ExecError {
         /// Simulated nanoseconds elapsed from query start to abort.
         elapsed: u64,
     },
-    /// The query's [`crate::governor::CancelToken`] fired and the plan was
-    /// wound down cleanly at the next checkpoint.
-    Canceled,
     /// The admission controller shed this item before execution: the batch
     /// exceeded the configured admission capacity. Shedding is deterministic
     /// by batch order.
@@ -90,7 +87,6 @@ impl fmt::Display for ExecError {
                     "hard deadline exceeded after {elapsed} sim-ns ({page_reads} page reads)"
                 )
             }
-            ExecError::Canceled => write!(f, "query canceled"),
             ExecError::Overloaded => {
                 write!(f, "shed by admission control: batch over capacity")
             }

@@ -2,46 +2,17 @@
 //!
 //! The paper's fallback mode (§5.4.6, DESIGN §5.4.6 note) bounds a single
 //! query's *memory* (`PlanConfig::mem_limit`); a server handling a batch
-//! also needs bounded time per query, cancellation that actually stops
-//! work, and load shedding that degrades latency, never correctness.
-//! This module holds the vocabulary types; enforcement lives at the declared
-//! checkpoints (operator produce loops, queue pops, and the buffer fix path
-//! — see DESIGN §12 for the checkpoint map) and in the governed batch
-//! executor ([`crate::batch::execute_batch_governed`]).
+//! also needs bounded time per query and load shedding that degrades
+//! latency, never correctness. This module holds the vocabulary types;
+//! enforcement lives at the declared checkpoints (operator produce loops,
+//! queue pops, and the buffer fix path — see DESIGN §12 for the checkpoint
+//! map) and in the governed batch executor
+//! ([`crate::batch::execute_batch_governed`]).
 //!
 //! Everything here is simulated-time based: deadlines are expressed in
 //! `SimClock` nanoseconds, never wall-clock, so every governed outcome is
 //! exactly reproducible (lint rule R7 enforces that no `std::time::Instant`
 //! creeps into deadline logic).
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Cooperative cancellation handle. Cloning shares the flag: the server side
-/// keeps one clone and calls [`CancelToken::cancel`]; the query's execution
-/// context polls [`CancelToken::is_canceled`] at checkpoints.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, un-canceled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent; takes effect at the query's next
-    /// checkpoint (operator loop top or buffer fix).
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_canceled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
 
 /// A two-stage deadline in simulated nanoseconds, relative to query start.
 ///
@@ -74,27 +45,24 @@ impl Deadline {
 }
 
 /// Everything the governor may hold against one query. The default budget is
-/// unlimited: no deadline and a token nobody cancels — executing
-/// under it is behaviorally identical to executing ungoverned.
+/// unlimited: no deadline — executing under it is behaviorally identical
+/// to executing ungoverned.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBudget {
     /// Optional two-stage sim-time deadline.
     pub deadline: Option<Deadline>,
-    /// Cooperative cancellation handle.
-    pub cancel: CancelToken,
 }
 
 impl QueryBudget {
-    /// No deadline, fresh token: governance off.
+    /// No deadline: governance off.
     pub fn unlimited() -> Self {
         Self::default()
     }
 
-    /// Budget with a two-stage deadline and a fresh token.
+    /// Budget with a two-stage deadline.
     pub fn with_deadline(soft_ns: u64, hard_ns: u64) -> Self {
         Self {
             deadline: Some(Deadline::new(soft_ns, hard_ns)),
-            ..Self::default()
         }
     }
 }
@@ -111,7 +79,10 @@ pub struct GovernorReport {
     pub degraded: u64,
     /// Admitted items aborted at the hard deadline.
     pub deadline_aborted: u64,
-    /// Admitted items aborted by their cancel token.
+    /// Always 0: nothing cancels a query. Kept only because perfbench sums
+    /// it, like [`crate::batch::ConcurrentRun`], and the pinned `Display`
+    /// line of `tests/sim_fingerprint.rs` prints it; it goes when those
+    /// stop naming it.
     pub canceled: u64,
 }
 
@@ -130,18 +101,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cancel_token_is_shared_across_clones() {
-        let t = CancelToken::new();
-        let u = t.clone();
-        assert!(!u.is_canceled());
-        t.cancel();
-        assert!(u.is_canceled());
-        // Idempotent.
-        u.cancel();
-        assert!(t.is_canceled());
-    }
-
-    #[test]
     fn deadline_clamps_hard_to_soft() {
         let d = Deadline::new(100, 50);
         assert_eq!(d.soft_ns, 100);
@@ -154,6 +113,5 @@ mod tests {
     fn unlimited_budget_has_no_limits() {
         let b = QueryBudget::unlimited();
         assert!(b.deadline.is_none());
-        assert!(!b.cancel.is_canceled());
     }
 }

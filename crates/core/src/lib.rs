@@ -38,7 +38,7 @@ pub use batch::{
 };
 pub use context::{ExecCtx, ExecStats};
 pub use error::ExecError;
-pub use governor::{CancelToken, Deadline, GovernorReport, QueryBudget};
+pub use governor::{Deadline, GovernorReport, QueryBudget};
 pub use instance::{Pi, REnd};
 pub use optimizer::{Optimizer, PlanEstimate};
 pub use plan::{

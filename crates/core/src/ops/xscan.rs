@@ -239,8 +239,8 @@ impl Operator for XScan {
     fn next(&mut self, cx: &ExecCtx<'_>) -> Option<Pi> {
         self.materialize_contexts(cx);
         loop {
-            // Governor checkpoint: an unrecovered read error, a cancel, or a
-            // passed hard deadline aborts the plan — stop emitting so the
+            // Governor checkpoint: an unrecovered read error or a passed
+            // hard deadline aborts the plan — stop emitting so the
             // pipeline winds down and the executor can surface it.
             if cx.interrupted() {
                 self.leave();

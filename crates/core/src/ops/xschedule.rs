@@ -7,7 +7,7 @@
 //! targets of right-incomplete instances back into `Q`). Every entry's
 //! cluster access is submitted to the device's asynchronous queue the
 //! moment it enters `Q`, so the lower layers — in our substrate the
-//! simulated disk's SSTF/elevator command queue — always see the full set
+//! simulated disk's SSTF command queue — always see the full set
 //! of outstanding requests and are free to reorder them.
 //!
 //! When `speculative` is set (§5.4.4) the operator additionally produces
@@ -225,8 +225,8 @@ impl XSchedule {
 impl Operator for XSchedule {
     fn next(&mut self, cx: &ExecCtx<'_>) -> Option<Pi> {
         loop {
-            // Governor checkpoint: an unrecovered read error, a cancel, or a
-            // passed hard deadline aborts the plan — stop emitting so the
+            // Governor checkpoint: an unrecovered read error or a passed
+            // hard deadline aborts the plan — stop emitting so the
             // pipeline winds down and the executor can surface it.
             if cx.interrupted() {
                 self.emit = ClusterEmit::default();

@@ -163,8 +163,8 @@ impl Operator for XStep {
             // Governor checkpoint where each loop of the chain has one:
             // before every cursor advance, and before a producer pull
             // unless step 1's cursor just ran dry. An unrecovered read
-            // error, a cancel, or a passed hard deadline aborts the plan —
-            // wind down instead of extending further instances.
+            // error or a passed hard deadline aborts the plan — wind down
+            // instead of extending further instances.
             if cx.interrupted() {
                 self.busy.clear();
                 return None;
@@ -270,7 +270,7 @@ mod tests {
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::{ContextSource, ScanCursor, SchedShared, XAssembly, XScan, XSchedule};
     use pathix_tree::{Placement, TreeStore};
-    use pathix_xpath::NodeTest;
+    use pathix_xpath::{LocationPath, NodeTest, Step};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use std::cell::RefCell;
@@ -641,14 +641,9 @@ mod tests {
         let cx = match limit {
             Limit::Unlimited => ExecCtx::new(store, None),
             Limit::Memory(m) => ExecCtx::new(store, Some(m)),
-            Limit::Budget(d) => ExecCtx::with_budget(
-                store,
-                None,
-                &QueryBudget {
-                    deadline: Some(d),
-                    ..QueryBudget::default()
-                },
-            ),
+            Limit::Budget(d) => {
+                ExecCtx::with_budget(store, None, &QueryBudget { deadline: Some(d) })
+            }
         };
         let t0 = cx.clock().now_ns();
         let len = steps.len() as u16;
@@ -686,7 +681,7 @@ mod tests {
             elapsed_ns: cx.clock().now_ns() - t0,
             s_peak: cx.stats.s_peak.get(),
             fallback: cx.in_fallback(),
-            aborted: cx.governor_abort().is_some(),
+            aborted: cx.governor_abort(),
         };
         let _ = cx.governor_verdict(store.take_io_error().as_ref());
         outcome
@@ -710,24 +705,37 @@ mod tests {
     /// A seeded path of `len` steps. The first step is `descendant::` from
     /// the root, so that most plans get past it; every later step's axis is
     /// drawn from all the cursors support. Name tests keep the steps that
-    /// can multiply instances (all but self, child and parent) selective.
-    fn random_steps(rng: &mut StdRng, store: &TreeStore, len: usize) -> Vec<(Axis, ResolvedTest)> {
-        (0..len)
-            .map(|k| {
-                let axis = match k {
-                    0 => Axis::Descendant,
-                    _ => Axis::ALL[rng.random_range(0..Axis::ALL.len())],
-                };
-                let narrow = matches!(axis, Axis::SelfAxis | Axis::Child | Axis::Parent);
-                let test = match rng.random_range(0..10) {
-                    0..=1 if narrow => NodeTest::AnyElement,
-                    2 if narrow => NodeTest::AnyNode,
-                    3 => NodeTest::Text,
-                    _ => NodeTest::Name(TAGS[rng.random_range(0..TAGS.len())].into()),
-                };
-                (axis, ResolvedTest::resolve(&test, &store.meta.symbols))
-            })
-            .collect()
+    /// can multiply instances (all but self, child and parent) selective;
+    /// each names an element the step reaches in `doc`, so that long paths
+    /// still select something.
+    fn random_path(rng: &mut StdRng, doc: &pathix_xml::Document, len: usize) -> LocationPath {
+        let mut path = LocationPath::new(Vec::new());
+        for k in 0..len {
+            let axis = match k {
+                0 => Axis::Descendant,
+                _ => Axis::ALL[rng.random_range(0..Axis::ALL.len())],
+            };
+            let narrow = matches!(axis, Axis::SelfAxis | Axis::Child | Axis::Parent);
+            let test = match rng.random_range(0..10) {
+                0..=1 if narrow => NodeTest::AnyElement,
+                2 if narrow => NodeTest::AnyNode,
+                3 => NodeTest::Text,
+                _ => {
+                    let mut probe = path.clone();
+                    probe.steps.push(Step::new(axis, NodeTest::AnyElement));
+                    let reached = pathix_xpath::eval_path(doc, doc.root(), &probe);
+                    let name = match reached.len() {
+                        0 => TAGS[rng.random_range(0..TAGS.len())],
+                        n => doc
+                            .tag_name(reached[rng.random_range(0..n)])
+                            .unwrap_or("site"),
+                    };
+                    NodeTest::Name(name.into())
+                }
+            };
+            path.steps.push(Step::new(axis, test));
+        }
+        path
     }
 
     /// The router reproduces the per-step chain exactly: after every pull
@@ -737,6 +745,8 @@ mod tests {
     /// with a memory limit below the peak of `S`, with a soft deadline that
     /// flips fallback mid-plan, and with a hard deadline. Over the Simple
     /// method's unswizzled ends the chain is the nested Unnest-Map loops.
+    /// Most paths select something, so most pull logs are longer than one
+    /// `None`.
     #[test]
     fn router_reproduces_the_step_chain() {
         let sources = [
@@ -748,6 +758,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x0051_57E9);
         // Soft flips and aborts counted apart for Simple plans (index 1).
         let (mut mem_fallbacks, mut soft_flips, mut aborts) = (0, [0, 0], [0, 0]);
+        let mut selecting = 0;
         let cases = [(256usize, [1, 5, 9]), (512, [2, 6, 12]), (1024, [3, 7, 10])];
         for (d, (page_size, lens)) in cases.into_iter().enumerate() {
             // Short prose, so that every text record fits a 256-B page.
@@ -760,7 +771,13 @@ mod tests {
             let fresh = || mem_store(&doc, page_size, placement);
             let symbols = fresh();
             for len in lens {
-                let steps = random_steps(&mut rng, &symbols, len);
+                let path = random_path(&mut rng, &doc, len);
+                selecting +=
+                    usize::from(!pathix_xpath::eval_path(&doc, doc.root(), &path).is_empty());
+                let alphabet = &symbols.meta.symbols;
+                let steps: Vec<_> = (path.steps.iter())
+                    .map(|s| (s.axis, ResolvedTest::resolve(&s.test, alphabet)))
+                    .collect();
                 for source in sources {
                     let simple = usize::from(matches!(source, Source::Simple));
                     let base = run_plan(&fresh(), &steps, source, Limit::Unlimited, false);
@@ -794,6 +811,7 @@ mod tests {
                 }
             }
         }
+        assert!(selecting >= 6, "only {selecting} of 9 paths select nodes");
         assert!(mem_fallbacks > 0, "no memory-limit fallback was exercised");
         assert!(
             soft_flips.iter().all(|&n| n > 0),

@@ -81,8 +81,6 @@ pub struct PlanConfig {
     /// Sort results into document order (§5.5). Counts and aggregates do
     /// not need it.
     pub sort: bool,
-    /// Apply `//`-collapsing normalization before planning.
-    pub normalize: bool,
 }
 
 impl PlanConfig {
@@ -92,16 +90,6 @@ impl PlanConfig {
             method,
             mem_limit: None,
             sort: false,
-            normalize: true,
-        }
-    }
-
-    /// `path` as the plans see it: `//`-collapsed if `normalize` is set.
-    pub(crate) fn prepare(&self, path: &LocationPath) -> LocationPath {
-        if self.normalize {
-            path.normalize()
-        } else {
-            path.clone()
         }
     }
 }
@@ -160,9 +148,12 @@ fn resolve_steps(store: &TreeStore, path: &LocationPath) -> Vec<(Axis, ResolvedT
 /// An operator tree, run by pulling its root.
 type Plan = Box<dyn Operator>;
 
-/// Builds the operator tree for a (normalized) path from the document root.
-/// An XScan plan reads `scan`'s pages.
+/// Builds the operator tree for `path` from the document root, after the
+/// `//`-collapse of [`LocationPath::normalize`] (the path
+/// [`crate::Optimizer::estimate`] costs). An XScan plan reads `scan`'s
+/// pages.
 fn build_plan(store: &TreeStore, path: &LocationPath, method: Method, scan: &ScanCursor) -> Plan {
+    let path = &path.normalize();
     let len = path.steps.len() as u16;
     let source: Plan = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
@@ -347,7 +338,7 @@ impl<'a> Driver<'a> {
             s_peak: stats.s_peak.get(),
             q_pushes: stats.q_pushes.get(),
             speculative_generated: stats.speculative_generated.get(),
-            fallback: stats.fallback_entered.get(),
+            fallback: cx.in_fallback(),
             degraded: cx.governor_degraded(),
             ..io()
         };
@@ -359,8 +350,8 @@ impl<'a> Driver<'a> {
 }
 
 /// The single-path executor. With a `budget`, the soft deadline degrades the
-/// plan into §5.4.6 fallback mode and the hard deadline (or the budget's
-/// cancel token) aborts it with a typed error. An unlimited budget behaves
+/// plan into §5.4.6 fallback mode and the hard deadline aborts it with a
+/// typed error. An unlimited budget behaves
 /// exactly like no budget.
 pub(crate) fn run_path(
     store: &TreeStore,
@@ -371,7 +362,7 @@ pub(crate) fn run_path(
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
     let scan = ScanCursor::new(store.meta.page_range());
-    let plan = build_plan(store, &cfg.prepare(path), cfg.method, &scan);
+    let plan = build_plan(store, path, cfg.method, &scan);
     let mut driver = Driver::start(store, cfg, budget, plan);
     let meter = Meter::start(store);
     while driver.pull() {}
@@ -415,7 +406,7 @@ pub fn execute_interleaved(
         .iter()
         .map(|&(ref path, method)| {
             let cfg = PlanConfig { method, ..*cfg };
-            let plan = build_plan(store, &cfg.prepare(path), method, &scan);
+            let plan = build_plan(store, path, method, &scan);
             let driver = Driver::start(store, &cfg, None, plan);
             (driver, ExecReport::default())
         })
@@ -524,6 +515,20 @@ mod tests {
             .iter()
             .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
             .collect()
+    }
+
+    /// Plans always normalize, and normalization keeps a leading
+    /// `descendant-or-self::node()` that no child step follows, so such a
+    /// path still arms XScan's §5.4.5.4 shortcut; `//x` collapses into one
+    /// `descendant` step and does not.
+    #[test]
+    fn dos_shortcut_survives_normalization() {
+        let armed = |p: &str| scan_all_reachable_step(&parse_path(p).unwrap().normalize());
+        assert_eq!(
+            armed("/descendant-or-self::node()/descendant::keyword"),
+            Some(1)
+        );
+        assert_eq!(armed("//keyword"), None);
     }
 
     #[test]

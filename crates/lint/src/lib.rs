@@ -32,9 +32,8 @@
 //!   checked constructors in `instance.rs`.
 //! - **R5 — concurrency confinement.** Threading primitives
 //!   (`std::thread`, channels, locks, atomics) appear only in the
-//!   storage layer's shared page cache and fault plan, the batch
-//!   executor module (`core/src/batch.rs`) and the governor
-//!   (`core/src/governor.rs`); the operator hot path stays
+//!   storage layer's shared page cache and fault plan and the batch
+//!   executor module (`core/src/batch.rs`); the operator hot path stays
 //!   single-threaded (DESIGN §10).
 //! - **R6 — fault containment.** The fault-injection API
 //!   (`FaultDevice`/`FaultPlan`/…) stays below the shared cache
@@ -42,11 +41,10 @@
 //!   only by the storage layer; operators have no error channel
 //!   (`ExecError` never appears inside `ops/`).
 //! - **R7 — governor confinement.** Budget and admission types
-//!   (`QueryBudget`, `CancelToken`, `Deadline`, `AdmissionConfig`,
-//!   `GovernorReport`) stay in the governor zone;
-//!   inside `ops/` the buffer's interrupt gate is consulted only at
-//!   the declared checkpoint operators, and deadline logic never
-//!   reads a wall clock (DESIGN §12).
+//!   (`QueryBudget`, `Deadline`, `AdmissionConfig`, `GovernorReport`)
+//!   stay in the governor zone; inside `ops/` the `interrupted`
+//!   checkpoint is called only by the declared checkpoint operators, and
+//!   deadline logic never reads a wall clock (DESIGN §12).
 //! - **R8 — `unsafe` confinement.** Non-test code uses `unsafe` only in
 //!   `crates/storage/src/checksum.rs`, whose one block calls the CRC32
 //!   carry-less-multiply kernel right after the CPU feature check; clippy's

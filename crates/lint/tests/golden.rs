@@ -259,9 +259,19 @@ fn r5_good_threading_in_concurrency_zone() {
     "#;
     assert!(rules_of("crates/storage/src/shared_cache.rs", src).is_empty());
     assert!(rules_of("crates/core/src/batch.rs", src).is_empty());
-    assert!(rules_of("crates/core/src/governor.rs", src).is_empty());
     // Test code anywhere is exempt.
     assert!(rules_of("tests/parallel_batch.rs", src).is_empty());
+}
+
+#[test]
+fn r5_bad_atomic_in_governor() {
+    let src = r#"
+        use std::sync::atomic::AtomicBool;
+        struct Flag(AtomicBool);
+    "#;
+    let diags = check_source("crates/core/src/governor.rs", src);
+    assert!(diags.iter().any(|d| d.rule == "R5" && d.line == 2));
+    assert!(diags.iter().any(|d| d.rule == "R5" && d.line == 3));
 }
 
 // ---------------------------------------------------------------- R6 ---
@@ -354,9 +364,9 @@ fn r6_good_exec_error_in_executor_and_tests() {
 #[test]
 fn r7_bad_budget_in_operator() {
     let src = r#"
-        use crate::governor::{CancelToken, QueryBudget};
-        fn f(b: &QueryBudget, t: &CancelToken) -> bool {
-            t.is_canceled()
+        use crate::governor::{Deadline, QueryBudget};
+        fn f(b: &QueryBudget, d: &Deadline) -> bool {
+            d.hard_ns > 0
         }
     "#;
     let diags = check_source("crates/core/src/ops/xstep.rs", src);

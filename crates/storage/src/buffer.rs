@@ -26,9 +26,10 @@
 //! never evicted. Eviction uses the CLOCK (second chance) policy.
 //!
 //! The buffer is also where I/O faults are **absorbed or surfaced**: every
-//! page image is checksum-verified before it is decoded, and failed reads go
-//! through a bounded, deterministic [`RetryPolicy`] (exponential sim-clock
-//! backoff). Transient errors heal invisibly — the only trace is
+//! page image is checksum-verified before it is decoded, and failed reads
+//! are retried up to [`MAX_READ_ATTEMPTS`] times with deterministic
+//! exponential sim-clock backoff from [`RETRY_BACKOFF_NS`]. Transient
+//! errors heal invisibly — the only trace is
 //! [`DeviceStats::retries`] — while permanent errors (or an exhausted
 //! attempt budget) surface from [`BufferManager::try_fix`] as a typed
 //! [`IoError`] carrying the final attempt count.
@@ -48,7 +49,7 @@
 
 use crate::checksum::verify_page;
 use crate::clock::SimClock;
-use crate::cost::{FIX_HIT_NS, MISS_OVERHEAD_NS};
+use crate::cost::{FIX_HIT_NS, MISS_OVERHEAD_NS, RETRY_BACKOFF_NS};
 use crate::device::{Device, DeviceStats, IoError, IoErrorKind, PageId};
 use crate::slotted::DecodeError;
 use std::cell::{Cell, RefCell, RefMut};
@@ -56,34 +57,15 @@ use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Bounded retry with deterministic exponential backoff, applied by the
-/// buffer manager to retryable read failures (transient errors and checksum
-/// mismatches).
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total read attempts per fix (first try included). `1` disables
-    /// retrying.
-    pub max_attempts: u32,
-    /// Simulated backoff before retry `n` is `backoff_base_ns << (n - 1)`
-    /// (doubling), charged to the clock as I/O wait.
-    pub backoff_base_ns: u64,
-}
+/// Read attempts per fix, the first try included, for retryable failures
+/// (transient errors and checksum mismatches).
+pub const MAX_READ_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            backoff_base_ns: 200_000, // 0.2 ms, ~1.4 ms total over 3 retries
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff charged before attempt `next_attempt` (2-based; attempt 1 is
-    /// the initial try and never waits).
-    fn backoff_ns(&self, next_attempt: u32) -> u64 {
-        self.backoff_base_ns << (next_attempt.saturating_sub(2)).min(16)
-    }
+/// Backoff charged to the clock as I/O wait before attempt `next_attempt`
+/// (2-based; attempt 1 is the initial try and never waits):
+/// [`RETRY_BACKOFF_NS`], doubling per retry.
+fn backoff_ns(next_attempt: u32) -> u64 {
+    RETRY_BACKOFF_NS << (next_attempt.saturating_sub(2)).min(16)
 }
 
 /// Turns a verified page image into the cached in-memory representation.
@@ -300,8 +282,7 @@ struct InsertOutcome {
 pub struct BufferManager<T, D> {
     device: RefCell<Box<dyn Device>>,
     decoder: D,
-    params: Cell<BufferParams>,
-    retry: Cell<RetryPolicy>,
+    params: BufferParams,
     frames: RefCell<FrameTable<T>>,
     submitted: RefCell<HashSet<PageId>>,
     clock: Rc<SimClock>,
@@ -309,9 +290,6 @@ pub struct BufferManager<T, D> {
     /// Read retries performed by [`Self::try_fix`]; folded into
     /// [`DeviceStats::retries`] by [`Self::device_stats`].
     retries: Cell<u64>,
-    /// Governor gate: when set, misses are refused with
-    /// [`IoErrorKind::Interrupted`] so a canceled query stops issuing I/O.
-    interrupt: Cell<bool>,
     /// Governor gate: absolute sim-time after which misses are refused and
     /// retry backoff is not allowed to start (the hard query deadline).
     io_deadline: Cell<Option<u64>>,
@@ -328,30 +306,14 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         Self {
             device: RefCell::new(device),
             decoder,
-            params: Cell::new(params),
-            retry: Cell::new(RetryPolicy::default()),
+            params,
             frames: RefCell::new(FrameTable::new()),
             submitted: RefCell::new(HashSet::new()),
             clock,
             stats: RefCell::new(BufferStats::default()),
             retries: Cell::new(0),
-            interrupt: Cell::new(false),
             io_deadline: Cell::new(None),
         }
-    }
-
-    /// Arms or clears the interrupt gate: while set, cache hits are still
-    /// served but any fix that would touch the device fails fast with
-    /// [`IoErrorKind::Interrupted`], and prefetches are dropped. Set by the
-    /// query governor on cancellation / hard-deadline expiry so a
-    /// winding-down plan stops issuing I/O.
-    pub fn set_interrupted(&self, on: bool) {
-        self.interrupt.set(on);
-    }
-
-    /// Whether the interrupt gate is armed.
-    pub fn interrupted(&self) -> bool {
-        self.interrupt.get()
     }
 
     /// Sets (or clears, with `None`) the absolute sim-time I/O deadline:
@@ -364,24 +326,12 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     }
 
     /// The governor gate: `Some(error)` if a device access for `page` must
-    /// be refused right now (interrupted, or past the I/O deadline).
+    /// be refused right now (past the I/O deadline).
     fn io_gate(&self, page: PageId) -> Option<IoError> {
-        let past_deadline = self
-            .io_deadline
+        self.io_deadline
             .get()
-            .is_some_and(|dl| self.clock.now_ns() >= dl);
-        (self.interrupt.get() || past_deadline)
+            .is_some_and(|dl| self.clock.now_ns() >= dl)
             .then(|| IoError::new(page, IoErrorKind::Interrupted))
-    }
-
-    /// Current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.get()
-    }
-
-    /// Replaces the retry policy.
-    pub fn set_retry_policy(&self, retry: RetryPolicy) {
-        self.retry.set(retry);
     }
 
     /// The shared clock.
@@ -389,20 +339,9 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         &self.clock
     }
 
-    /// A clone of the shared clock handle.
-    pub fn clock_rc(&self) -> Rc<SimClock> {
-        Rc::clone(&self.clock)
-    }
-
     /// Current parameters.
     pub fn params(&self) -> BufferParams {
-        self.params.get()
-    }
-
-    /// Replaces the parameters (e.g. to shrink capacity between runs).
-    /// Does not immediately evict frames above the new capacity.
-    pub fn set_params(&self, params: BufferParams) {
-        self.params.set(params);
+        self.params
     }
 
     /// Mutable access to the underlying device (for database construction
@@ -434,7 +373,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     ///
     /// If the page was prefetched, blocks only until its asynchronous read
     /// completes (absorbing other completions along the way). Failed reads
-    /// are retried per the [`RetryPolicy`]; a permanent error or an
+    /// are retried up to [`MAX_READ_ATTEMPTS`] times; a permanent error or an
     /// exhausted attempt budget is returned as [`IoError`] with the final
     /// attempt count filled in.
     pub fn try_fix(&self, page: PageId) -> Result<Arc<T>, IoError> {
@@ -445,7 +384,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
             return Ok(data);
         }
         // Hits above are free; anything below touches the device and is
-        // refused while the query is interrupted or past its I/O deadline.
+        // refused once the query is past its I/O deadline.
         if let Some(e) = self.io_gate(page) {
             return Err(e);
         }
@@ -482,7 +421,6 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         // Cold miss: synchronous read with bounded retry.
         self.stats.borrow_mut().misses += 1;
         self.clock.charge_cpu(MISS_OVERHEAD_NS);
-        let retry = self.retry.get();
         let mut attempt = 1u32;
         let bytes = loop {
             let read = self.device.borrow_mut().read_sync(page, &self.clock);
@@ -494,9 +432,9 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
             // Retry backoff counts against the query's deadline: a wait
             // that would end past the I/O deadline is not taken, so a
             // deadlined query cannot spend unbounded sim-time retrying.
-            let wakes_at = self.clock.now_ns() + retry.backoff_ns(attempt + 1);
+            let wakes_at = self.clock.now_ns() + backoff_ns(attempt + 1);
             let in_budget = self.io_deadline.get().is_none_or(|dl| wakes_at < dl);
-            if !(e.retryable() && attempt < retry.max_attempts && in_budget) {
+            if !(e.retryable() && attempt < MAX_READ_ATTEMPTS && in_budget) {
                 e.attempts = attempt;
                 return Err(e);
             }
@@ -516,7 +454,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         if self.frames.borrow().resident(page) || self.submitted.borrow().contains(&page) {
             return;
         }
-        // An interrupted/deadlined query must stop issuing I/O: drop the
+        // A query past its deadline must stop issuing I/O: drop the
         // prefetch silently, like an already-in-flight page.
         if self.io_gate(page).is_some() {
             return;
@@ -568,7 +506,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     }
 
     fn insert(&self, page: PageId, data: Arc<T>) {
-        let capacity = self.params.get().capacity.max(1);
+        let capacity = self.params.capacity.max(1);
         let outcome = self.frames.borrow_mut().insert(page, data, capacity);
         let mut st = self.stats.borrow_mut();
         st.evictions += u64::from(outcome.evicted);
@@ -912,11 +850,8 @@ mod tests {
         ]);
         let e = b.try_fix(3).unwrap_err();
         assert_eq!(e.kind, IoErrorKind::Corrupt);
-        assert_eq!(e.attempts, RetryPolicy::default().max_attempts);
-        assert_eq!(
-            b.device_stats().retries,
-            (RetryPolicy::default().max_attempts - 1) as u64
-        );
+        assert_eq!(e.attempts, MAX_READ_ATTEMPTS);
+        assert_eq!(b.device_stats().retries, (MAX_READ_ATTEMPTS - 1) as u64);
         assert!(!b.is_resident(3), "corrupt image must never be decoded");
     }
 
@@ -977,16 +912,17 @@ mod tests {
     fn interrupt_gate_serves_hits_but_refuses_misses() {
         let b = mk_buffer(8, 4);
         b.fix(0);
-        b.set_interrupted(true);
+        // A deadline already passed arms the gate at once.
+        b.set_io_deadline(Some(b.clock().now_ns()));
         // Hits stay free: wind-down code may still walk cached pages.
         assert_eq!(*b.try_fix(0).unwrap(), 0);
         let e = b.try_fix(1).unwrap_err();
         assert_eq!(e.kind, IoErrorKind::Interrupted);
-        // No new I/O: prefetches are dropped.
+        // Prefetches are dropped rather than submitted.
         b.prefetch(2);
         assert_eq!(b.in_flight(), 0);
         assert_eq!(b.stats().prefetches, 0);
-        b.set_interrupted(false);
+        b.set_io_deadline(None);
         assert_eq!(*b.try_fix(1).unwrap(), 1);
     }
 
@@ -1012,14 +948,14 @@ mod tests {
         let b = faulty_buffer(vec![
             FaultRule::new(Some(3), FaultKind::CorruptRead).times(u32::MAX)
         ]);
-        let dl = b.clock().now_ns() + RetryPolicy::default().backoff_base_ns / 2;
+        let dl = b.clock().now_ns() + RETRY_BACKOFF_NS / 2;
         b.set_io_deadline(Some(dl));
         let e = b.try_fix(3).unwrap_err();
         assert_eq!(e.kind, IoErrorKind::Corrupt);
         assert_eq!(e.attempts, 1, "backoff past the deadline is not taken");
         assert_eq!(b.device_stats().retries, 0);
         assert!(
-            b.clock().now_ns() < dl + RetryPolicy::default().backoff_base_ns,
+            b.clock().now_ns() < dl + RETRY_BACKOFF_NS,
             "no backoff sleep may run past the deadline"
         );
     }

@@ -1,8 +1,9 @@
 //! The simulated CPU cost of every operation the engine charges, in
-//! nanoseconds. Every `charge_cpu` call in the workspace and the
-//! optimizer's CPU estimate read these constants. They approximate a
-//! 2005-era CPU, calibrated so each plan's CPU share lands near the
-//! paper's Table 3. Device time is the [`DiskProfile`](crate::DiskProfile).
+//! nanoseconds, and the buffer's retry backoff. Every `charge_cpu` call in
+//! the workspace and the optimizer's CPU estimate read these constants.
+//! They approximate a 2005-era CPU, calibrated so each plan's CPU share
+//! lands near the paper's Table 3. Device time is the
+//! [`DiskProfile`](crate::DiskProfile).
 
 /// A navigation cursor touches one stored node (`pathix_tree::nav`).
 pub const VISIT_NS: u64 = 1_000;
@@ -21,6 +22,11 @@ pub const FIX_HIT_NS: u64 = 2_500;
 /// A buffer miss or prefetch completion beyond device and decode time:
 /// frame allocation and bookkeeping.
 pub const MISS_OVERHEAD_NS: u64 = 12_000;
+
+/// The buffer's wait before its first read retry, charged as I/O wait and
+/// doubled for each further retry: ~1.4 ms over the three retries that
+/// [`MAX_READ_ATTEMPTS`](crate::buffer::MAX_READ_ATTEMPTS) allows.
+pub const RETRY_BACKOFF_NS: u64 = 200_000;
 
 /// A read or submit through the shared page cache: hash, lock, refcount.
 pub const CACHE_PROBE_NS: u64 = 1_000;

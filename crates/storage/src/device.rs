@@ -37,8 +37,8 @@ pub enum IoErrorKind {
     /// persistent corruption exhausts the attempt budget.
     Corrupt,
     /// The read was refused above the device because the requesting query
-    /// was canceled or ran past its hard sim-time deadline (the buffer
-    /// manager's governor gate; see `BufferManager::set_interrupted`).
+    /// ran past its hard sim-time deadline (the buffer manager's governor
+    /// gate; see `BufferManager::set_io_deadline`).
     /// Never retried — the query is winding down.
     Interrupted,
     /// The image verified but does not decode into records (a sealed page
@@ -53,7 +53,7 @@ impl fmt::Display for IoErrorKind {
             IoErrorKind::Transient => write!(f, "transient read error"),
             IoErrorKind::Permanent => write!(f, "permanent read error"),
             IoErrorKind::Corrupt => write!(f, "checksum mismatch"),
-            IoErrorKind::Interrupted => write!(f, "read refused: query deadline/cancel"),
+            IoErrorKind::Interrupted => write!(f, "read refused: query deadline"),
             IoErrorKind::Undecodable(e) => write!(f, "undecodable page: {e}"),
         }
     }
@@ -160,17 +160,6 @@ crate::clock::counter_algebra!(DeviceStats {
     busy_ns,
     retries,
 });
-
-impl DeviceStats {
-    /// Fraction of reads that were sequential, in `[0, 1]`.
-    pub fn sequential_fraction(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.sequential_reads as f64 / self.reads as f64
-        }
-    }
-}
 
 /// A block storage device holding fixed-size pages.
 ///
@@ -398,22 +387,6 @@ pub(crate) mod tests {
             dev.park();
             assert_eq!(read_page_0(&mut *dev), fresh, "{name}");
         }
-    }
-
-    #[test]
-    fn sequential_fraction_empty() {
-        assert_eq!(DeviceStats::default().sequential_fraction(), 0.0);
-    }
-
-    #[test]
-    fn sequential_fraction_half() {
-        let s = DeviceStats {
-            reads: 4,
-            sequential_reads: 2,
-            random_reads: 2,
-            ..Default::default()
-        };
-        assert!((s.sequential_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

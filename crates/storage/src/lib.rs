@@ -12,8 +12,8 @@
 //! 1. **random synchronous reads** — every request pays seek + rotational
 //!    latency + transfer,
 //! 2. **asynchronous batched reads** — the device is free to reorder queued
-//!    commands (shortest-seek-first or elevator sweeps, modelling SCSI
-//!    TCQ/NCQ), shrinking total head movement,
+//!    commands (shortest-seek-first, modelling SCSI TCQ/NCQ), shrinking
+//!    total head movement,
 //! 3. **sequential scans** — consecutive pages pay transfer cost only.
 //!
 //! [`MemDevice`] offers a zero-cost device for unit tests. No device reads
@@ -38,7 +38,7 @@ pub mod sim_disk;
 pub mod slotted;
 pub mod wal;
 
-pub use buffer::{BufferManager, BufferParams, BufferStats, PageDecoder, RetryPolicy};
+pub use buffer::{BufferManager, BufferParams, BufferStats, PageDecoder};
 pub use checksum::{crc32, is_sealed, seal_page, verify_page, CHECKSUM_LEN};
 pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};

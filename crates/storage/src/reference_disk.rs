@@ -6,7 +6,7 @@
 //! (O(n log n) per pick), which is what the indexed command queue replaced.
 //! The equivalence property tests in `sim_disk.rs` assert that served
 //! order, simulated times and statistics are bit-identical between the two
-//! schedulers under all three policies.
+//! schedulers under both policies.
 //!
 //! It honours the [`Device`] out-of-range contract: a read of a page
 //! `>= num_pages()` fails with a permanent [`IoError`] on both the sync and
@@ -26,7 +26,6 @@ pub struct ReferenceDisk {
     profile: DiskProfile,
     policy: QueuePolicy,
     head: PageId,
-    sweep_up: bool,
     busy_until_ns: u64,
     pending: Vec<Pending>,
     completed: VecDeque<Completion>,
@@ -43,7 +42,6 @@ impl ReferenceDisk {
             profile,
             policy: QueuePolicy::default(),
             head: 0,
-            sweep_up: true,
             busy_until_ns: 0,
             pending: Vec::new(),
             completed: VecDeque::new(),
@@ -70,21 +68,6 @@ impl ReferenceDisk {
                 .iter()
                 .copied()
                 .min_by_key(|&i| (page(i).abs_diff(self.head), page(i))),
-            QueuePolicy::Elevator => {
-                let best_in_dir = |up: bool| {
-                    idx.iter()
-                        .copied()
-                        .filter(|&i| {
-                            if up {
-                                page(i) >= self.head
-                            } else {
-                                page(i) <= self.head
-                            }
-                        })
-                        .min_by_key(|&i| page(i).abs_diff(self.head))
-                };
-                best_in_dir(self.sweep_up).or_else(|| best_in_dir(!self.sweep_up))
-            }
         }
     }
 
@@ -105,11 +88,6 @@ impl ReferenceDisk {
             .access_cost_queued_ns(self.head, req.page, queued);
         let finished = start + cost;
         self.account_read(req.page, cost);
-        if let QueuePolicy::Elevator = self.policy {
-            if req.page != self.head {
-                self.sweep_up = req.page > self.head;
-            }
-        }
         self.head = req.page + 1;
         self.busy_until_ns = finished;
         // `submit` queues only in-range pages, and pages are never removed.

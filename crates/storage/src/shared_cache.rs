@@ -58,18 +58,6 @@ pub struct SharedPageCacheStats {
     pub failed_loads: u64,
 }
 
-impl SharedPageCacheStats {
-    /// Fraction of probes served from the cache, in `[0, 1]`.
-    pub fn hit_fraction(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// What a waiter finds in a flight slot once the loader releases it.
 #[derive(Default)]
 enum FlightOutcome {

@@ -9,7 +9,7 @@
 //! * a **sequential read** (previous page + 1) pays transfer only —
 //!   the regime the `XScan` operator exploits,
 //! * **queued asynchronous requests** are served in an order the *device*
-//!   chooses (shortest-seek-first or an elevator sweep), modelling the
+//!   chooses (shortest-seek-first; FIFO for ablation A6), modelling the
 //!   reordering performed by the OS scheduler and on-disk controllers
 //!   (SCSI TCQ / SATA NCQ) that the `XSchedule` operator delegates to.
 //!
@@ -21,12 +21,12 @@
 //!
 //! The pending set is an **incrementally maintained visible-window index**
 //! (`CommandQueue`): picking the next command is O(1) for FIFO and
-//! O(log w) for SSTF/Elevator (w = visible window size), and serving a
+//! O(log w) for SSTF (w = visible window size), and serving a
 //! command is O(log w) — no allocation and no re-sort per serve. The
 //! original alloc-and-sort implementation survives as the test-only
 //! `reference_disk::ReferenceDisk`; property tests in this file prove the
 //! indexed queue serves the identical order at the identical simulated
-//! times for all three policies.
+//! times under both policies.
 //!
 //! Page contents are held as `Arc<[u8]>`: serving a read clones a
 //! reference count, never the page image.
@@ -142,9 +142,6 @@ pub enum QueuePolicy {
     /// current head position.
     #[default]
     ShortestSeekFirst,
-    /// Elevator (SCAN): sweep the head in one direction, serving requests in
-    /// passing, then reverse.
-    Elevator,
 }
 
 /// One queued read command (shared with the test-only `reference_disk`).
@@ -163,7 +160,7 @@ pub(crate) struct Pending {
 /// window is kept in two synchronized views plus an overflow list:
 ///
 /// * `window` — `BTreeMap<(PageId, seq), submitted_at_ns>`: a position
-///   index. SSTF and Elevator picks are two-sided range scans from the
+///   index. The SSTF pick is a two-sided range scan from the
 ///   current head position: O(log w).
 /// * `window_fifo` — the same window in submission order; the FIFO pick is
 ///   an amortized O(1) front peek. Commands served out of the middle are
@@ -312,40 +309,13 @@ impl CommandQueue {
         }
     }
 
-    /// Elevator pick: nearest visible page at or beyond `head` in the sweep
-    /// direction; reverses when the sweep direction is exhausted.
-    fn elevator_pick(&self, head: PageId, sweep_up: bool) -> Option<Pending> {
-        let in_dir = |up: bool| -> Option<Pending> {
-            if up {
-                self.window
-                    .range((head, 0)..)
-                    .next()
-                    .map(|(&(p, seq), &at)| Pending {
-                        page: p,
-                        submitted_at_ns: at,
-                        seq,
-                    })
-            } else {
-                self.window
-                    .range(..=(head, u64::MAX))
-                    .next_back()
-                    .map(|(&(p, _), _)| p)
-                    .and_then(|p| self.first_of_page(p))
-            }
-        };
-        in_dir(sweep_up).or_else(|| in_dir(!sweep_up))
-    }
-
     /// Picks (without removing) the next command to serve under `policy`.
     /// A window inconsistency never panics: the pick degrades to the FIFO
     /// head, and as a last resort to the backlog front.
-    fn pick(&mut self, policy: QueuePolicy, head: PageId, sweep_up: bool) -> Option<Pending> {
+    fn pick(&mut self, policy: QueuePolicy, head: PageId) -> Option<Pending> {
         let choice = match policy {
             QueuePolicy::Fifo => self.fifo_front(),
             QueuePolicy::ShortestSeekFirst => self.sstf_pick(head).or_else(|| self.fifo_front()),
-            QueuePolicy::Elevator => self
-                .elevator_pick(head, sweep_up)
-                .or_else(|| self.fifo_front()),
         };
         choice.or_else(|| self.backlog.front().copied())
     }
@@ -360,8 +330,6 @@ pub struct SimDisk {
     policy: QueuePolicy,
     /// Position just past the last page read (next sequential target).
     head: PageId,
-    /// Elevator sweep direction: true = increasing page numbers.
-    sweep_up: bool,
     /// Simulated time until which the device is busy.
     busy_until_ns: u64,
     queue: CommandQueue,
@@ -385,7 +353,6 @@ impl SimDisk {
             profile,
             policy: QueuePolicy::default(),
             head: 0,
-            sweep_up: true,
             busy_until_ns: 0,
             queue: CommandQueue::new(profile.queue_depth),
             completed: VecDeque::new(),
@@ -398,11 +365,6 @@ impl SimDisk {
     /// Sets the command-queue reordering policy.
     pub fn set_policy(&mut self, policy: QueuePolicy) {
         self.policy = policy;
-    }
-
-    /// Current queue policy.
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
     }
 
     /// The cost profile in use.
@@ -428,7 +390,7 @@ impl SimDisk {
 
     /// Picks the next request to serve (without removing it).
     fn pick_next(&mut self) -> Option<Pending> {
-        self.queue.pick(self.policy, self.head, self.sweep_up)
+        self.queue.pick(self.policy, self.head)
     }
 
     /// Serves `req`, producing a completion.
@@ -441,11 +403,6 @@ impl SimDisk {
             .access_cost_queued_ns(self.head, req.page, queued);
         let finished = start + cost;
         self.account_read(req.page, cost);
-        if let QueuePolicy::Elevator = self.policy {
-            if req.page != self.head {
-                self.sweep_up = req.page > self.head;
-            }
-        }
         self.head = req.page + 1;
         self.busy_until_ns = finished;
         Completion::ok(req.page, self.page_bytes(req.page), finished)
@@ -616,7 +573,6 @@ impl Device for SimDisk {
             "cannot park the head with requests in flight"
         );
         self.head = 0;
-        self.sweep_up = true;
         self.busy_until_ns = 0;
     }
 }
@@ -713,11 +669,8 @@ mod tests {
         };
         let (t_fifo, dist_fifo) = run(QueuePolicy::Fifo);
         let (t_sstf, dist_sstf) = run(QueuePolicy::ShortestSeekFirst);
-        let (t_elev, dist_elev) = run(QueuePolicy::Elevator);
         assert!(dist_sstf < dist_fifo);
-        assert!(dist_elev < dist_fifo);
         assert!(t_sstf < t_fifo);
-        assert!(t_elev < t_fifo);
     }
 
     #[test]
@@ -819,20 +772,6 @@ mod tests {
         d.read_sync(1, &clock).unwrap();
         d.read_sync(0, &clock).unwrap();
         assert_eq!(clock.now_ns(), 0);
-    }
-
-    #[test]
-    fn elevator_sweeps_in_one_direction() {
-        let mut d = disk_with_pages(1000);
-        d.set_policy(QueuePolicy::Elevator);
-        let clock = SimClock::new();
-        // Head at 0; submit pages out of order. Elevator should sweep upward.
-        for &p in &[500u32, 100, 900, 300] {
-            d.submit(p, &clock);
-        }
-        let order: Vec<PageId> =
-            std::iter::from_fn(|| d.poll(&clock, true).map(|c| c.page)).collect();
-        assert_eq!(order, vec![100, 300, 500, 900]);
     }
 
     #[test]
@@ -939,12 +878,8 @@ mod equivalence_proptests {
         ]
     }
 
-    fn policies() -> [QueuePolicy; 3] {
-        [
-            QueuePolicy::Fifo,
-            QueuePolicy::ShortestSeekFirst,
-            QueuePolicy::Elevator,
-        ]
+    fn policies() -> [QueuePolicy; 2] {
+        [QueuePolicy::Fifo, QueuePolicy::ShortestSeekFirst]
     }
 
     /// Runs `ops` against one device, returning the observable history.
@@ -1005,7 +940,7 @@ mod equivalence_proptests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
 
-        /// 400 cases × 3 policies = 1200 random interleavings against the
+        /// 400 cases × 2 policies = 800 random interleavings against the
         /// oracle, unbounded window.
         #[test]
         fn indexed_queue_matches_oracle_unbounded(

@@ -33,11 +33,7 @@ proptest! {
     #[test]
     fn all_submissions_complete(
         pages in prop::collection::vec(0u32..300, 1..60),
-        policy in prop::sample::select(vec![
-            QueuePolicy::Fifo,
-            QueuePolicy::ShortestSeekFirst,
-            QueuePolicy::Elevator,
-        ]),
+        policy in prop::sample::select(vec![QueuePolicy::Fifo, QueuePolicy::ShortestSeekFirst]),
     ) {
         let mut d = SimDisk::new(32);
         for _ in 0..300 {

@@ -66,7 +66,7 @@ mod db;
 
 pub use db::{Batch, Database, DatabaseOptions, DbError, DeviceKind};
 pub use pathix_core::{
-    AdmissionConfig, BatchRun, CancelToken, Deadline, ExecError, ExecReport, GovernorReport,
-    Method, PathRun, PlanConfig, QueryBudget, QueryRun,
+    AdmissionConfig, BatchRun, Deadline, ExecError, ExecReport, GovernorReport, Method, PathRun,
+    PlanConfig, QueryBudget, QueryRun,
 };
 pub use pathix_storage::{FaultKind, FaultPlan, FaultRule};

@@ -154,7 +154,11 @@ fn sequential_scan_is_cheapest_order() {
     assert!(costs[0] <= costs[2]);
 }
 
-/// The `//` optimization produces the same results with and without.
+/// The `//` optimization produces the same results with and without:
+/// plans always normalize, but a leading `descendant-or-self::node()` that
+/// no child step follows survives it and arms XScan's §5.4.5.4 shortcut,
+/// while `//keyword` collapses into one `descendant` step. Both answer as
+/// the reference evaluator does.
 #[test]
 fn slash_slash_optimization_equivalent() {
     let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.03));
@@ -169,14 +173,20 @@ fn slash_slash_optimization_equivalent() {
         },
     )
     .unwrap();
-    // With normalize=false the path keeps its leading
-    // descendant-or-self::node() step, activating the §5.4.5.4 shortcut in
-    // XScan plans; with normalize=true it does not. Same answer required.
-    let mut plain = PlanConfig::new(Method::XScan);
-    plain.normalize = true;
-    let mut opt = PlanConfig::new(Method::XScan);
-    opt.normalize = false;
-    let a = db.run("//keyword", plain).unwrap().nodes.len();
-    let b = db.run("//keyword", opt).unwrap().nodes.len();
-    assert_eq!(a, b);
+    let mut cfg = PlanConfig::new(Method::XScan);
+    cfg.sort = true;
+    let keys = |q: &str| -> Vec<u64> {
+        let run = db.run(q, cfg).unwrap();
+        run.nodes.iter().map(|&(_, order)| order).collect()
+    };
+    let shortcut = "/descendant-or-self::node()/descendant::keyword";
+    let ranks = doc.preorder_ranks();
+    let path = pathix_xpath::parse_path(shortcut).unwrap();
+    let want: Vec<u64> = pathix_xpath::eval_path(&doc, doc.root(), &path)
+        .iter()
+        .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
+        .collect();
+    assert!(!want.is_empty());
+    assert_eq!(keys(shortcut), want);
+    assert_eq!(keys("//keyword"), want);
 }
