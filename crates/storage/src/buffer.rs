@@ -14,8 +14,7 @@
 //! `cold --trace 1`, `decode.cluster_ns`, 2-core Xeon). A frame's own heap
 //! went from 143 × 48 B nodes plus ~70 separately allocated payload strings
 //! (~4 KB) to one vector of 143 × 40 B nodes and a reference to the image,
-//! which simulated and in-memory devices hold anyway; a file device's read
-//! allocates the image, so there a frame keeps its 8 KiB.
+//! which simulated and in-memory devices hold anyway.
 //!
 //! *Fixing* a resident page still costs a page-table lookup plus latch
 //! ([`FIX_HIT_NS`]) — the "swizzling" cost the paper minimizes by passing

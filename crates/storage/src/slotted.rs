@@ -13,82 +13,74 @@
 //! `offset_i` is the byte offset of record `i` from the start of the page;
 //! record `i` spans `offset_i .. offset_{i+1}`. This keeps the reader
 //! allocation-free and O(1) per record.
+//!
+//! The builder writes a page in one pass: it reserves the directory for a
+//! record count given up front, and each record is written straight into
+//! the page, its end entered in the directory as it lands.
 
 use std::fmt;
 use std::ops::Range;
 
-/// Incrementally builds one slotted page.
+/// Builds one slotted page of a known record count, in place.
 #[derive(Debug)]
 pub struct SlottedPageBuilder {
+    /// The page so far: the directory, then the records pushed.
+    page: Vec<u8>,
     page_size: usize,
-    /// Record bytes, back to back in slot order.
-    records: Vec<u8>,
-    /// End of each record within `records`.
-    ends: Vec<usize>,
+    /// Records pushed so far, of the `slots` the directory holds.
+    pushed: usize,
+    slots: usize,
 }
 
 impl SlottedPageBuilder {
-    /// Creates a builder for a page of `page_size` bytes.
-    pub fn new(page_size: usize) -> Self {
-        assert!(page_size >= 8, "page size too small");
-        Self {
-            page_size,
-            records: Vec::new(),
-            ends: Vec::new(),
-        }
-    }
-
-    /// Bytes the page would occupy if finished now.
-    pub fn used_bytes(&self) -> usize {
-        // count + (n+1) offsets + payload
-        2 + (self.ends.len() + 1) * 2 + self.records.len()
-    }
-
-    /// Bytes still available for a further record (header growth included).
-    pub fn remaining_bytes(&self) -> usize {
-        self.page_size.saturating_sub(self.used_bytes() + 2)
-    }
-
-    /// Whether a record of `len` bytes still fits.
-    pub fn fits(&self, len: usize) -> bool {
-        len <= self.remaining_bytes()
-    }
-
-    /// Number of records added so far.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// True if no records have been added.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
-    }
-
-    /// Appends a record, returning its slot number.
+    /// Starts a page of `page_size` bytes that will hold `slots` records.
     ///
     /// # Panics
-    /// Panics if the record does not fit; callers must check [`Self::fits`].
-    pub fn push(&mut self, record: &[u8]) -> u16 {
-        assert!(self.fits(record.len()), "record does not fit in page");
-        assert!(self.ends.len() < u16::MAX as usize, "slot overflow");
-        let slot = self.ends.len() as u16;
-        self.records.extend_from_slice(record);
-        self.ends.push(self.records.len());
-        slot
+    /// Panics if `slots` exceeds the `u16` record count, or if the slot
+    /// directory does not fit in the page.
+    pub fn new(page_size: usize, slots: usize) -> Self {
+        assert!(slots <= u16::MAX as usize, "slot overflow");
+        let header = 2 + (slots + 1) * 2;
+        assert!(header <= page_size, "slot directory does not fit in page");
+        let mut page = Vec::with_capacity(page_size);
+        page.extend_from_slice(&(slots as u16).to_le_bytes());
+        page.extend_from_slice(&(header as u16).to_le_bytes());
+        page.resize(header, 0);
+        Self {
+            page,
+            page_size,
+            pushed: 0,
+            slots,
+        }
     }
 
-    /// Serializes the page to exactly `page_size` bytes.
-    pub fn finish(self) -> Vec<u8> {
-        let header = 2 + (self.ends.len() + 1) * 2;
-        let mut out = Vec::with_capacity(self.page_size);
-        out.extend_from_slice(&(self.ends.len() as u16).to_le_bytes());
-        for start in std::iter::once(0).chain(self.ends) {
-            out.extend_from_slice(&((header + start) as u16).to_le_bytes());
+    /// Appends the record that `write` appends to the page so far (it must
+    /// only append), returning its slot number.
+    ///
+    /// # Panics
+    /// Panics if all `slots` records were already pushed, or if the record
+    /// runs past the end of the page.
+    pub fn push_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> u16 {
+        assert!(self.pushed < self.slots, "slot overflow");
+        write(&mut self.page);
+        let end = self.page.len();
+        assert!(end <= self.page_size, "record does not fit in page");
+        self.pushed += 1;
+        let entry = 2 + self.pushed * 2;
+        if let Some(e) = self.page.get_mut(entry..entry + 2) {
+            e.copy_from_slice(&(end as u16).to_le_bytes());
         }
-        out.extend_from_slice(&self.records);
-        debug_assert!(out.len() <= self.page_size);
-        out.resize(self.page_size, 0);
-        out
+        (self.pushed - 1) as u16
+    }
+
+    /// The page, padded to exactly `page_size` bytes.
+    ///
+    /// # Panics
+    /// Panics if fewer than `slots` records were pushed.
+    pub fn finish(mut self) -> Vec<u8> {
+        assert!(self.pushed == self.slots, "slot left empty");
+        self.page.resize(self.page_size, 0);
+        self.page
     }
 }
 
@@ -269,12 +261,16 @@ impl<'a> SlottedPageReader<'a> {
 mod tests {
     use super::*;
 
+    fn push(b: &mut SlottedPageBuilder, record: &[u8]) -> u16 {
+        b.push_with(|page| page.extend_from_slice(record))
+    }
+
     #[test]
     fn roundtrip_records() {
-        let mut b = SlottedPageBuilder::new(128);
-        let s0 = b.push(b"hello");
-        let s1 = b.push(b"");
-        let s2 = b.push(b"world!!");
+        let mut b = SlottedPageBuilder::new(128, 3);
+        let s0 = push(&mut b, b"hello");
+        let s1 = push(&mut b, b"");
+        let s2 = push(&mut b, b"world!!");
         assert_eq!((s0, s1, s2), (0, 1, 2));
         let bytes = b.finish();
         assert_eq!(bytes.len(), 128);
@@ -287,38 +283,69 @@ mod tests {
 
     #[test]
     fn empty_page() {
-        let b = SlottedPageBuilder::new(64);
+        let b = SlottedPageBuilder::new(64, 0);
         let bytes = b.finish();
         let r = SlottedPageReader::new(&bytes);
         assert!(r.is_empty());
     }
 
+    /// Three records after a 10-byte directory fill a 64-byte page to its
+    /// last byte; one byte more does not fit (below).
+    fn fill_64(last: usize) -> Vec<u8> {
+        let mut b = SlottedPageBuilder::new(64, 3);
+        push(&mut b, &[1; 18]);
+        push(&mut b, &[2; 18]);
+        push(&mut b, &vec![3; last]);
+        b.finish()
+    }
+
     #[test]
-    fn fits_is_exact() {
-        let mut b = SlottedPageBuilder::new(64);
-        while b.fits(5) {
-            b.push(&[0xAB; 5]);
-        }
-        // One more record of 5 bytes must not fit, and finish must not panic.
-        assert!(!b.fits(5));
-        let n = b.len();
-        let bytes = b.finish();
+    fn exact_fill() {
+        let bytes = fill_64(18);
+        assert_eq!(bytes.len(), 64);
+        assert_eq!(bytes.last(), Some(&3), "no padding after the last record");
         let r = SlottedPageReader::new(&bytes);
-        assert_eq!(r.len(), n);
+        assert_eq!(r.record_range(2), Ok(46..64));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn one_byte_past_exact_fill_panics() {
+        fill_64(19);
     }
 
     #[test]
     #[should_panic(expected = "does not fit")]
     fn overflow_panics() {
-        let mut b = SlottedPageBuilder::new(32);
-        b.push(&[0; 64]);
+        let mut b = SlottedPageBuilder::new(32, 1);
+        push(&mut b, &[0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn directory_larger_than_page_panics() {
+        SlottedPageBuilder::new(32, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot overflow")]
+    fn push_past_the_slots_panics() {
+        let mut b = SlottedPageBuilder::new(64, 1);
+        push(&mut b, b"a");
+        push(&mut b, b"b");
+    }
+
+    #[test]
+    #[should_panic(expected = "slot left empty")]
+    fn finish_with_a_slot_left_panics() {
+        SlottedPageBuilder::new(64, 2).finish();
     }
 
     #[test]
     fn iter_matches_records() {
-        let mut b = SlottedPageBuilder::new(256);
+        let mut b = SlottedPageBuilder::new(256, 10);
         for i in 0..10u8 {
-            b.push(&vec![i; i as usize]);
+            push(&mut b, &vec![i; i as usize]);
         }
         let bytes = b.finish();
         let r = SlottedPageReader::new(&bytes);
@@ -332,7 +359,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_slot_panics() {
-        let b = SlottedPageBuilder::new(64);
+        let b = SlottedPageBuilder::new(64, 0);
         let bytes = b.finish();
         let r = SlottedPageReader::new(&bytes);
         r.record(0);

@@ -450,18 +450,15 @@ fn encode_node(cluster: &Cluster, node: &Node, buf: &mut Vec<u8>) {
     }
 }
 
-/// Serializes a cluster into page bytes.
+/// Serializes a cluster into page bytes, each record written in place.
 ///
 /// # Panics
 /// Panics if the cluster exceeds the page size; the importer's budget
 /// arithmetic guarantees it never does.
 pub fn encode_cluster(cluster: &Cluster, page_size: usize) -> Vec<u8> {
-    let mut builder = SlottedPageBuilder::new(page_size);
-    let mut buf = Vec::with_capacity(64);
+    let mut builder = SlottedPageBuilder::new(page_size, cluster.nodes.len());
     for node in &cluster.nodes {
-        buf.clear();
-        encode_node(cluster, node, &mut buf);
-        builder.push(&buf);
+        builder.push_with(|page| encode_node(cluster, node, page));
     }
     builder.finish()
 }
@@ -567,6 +564,7 @@ mod tests {
 
     use super::*;
     use pathix_storage::{seal_page, verify_page};
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
 
     fn sample_cluster() -> Cluster {
         let mut c = Cluster::new(7);
@@ -831,5 +829,187 @@ mod tests {
         let clock = SimClock::new();
         let back = decode_cluster(0, &bytes, &clock).unwrap();
         assert!(back.is_empty());
+    }
+
+    // --- byte identity with the two-buffer encoder ----------------------
+
+    /// The page encoder that preceded the in-place builder, kept as the
+    /// byte-for-byte reference: each record is encoded into a scratch
+    /// buffer and copied into a record vector, its end goes into an offset
+    /// vector, and `finish` copies directory and records into the page.
+    fn reference_encode(cluster: &Cluster, page_size: usize) -> Vec<u8> {
+        let (mut records, mut ends) = (Vec::new(), Vec::new());
+        let mut buf = Vec::with_capacity(64);
+        for node in &cluster.nodes {
+            buf.clear();
+            encode_node(cluster, node, &mut buf);
+            let used = 2 + (ends.len() + 1) * 2 + records.len();
+            let remaining = page_size.saturating_sub(used + 2);
+            assert!(buf.len() <= remaining, "record does not fit in page");
+            records.extend_from_slice(&buf);
+            ends.push(records.len());
+        }
+        let header = 2 + (ends.len() + 1) * 2;
+        let mut out = Vec::with_capacity(page_size);
+        out.extend_from_slice(&(ends.len() as u16).to_le_bytes());
+        for start in std::iter::once(0).chain(ends) {
+            out.extend_from_slice(&((header + start) as u16).to_le_bytes());
+        }
+        out.extend_from_slice(&records);
+        out.resize(page_size, 0);
+        out
+    }
+
+    /// `doc` imported onto `page_size`-byte pages.
+    fn store_of(
+        doc: &pathix_xml::Document,
+        page_size: usize,
+        placement: crate::Placement,
+    ) -> crate::TreeStore {
+        let mut dev = pathix_storage::MemDevice::new(page_size);
+        let cfg = crate::ImportConfig {
+            page_size,
+            placement,
+        };
+        let (meta, _) = crate::import_into(&mut dev, doc, &cfg).unwrap();
+        let clock = std::rc::Rc::new(SimClock::new());
+        crate::TreeStore::open(Box::new(dev), meta, Default::default(), clock)
+    }
+
+    /// Checks every stored page against the reference encoding of its
+    /// decoded cluster, and `encode_cluster` against the reference; returns
+    /// the tombstones seen.
+    fn assert_pages_match_reference(store: &crate::TreeStore) -> usize {
+        let page_size = store.buffer.device_mut().page_size();
+        let clock = SimClock::new();
+        let mut tombstones = 0;
+        for p in store.meta.page_range() {
+            let image = store.buffer.device_mut().read_sync(p, &clock).unwrap();
+            let cluster = decode_cluster(p, &image, &clock).unwrap();
+            let mut want = reference_encode(&cluster, page_size);
+            assert!(encode_cluster(&cluster, page_size) == want, "page {p}");
+            seal_page(&mut want);
+            assert!(want[..] == image[..], "page {p} ({page_size} B)");
+            tombstones += cluster
+                .nodes
+                .iter()
+                .filter(|n| n.kind == NodeKind::Free)
+                .count();
+        }
+        tombstones
+    }
+
+    /// A seeded XMark document with short sentences, so every text record
+    /// fits a 512 B page.
+    fn short_doc() -> pathix_xml::Document {
+        pathix_xmlgen::generate(&pathix_xmlgen::GenConfig {
+            avg_sentence_words: 4,
+            ..pathix_xmlgen::GenConfig::at_scale(0.01)
+        })
+    }
+
+    #[test]
+    fn imports_match_the_reference_encoder() {
+        use crate::Placement;
+        let doc = short_doc();
+        for page_size in [512, 1024, 2048, 4096, 8192] {
+            for placement in [
+                Placement::Sequential,
+                Placement::ChunkShuffled { chunk: 4, seed: 7 },
+                Placement::Shuffled { seed: 7 },
+            ] {
+                assert_pages_match_reference(&store_of(&doc, page_size, placement));
+            }
+        }
+    }
+
+    /// A seeded node of `store` matching `want`.
+    fn pick(store: &crate::TreeStore, rng: &mut StdRng, want: fn(&Node) -> bool) -> NodeId {
+        loop {
+            let page = rng.random_range(store.meta.page_range());
+            let cluster = store.fix(page);
+            let slots: Vec<u16> = (0..cluster.len() as u16)
+                .filter(|&s| want(cluster.node(s)))
+                .collect();
+            if let Some(&slot) = slots.get(rng.random_range(0..slots.len().max(1))) {
+                return NodeId::new(page, slot);
+            }
+        }
+    }
+
+    #[test]
+    fn updated_pages_match_the_reference_encoder() {
+        use crate::{InsertPos, NewNode, TreeUpdater};
+        const PAGE: usize = 2048;
+        let mut store = store_of(&short_doc(), PAGE, crate::Placement::Sequential);
+        let imported = store.meta.page_count;
+        let mut rng = StdRng::seed_from_u64(0xB17E);
+        let inner: fn(&Node) -> bool = |n| n.kind.is_core() && n.parent.is_some();
+        let text: fn(&Node) -> bool = |n| matches!(n.kind, NodeKind::Text(_));
+
+        // Text and element inserts (some overflow onto fresh pages), text
+        // rewrites, and subtree deletes (tombstones).
+        for _ in 0..400 {
+            let (at, t) = (pick(&store, &mut rng, inner), pick(&store, &mut rng, text));
+            let long = "t ".repeat(rng.random_range(0..300));
+            let mut up = TreeUpdater::new(&mut store);
+            let _ = match rng.random_range(0..4) {
+                0 => up
+                    .insert(InsertPos::After(at), NewNode::Text(long))
+                    .map(drop),
+                1 => up
+                    .insert(InsertPos::After(at), NewNode::Element("ins".into()))
+                    .map(drop),
+                2 => up.delete(at),
+                _ => up.update_text(t, &long),
+            };
+        }
+        assert!(store.meta.page_count > imported, "no insert overflowed");
+
+        // Fill a text's page to the last byte, then insert next to it: not
+        // even a border proxy fits, so `make_room` relocates leaves.
+        let t = pick(&store, &mut rng, text);
+        let (mut lo, mut hi) = (0, PAGE);
+        while lo + 1 < hi {
+            let mid = (lo + hi) / 2;
+            match TreeUpdater::new(&mut store).update_text(t, &"f".repeat(mid)) {
+                Ok(()) => lo = mid,
+                Err(_) => hi = mid,
+            }
+        }
+        TreeUpdater::new(&mut store)
+            .update_text(t, &"f".repeat(lo))
+            .unwrap();
+        let before = store.meta.page_count;
+        TreeUpdater::new(&mut store)
+            .insert(InsertPos::After(t), NewNode::Text("next".into()))
+            .unwrap();
+        assert_eq!(
+            store.meta.page_count,
+            before + 2,
+            "relocated leaves, then the insert"
+        );
+        assert!(matches!(
+            store.fix(t.page).node(t.slot).kind,
+            NodeKind::BorderDown { .. }
+        ));
+        assert!(assert_pages_match_reference(&store) > 0, "no tombstones");
+    }
+
+    #[test]
+    fn exactly_full_page_matches_the_reference_encoder() {
+        const PAGE: usize = 512;
+        let mut c = Cluster::new(0);
+        // One text record after a 6-byte directory, filling the page.
+        let text = "x".repeat(PAGE - 6 - FIXED_HEAD - 2);
+        c.nodes = vec![Node {
+            kind: c.push_text(&text),
+            ..Node::FREE
+        }];
+        let bytes = encode_cluster(&c, PAGE);
+        assert_eq!(bytes, reference_encode(&c, PAGE));
+        assert_eq!(bytes.last(), Some(&b'x'), "the record ends at the page end");
+        let back = decode_cluster(0, &bytes.into(), &SimClock::new()).unwrap();
+        assert_eq!(back.text(back.node(0)), Ok(text.as_str()));
     }
 }

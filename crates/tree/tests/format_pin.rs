@@ -1,9 +1,14 @@
-//! Format pin: every stored page decodes to a cluster that re-encodes to the
-//! very same sealed image. A decoded cluster indexes its page in place, so
-//! this is the check that decoding loses nothing the page format carries —
-//! attributes, text, borders, tombstones — on an imported XMark document
-//! and again after a seeded update script has rewritten, relocated,
-//! overflowed and deleted records.
+//! Format pin, on an imported XMark document and again after a seeded
+//! update script has rewritten, relocated, overflowed and deleted records:
+//!
+//! - every stored page decodes to a cluster that re-encodes to the very same
+//!   sealed image. A decoded cluster indexes its page in place, so this is
+//!   the check that decoding loses nothing the page format carries —
+//!   attributes, text, borders, tombstones;
+//! - a digest of every page image equals a golden value. Round-tripping
+//!   alone passes an encoder change that moves import and re-encode alike;
+//!   the digest fails if any stored bit moves. A deliberate format change
+//!   updates the golden values (the failure prints the new ones).
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
@@ -20,6 +25,12 @@ use rand::{RngExt, SeedableRng};
 use std::rc::Rc;
 
 const PAGE: usize = 8192;
+
+/// (pages, FNV-1a digest of every sealed page image in page order) of the
+/// imported document.
+const GOLDEN_IMPORT: (u32, u64) = (111, 0xd07c_3ae7_2b9f_7f26);
+/// The same after the update script.
+const GOLDEN_UPDATED: (u32, u64) = (114, 0xbd75_34f7_f1e7_f5df);
 
 fn xmark_store() -> TreeStore {
     let doc = generate(&GenConfig::at_scale(0.1));
@@ -38,14 +49,18 @@ fn xmark_store() -> TreeStore {
 }
 
 /// Decodes and re-encodes every page of the document, comparing the sealed
-/// result with the stored image byte for byte. Returns how many records of
-/// each interesting kind the pages hold: (attributed elements, text,
-/// borders, tombstones).
-fn assert_pages_reencode(store: &TreeStore) -> [usize; 4] {
+/// result with the stored image byte for byte, and checks the digest of all
+/// images against `golden`. Returns how many records of each interesting
+/// kind the pages hold: (attributed elements, text, borders, tombstones).
+fn assert_pages_pinned(store: &TreeStore, golden: (u32, u64)) -> [usize; 4] {
     let clock = SimClock::new();
     let mut seen = [0; 4];
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
     for p in store.meta.page_range() {
         let image = store.buffer.device_mut().read_sync(p, &clock).unwrap();
+        for &b in image.iter() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
         let cluster = decode_cluster(p, &image, &clock).unwrap();
         let mut again = encode_cluster(&cluster, PAGE);
         seal_page(&mut again);
@@ -61,6 +76,11 @@ fn assert_pages_reencode(store: &TreeStore) -> [usize; 4] {
             seen[i] += 1;
         }
     }
+    let pages = store.meta.page_count;
+    assert!(
+        (pages, digest) == golden,
+        "stored bits moved: now ({pages}, {digest:#018x})"
+    );
     seen
 }
 
@@ -88,7 +108,7 @@ fn is_inner_core(n: &Node) -> bool {
 
 #[test]
 fn imported_pages_reencode_to_their_image() {
-    let [attributed, texts, borders, _] = assert_pages_reencode(&xmark_store());
+    let [attributed, texts, borders, _] = assert_pages_pinned(&xmark_store(), GOLDEN_IMPORT);
     assert!(attributed > 0 && texts > 0 && borders > 0);
 }
 
@@ -151,6 +171,6 @@ fn updated_pages_reencode_to_their_image() {
         TreeUpdater::new(&mut store).delete(victim).unwrap();
     }
 
-    let [attributed, texts, borders, tombstones] = assert_pages_reencode(&store);
+    let [attributed, texts, borders, tombstones] = assert_pages_pinned(&store, GOLDEN_UPDATED);
     assert!(attributed > 0 && texts > 0 && borders > 0 && tombstones > 0);
 }

@@ -16,7 +16,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, Method, PlanConfig};
+use pathix::{Database, DatabaseOptions, DbError, Method, PlanConfig};
 use pathix_tree::Placement;
 use std::process::ExitCode;
 
@@ -51,7 +51,12 @@ fn parse_args(mut argv: Vec<String>) -> Result<(String, Args), String> {
     while let Some(a) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match a.as_str() {
-            "--scale" => args.scale = val("--scale")?.parse().map_err(|e| format!("{e}"))?,
+            "--scale" => {
+                args.scale = val("--scale")?.parse().map_err(|e| format!("{e}"))?;
+                if !(args.scale.is_finite() && args.scale > 0.0) {
+                    return Err(DbError::Scale(args.scale).to_string());
+                }
+            }
             "--xml" => args.xml_file = Some(val("--xml")?),
             "--method" => args.method = val("--method")?,
             "--buffer" => args.buffer = val("--buffer")?.parse().map_err(|e| format!("{e}"))?,
@@ -190,6 +195,25 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("pathix: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale(value: &str) -> Result<f64, String> {
+        let argv = ["gen", "--scale", value].map(String::from).to_vec();
+        parse_args(argv).map(|(_, args)| args.scale)
+    }
+
+    #[test]
+    fn bad_scales_are_rejected() {
+        assert_eq!(scale("0.5"), Ok(0.5));
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err = scale(bad).unwrap_err();
+            assert!(err.contains("positive finite"), "{bad}: {err}");
         }
     }
 }

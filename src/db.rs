@@ -66,6 +66,10 @@ impl Default for DatabaseOptions {
 pub enum DbError {
     /// Query/path text did not parse.
     Parse(PathParseError),
+    /// Document text is not well-formed XML.
+    Xml(pathix_xml::ParseError),
+    /// An XMark scale that is not a positive finite number.
+    Scale(f64),
     /// The document could not be stored (e.g. an oversized record).
     Import(pathix_tree::import::ImportError),
     /// A physical plan broke its output contract during execution.
@@ -79,6 +83,8 @@ impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DbError::Parse(e) => write!(f, "{e}"),
+            DbError::Xml(e) => write!(f, "{e}"),
+            DbError::Scale(s) => write!(f, "scale must be a positive finite number, not {s}"),
             DbError::Import(e) => write!(f, "{e}"),
             DbError::Exec(e) => write!(f, "{e}"),
             DbError::Unsupported(what) => write!(f, "unsupported: {what}"),
@@ -211,17 +217,16 @@ impl Database {
 
     /// Parses XML text and imports it.
     pub fn from_xml(xml: &str, opts: &DatabaseOptions) -> Result<Self, DbError> {
-        let doc = pathix_xml::parse(xml).map_err(|e| {
-            DbError::Parse(PathParseError {
-                offset: e.offset,
-                message: format!("XML: {}", e.message),
-            })
-        })?;
+        let doc = pathix_xml::parse(xml).map_err(DbError::Xml)?;
         Self::from_document(&doc, opts)
     }
 
-    /// Generates an XMark-shaped document at `scale` and imports it.
+    /// Generates an XMark-shaped document at `scale` and imports it; a
+    /// scale that is not positive and finite is [`DbError::Scale`].
     pub fn from_xmark(scale: f64, opts: &DatabaseOptions) -> Result<Self, DbError> {
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(DbError::Scale(scale));
+        }
         let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(scale));
         Self::from_document(&doc, opts)
     }
@@ -420,6 +425,24 @@ mod tests {
             db.run("junk", Method::Simple),
             Err(DbError::Parse(_))
         ));
+    }
+
+    #[test]
+    fn truncated_xml_is_an_xml_error() {
+        match Database::from_xml("<a><b>", &mem_opts()) {
+            Err(e @ DbError::Xml(_)) => assert!(e.to_string().starts_with("XML parse error")),
+            other => panic!("expected an XML error, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn bad_scales_are_rejected() {
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            match Database::from_xmark(scale, &mem_opts()) {
+                Err(e @ DbError::Scale(_)) => assert!(e.to_string().contains("scale")),
+                _ => panic!("scale {scale} was accepted"),
+            }
+        }
     }
 
     #[test]
