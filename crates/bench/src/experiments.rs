@@ -13,7 +13,8 @@
 //! `fast` runs every experiment at SF 0.1.
 
 use crate::artifact::{Artifact, Cell, Table};
-use pathix::{Batch, Database, DatabaseOptions, DeviceKind, Method, PlanConfig, QueryRun};
+use pathix::storage::QueuePolicy;
+use pathix::{Batch, Database, DatabaseOptions, Method, PlanConfig, QueryRun};
 use pathix_tree::Placement;
 
 /// The evaluated XMark queries (paper Tab. 2).
@@ -51,7 +52,6 @@ pub fn bench_options() -> DatabaseOptions {
         // (≈ 7% coverage at SF 1). Our documents are ~12× smaller, so the
         // buffer shrinks proportionally to preserve the miss behaviour.
         buffer_pages: 100,
-        device: DeviceKind::SimDisk,
         profile: Default::default(),
     }
 }
@@ -326,11 +326,11 @@ pub fn ablations(fast: bool) -> Artifact {
 
     // A6: the device's queue policy under XSchedule.
     let a6 = [
-        ("SSTF device", DeviceKind::SimDisk),
-        ("FIFO device", DeviceKind::SimDiskFifo),
+        ("SSTF device", QueuePolicy::ShortestSeekFirst),
+        ("FIFO device", QueuePolicy::Fifo),
     ]
-    .map(|(label, kind)| {
-        let db = build_db_edited(scale, |o| o.device = kind);
+    .map(|(label, policy)| {
+        let db = build_db_edited(scale, |o| o.profile.policy = policy);
         vec![
             Cell::text("device", label),
             secs("total_s", total(&db, Q6, Method::xschedule())),

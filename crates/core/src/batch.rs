@@ -517,11 +517,7 @@ mod tests {
     fn plain_seeds(store: &TreeStore, workers: usize) -> Vec<WorkerSeed> {
         (0..workers)
             .map(|_| WorkerSeed {
-                device: store
-                    .buffer
-                    .device_mut()
-                    .try_fork()
-                    .expect("MemDevice forks"),
+                device: store.buffer.device_mut().try_fork().expect("SimDisk forks"),
                 meta: store.meta.clone(),
                 params: store.buffer.params(),
             })

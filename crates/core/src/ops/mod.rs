@@ -62,15 +62,15 @@ pub(crate) mod testutil {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use pathix_storage::{BufferParams, MemDevice, SimClock};
+    use pathix_storage::{BufferParams, DiskProfile, SimClock, SimDisk};
     use pathix_tree::{import_into, ImportConfig, Placement, TreeStore};
     use pathix_xml::Document;
     use std::rc::Rc;
 
-    /// Builds a store over a MemDevice with small pages so documents split
-    /// into many clusters.
+    /// Builds a store over an instant `SimDisk` with small pages so
+    /// documents split into many clusters.
     pub fn mem_store(doc: &Document, page_size: usize, placement: Placement) -> TreeStore {
-        let mut dev = MemDevice::new(page_size);
+        let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
         let (meta, _) = import_into(
             &mut dev,
             doc,

@@ -51,7 +51,6 @@ const IO_IDENTS: &[&str] = &[
     "pathix_storage",
     "Device",
     "BufferManager",
-    "MemDevice",
     "SimDisk",
 ];
 

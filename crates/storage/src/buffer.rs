@@ -14,7 +14,7 @@
 //! `cold --trace 1`, `decode.cluster_ns`, 2-core Xeon). A frame's own heap
 //! went from 143 × 48 B nodes plus ~70 separately allocated payload strings
 //! (~4 KB) to one vector of 143 × 40 B nodes and a reference to the image,
-//! which simulated and in-memory devices hold anyway.
+//! which the simulated disk holds anyway.
 //!
 //! *Fixing* a resident page still costs a page-table lookup plus latch
 //! ([`FIX_HIT_NS`]) — the "swizzling" cost the paper minimizes by passing
@@ -587,7 +587,6 @@ mod tests {
     use super::*;
     use crate::checksum::seal_page;
     use crate::fault::{FaultDevice, FaultKind, FaultPlan, FaultRule};
-    use crate::mem_device::MemDevice;
     use crate::sim_disk::{DiskProfile, SimDisk};
 
     /// Decoder that records the first byte of the page.
@@ -605,7 +604,7 @@ mod tests {
     }
 
     fn mk_buffer(pages: u32, capacity: usize) -> BufferManager<u8, FirstByte> {
-        let mut dev = MemDevice::new(16);
+        let mut dev = SimDisk::with_profile(16, DiskProfile::instant());
         for i in 0..pages {
             dev.append_page(vec![i as u8]);
         }
@@ -786,7 +785,7 @@ mod tests {
         // A decoder may keep the page image instead of copying out of it:
         // on a sync miss and on a prefetch completion alike, what it is
         // handed is the device's own allocation.
-        let mut dev = MemDevice::new(16);
+        let mut dev = SimDisk::with_profile(16, DiskProfile::instant());
         for i in 0..4u8 {
             dev.append_page(vec![i]);
         }
@@ -802,7 +801,7 @@ mod tests {
     }
 
     fn faulty_buffer(rules: Vec<FaultRule>) -> BufferManager<u8, FirstByte> {
-        let mut dev = MemDevice::new(32);
+        let mut dev = SimDisk::with_profile(32, DiskProfile::instant());
         for i in 0..6u8 {
             let mut page = vec![i; 32];
             seal_page(&mut page);
@@ -866,7 +865,7 @@ mod tests {
 
     #[test]
     fn undecodable_pages_fail_once_and_are_never_cached() {
-        let mut dev = MemDevice::new(16);
+        let mut dev = SimDisk::with_profile(16, DiskProfile::instant());
         for i in 0..4u8 {
             dev.append_page(vec![i]);
         }

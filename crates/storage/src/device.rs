@@ -10,9 +10,9 @@
 //!
 //! Reads can **fail**: both [`Device::read_sync`] and [`Completion`] carry
 //! a `Result`, so an unreadable page surfaces as a typed [`IoError`] value
-//! instead of a panic. The simulated and in-memory devices are infallible
-//! by construction; errors are introduced by the [`crate::fault`] decorator
-//! (and, above the device, by checksum verification of page images).
+//! instead of a panic. The simulated disk is infallible by construction;
+//! errors are introduced by the [`crate::fault`] decorator (and, above the
+//! device, by checksum verification of page images).
 
 use crate::clock::SimClock;
 use crate::slotted::DecodeError;
@@ -166,11 +166,12 @@ crate::clock::counter_algebra!(DeviceStats {
 /// All methods take the shared [`SimClock`]; a device with a cost model
 /// advances it when the caller blocks.
 ///
-/// **Base devices and wrappers.** A base device ([`crate::SimDisk`],
-/// [`crate::MemDevice`]) stores pages and implements
-/// every method from `num_pages` to `reset_stats`, plus whichever of the
-/// optional ones it supports. A wrapper (a decorator stacked on another
-/// device) instead implements [`Device::inner`] and [`Device::inner_mut`]:
+/// **Base devices and wrappers.** A base device ([`crate::SimDisk`], the
+/// one outside tests; on [`crate::DiskProfile::instant`] it costs nothing)
+/// stores pages and implements every method from `num_pages` to
+/// `reset_stats`, plus whichever of the optional ones it supports. A
+/// wrapper (a decorator stacked on another device) instead implements
+/// [`Device::inner`] and [`Device::inner_mut`]:
 /// every method except [`Device::try_fork`] then forwards to the wrapped
 /// device by default, and the wrapper overrides only what it changes. A
 /// wrapper that can be forked overrides `try_fork` to re-wrap its inner

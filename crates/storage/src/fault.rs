@@ -32,7 +32,7 @@
 //! once across a parallel batch, whichever worker gets there third.
 //!
 //! Stacking order: `BufferManager → SharedCacheDevice → FaultDevice →
-//! SimDisk/MemDevice` — faults happen below the shared cache, so a page
+//! SimDisk` — faults happen below the shared cache, so a page
 //! image that fails checksum verification is never published to other
 //! workers.
 
@@ -454,10 +454,10 @@ mod tests {
 
     use super::*;
     use crate::checksum::{seal_page, verify_page};
-    use crate::mem_device::MemDevice;
+    use crate::sim_disk::{DiskProfile, SimDisk};
 
-    fn device_with_pages(n: u8) -> MemDevice {
-        crate::device::tests::with_pages(MemDevice::new(64), n)
+    fn device_with_pages(n: u8) -> SimDisk {
+        crate::device::tests::with_pages(SimDisk::with_profile(64, DiskProfile::instant()), n)
     }
 
     #[test]
@@ -571,8 +571,8 @@ mod tests {
     fn forks_share_one_occurrence_count() {
         let plan = FaultPlan::new(6, vec![FaultRule::new(Some(0), FaultKind::TransientRead)]);
         let d = FaultDevice::new(device_with_pages(2), plan.clone());
-        let mut f1 = d.try_fork().expect("mem device forks");
-        let mut f2 = d.try_fork().expect("mem device forks");
+        let mut f1 = d.try_fork().expect("SimDisk forks");
+        let mut f2 = d.try_fork().expect("SimDisk forks");
         let clock = SimClock::new();
         let first = f1.read_sync(0, &clock);
         let second = f2.read_sync(0, &clock);

@@ -16,9 +16,10 @@
 //!    total head movement,
 //! 3. **sequential scans** — consecutive pages pay transfer cost only.
 //!
-//! [`MemDevice`] offers a zero-cost device for unit tests. No device reads
-//! a wall clock or runs a thread of its own: every time this crate reports
-//! is simulated.
+//! [`SimDisk`] is the one base device: on [`DiskProfile::instant`] it is the
+//! zero-cost device that unit tests and logic-only runs use. No device
+//! reads a wall clock or runs a thread of its own: every time this crate
+//! reports is simulated.
 //!
 //! Time is tracked on a [`SimClock`] in nanoseconds, split into CPU time and
 //! I/O wait so that the paper's Table 3 (total vs. CPU time) can be
@@ -30,7 +31,6 @@ pub mod clock;
 pub mod cost;
 pub mod device;
 pub mod fault;
-pub mod mem_device;
 #[cfg(test)]
 mod reference_disk;
 pub mod shared_cache;
@@ -43,7 +43,6 @@ pub use checksum::{crc32, is_sealed, seal_page, verify_page, CHECKSUM_LEN};
 pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 pub use fault::{splitmix64, FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
-pub use mem_device::MemDevice;
 pub use shared_cache::{lock, SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
 pub use sim_disk::{DiskProfile, QueuePolicy, SimDisk};
 pub use slotted::{DecodeError, SlottedPageBuilder, SlottedPageReader};

@@ -24,7 +24,6 @@ pub struct ReferenceDisk {
     pages: Vec<Arc<[u8]>>,
     page_size: usize,
     profile: DiskProfile,
-    policy: QueuePolicy,
     head: PageId,
     busy_until_ns: u64,
     pending: Vec<Pending>,
@@ -34,13 +33,13 @@ pub struct ReferenceDisk {
 }
 
 impl ReferenceDisk {
-    /// An empty disk with `page_size`-byte pages and the given cost profile.
+    /// An empty disk with `page_size`-byte pages and the given cost profile
+    /// (whose `policy` orders the queue).
     pub fn with_profile(page_size: usize, profile: DiskProfile) -> Self {
         Self {
             pages: Vec::new(),
             page_size,
             profile,
-            policy: QueuePolicy::default(),
             head: 0,
             busy_until_ns: 0,
             pending: Vec::new(),
@@ -50,11 +49,6 @@ impl ReferenceDisk {
         }
     }
 
-    /// Sets the command-queue policy.
-    pub fn set_policy(&mut self, policy: QueuePolicy) {
-        self.policy = policy;
-    }
-
     /// The original pick: allocate an index Vec, sort it by submission
     /// sequence, truncate to the visible window, then scan linearly.
     fn pick_next(&self) -> Option<usize> {
@@ -62,7 +56,7 @@ impl ReferenceDisk {
         idx.sort_by_key(|&i| self.pending[i].seq);
         idx.truncate(self.visible_queue());
         let page = |i: usize| self.pending[i].page;
-        match self.policy {
+        match self.profile.policy {
             QueuePolicy::Fifo => idx.first().copied(),
             QueuePolicy::ShortestSeekFirst => idx
                 .iter()

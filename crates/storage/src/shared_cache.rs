@@ -373,7 +373,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::mem_device::MemDevice;
+    use crate::sim_disk::{DiskProfile, SimDisk};
 
     fn assert_send_sync<T: Send + Sync>() {}
     fn assert_send<T: Send>() {}
@@ -384,8 +384,8 @@ mod tests {
         assert_send::<SharedCacheDevice>();
     }
 
-    fn mem_with_pages(n: u8) -> MemDevice {
-        crate::device::tests::with_pages(MemDevice::new(32), n)
+    fn instant_with_pages(n: u8) -> SimDisk {
+        crate::device::tests::with_pages(SimDisk::with_profile(32, DiskProfile::instant()), n)
     }
 
     #[test]
@@ -470,8 +470,8 @@ mod tests {
     #[test]
     fn adapter_serves_second_read_from_cache() {
         let cache = Arc::new(SharedPageCache::new());
-        let mut d1 = SharedCacheDevice::new(Box::new(mem_with_pages(4)), Arc::clone(&cache));
-        let mut d2 = SharedCacheDevice::new(Box::new(mem_with_pages(4)), Arc::clone(&cache));
+        let mut d1 = SharedCacheDevice::new(Box::new(instant_with_pages(4)), Arc::clone(&cache));
+        let mut d2 = SharedCacheDevice::new(Box::new(instant_with_pages(4)), Arc::clone(&cache));
         let clock = SimClock::new();
         let a = d1.read_sync(2, &clock).unwrap();
         let b = d2.read_sync(2, &clock).unwrap();
@@ -484,8 +484,8 @@ mod tests {
     #[test]
     fn async_path_publishes_and_hits() {
         let cache = Arc::new(SharedPageCache::new());
-        let mut d1 = SharedCacheDevice::new(Box::new(mem_with_pages(4)), Arc::clone(&cache));
-        let mut d2 = SharedCacheDevice::new(Box::new(mem_with_pages(4)), Arc::clone(&cache));
+        let mut d1 = SharedCacheDevice::new(Box::new(instant_with_pages(4)), Arc::clone(&cache));
+        let mut d2 = SharedCacheDevice::new(Box::new(instant_with_pages(4)), Arc::clone(&cache));
         let clock = SimClock::new();
         d1.submit(1, &clock);
         let c = d1.poll(&clock, true).unwrap();
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn write_invalidates() {
         let cache = Arc::new(SharedPageCache::new());
-        let mut d = SharedCacheDevice::new(Box::new(mem_with_pages(4)), Arc::clone(&cache));
+        let mut d = SharedCacheDevice::new(Box::new(instant_with_pages(4)), Arc::clone(&cache));
         let clock = SimClock::new();
         let old = d.read_sync(3, &clock).unwrap();
         d.write_page(3, vec![9; 4]);
@@ -517,7 +517,7 @@ mod tests {
         // A device whose reads park until released, so a second reader
         // provably overlaps the first one's load window.
         struct SlowDevice {
-            inner: MemDevice,
+            inner: SimDisk,
             started: mpsc::Sender<()>,
             release: mpsc::Receiver<()>,
             reads: Arc<AtomicU64>,
@@ -542,13 +542,13 @@ mod tests {
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
         let slow = SlowDevice {
-            inner: mem_with_pages(2),
+            inner: instant_with_pages(2),
             started: started_tx,
             release: release_rx,
             reads: Arc::clone(&physical_reads),
         };
         let mut d1 = SharedCacheDevice::new(Box::new(slow), Arc::clone(&cache));
-        let mut d2 = SharedCacheDevice::new(Box::new(mem_with_pages(2)), Arc::clone(&cache));
+        let mut d2 = SharedCacheDevice::new(Box::new(instant_with_pages(2)), Arc::clone(&cache));
 
         std::thread::scope(|s| {
             let h1 = s.spawn(move || {

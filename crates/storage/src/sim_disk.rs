@@ -58,6 +58,8 @@ pub struct DiskProfile {
     /// Maximum number of queued commands visible to the reordering logic
     /// (models NCQ/TCQ queue depth). `0` means unlimited.
     pub queue_depth: usize,
+    /// Order in which the visible queued commands are served.
+    pub policy: QueuePolicy,
 }
 
 impl Default for DiskProfile {
@@ -70,12 +72,16 @@ impl Default for DiskProfile {
             transfer_ns: 133_000,        // 8 KiB at ~60 MB/s
             command_overhead_ns: 20_000, // 20 µs controller overhead
             queue_depth: 0,
+            policy: QueuePolicy::ShortestSeekFirst,
         }
     }
 }
 
 impl DiskProfile {
-    /// A profile with zero latency everywhere — useful for logic tests.
+    /// The zero-cost profile: every access takes no simulated time, so a
+    /// [`SimDisk`] on it is the zero-cost device of tests and logic-only
+    /// runs, still counting reads and recording the access trace. The
+    /// queue stays unbounded and shortest-seek-first.
     pub fn instant() -> Self {
         Self {
             seek_base_ns: 0,
@@ -84,7 +90,7 @@ impl DiskProfile {
             rotational_ns: 0,
             transfer_ns: 0,
             command_overhead_ns: 0,
-            queue_depth: 0,
+            ..Self::default()
         }
     }
 
@@ -134,13 +140,12 @@ fn isqrt(v: u64) -> u64 {
 }
 
 /// Order in which the device serves queued commands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueuePolicy {
     /// First-in first-out — no reordering (baseline for ablations).
     Fifo,
     /// Shortest seek time first: always serve the request closest to the
     /// current head position.
-    #[default]
     ShortestSeekFirst,
 }
 
@@ -327,7 +332,6 @@ pub struct SimDisk {
     pages: Vec<Arc<[u8]>>,
     page_size: usize,
     profile: DiskProfile,
-    policy: QueuePolicy,
     /// Position just past the last page read (next sequential target).
     head: PageId,
     /// Simulated time until which the device is busy.
@@ -351,7 +355,6 @@ impl SimDisk {
             pages: Vec::new(),
             page_size,
             profile,
-            policy: QueuePolicy::default(),
             head: 0,
             busy_until_ns: 0,
             queue: CommandQueue::new(profile.queue_depth),
@@ -360,16 +363,6 @@ impl SimDisk {
             stats: DeviceStats::default(),
             trace: None,
         }
-    }
-
-    /// Sets the command-queue reordering policy.
-    pub fn set_policy(&mut self, policy: QueuePolicy) {
-        self.policy = policy;
-    }
-
-    /// The cost profile in use.
-    pub fn profile(&self) -> &DiskProfile {
-        &self.profile
     }
 
     /// The page image, by reference count — never by copy.
@@ -390,7 +383,7 @@ impl SimDisk {
 
     /// Picks the next request to serve (without removing it).
     fn pick_next(&mut self) -> Option<Pending> {
-        self.queue.pick(self.policy, self.head)
+        self.queue.pick(self.profile.policy, self.head)
     }
 
     /// Serves `req`, producing a completion.
@@ -559,7 +552,6 @@ impl Device for SimDisk {
 
     fn try_fork(&self) -> Option<Box<dyn Device + Send>> {
         let mut fork = SimDisk::with_profile(self.page_size, self.profile);
-        fork.policy = self.policy;
         // `Arc` clones: the fork shares every page image with the original
         // but models its own head, queue, and busy state.
         fork.pages = self.pages.clone();
@@ -585,11 +577,7 @@ mod tests {
     use super::*;
 
     fn disk_with_pages(n: u32) -> SimDisk {
-        let mut d = SimDisk::new(64);
-        for i in 0..n {
-            d.append_page(vec![i as u8; 8]);
-        }
-        d
+        disk_with_policy(n, QueuePolicy::ShortestSeekFirst)
     }
 
     #[test]
@@ -616,10 +604,15 @@ mod tests {
         d.read_sync(0, &clock).unwrap();
         let t0 = clock.now_ns();
         d.read_sync(1, &clock).unwrap();
-        let p = *d.profile();
+        let p = DiskProfile::default();
         assert_eq!(clock.now_ns() - t0, p.command_overhead_ns + p.transfer_ns);
         // Page 0 from the parked head *and* page 1 are both sequential.
         assert_eq!(d.stats().sequential_reads, 2);
+        // Page 3 seeks one page from the head just past page 1.
+        d.read_sync(3, &clock).unwrap();
+        let s = d.stats();
+        assert_eq!((s.sequential_reads, s.random_reads), (2, 1));
+        assert_eq!(s.seek_distance_pages, 1);
     }
 
     #[test]
@@ -649,28 +642,99 @@ mod tests {
         );
     }
 
+    /// A disk of `n` pages on the default profile with `policy`.
+    fn disk_with_policy(n: u32, policy: QueuePolicy) -> SimDisk {
+        let mut d = SimDisk::with_profile(
+            64,
+            DiskProfile {
+                policy,
+                ..DiskProfile::default()
+            },
+        );
+        for i in 0..n {
+            d.append_page(vec![i as u8; 8]);
+        }
+        d
+    }
+
+    /// Submits `pages` as one batch, drains it and returns the served
+    /// order, the batch's simulated time and its seek distance.
+    fn drain_batch(
+        d: &mut dyn Device,
+        clock: &SimClock,
+        pages: &[PageId],
+    ) -> (Vec<PageId>, u64, u64) {
+        let (t0, seek0) = (clock.now_ns(), d.stats().seek_distance_pages);
+        for &p in pages {
+            d.submit(p, clock);
+        }
+        let order = std::iter::from_fn(|| d.poll(clock, true).map(|c| c.page)).collect();
+        let seek = d.stats().seek_distance_pages - seek0;
+        (order, clock.now_ns() - t0, seek)
+    }
+
     #[test]
     fn async_reordering_beats_fifo_on_total_time() {
         // Submit pages far apart in FIFO-hostile order; SSTF should finish
-        // the batch strictly earlier than FIFO.
-        let run = |policy: QueuePolicy| {
-            let mut d = disk_with_pages(1000);
-            d.set_policy(policy);
-            let clock = SimClock::new();
-            for &p in &[900u32, 10, 950, 20, 990, 30] {
-                d.submit(p, &clock);
-            }
-            let mut got = Vec::new();
-            while let Some(c) = d.poll(&clock, true) {
-                got.push(c.page);
-            }
-            assert_eq!(got.len(), 6);
-            (clock.now_ns(), d.stats().seek_distance_pages)
+        // the batch strictly earlier than FIFO, which serves them in
+        // submission order.
+        let pages = [900u32, 10, 950, 20, 990, 30];
+        let run = |policy| {
+            drain_batch(
+                &mut disk_with_policy(1000, policy),
+                &SimClock::new(),
+                &pages,
+            )
         };
-        let (t_fifo, dist_fifo) = run(QueuePolicy::Fifo);
-        let (t_sstf, dist_sstf) = run(QueuePolicy::ShortestSeekFirst);
+        let (order_fifo, t_fifo, dist_fifo) = run(QueuePolicy::Fifo);
+        let (order_sstf, t_sstf, dist_sstf) = run(QueuePolicy::ShortestSeekFirst);
+        assert_eq!(order_fifo, pages);
+        assert_eq!(order_sstf, [10, 20, 30, 900, 950, 990]);
         assert!(dist_sstf < dist_fifo);
         assert!(t_sstf < t_fifo);
+    }
+
+    /// SSTF is greedy, not optimal. With the head at page 10, FIFO serves
+    /// `[4, 8, 11, 13, 21]` in 19 seek pages while SSTF runs 11, 13, 8, 4,
+    /// 21 in 29, and takes longer. From the parked head SSTF never seeks
+    /// further, but adjacent pages can still cost it time: on `[28, 6, 7]`
+    /// it reads 7 sequentially while the queue is deep and pays the full
+    /// rotational delay on 28 last, where FIFO pays it at 6.
+    #[test]
+    fn sstf_can_lose_to_fifo() {
+        let run = |policy, head_at: Option<PageId>, pages: &[PageId]| {
+            let mut d = disk_with_policy(64, policy);
+            let clock = SimClock::new();
+            if let Some(page) = head_at {
+                d.read_sync(page - 1, &clock).unwrap();
+            }
+            drain_batch(&mut d, &clock, pages)
+        };
+        let pages = [4u32, 8, 11, 13, 21];
+        let (order_fifo, t_fifo, dist_fifo) = run(QueuePolicy::Fifo, Some(10), &pages);
+        let (order_sstf, t_sstf, dist_sstf) = run(QueuePolicy::ShortestSeekFirst, Some(10), &pages);
+        assert_eq!(order_fifo, pages);
+        assert_eq!(order_sstf, [11, 13, 8, 4, 21]);
+        assert_eq!((dist_fifo, dist_sstf), (19, 29));
+        assert!(t_sstf > t_fifo, "sstf {t_sstf} <= fifo {t_fifo}");
+
+        let pages = [28u32, 6, 7];
+        let (_, t_fifo, dist_fifo) = run(QueuePolicy::Fifo, None, &pages);
+        let (order_sstf, t_sstf, dist_sstf) = run(QueuePolicy::ShortestSeekFirst, None, &pages);
+        assert_eq!(order_sstf, [6, 7, 28]);
+        assert!(dist_sstf < dist_fifo);
+        assert!(t_sstf > t_fifo, "sstf {t_sstf} <= fifo {t_fifo}");
+    }
+
+    /// The policy travels in the profile, so a fork serves its queue the
+    /// way the original does.
+    #[test]
+    fn fork_of_a_fifo_disk_serves_fifo() {
+        let d = disk_with_policy(1000, QueuePolicy::Fifo);
+        let mut fork = d.try_fork().expect("SimDisk forks");
+        let pages = [900u32, 10, 950, 20];
+        let (order, _, _) = drain_batch(&mut *fork, &SimClock::new(), &pages);
+        assert_eq!(order, pages);
     }
 
     #[test]
@@ -724,7 +788,6 @@ mod tests {
         for i in 0..1000u32 {
             d.append_page(vec![(i % 251) as u8]);
         }
-        d.set_policy(QueuePolicy::ShortestSeekFirst);
         let clock = SimClock::new();
         for &p in &[900u32, 10, 950] {
             d.submit(p, &clock);
@@ -754,6 +817,10 @@ mod tests {
         let bytes = d.read_sync(id, &clock).unwrap();
         assert_eq!(bytes.len(), 32);
         assert_eq!(&bytes[..3], &[1, 2, 3]);
+        d.write_page(id, vec![9, 9]);
+        let bytes = d.read_sync(id, &clock).unwrap();
+        assert_eq!(bytes.len(), 32);
+        assert_eq!(&bytes[..3], &[9, 9, 0]);
     }
 
     #[test]
@@ -769,9 +836,13 @@ mod tests {
         d.append_page(vec![7]);
         d.append_page(vec![8]);
         let clock = SimClock::new();
-        d.read_sync(1, &clock).unwrap();
-        d.read_sync(0, &clock).unwrap();
+        assert_eq!(d.read_sync(1, &clock).unwrap()[0], 8);
+        assert_eq!(d.read_sync(0, &clock).unwrap()[0], 7);
+        d.submit(1, &clock);
+        assert_eq!(d.poll(&clock, true).map(|c| c.page), Some(1));
         assert_eq!(clock.now_ns(), 0);
+        // Free reads are still counted.
+        assert_eq!((d.stats().reads, d.stats().busy_ns), (3, 0));
     }
 
     #[test]
@@ -915,14 +986,13 @@ mod equivalence_proptests {
 
     fn assert_equivalent(profile: DiskProfile, ops: &[Op]) {
         for policy in policies() {
+            let profile = DiskProfile { policy, ..profile };
             let mut indexed = SimDisk::with_profile(64, profile);
             let mut oracle = ReferenceDisk::with_profile(64, profile);
             for i in 0..NUM_PAGES {
                 indexed.append_page(vec![i as u8]);
                 oracle.append_page(vec![i as u8]);
             }
-            indexed.set_policy(policy);
-            oracle.set_policy(policy);
             let (ev_new, now_new, st_new) = run(&mut indexed, ops);
             let (ev_old, now_old, st_old) = run(&mut oracle, ops);
             assert_eq!(
@@ -967,11 +1037,14 @@ mod equivalence_proptests {
     #[test]
     fn large_queue_stress_4k_pending() {
         for policy in policies() {
-            let mut d = SimDisk::new(64);
+            let profile = DiskProfile {
+                policy,
+                ..DiskProfile::default()
+            };
+            let mut d = SimDisk::with_profile(64, profile);
             for _ in 0..4096u32 {
                 d.append_page(vec![0]);
             }
-            d.set_policy(policy);
             let clock = SimClock::new();
             // A seeded LCG permutation-ish scatter over the platter.
             let mut x = 0x2545F4914F6CDD1Du64;

@@ -252,10 +252,10 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use crate::mem_device::MemDevice;
+    use crate::sim_disk::{DiskProfile, SimDisk};
 
-    fn dev_with(n: u8) -> MemDevice {
-        crate::device::tests::with_pages(MemDevice::new(16), n)
+    fn dev_with(n: u8) -> SimDisk {
+        crate::device::tests::with_pages(SimDisk::with_profile(16, DiskProfile::instant()), n)
     }
 
     #[test]

@@ -5,6 +5,7 @@ use pathix_storage::{
     Device, DiskProfile, QueuePolicy, SimClock, SimDisk, SlottedPageBuilder, SlottedPageReader,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 proptest! {
     /// Any set of records that fits a page round-trips bit-exactly.
@@ -32,11 +33,10 @@ proptest! {
         pages in prop::collection::vec(0u32..300, 1..60),
         policy in prop::sample::select(vec![QueuePolicy::Fifo, QueuePolicy::ShortestSeekFirst]),
     ) {
-        let mut d = SimDisk::new(32);
+        let mut d = SimDisk::with_profile(32, DiskProfile { policy, ..DiskProfile::default() });
         for _ in 0..300 {
             d.append_page(vec![0]);
         }
-        d.set_policy(policy);
         let clock = SimClock::new();
         for &p in &pages {
             d.submit(p, &clock);
@@ -52,29 +52,40 @@ proptest! {
         prop_assert_eq!(d.in_flight(), 0);
     }
 
-    /// Reordering policies never yield a larger total batch makespan than
-    /// FIFO (completion of the last request).
+    /// From a parked head, SSTF never seeks further than FIFO, and never
+    /// has a larger batch makespan (completion of the last request).
+    ///
+    /// Both claims need the head parked at page 0 and distinct pages. Then
+    /// every page lies at or above the head, SSTF serves the batch in one
+    /// ascending sweep, and no other order seeks fewer pages. The makespan
+    /// claim also needs no two pages adjacent: every read then seeks (but a
+    /// first read of page 0), so both orders pay the same rotational charge
+    /// at each step. `sim_disk::tests::sstf_can_lose_to_fifo` shows SSTF
+    /// losing when either precondition fails.
     #[test]
     fn reordering_never_hurts_makespan(
-        pages in prop::collection::vec(0u32..2000, 2..40),
+        pages in prop::collection::vec(0u32..1000, 2..40),
     ) {
-        let run = |policy: QueuePolicy| {
-            let mut d = SimDisk::new(32);
+        let mut seen = HashSet::new();
+        let distinct: Vec<u32> = pages.into_iter().filter(|&p| seen.insert(p)).collect();
+        let spread: Vec<u32> = distinct.iter().map(|&p| 2 * p).collect();
+        let run = |policy, pages: &[u32]| {
+            let mut d = SimDisk::with_profile(32, DiskProfile { policy, ..DiskProfile::default() });
             for _ in 0..2000 {
                 d.append_page(vec![0]);
             }
-            d.set_policy(policy);
             let clock = SimClock::new();
-            for &p in &pages {
+            for &p in pages {
                 d.submit(p, &clock);
             }
             while d.poll(&clock, true).is_some() {}
-            clock.now_ns()
+            (clock.now_ns(), d.stats().seek_distance_pages)
         };
-        let fifo = run(QueuePolicy::Fifo);
-        let sstf = run(QueuePolicy::ShortestSeekFirst);
-        // SSTF greedily minimizes each next access; for a batch submitted at
-        // t=0 with our monotone cost model it never loses to FIFO.
+        let (_, fifo_seek) = run(QueuePolicy::Fifo, &distinct);
+        let (_, sstf_seek) = run(QueuePolicy::ShortestSeekFirst, &distinct);
+        prop_assert!(sstf_seek <= fifo_seek, "sstf seeks {sstf_seek} > fifo {fifo_seek}");
+        let (fifo, _) = run(QueuePolicy::Fifo, &spread);
+        let (sstf, _) = run(QueuePolicy::ShortestSeekFirst, &spread);
         prop_assert!(sstf <= fifo, "sstf {sstf} > fifo {fifo}");
     }
 

@@ -130,11 +130,11 @@ mod tests {
     use super::*;
     use crate::import::{import_into, ImportConfig, Placement};
     use crate::store::TreeStore;
-    use pathix_storage::{BufferParams, MemDevice, SimClock};
+    use pathix_storage::{BufferParams, DiskProfile, SimClock, SimDisk};
     use std::rc::Rc;
 
     fn roundtrip(doc: &Document, page_size: usize, placement: Placement) {
-        let mut dev = MemDevice::new(page_size);
+        let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size,
             placement,
@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn export_scan_equals_export() {
         let doc = rich_doc();
-        let mut dev = MemDevice::new(256);
+        let mut dev = SimDisk::with_profile(256, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 256,
             placement: Placement::Shuffled { seed: 12 },
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn export_scan_reads_sequentially() {
         let doc = rich_doc();
-        let mut dev = MemDevice::new(256);
+        let mut dev = SimDisk::with_profile(256, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 256,
             placement: Placement::Shuffled { seed: 12 },

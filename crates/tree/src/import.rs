@@ -506,7 +506,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use pathix_storage::{MemDevice, SimClock};
+    use pathix_storage::{DiskProfile, SimClock, SimDisk};
 
     fn deep_doc(depth: usize) -> Document {
         let mut d = Document::new("r");
@@ -526,8 +526,8 @@ mod tests {
         d
     }
 
-    fn import_mem(doc: &Document, page_size: usize) -> (MemDevice, TreeMeta, ImportReport) {
-        let mut dev = MemDevice::new(page_size);
+    fn import_mem(doc: &Document, page_size: usize) -> (SimDisk, TreeMeta, ImportReport) {
+        let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size,
             placement: Placement::Sequential,
@@ -537,7 +537,7 @@ mod tests {
     }
 
     /// Decodes all pages and checks structural invariants.
-    fn check_invariants(dev: &mut MemDevice, meta: &TreeMeta) {
+    fn check_invariants(dev: &mut SimDisk, meta: &TreeMeta) {
         let clock = SimClock::new();
         let mut clusters = Vec::new();
         for p in meta.base_page..meta.base_page + meta.page_count {
@@ -649,7 +649,7 @@ mod tests {
     #[test]
     fn shuffled_placement_is_permutation() {
         let doc = wide_doc(300);
-        let mut dev = MemDevice::new(512);
+        let mut dev = SimDisk::with_profile(512, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 512,
             placement: Placement::Shuffled { seed: 7 },
@@ -683,7 +683,7 @@ mod tests {
         let mut doc = Document::new("r");
         let huge = "x".repeat(5000);
         doc.add_text(doc.root(), &huge);
-        let mut dev = MemDevice::new(1024);
+        let mut dev = SimDisk::with_profile(1024, DiskProfile::instant());
         let err = import_into(
             &mut dev,
             &doc,
@@ -701,7 +701,12 @@ mod tests {
             page_size: 1 << 16,
             placement: Placement::Sequential,
         };
-        let err = import_into(&mut MemDevice::new(1 << 16), &doc, &cfg).unwrap_err();
+        let err = import_into(
+            &mut SimDisk::with_profile(1 << 16, DiskProfile::instant()),
+            &doc,
+            &cfg,
+        )
+        .unwrap_err();
         assert!(matches!(err, ImportError::RecordTooLarge { .. }));
     }
 
@@ -709,7 +714,7 @@ mod tests {
     fn two_documents_share_device() {
         let doc1 = wide_doc(50);
         let doc2 = deep_doc(50);
-        let mut dev = MemDevice::new(512);
+        let mut dev = SimDisk::with_profile(512, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 512,
             placement: Placement::Sequential,
@@ -750,7 +755,8 @@ mod chunk_tests {
             let c = doc.add_element(doc.root(), "x");
             doc.add_text(c, "payload text for the record");
         }
-        let mut dev = pathix_storage::MemDevice::new(512);
+        let mut dev =
+            pathix_storage::SimDisk::with_profile(512, pathix_storage::DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 512,
             placement: Placement::ChunkShuffled { chunk: 4, seed: 1 },

@@ -657,7 +657,7 @@ mod tests {
     use crate::import::{import_into, ImportConfig, Placement};
     use crate::node::{Node, Span};
     use crate::store::TreeStore;
-    use pathix_storage::{BufferParams, MemDevice};
+    use pathix_storage::{BufferParams, DiskProfile, SimDisk};
     use pathix_xml::Document;
     use pathix_xpath::eval::eval_path;
     use pathix_xpath::{LocationPath, Step};
@@ -666,7 +666,7 @@ mod tests {
     use std::rc::Rc;
 
     fn store_for(doc: &Document, page_size: usize, placement: Placement) -> TreeStore {
-        let mut dev = MemDevice::new(page_size);
+        let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size,
             placement,

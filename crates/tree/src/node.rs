@@ -866,7 +866,10 @@ mod tests {
         page_size: usize,
         placement: crate::Placement,
     ) -> crate::TreeStore {
-        let mut dev = pathix_storage::MemDevice::new(page_size);
+        let mut dev = pathix_storage::SimDisk::with_profile(
+            page_size,
+            pathix_storage::DiskProfile::instant(),
+        );
         let cfg = crate::ImportConfig {
             page_size,
             placement,

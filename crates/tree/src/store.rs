@@ -203,10 +203,10 @@ mod tests {
     use super::*;
     use crate::import::{import_into, ImportConfig, Placement};
     use crate::node::NodeKind;
-    use pathix_storage::MemDevice;
+    use pathix_storage::{DiskProfile, SimDisk};
 
     fn store_for(doc: &pathix_xml::Document, page_size: usize) -> TreeStore {
-        let mut dev = MemDevice::new(page_size);
+        let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size,
             placement: Placement::Sequential,

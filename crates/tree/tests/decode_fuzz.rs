@@ -18,7 +18,9 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix_storage::{seal_page, Device, MemDevice, SimClock, SlottedPageReader, CHECKSUM_LEN};
+use pathix_storage::{
+    seal_page, Device, DiskProfile, SimClock, SimDisk, SlottedPageReader, CHECKSUM_LEN,
+};
 use pathix_tree::node::{decode_cluster, DecodeError};
 use pathix_tree::{
     import_into, Cluster, Entry, ImportConfig, NavCharge, NavCounters, NavParams, NodeKind,
@@ -55,7 +57,7 @@ fn pages(page_size: usize) -> Vec<Vec<u8>> {
         avg_sentence_words: 4,
         ..GenConfig::at_scale(0.002).with_seed(0xF022)
     });
-    let mut dev = MemDevice::new(page_size);
+    let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
     let cfg = ImportConfig {
         page_size,
         placement: Placement::Sequential,

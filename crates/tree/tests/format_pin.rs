@@ -13,7 +13,7 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix_storage::{seal_page, BufferParams, MemDevice, SimClock};
+use pathix_storage::{seal_page, BufferParams, DiskProfile, SimClock, SimDisk};
 use pathix_tree::node::{decode_cluster, encode_cluster};
 use pathix_tree::{
     import_into, ImportConfig, InsertPos, NewNode, Node, NodeId, NodeKind, Placement, TreeStore,
@@ -34,7 +34,7 @@ const GOLDEN_UPDATED: (u32, u64) = (114, 0xbd75_34f7_f1e7_f5df);
 
 fn xmark_store() -> TreeStore {
     let doc = generate(&GenConfig::at_scale(0.1));
-    let mut dev = MemDevice::new(PAGE);
+    let mut dev = SimDisk::with_profile(PAGE, DiskProfile::instant());
     let cfg = ImportConfig {
         page_size: PAGE,
         placement: Placement::Sequential,

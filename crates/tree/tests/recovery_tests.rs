@@ -5,7 +5,9 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix_storage::{recover, BufferParams, MemDevice, SimClock, SnapshotDevice, WriteAheadLog};
+use pathix_storage::{
+    recover, BufferParams, DiskProfile, SimClock, SimDisk, SnapshotDevice, WriteAheadLog,
+};
 use pathix_tree::export::export;
 use pathix_tree::{
     import_into, ImportConfig, InsertPos, NewNode, Placement, TreeStore, TreeUpdater,
@@ -20,7 +22,7 @@ fn build() -> (Document, TreeStore, pathix_storage::SnapshotHandle) {
         let a = doc.add_element(doc.root(), "a");
         doc.add_text(a, &format!("payload {i}"));
     }
-    let mut dev = MemDevice::new(512);
+    let mut dev = SimDisk::with_profile(512, DiskProfile::instant());
     let (meta, _) = import_into(
         &mut dev,
         &doc,

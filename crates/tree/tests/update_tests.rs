@@ -4,7 +4,7 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix_storage::{BufferParams, MemDevice, SimClock};
+use pathix_storage::{BufferParams, DiskProfile, SimClock, SimDisk};
 use pathix_tree::export::export;
 use pathix_tree::{
     import_into, FullCursor, ImportConfig, InsertPos, NavCharge, NavCounters, NavParams, NewNode,
@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 fn store_for(doc: &Document, page_size: usize) -> TreeStore {
-    let mut dev = MemDevice::new(page_size);
+    let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
     let (meta, _) = import_into(
         &mut dev,
         doc,

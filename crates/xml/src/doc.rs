@@ -380,38 +380,38 @@ impl Document {
     }
 
     /// Structural + label equality (ignores symbol numbering differences and
-    /// attribute order).
+    /// attribute order). Node pairs still to compare wait on an explicit
+    /// stack, so the nesting depth is bounded by memory, not by the
+    /// thread's stack.
     pub fn logically_equal(&self, other: &Document) -> bool {
-        fn eq(a: &Document, an: NodeRef, b: &Document, bn: NodeRef) -> bool {
-            match (a.kind(an), b.kind(bn)) {
+        let mut pending = vec![(self.root, other.root)];
+        while let Some((an, bn)) = pending.pop() {
+            let same = match (self.kind(an), other.kind(bn)) {
                 (XKind::Element(_), XKind::Element(_)) => {
-                    if a.tag_name(an) != b.tag_name(bn) {
-                        return false;
-                    }
-                    let mut aa: Vec<(&str, &str)> = a
-                        .attrs(an)
-                        .iter()
-                        .map(|(s, v)| (a.symbols.name(*s), v.as_str()))
-                        .collect();
-                    let mut bb: Vec<(&str, &str)> = b
-                        .attrs(bn)
-                        .iter()
-                        .map(|(s, v)| (b.symbols.name(*s), v.as_str()))
-                        .collect();
-                    aa.sort_unstable();
-                    bb.sort_unstable();
-                    if aa != bb {
-                        return false;
-                    }
-                    let ac: Vec<_> = a.children(an).collect();
-                    let bc: Vec<_> = b.children(bn).collect();
-                    ac.len() == bc.len() && ac.iter().zip(&bc).all(|(&x, &y)| eq(a, x, b, y))
+                    self.tag_name(an) == other.tag_name(bn)
+                        && self.sorted_attrs(an) == other.sorted_attrs(bn)
+                        && self.children(an).count() == other.children(bn).count()
                 }
-                (XKind::Text(_), XKind::Text(_)) => a.text(an) == b.text(bn),
+                (XKind::Text(_), XKind::Text(_)) => self.text(an) == other.text(bn),
                 _ => false,
+            };
+            if !same {
+                return false;
             }
+            pending.extend(self.children(an).zip(other.children(bn)));
         }
-        eq(self, self.root, other, other.root)
+        true
+    }
+
+    /// `node`'s attributes as sorted `(name, value)` pairs.
+    fn sorted_attrs(&self, node: NodeRef) -> Vec<(&str, &str)> {
+        let mut attrs: Vec<(&str, &str)> = self
+            .attrs(node)
+            .iter()
+            .map(|(s, v)| (self.symbols.name(*s), v.as_str()))
+            .collect();
+        attrs.sort_unstable();
+        attrs
     }
 }
 

@@ -133,42 +133,55 @@ impl<'a> Parser<'a> {
         self.err("unterminated attribute value")
     }
 
-    fn element(
+    /// Parses a start tag with its attributes and adds the element under
+    /// `parent` (or names the root when `parent` is `None`). Returns the
+    /// element, its tag, and whether the tag closed itself (`/>`).
+    fn start_tag(
         &mut self,
         doc: &mut Document,
         parent: Option<NodeRef>,
-    ) -> Result<NodeRef, ParseError> {
+    ) -> Result<(NodeRef, &'a str, bool), ParseError> {
         self.expect("<")?;
-        let tag = self.name()?.to_owned();
+        let tag = self.name()?;
         let node = match parent {
-            Some(p) => doc.add_element(p, &tag),
+            Some(p) => doc.add_element(p, tag),
             None => doc.root(),
         };
-        // Attributes.
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.bump(1);
-                    break;
+                    return Ok((node, tag, false));
                 }
                 Some(b'/') => {
                     self.expect("/>")?;
-                    return Ok(node);
+                    return Ok((node, tag, true));
                 }
                 Some(_) => {
-                    let name = self.name()?.to_owned();
+                    let name = self.name()?;
                     self.skip_ws();
                     self.expect("=")?;
                     self.skip_ws();
                     let value = self.attr_value()?;
-                    doc.set_attr(node, &name, &value);
+                    doc.set_attr(node, name, &value);
                 }
                 None => return self.err("unexpected end of input in tag"),
             }
         }
-        // Content.
-        loop {
+    }
+
+    /// Parses the root element and everything inside it. Open elements
+    /// wait on an explicit stack, so the nesting depth is bounded by
+    /// memory, not by the thread's stack.
+    fn root_element(&mut self, doc: &mut Document) -> Result<(), ParseError> {
+        let (root, tag, closed) = self.start_tag(doc, None)?;
+        let mut open = if closed {
+            Vec::new()
+        } else {
+            vec![(root, tag)]
+        };
+        while let Some(&(node, tag)) = open.last() {
             if self.starts_with("</") {
                 self.bump(2);
                 let end = self.name()?;
@@ -177,7 +190,7 @@ impl<'a> Parser<'a> {
                 }
                 self.skip_ws();
                 self.expect(">")?;
-                return Ok(node);
+                open.pop();
             } else if self.starts_with("<!--") {
                 self.skip_until("-->")?;
             } else if self.starts_with("<![CDATA[") {
@@ -202,7 +215,10 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.starts_with("<") {
-                self.element(doc, Some(node))?;
+                let (child, child_tag, closed) = self.start_tag(doc, Some(node))?;
+                if !closed {
+                    open.push((child, child_tag));
+                }
             } else if self.peek().is_none() {
                 return self.err(format!("unexpected end of input inside `{tag}`"));
             } else {
@@ -222,6 +238,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -302,7 +319,7 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
     let root_tag = p.name()?.to_owned();
     p.pos = save;
     let mut doc = Document::new(&root_tag);
-    p.element(&mut doc, None)?;
+    p.root_element(&mut doc)?;
     p.skip_misc()?;
     p.skip_ws();
     if p.peek().is_some() {

@@ -3,6 +3,7 @@
 //! compact mode).
 
 use crate::doc::{Document, NodeRef, XKind};
+use crate::symbols::Symbol;
 
 fn escape_text(s: &str, out: &mut String) {
     for c in s.chars() {
@@ -26,53 +27,69 @@ fn escape_attr(s: &str, out: &mut String) {
     }
 }
 
+/// One step of the serialization walk.
+enum Step {
+    /// Write `node` and then its subtree, at `indent` (`None` = compact).
+    Open(NodeRef, Option<usize>),
+    /// Write the end tag `tag`, on a new line at `indent`.
+    Close(Symbol, Option<usize>),
+}
+
+/// Writes `node`'s subtree. Pending steps wait on an explicit stack, so the
+/// nesting depth is bounded by memory, not by the thread's stack.
 fn write_node(doc: &Document, node: NodeRef, out: &mut String, indent: Option<usize>) {
-    match doc.kind(node) {
-        XKind::Text(_) => {
-            escape_text(doc.text(node).expect("text node"), out);
-        }
-        XKind::Element(sym) => {
-            let tag = doc.symbols().name(sym);
-            if let Some(depth) = indent {
-                if depth > 0 {
+    let mut steps = vec![Step::Open(node, indent)];
+    while let Some(step) = steps.pop() {
+        let (node, indent) = match step {
+            Step::Close(tag, indent) => {
+                if let Some(depth) = indent {
                     out.push('\n');
+                    out.push_str(&" ".repeat(depth * 2));
                 }
-                out.push_str(&" ".repeat(depth * 2));
+                out.push_str("</");
+                out.push_str(doc.symbols().name(tag));
+                out.push('>');
+                continue;
             }
-            out.push('<');
-            out.push_str(tag);
-            for (name, value) in doc.attrs(node) {
-                out.push(' ');
-                out.push_str(doc.symbols().name(*name));
-                out.push_str("=\"");
-                escape_attr(value, out);
-                out.push('"');
-            }
-            if doc.first_child(node).is_none() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            // Indentation is only safe when no text children exist: inserted
-            // whitespace inside mixed content would change the document.
-            let elements_only = doc
-                .children(node)
-                .all(|c| matches!(doc.kind(c), XKind::Element(_)));
-            for child in doc.children(node) {
-                let child_indent = match indent {
-                    Some(d) if elements_only => Some(d + 1),
-                    _ => None,
-                };
-                write_node(doc, child, out, child_indent);
-            }
-            if let (Some(depth), true) = (indent, elements_only) {
+            Step::Open(node, indent) => (node, indent),
+        };
+        let XKind::Element(sym) = doc.kind(node) else {
+            escape_text(doc.text(node).expect("text node"), out);
+            continue;
+        };
+        if let Some(depth) = indent {
+            if depth > 0 {
                 out.push('\n');
-                out.push_str(&" ".repeat(depth * 2));
             }
-            out.push_str("</");
-            out.push_str(tag);
-            out.push('>');
+            out.push_str(&" ".repeat(depth * 2));
         }
+        out.push('<');
+        out.push_str(doc.symbols().name(sym));
+        for (name, value) in doc.attrs(node) {
+            out.push(' ');
+            out.push_str(doc.symbols().name(*name));
+            out.push_str("=\"");
+            escape_attr(value, out);
+            out.push('"');
+        }
+        if doc.first_child(node).is_none() {
+            out.push_str("/>");
+            continue;
+        }
+        out.push('>');
+        // Indentation is only safe when no text children exist: inserted
+        // whitespace inside mixed content would change the document.
+        let elements_only = doc
+            .children(node)
+            .all(|c| matches!(doc.kind(c), XKind::Element(_)));
+        let indent = indent.filter(|_| elements_only);
+        steps.push(Step::Close(sym, indent));
+        let first = steps.len();
+        steps.extend(
+            doc.children(node)
+                .map(|c| Step::Open(c, indent.map(|d| d + 1))),
+        );
+        steps[first..].reverse();
     }
 }
 

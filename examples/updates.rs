@@ -9,7 +9,8 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method};
+use pathix::storage::DiskProfile;
+use pathix::{Database, DatabaseOptions, Method};
 use pathix_storage::{recover, SimClock, WriteAheadLog};
 use pathix_tree::{InsertPos, NewNode, Placement};
 use std::cell::RefCell;
@@ -20,8 +21,7 @@ fn main() {
         page_size: 4096,
         placement: Placement::Sequential,
         buffer_pages: 64,
-        device: DeviceKind::Mem,
-        ..Default::default()
+        profile: DiskProfile::instant(),
     };
     let mut db = Database::from_xmark(0.02, &opts).expect("import");
     println!(

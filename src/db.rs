@@ -7,8 +7,8 @@ use pathix_core::{
     QueryRun, WorkerSeed,
 };
 use pathix_storage::{
-    BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
-    SharedCacheDevice, SharedPageCache, SimClock, SimDisk,
+    BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, SharedCacheDevice, SharedPageCache,
+    SimClock, SimDisk,
 };
 use pathix_tree::{import_into, ImportConfig, ImportReport, Placement, TreeStore};
 use pathix_xml::Document;
@@ -16,18 +16,6 @@ use pathix_xpath::{parse_path, parse_query, LocationPath, PathParseError};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
-
-/// Which device backs the database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceKind {
-    /// Simulated disk with the default 2005-era profile (the benchmark
-    /// substrate).
-    SimDisk,
-    /// Simulated disk that never reorders its command queue (ablations).
-    SimDiskFifo,
-    /// Zero-latency in-memory device (tests, logic-only runs).
-    Mem,
-}
 
 /// Database construction options.
 #[derive(Debug, Clone, Copy)]
@@ -38,9 +26,8 @@ pub struct DatabaseOptions {
     pub placement: Placement,
     /// Buffer capacity in pages.
     pub buffer_pages: usize,
-    /// Backing device.
-    pub device: DeviceKind,
-    /// Disk cost profile (for the simulated devices).
+    /// Cost profile and queue policy of the simulated disk;
+    /// [`DiskProfile::instant`] makes every access free.
     pub profile: DiskProfile,
 }
 
@@ -55,7 +42,6 @@ impl Default for DatabaseOptions {
                 seed: 0xA6E,
             },
             buffer_pages: 1000, // the paper's Natix configuration
-            device: DeviceKind::SimDisk,
             profile: DiskProfile::default(),
         }
     }
@@ -159,18 +145,6 @@ pub struct Database {
 }
 
 impl Database {
-    fn fresh_device(opts: &DatabaseOptions) -> Box<dyn Device + Send> {
-        match opts.device {
-            DeviceKind::SimDisk => Box::new(SimDisk::with_profile(opts.page_size, opts.profile)),
-            DeviceKind::SimDiskFifo => {
-                let mut d = SimDisk::with_profile(opts.page_size, opts.profile);
-                d.set_policy(QueuePolicy::Fifo);
-                Box::new(d)
-            }
-            DeviceKind::Mem => Box::new(MemDevice::new(opts.page_size)),
-        }
-    }
-
     /// Imports `doc` into a fresh device.
     pub fn from_document(doc: &Document, opts: &DatabaseOptions) -> Result<Self, DbError> {
         Self::import(doc, opts, None)
@@ -195,15 +169,15 @@ impl Database {
         opts: &DatabaseOptions,
         faults: Option<FaultPlan>,
     ) -> Result<Self, DbError> {
-        let mut device = Self::fresh_device(opts);
+        let mut disk = SimDisk::with_profile(opts.page_size, opts.profile);
         let cfg = ImportConfig {
             page_size: opts.page_size,
             placement: opts.placement,
         };
-        let (meta, import_report) = import_into(device.as_mut(), doc, &cfg)?;
+        let (meta, import_report) = import_into(&mut disk, doc, &cfg)?;
         let device: Box<dyn Device> = match faults {
-            Some(plan) => Box::new(FaultDevice::new(device, plan)),
-            None => device,
+            Some(plan) => Box::new(FaultDevice::new(disk, plan)),
+            None => Box::new(disk),
         };
         let params = BufferParams {
             capacity: opts.buffer_pages,
@@ -386,7 +360,7 @@ mod tests {
     fn mem_opts() -> DatabaseOptions {
         DatabaseOptions {
             page_size: 2048,
-            device: DeviceKind::Mem,
+            profile: DiskProfile::instant(),
             buffer_pages: 64,
             ..Default::default()
         }

@@ -10,9 +10,9 @@
 //!
 //! ## Crate map
 //!
-//! * [`storage`] — paged storage: simulated disk with a seek/rotation/
-//!   transfer cost model and a reordering command queue, an in-memory
-//!   device, and the buffer manager over decoded pages.
+//! * [`storage`] — paged storage: the simulated disk, with a seek/rotation/
+//!   transfer cost model (zero on the instant profile) and a reordering
+//!   command queue, and the buffer manager over decoded pages.
 //! * [`xml`] — minimal XML parser/serializer and the in-memory document
 //!   tree.
 //! * [`xmlgen`] — deterministic XMark-shaped benchmark document generator.
@@ -64,7 +64,7 @@ pub use pathix_xpath as xpath;
 
 mod db;
 
-pub use db::{Batch, Database, DatabaseOptions, DbError, DeviceKind};
+pub use db::{Batch, Database, DatabaseOptions, DbError};
 pub use pathix_core::{
     AdmissionConfig, BatchRun, Deadline, ExecError, ExecReport, GovernorReport, Method, PathRun,
     PlanConfig, QueryBudget, QueryRun,

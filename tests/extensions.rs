@@ -5,10 +5,13 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Batch, Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::storage::DiskProfile;
+use pathix::{Batch, Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 use pathix_xpath::{eval_path, parse_path};
 
+/// A database on the default disk profile, which the optimizer prices
+/// I/O with.
 fn db(scale: f64) -> Database {
     Database::from_document(
         &pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(scale)),
@@ -16,7 +19,6 @@ fn db(scale: f64) -> Database {
             page_size: 2048,
             placement: Placement::Shuffled { seed: 77 },
             buffer_pages: 24,
-            device: DeviceKind::Mem,
             ..Default::default()
         },
     )
@@ -73,8 +75,7 @@ fn concurrent_execution_matches_solo_results() {
             page_size: 2048,
             placement: Placement::Shuffled { seed: 9 },
             buffer_pages: 16,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         },
     )
     .unwrap();
@@ -131,8 +132,7 @@ fn export_scan_roundtrips_and_matches_walk() {
             page_size: 2048,
             placement: Placement::Shuffled { seed: 3 },
             buffer_pages: 8,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         },
     )
     .unwrap();

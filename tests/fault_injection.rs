@@ -9,9 +9,10 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
+use pathix::storage::DiskProfile;
 use pathix::{
-    Database, DatabaseOptions, DbError, DeviceKind, ExecError, FaultKind, FaultPlan, FaultRule,
-    Method, PlanConfig,
+    Database, DatabaseOptions, DbError, ExecError, FaultKind, FaultPlan, FaultRule, Method,
+    PlanConfig,
 };
 use pathix_tree::NodeId;
 use proptest::prelude::*;
@@ -30,7 +31,7 @@ fn mem_opts() -> DatabaseOptions {
     DatabaseOptions {
         page_size: 1024,
         buffer_pages: 8,
-        device: DeviceKind::Mem,
+        profile: DiskProfile::instant(),
         ..Default::default()
     }
 }

@@ -16,9 +16,10 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
+use pathix::storage::DiskProfile;
 use pathix::{
-    AdmissionConfig, Batch, Database, DatabaseOptions, DeviceKind, ExecError, FaultPlan, Method,
-    PlanConfig, QueryBudget,
+    AdmissionConfig, Batch, Database, DatabaseOptions, ExecError, FaultPlan, Method, PlanConfig,
+    QueryBudget,
 };
 use pathix_tree::NodeId;
 use proptest::prelude::*;
@@ -35,7 +36,7 @@ fn mem_opts() -> DatabaseOptions {
     DatabaseOptions {
         page_size: 1024,
         buffer_pages: 8,
-        device: DeviceKind::Mem,
+        profile: DiskProfile::instant(),
         ..Default::default()
     }
 }
@@ -185,7 +186,7 @@ proptest! {
                 budgets: &budgets,
                 admission,
             })
-            .expect("mem devices fork");
+            .expect("SimDisk forks");
 
         let admitted_cap = cap.unwrap_or(usize::MAX);
         let classes = classify(&batch.runs, reference, admitted_cap, hard_ns)?;
@@ -221,7 +222,7 @@ proptest! {
                 budgets: &budgets,
                 admission: AdmissionConfig::unlimited(),
             })
-            .expect("mem devices fork");
+            .expect("SimDisk forks");
         for (i, run) in batch.runs.iter().enumerate() {
             let run = run.as_ref().expect("no budget, no faults: no aborts");
             prop_assert_eq!(&run.nodes, &reference[i]);
@@ -267,7 +268,7 @@ fn governed_outcomes_are_deterministic_across_workers_and_runs() {
                     admission,
                 },
             )
-            .expect("mem devices fork");
+            .expect("SimDisk forks");
         classify(
             &batch.runs,
             reference,

@@ -7,7 +7,8 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Batch, Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::storage::DiskProfile;
+use pathix::{Batch, Database, DatabaseOptions, Method, PlanConfig};
 
 const PATHS: [&str; 6] = [
     "/site/regions//item",
@@ -108,12 +109,13 @@ fn per_plan_reports_sum_to_combined() {
     }
 }
 
-/// A memory-backed database parallelizes too (forks share page images by
-/// refcount), and worker counts beyond the batch size are harmless.
+/// A database on the instant profile parallelizes too (forks share page
+/// images by refcount), and worker counts beyond the batch size are
+/// harmless.
 #[test]
 fn mem_device_and_excess_workers() {
     let opts = DatabaseOptions {
-        device: DeviceKind::Mem,
+        profile: DiskProfile::instant(),
         ..Default::default()
     };
     let db = Database::from_xmark(0.012, &opts).unwrap();

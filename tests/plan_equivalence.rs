@@ -8,7 +8,8 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::storage::DiskProfile;
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 use pathix_xml::Document;
 use pathix_xpath::{Axis, LocationPath, NodeTest, Step};
@@ -109,8 +110,7 @@ proptest! {
             page_size,
             placement,
             buffer_pages: 16,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         };
         let db = Database::from_document(&doc, &opts).expect("import");
         for method in [
@@ -143,8 +143,7 @@ proptest! {
             page_size: 256,
             placement: Placement::Shuffled { seed },
             buffer_pages: 8,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         };
         let db = Database::from_document(&doc, &opts).expect("import");
         for method in [Method::XScan, Method::XSchedule { k: 5, speculative: true }] {
@@ -185,8 +184,7 @@ proptest! {
             page_size: 256,
             placement,
             buffer_pages: 8,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         };
         let db = Database::from_document(&doc, &opts).expect("import");
         let back = pathix_tree::export::export(db.store());

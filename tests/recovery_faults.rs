@@ -8,8 +8,8 @@
 #![allow(clippy::unwrap_used)]
 
 use pathix::storage::{
-    recover, seal_page, verify_page, Device, FaultDevice, FaultKind, FaultPlan, FaultRule,
-    MemDevice, SimClock, WriteAheadLog,
+    recover, seal_page, verify_page, Device, DiskProfile, FaultDevice, FaultKind, FaultPlan,
+    FaultRule, SimClock, SimDisk, WriteAheadLog,
 };
 
 const PAGE: usize = 64;
@@ -20,8 +20,8 @@ fn sealed(fill: u8) -> Vec<u8> {
     v
 }
 
-fn data_device(pages: u8) -> MemDevice {
-    let mut d = MemDevice::new(PAGE);
+fn data_device(pages: u8) -> SimDisk {
+    let mut d = SimDisk::with_profile(PAGE, DiskProfile::instant());
     for i in 0..pages {
         d.append_page(sealed(i));
     }
@@ -36,7 +36,10 @@ fn data_device(pages: u8) -> MemDevice {
 fn torn_wal_append_is_skipped_and_reported() {
     // Frame store: appends 0 and 2 are clean, append 1 is stored torn.
     let plan = FaultPlan::new(0xF1A7, vec![FaultRule::new(Some(1), FaultKind::TornWrite)]);
-    let mut log_store = FaultDevice::new(MemDevice::new(PAGE), plan.clone());
+    let mut log_store = FaultDevice::new(
+        SimDisk::with_profile(PAGE, DiskProfile::instant()),
+        plan.clone(),
+    );
     let clock = SimClock::new();
 
     // Three committed page writes, each logged as a full after-image and
@@ -82,7 +85,10 @@ fn dropped_wal_append_is_caught_by_commit_readback() {
         0xD20,
         vec![FaultRule::new(Some(0), FaultKind::DroppedWrite)],
     );
-    let mut log_store = FaultDevice::new(MemDevice::new(PAGE), plan.clone());
+    let mut log_store = FaultDevice::new(
+        SimDisk::with_profile(PAGE, DiskProfile::instant()),
+        plan.clone(),
+    );
     let clock = SimClock::new();
 
     let mut wal = WriteAheadLog::new();

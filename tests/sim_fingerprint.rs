@@ -24,7 +24,7 @@ use pathix::storage::{BufferStats, DeviceStats, SharedCacheDevice, SharedPageCac
 use pathix::tree::NodeId;
 use pathix::xml::Document;
 use pathix::xpath::{parse_path, parse_query, LocationPath};
-use pathix::{Database, DatabaseOptions, DeviceKind};
+use pathix::{Database, DatabaseOptions};
 use std::sync::Arc;
 
 const PATHS: [&str; 4] = [
@@ -56,7 +56,6 @@ fn db(doc: &Document) -> Database {
     let opts = DatabaseOptions {
         page_size: 2048,
         buffer_pages: 16,
-        device: DeviceKind::SimDisk,
         ..Default::default()
     };
     let db = Database::from_document(doc, &opts).unwrap();

@@ -4,7 +4,8 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method};
+use pathix::storage::{DiskProfile, QueuePolicy};
+use pathix::{Database, DatabaseOptions, Method};
 use pathix_tree::Placement;
 
 /// Identical configuration ⇒ identical simulated timings, byte for byte.
@@ -36,21 +37,23 @@ fn simulated_runs_are_deterministic() {
 /// The FIFO-device ablation degrades (or at best equals) XSchedule.
 #[test]
 fn fifo_device_not_faster_for_xschedule() {
-    let mk = |device| {
+    let mk = |policy| {
         Database::from_xmark(
             0.05,
             &DatabaseOptions {
                 page_size: 4096,
                 buffer_pages: 16,
                 placement: Placement::Shuffled { seed: 2 },
-                device,
-                ..Default::default()
+                profile: DiskProfile {
+                    policy,
+                    ..DiskProfile::default()
+                },
             },
         )
         .unwrap()
     };
-    let sstf = mk(DeviceKind::SimDisk);
-    let fifo = mk(DeviceKind::SimDiskFifo);
+    let sstf = mk(QueuePolicy::ShortestSeekFirst);
+    let fifo = mk(QueuePolicy::Fifo);
     let q = "count(/site/regions//item)";
     let t_sstf = {
         sstf.clear_buffers();
@@ -84,9 +87,8 @@ fn buffer_capacity_sweep_consistent() {
             &DatabaseOptions {
                 page_size: 4096,
                 buffer_pages: pages,
-                device: DeviceKind::Mem,
+                profile: DiskProfile::instant(),
                 placement: Placement::Shuffled { seed: 1 },
-                ..Default::default()
             },
         )
         .unwrap();

@@ -6,8 +6,9 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
+use pathix::storage::DiskProfile;
 use pathix::storage::{seal_page, verify_page, DecodeError, IoErrorKind, SlottedPageReader};
-use pathix::{Database, DatabaseOptions, DbError, DeviceKind, ExecError, Method, PlanConfig};
+use pathix::{Database, DatabaseOptions, DbError, ExecError, Method, PlanConfig};
 use pathix_xpath::{eval_path, parse_path};
 use std::collections::BTreeSet;
 
@@ -34,7 +35,7 @@ fn undecodable_page_fails_its_queries_once_and_no_others() {
     let opts = DatabaseOptions {
         page_size: 1024,
         buffer_pages: 8,
-        device: DeviceKind::Mem,
+        profile: DiskProfile::instant(),
         ..Default::default()
     };
     let db = Database::from_document(&doc, &opts).unwrap();

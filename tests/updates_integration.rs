@@ -6,7 +6,8 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::storage::DiskProfile;
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::{InsertPos, NewNode, NodeId, Placement};
 use pathix_xml::Document;
 use rand::rngs::StdRng;
@@ -19,8 +20,7 @@ fn fresh_db(doc: &Document) -> Database {
             page_size: 512,
             placement: Placement::Sequential,
             buffer_pages: 16,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         },
     )
     .unwrap()
@@ -136,8 +136,7 @@ fn updates_fragment_the_layout() {
             page_size: 2048,
             placement: Placement::Sequential,
             buffer_pages: 16,
-            device: DeviceKind::Mem,
-            ..Default::default()
+            profile: DiskProfile::instant(),
         },
     )
     .unwrap();

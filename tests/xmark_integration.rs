@@ -5,7 +5,8 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::storage::DiskProfile;
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 use pathix_xpath::{eval_query, parse_query};
 
@@ -23,8 +24,7 @@ fn opts(placement: Placement) -> DatabaseOptions {
         page_size: 2048,
         placement,
         buffer_pages: 32,
-        device: DeviceKind::Mem,
-        ..Default::default()
+        profile: DiskProfile::instant(),
     }
 }
 
