@@ -5,14 +5,16 @@
 //! incomplete navigation. As the paper observes (§4.4), operators only need
 //! the four values `(S_L, N_L, S_R, N_R)`, so an instance is a flat tuple.
 //!
-//! The right end additionally carries the *swizzled* form of the node — an
-//! `Arc` to its decoded cluster — while the instance flows from step to
-//! step through `XStep` (§5.3.2.3: direct pointers are passed along the
-//! XStep chain; only ends stored in the main-memory structures `Q`/`R`/`S`
-//! are unswizzled back to NodeIDs).
+//! The right end additionally carries the *swizzled* form of the node — a
+//! [`ClusterPin`] on its decoded cluster — while the instance flows from
+//! step to step through `XStep` (§5.3.2.3: direct pointers are passed along
+//! the XStep chain; only ends stored in the main-memory structures
+//! `Q`/`R`/`S` are unswizzled back to NodeIDs). The I/O operator makes one
+//! pin per fix and every instance of that cluster shares it, so copying or
+//! dropping an end is a plain, non-atomic count; the buffer frame stays
+//! pinned while any of them is alive.
 
-use pathix_tree::{Cluster, NodeId};
-use std::sync::Arc;
+use pathix_tree::{ClusterPin, NodeId};
 
 /// The right end `(S_R, N_R)` of an instance, in one of its physical
 /// representations.
@@ -21,8 +23,8 @@ pub enum REnd {
     /// Swizzled core node: the cluster is pinned in the buffer. Navigation
     /// for the next step starts *fresh* from `slot`.
     Core {
-        /// Decoded, pinned cluster.
-        cluster: Arc<Cluster>,
+        /// Decoded cluster, pinned in the buffer by the plan's shared pin.
+        cluster: ClusterPin,
         /// Slot of the node within the cluster.
         slot: u16,
         /// Document-order key of the node.
@@ -31,8 +33,8 @@ pub enum REnd {
     /// Swizzled border proxy at which an interrupted step *resumes*
     /// (the companion of the border where navigation stopped).
     Entry {
-        /// Decoded, pinned cluster.
-        cluster: Arc<Cluster>,
+        /// Decoded cluster, pinned in the buffer by the plan's shared pin.
+        cluster: ClusterPin,
         /// Slot of the proxy within the cluster.
         slot: u16,
     },
@@ -150,7 +152,7 @@ impl Pi {
     /// A context-node instance whose cluster is already pinned: `S_L = S_R
     /// = 0` with a swizzled `Core` end. Produced by the I/O operators when
     /// a context's cluster comes in.
-    pub fn swizzled_context(cluster: Arc<Cluster>, slot: u16, order: u64) -> Self {
+    pub fn swizzled_context(cluster: ClusterPin, slot: u16, order: u64) -> Self {
         let id = cluster.id(slot);
         Pi {
             sl: 0,
@@ -168,7 +170,7 @@ impl Pi {
     /// The speculative instance `l_{b,step}` for border node `b` (§5.4.3):
     /// left-incomplete, `S_L = S_R = step`, entered at the border's
     /// companion slot.
-    pub fn speculative(step: u16, cluster: Arc<Cluster>, slot: u16) -> Self {
+    pub fn speculative(step: u16, cluster: ClusterPin, slot: u16) -> Self {
         let nl = cluster.id(slot);
         Pi {
             sl: step,
@@ -218,16 +220,18 @@ impl Pi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pathix_tree::Cluster;
     use pathix_xml::Symbol;
+    use std::sync::Arc;
 
-    fn cluster() -> Arc<Cluster> {
+    fn cluster() -> ClusterPin {
         let mut cluster = Cluster::new(3);
         cluster.nodes.push(pathix_tree::Node {
             kind: pathix_tree::NodeKind::elem(Symbol(0)),
             order: 17,
             ..pathix_tree::Node::FREE
         });
-        Arc::new(cluster)
+        ClusterPin::new(Arc::new(cluster))
     }
 
     #[test]

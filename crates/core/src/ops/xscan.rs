@@ -27,11 +27,10 @@ use crate::context::ExecCtx;
 use crate::instance::Pi;
 use crate::ops::Operator;
 use pathix_storage::PageId;
-use pathix_tree::{Cluster, IdMap, NodeId};
+use pathix_tree::{ClusterPin, IdMap, NodeId};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// What one scanned cluster contributes to a path of `path_len` steps,
 /// handed out one instance at a time: an instance for each context stored
@@ -39,13 +38,14 @@ use std::sync::Arc;
 /// node `b` and every step `i < path_len`, border by border.
 ///
 /// All of them are charged when the emitter is made, that is when the page
-/// is scanned. The emitter pins the cluster only while some of its
-/// instances are still to come: the last one takes the emitter's own
-/// `Arc`, and a cluster that contributes nothing is not kept at all.
+/// is scanned. Every instance shares the one [`ClusterPin`] made when the
+/// page was fixed. The emitter holds it only while some of its instances
+/// are still to come: the last one takes the emitter's own clone, and a
+/// cluster that contributes nothing is not kept at all.
 #[derive(Default)]
 pub(crate) struct ClusterEmit {
     /// The scanned cluster; `None` once its last instance is out.
-    cluster: Option<Arc<Cluster>>,
+    cluster: Option<ClusterPin>,
     /// Contexts stored in the cluster, handed out first, in order.
     contexts: std::vec::IntoIter<NodeId>,
     /// Slot where the search for the current border node starts.
@@ -62,7 +62,7 @@ impl ClusterEmit {
     /// stored in it), then `path_len` speculative instances per border.
     pub(crate) fn new(
         cx: &ExecCtx<'_>,
-        cluster: Arc<Cluster>,
+        cluster: ClusterPin,
         contexts: Vec<NodeId>,
         path_len: u16,
     ) -> Self {
@@ -87,7 +87,7 @@ impl ClusterEmit {
         let cluster = if self.left == 0 {
             self.cluster.take()?
         } else {
-            Arc::clone(self.cluster.as_ref()?)
+            self.cluster.as_ref()?.clone()
         };
         if let Some(id) = self.contexts.next() {
             let order = cluster.node(id.slot).order;
@@ -108,10 +108,11 @@ impl ClusterEmit {
 }
 
 /// The page cursor of a sequential scan: it fixes each page once, in
-/// physical order, for every [`XScan`] that reads it. A reader that has
-/// taken the current page waits (returns `None`) until all others took it;
-/// the next to ask fixes the next page. A reader leaves when it enters
-/// fallback, is interrupted or is dropped. A lone `XScan` is one reader.
+/// physical order, for every [`XScan`] that reads it, and shares one
+/// [`ClusterPin`] on it among them. A reader that has taken the current
+/// page waits (returns `None`) until all others took it; the next to ask
+/// fixes the next page. A reader leaves when it enters fallback, is
+/// interrupted or is dropped. A lone `XScan` is one reader.
 #[derive(Clone, Default)]
 pub struct ScanCursor(Rc<RefCell<CursorState>>);
 
@@ -120,7 +121,7 @@ struct CursorState {
     /// Pages still to be fixed.
     pages: Range<PageId>,
     /// The last page fixed, until all took it; `None` if its read failed.
-    current: Option<Arc<Cluster>>,
+    current: Option<ClusterPin>,
     readers: usize,
     /// Readers that have still to take the current page.
     pending: usize,
@@ -144,14 +145,14 @@ impl ScanCursor {
 impl CursorState {
     /// The next page for a reader whose first untaken page is `unread`, or
     /// `None` while the reader waits for the others and after the last.
-    fn take(&mut self, unread: &mut PageId, cx: &ExecCtx<'_>) -> Option<Option<Arc<Cluster>>> {
+    fn take(&mut self, unread: &mut PageId, cx: &ExecCtx<'_>) -> Option<Option<ClusterPin>> {
         if *unread == self.pages.start {
             if self.pending > 0 {
                 return None;
             }
             let page = self.pages.next()?;
             // A failed read records the error on the store.
-            self.current = cx.store.checked_fix(page);
+            self.current = cx.store.checked_fix(page).map(ClusterPin::new);
             self.pending = self.readers;
         }
         *unread = self.pages.start;
@@ -159,8 +160,8 @@ impl CursorState {
     }
 
     /// A pending reader is done with the current page; the last one takes
-    /// the cursor's handle on it, so the cursor pins no frame.
-    fn release(&mut self) -> Option<Arc<Cluster>> {
+    /// the cursor's pin on it, so the cursor pins no frame.
+    fn release(&mut self) -> Option<ClusterPin> {
         self.pending -= 1;
         if self.pending == 0 {
             self.current.take()
@@ -257,7 +258,7 @@ impl Operator for XScan {
             if let Some(fb) = &mut self.fb_pos {
                 let &id = self.all_contexts.get(*fb)?;
                 *fb += 1;
-                let cluster = cx.store.checked_fix(id.page)?;
+                let cluster = ClusterPin::new(cx.store.checked_fix(id.page)?);
                 let order = cluster.node(id.slot).order;
                 cx.charge_instance();
                 return Some(Pi::swizzled_context(cluster, id.slot, order));
@@ -282,8 +283,8 @@ mod tests {
     use crate::instance::REnd;
     use crate::ops::testutil::{drain, mem_store, sample_doc};
     use crate::ops::ContextSource;
-    use pathix_tree::{Placement, TreeStore};
-    use std::sync::Weak;
+    use pathix_tree::{Cluster, Placement, TreeStore};
+    use std::sync::{Arc, Weak};
 
     /// A cursor over the whole document, for one reader.
     fn lone(store: &TreeStore) -> ScanCursor {
@@ -394,6 +395,44 @@ mod tests {
             for page in store.meta.page_range() {
                 assert!(!pinned(page), "page {page} pinned after the scan");
             }
+        }
+    }
+
+    /// A scanned cluster's instances share the one pin made when its page
+    /// was fixed: with k instances out, k ≥ 1, the buffer frame has two
+    /// strong references (the buffer's and the pin's), and one again as
+    /// soon as the last of them is dropped.
+    #[test]
+    fn a_scanned_clusters_instances_share_one_pin() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
+        let cx = ExecCtx::new(&store, None);
+        let frames: IdMap<PageId, Weak<Cluster>> = store
+            .meta
+            .page_range()
+            .map(|p| (p, Arc::downgrade(&store.fix(p))))
+            .collect();
+        let refs = |page: PageId| frames[&page].strong_count();
+        let src = ContextSource::new(vec![store.root()]);
+        let mut scan = XScan::new(Box::new(src), &lone(&store), 3);
+        let (mut held, mut most): (Vec<Pi>, usize) = (Vec::new(), 0);
+        while let Some(p) = scan.next(&cx) {
+            let page = p.nr.node_id().page;
+            if let Some(prev) = held.first().map(|q| q.nr.node_id().page) {
+                if prev != page {
+                    assert_eq!(refs(prev), 2, "page {prev} with its instances out");
+                    held.clear();
+                    assert_eq!(refs(prev), 1, "page {prev} after its last instance");
+                }
+            }
+            held.push(p);
+            most = most.max(held.len());
+            assert_eq!(refs(page), 2, "page {page} with {} out", held.len());
+        }
+        assert!(most >= 2, "no page handed out two instances");
+        drop(held);
+        for page in store.meta.page_range() {
+            assert_eq!(refs(page), 1, "page {page} after the scan");
         }
     }
 

@@ -18,11 +18,10 @@ use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
 use crate::ops::{ClusterEmit, Operator};
 use pathix_storage::PageId;
-use pathix_tree::{Cluster, IdSet, NodeId};
+use pathix_tree::{ClusterPin, IdSet, NodeId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// One pending cluster visit. The derived ordering — cluster id first,
 /// step second — is the paper's lexicographic queue order.
@@ -154,7 +153,8 @@ pub struct XSchedule {
     speculative: bool,
     path_len: u16,
     shared: Rc<RefCell<SchedShared>>,
-    current: Option<Arc<Cluster>>,
+    /// The cluster being served, pinned once for all its instances.
+    current: Option<ClusterPin>,
     /// The current cluster's speculative instances still to come.
     emit: ClusterEmit,
     producer_done: bool,
@@ -193,7 +193,7 @@ impl XSchedule {
         }
     }
 
-    fn resolve(&self, cx: &ExecCtx<'_>, e: QEntry, cluster: Arc<Cluster>) -> Pi {
+    fn resolve(&self, cx: &ExecCtx<'_>, e: QEntry, cluster: ClusterPin) -> Pi {
         cx.charge_instance();
         let nr = if e.resume {
             REnd::Entry {
@@ -211,14 +211,14 @@ impl XSchedule {
         Pi::band(e.sl, e.nl, e.sr, nr, e.li)
     }
 
-    fn generate_speculative(&mut self, cx: &ExecCtx<'_>, cluster: &Arc<Cluster>) {
+    fn generate_speculative(&mut self, cx: &ExecCtx<'_>, cluster: &ClusterPin) {
         if !self.speculative || cx.in_fallback() || self.path_len == 0 {
             return;
         }
         if !self.shared.borrow_mut().visited.insert(cluster.page) {
             return;
         }
-        self.emit = ClusterEmit::new(cx, Arc::clone(cluster), Vec::new(), self.path_len);
+        self.emit = ClusterEmit::new(cx, cluster.clone(), Vec::new(), self.path_len);
     }
 }
 
@@ -315,6 +315,7 @@ impl Operator for XSchedule {
                     }
                 },
             };
+            let cluster = ClusterPin::new(cluster);
             self.generate_speculative(cx, &cluster);
             self.current = Some(cluster);
         }

@@ -32,11 +32,12 @@
 use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
 use crate::ops::Operator;
-use pathix_tree::{Entry, FullCursor, NodeId, ResolvedTest, StepCursor, StepItem};
+use pathix_tree::{ClusterPin, Entry, FullCursor, NodeId, ResolvedTest, StepCursor, StepItem};
 use pathix_xpath::Axis;
 
 enum Cursor {
-    Intra(StepCursor),
+    /// Shares the swizzled end's plan pin; each match clones it.
+    Intra(StepCursor<ClusterPin>),
     Full(FullCursor),
 }
 
@@ -286,7 +287,7 @@ mod tests {
         fn next(&mut self, cx: &ExecCtx<'_>) -> Option<Pi> {
             let p = self.inner.next(cx)?;
             let id = p.nr.node_id();
-            let cluster = cx.store.fix(id.page);
+            let cluster = ClusterPin::new(cx.store.fix(id.page));
             let order = cluster.node(id.slot).order;
             Some(Pi {
                 nr: REnd::Core {
@@ -378,7 +379,7 @@ mod tests {
         let cx = ExecCtx::new(&store, None);
         // An instance already at step 2 of a 2-step path is full: no step
         // applies to it, and it goes up untouched.
-        let cluster = store.fix(store.root().page);
+        let cluster = ClusterPin::new(store.fix(store.root().page));
         let pre = Pi {
             sl: 0,
             nl: store.root(),
@@ -518,7 +519,7 @@ mod tests {
                     if !seen_targets.insert(target) {
                         continue;
                     }
-                    let cluster = store.fix(target.page);
+                    let cluster = ClusterPin::new(store.fix(target.page));
                     let entry = Pi {
                         sl: p.sl,
                         nl: p.nl,

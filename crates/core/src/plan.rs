@@ -493,9 +493,8 @@ mod tests {
 
     use super::*;
     use crate::ops::testutil::{mem_store, sample_doc};
-    use pathix_tree::Placement;
+    use pathix_tree::{ClusterPin, Placement};
     use pathix_xpath::{parse_path, parse_query};
-    use std::sync::Arc;
 
     fn all_methods() -> [Method; 4] {
         [
@@ -631,12 +630,12 @@ mod tests {
         let doc = sample_doc();
         let store = mem_store(&doc, 256, Placement::Sequential);
         let root = store.meta.root;
-        let cluster = store.checked_fix(root.page).expect("root page reads");
+        let cluster = ClusterPin::new(store.checked_fix(root.page).expect("root page reads"));
         let order = cluster.node(root.slot).order;
         let accepted = [
             REnd::Done { id: root, order },
             REnd::Core {
-                cluster: Arc::clone(&cluster),
+                cluster: cluster.clone(),
                 slot: root.slot,
                 order,
             },

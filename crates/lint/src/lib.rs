@@ -34,7 +34,9 @@
 //!   (`std::thread`, channels, locks, atomics) appear only in the
 //!   storage layer's shared page cache and fault plan and the batch
 //!   executor module (`core/src/batch.rs`); the operator hot path stays
-//!   single-threaded (DESIGN §10).
+//!   single-threaded (DESIGN §10). Non-test code of core's `ops/` and
+//!   `instance.rs` does not name `Arc` at all: an instance pins its
+//!   cluster with the non-atomic `pathix_tree::ClusterPin`.
 //! - **R6 — fault containment.** The fault-injection API
 //!   (`FaultDevice`/`FaultPlan`/…) stays below the shared cache
 //!   (storage, the facade, bench, tests); `IoError` is constructed

@@ -117,6 +117,14 @@ fn in_concurrency_zone(path: &str) -> bool {
         || path == "crates/core/src/batch.rs"
 }
 
+/// Files whose non-test code may not name `Arc` (R5): the operators and
+/// the instance type. A plan never leaves its thread, so an instance pins
+/// its cluster with the non-atomic `pathix_tree::ClusterPin`, one per fix,
+/// instead of paying an atomic count per instance.
+fn in_plan_local_zone(path: &str) -> bool {
+    path.starts_with("crates/core/src/ops/") || path == "crates/core/src/instance.rs"
+}
+
 /// Files whose non-test code must be panic-free (R3): the operator hot
 /// path, the buffer manager, the navigation primitives, and the page miss
 /// path below them — the slotted-page reader, the node decoder and the
@@ -218,6 +226,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let r3_applies = in_panic_free_zone(rel_path);
     let r4_pi_applies = rel_path != "crates/core/src/instance.rs";
     let r5_applies = !in_concurrency_zone(rel_path);
+    let r5_arc_applies = in_plan_local_zone(rel_path);
     let r6_fault_applies = !in_fault_zone(rel_path);
     let r6_ioerr_applies = !rel_path.starts_with("crates/storage/");
     let r6_exec_applies = rel_path.starts_with("crates/core/src/ops/");
@@ -324,6 +333,19 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                              core/src/batch.rs); \
                              the operator hot path stays single-threaded"
                         ),
+                    });
+                }
+                // R5: plan-local pins.
+                if r5_arc_applies && !is_test(i) && id == "Arc" {
+                    out.push(Diagnostic {
+                        file: rel_path.to_owned(),
+                        line: st.line,
+                        rule: "R5",
+                        message: "`Arc` in the plan-local instance path (core ops/, \
+                                  instance.rs); a plan never leaves its thread, so \
+                                  pin clusters with pathix_tree::ClusterPin, whose \
+                                  counts are not atomic"
+                            .to_owned(),
                     });
                 }
                 // R7: governor API confinement.
@@ -714,6 +736,34 @@ mod tests {
         assert!(rules_of("crates/core/src/governor.rs", src).contains(&"R5"));
         // The bench harness runs batches through the facade: no threads.
         assert!(rules_of("crates/bench/src/overload.rs", src).contains(&"R5"));
+    }
+
+    #[test]
+    fn plan_local_pins() {
+        let src = "use std::sync::Arc;\nfn f(c: Arc<Cluster>) -> ClusterPin { ClusterPin::new(c) }";
+        // The operators and the instance type: flagged at every `Arc`.
+        for path in [
+            "crates/core/src/ops/xscan.rs",
+            "crates/core/src/ops/mod.rs",
+            "crates/core/src/instance.rs",
+        ] {
+            assert_eq!(rules_of(path, src), vec!["R5", "R5"], "{path}");
+        }
+        // A plan pin, and `Arc` in a comment, a string or a test module.
+        let pin = "// not an Arc\nfn f(c: &ClusterPin) -> &str { let _ = c.clone(); \"Arc\" }";
+        assert!(rules_of("crates/core/src/ops/xstep.rs", pin).is_empty());
+        let test = "#[cfg(test)]\nmod tests {\n    use std::sync::Arc;\n}";
+        assert!(rules_of("crates/core/src/ops/xscan.rs", test).is_empty());
+        assert!(rules_of("crates/core/tests/t.rs", src).is_empty());
+        // The rest of core, the tree layer and the storage layer may.
+        for path in [
+            "crates/core/src/plan.rs",
+            "crates/core/src/batch.rs",
+            "crates/tree/src/nav.rs",
+            "crates/storage/src/buffer.rs",
+        ] {
+            assert!(rules_of(path, src).is_empty(), "{path}");
+        }
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub mod update;
 
 pub use import::{import_into, ImportConfig, ImportReport, Placement};
 pub use nav::{
-    Entry, FullCursor, NavCharge, NavCounters, NavParams, ResolvedTest, StepCursor, StepItem,
+    ClusterPin, Entry, FullCursor, NavCharge, NavCounters, NavParams, ResolvedTest, StepCursor,
+    StepItem,
 };
 pub use node::{Cluster, IdHasher, IdMap, IdSet, Node, NodeId, NodeKind, Span, ORDER_SPACING};
 pub use store::{TreeMeta, TreeStore};

@@ -17,6 +17,14 @@
 //! A `StepCursor` walks subtrees (descendant axes; the sibling subtrees of
 //! following / preceding) in preorder over the cluster's own child, sibling
 //! and parent links, without a stack, so it never touches the allocator.
+//!
+//! A `StepCursor` holds its cluster through a *pin* `P`: anything that
+//! dereferences to the [`Cluster`] and keeps it alive. The default is the
+//! `Arc<Cluster>` the buffer manager hands out, which is what
+//! [`FullCursor`] and callers outside a plan use. A query plan instead
+//! shares one [`ClusterPin`] per fix among all its instances, so cloning
+//! or dropping an instance's pin costs no atomic operation. Both
+//! instantiations run the same code.
 
 use crate::node::{Cluster, NodeId, NodeKind};
 use crate::store::TreeStore;
@@ -25,7 +33,39 @@ use pathix_storage::SimClock;
 use pathix_xml::{Symbol, SymbolTable};
 use pathix_xpath::{Axis, NodeTest};
 use std::cell::Cell;
+use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// A plan-local pin on one decoded cluster: the one `Arc` the buffer
+/// manager returned for a fix, shared by reference count without atomics.
+///
+/// The buffer's frame stays pinned (referenced) for as long as any clone
+/// of the pin lives, exactly as if each clone held its own `Arc`; the
+/// buffer sees one extra strong reference per fix instead of one per
+/// instance. A pin never leaves the thread that made it (it is neither
+/// `Send` nor `Sync`), as a query plan never does.
+// The second box is the point: one `Rc` allocation per fix buys
+// non-atomic clones for every instance that shares it.
+#[allow(clippy::redundant_allocation)]
+#[derive(Debug, Clone)]
+pub struct ClusterPin(Rc<Arc<Cluster>>);
+
+impl ClusterPin {
+    /// Wraps the buffer's reference to a fixed cluster.
+    pub fn new(cluster: Arc<Cluster>) -> Self {
+        Self(Rc::new(cluster))
+    }
+}
+
+impl Deref for ClusterPin {
+    type Target = Cluster;
+
+    #[inline]
+    fn deref(&self) -> &Cluster {
+        &self.0
+    }
+}
 
 /// Inert: cursors charge [`VISIT_NS`] and [`TEST_NS`] themselves. Kept
 /// only so existing `NavCharge` literals compile.
@@ -246,17 +286,20 @@ impl Subtree {
     }
 }
 
-/// Intra-cluster navigation cursor for one (axis, node-test) step.
+/// Intra-cluster navigation cursor for one (axis, node-test) step, holding
+/// its cluster through the pin `P` (see the module docs): the buffer's
+/// `Arc<Cluster>` by default, a [`ClusterPin`] inside a query plan.
 #[derive(Debug)]
-pub struct StepCursor {
-    cluster: Arc<Cluster>,
+pub struct StepCursor<P = Arc<Cluster>> {
+    cluster: P,
     test: ResolvedTest,
     state: State,
 }
 
-impl StepCursor {
-    /// Creates a cursor for `axis`/`test` entering the cluster at `entry`.
-    pub fn new(cluster: Arc<Cluster>, entry: Entry, axis: Axis, test: ResolvedTest) -> Self {
+impl<P: Deref<Target = Cluster>> StepCursor<P> {
+    /// Creates a cursor for `axis`/`test` entering the cluster pinned by
+    /// `cluster` at `entry`.
+    pub fn new(cluster: P, entry: Entry, axis: Axis, test: ResolvedTest) -> Self {
         let state = match entry {
             Entry::Fresh(slot) => Self::fresh_state(&cluster, slot, axis),
             Entry::Resume(slot) => Self::resume_state(&cluster, slot, axis),
@@ -406,8 +449,8 @@ impl StepCursor {
         }
     }
 
-    /// The cluster this cursor walks.
-    pub fn cluster(&self) -> &Arc<Cluster> {
+    /// The pin on the cluster this cursor walks.
+    pub fn cluster(&self) -> &P {
         &self.cluster
     }
 
@@ -966,6 +1009,72 @@ mod tests {
             }
         }
         assert!(widest >= 200, "no cluster held the wide node's children");
+    }
+
+    /// Drains `cursor` on a clock of its own: the items, the clock's CPU
+    /// time and the (visits, tests, borders) counts.
+    fn walk<P: Deref<Target = Cluster>>(
+        mut cursor: StepCursor<P>,
+    ) -> (Vec<StepItem>, u64, (u64, u64, u64)) {
+        let (clock, n) = (SimClock::new(), NavCounters::default());
+        let charge = charge_ctx(&clock, &n);
+        let items = std::iter::from_fn(|| cursor.next(&charge)).collect();
+        let counts = (n.nodes_visited.get(), n.node_tests.get(), n.borders.get());
+        (items, clock.cpu_ns(), counts)
+    }
+
+    /// The two pins run one code path: over seeded XMark pages, a cursor
+    /// holding the buffer's `Arc` and one holding a `ClusterPin` on the
+    /// same fix yield the same items, charge the same clock and count the
+    /// same visits, tests and borders, on every axis from every core node
+    /// (`Fresh`) and every border proxy (`Resume`).
+    #[test]
+    fn arc_and_plan_pins_walk_alike() {
+        let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig {
+            avg_sentence_words: 4,
+            ..pathix_xmlgen::GenConfig::at_scale(0.01).with_seed(0x914)
+        });
+        let (mut fresh, mut resumed) = (0, 0);
+        for page_size in [512, 1024, 2048, 4096, 8192] {
+            let store = store_for(&doc, page_size, Placement::Shuffled { seed: 3 });
+            let tests = [
+                ResolvedTest::resolve(&NodeTest::Name("item".into()), &store.meta.symbols),
+                ResolvedTest::AnyNode,
+            ];
+            for page in store.meta.page_range() {
+                let cluster = store.fix(page);
+                let pin = ClusterPin::new(Arc::clone(&cluster));
+                for (slot, node) in cluster.nodes.iter().enumerate() {
+                    let slot = slot as u16;
+                    let entry = match node.kind {
+                        NodeKind::Free => continue,
+                        k if k.is_border() => Entry::Resume(slot),
+                        _ => Entry::Fresh(slot),
+                    };
+                    match entry {
+                        Entry::Fresh(_) => fresh += 1,
+                        Entry::Resume(_) => resumed += 1,
+                    }
+                    for axis in Axis::ALL {
+                        for test in &tests {
+                            let by_arc = walk(StepCursor::new(
+                                Arc::clone(&cluster),
+                                entry,
+                                axis,
+                                test.clone(),
+                            ));
+                            let by_pin =
+                                walk(StepCursor::new(pin.clone(), entry, axis, test.clone()));
+                            assert_eq!(
+                                by_pin, by_arc,
+                                "{axis:?} {test:?} from {entry:?} on page {page} ({page_size} B)"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fresh > 0 && resumed > 0, "{fresh} fresh, {resumed} resumed");
     }
 
     #[test]
