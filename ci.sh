@@ -14,32 +14,35 @@
 #      extensions at SF 0.1, CHAOS and OVERLOAD on an instant disk
 #      profile), fails if any of its checks fails, and diffs it cell by
 #      cell against its committed golden under crates/bench/golden/
-#   4. pathix-lint check      — the R1-R9 architectural invariants
+#   4. the oracle, deep       — tests/oracle.rs's random cases at 10,000
+#      (PROPTEST_CASES) in release: every execution path against the
+#      reference evaluator, far past tier-1's 48 cases
+#   5. pathix-lint check      — the R1-R9 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
 #      confinement, `unsafe` only in storage's checksum.rs, `_NS` cost
 #      constants only in storage's cost.rs; see
 #      DESIGN.md "Statically enforced invariants")
-#   5. cargo clippy -D warnings — every target of every workspace crate
+#   6. cargo clippy -D warnings — every target of every workspace crate
 #      is clippy-clean, including the `[workspace.lints]` deny-set
 #      (`unwrap_used`, `dbg_macro`, `todo`, `unsafe_code`,
 #      `undocumented_unsafe_blocks`)
-#   6. cargo doc -D warnings  — the API docs of every workspace crate build
+#   7. cargo doc -D warnings  — the API docs of every workspace crate build
 #      without warnings: no broken or private intra-doc links
-#   7. perfbench self-tests   — the benchmark (own package under
+#   8. perfbench self-tests   — the benchmark (own package under
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   8. examples               — every program under examples/ is built in
+#   9. examples               — every program under examples/ is built in
 #      release and runs to exit 0 (`cargo test` only compiles them)
-#   9. report all chaos overload, simulated identity — every artifact in
+#  10. report all chaos overload, simulated identity — every artifact in
 #      full mode, run in a fresh temporary directory, must write
 #      PAPER.json, ABLATIONS.json, EXTENSIONS.json, CHAOS.json and
 #      OVERLOAD.json byte for byte equal to the committed files (every
 #      cell is simulated time, a count or an outcome, so any drift is a
 #      cost-model change that must regenerate them on purpose); on a
 #      mismatch, `report diff` first names every moved cell
-#  10. the tree as found      — `git status --porcelain` and a hash of
+#  11. the tree as found      — `git status --porcelain` and a hash of
 #      `git diff`, taken before stage 1, are unchanged: no stage may write
 #      into the tree (a blessed golden, an artifact written in place)
 set -euo pipefail
@@ -47,7 +50,7 @@ cd "$(dirname "$0")"
 root=$(pwd)
 
 # perfbench/Cargo.lock is left out by name: every benchmark build rewrites
-# it (stage 7), because it still lists the deleted vendored parking_lot
+# it (stage 8), because it still lists the deleted vendored parking_lot
 # (the FOUND note on perfbench/Cargo.lock in CHANGES.md), until the
 # benchmark's next change commits the pruned lock.
 tree_state() {
@@ -64,6 +67,9 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> the oracle at 10,000 random cases (release)"
+PROPTEST_CASES=10000 cargo test --release --offline --test oracle
 
 echo "==> pathix-lint check"
 cargo run -q -p pathix-lint -- check

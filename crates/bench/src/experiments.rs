@@ -186,7 +186,7 @@ pub fn paper(fast: bool) -> Artifact {
 /// more than the scan.
 fn example1() -> (Vec<Vec<Cell>>, Vec<Cell>) {
     let db = build_db_edited(0.01, |o| {
-        o.placement = Placement::Shuffled { seed: 7 };
+        o.placement = Placement::ChunkShuffled { chunk: 1, seed: 7 };
         o.buffer_pages = 4;
         o.page_size = 2048;
     });
@@ -258,7 +258,7 @@ pub fn ablations(fast: bool) -> Artifact {
         ("sequential", Placement::Sequential),
         ("chunk16", Placement::ChunkShuffled { chunk: 16, seed: 1 }),
         ("chunk4", Placement::ChunkShuffled { chunk: 4, seed: 1 }),
-        ("shuffled", Placement::Shuffled { seed: 1 }),
+        ("shuffled", Placement::ChunkShuffled { chunk: 1, seed: 1 }),
     ];
     let a2 = placements
         .into_iter()
@@ -278,7 +278,7 @@ pub fn ablations(fast: bool) -> Artifact {
     // into clusters visited on the way down; a fragmented layout and a
     // small buffer make those revisits real device reads.
     let db = build_db_edited(scale, |o| {
-        o.placement = Placement::Shuffled { seed: 5 };
+        o.placement = Placement::ChunkShuffled { chunk: 1, seed: 5 };
         o.buffer_pages = 50;
     });
     let a3 = [false, true]
@@ -398,7 +398,9 @@ pub fn extensions(fast: bool) -> Artifact {
 
     // E8: document export by structural walk vs one sequential scan, on a
     // fragmented layout.
-    let db = build_db_edited(scale, |o| o.placement = Placement::Shuffled { seed: 23 });
+    let db = build_db_edited(scale, |o| {
+        o.placement = Placement::ChunkShuffled { chunk: 1, seed: 23 }
+    });
     let export = |f: fn(&Database) -> pathix_xml::Document| {
         cold_start(&db);
         let t0 = db.store().clock().breakdown();
@@ -449,7 +451,9 @@ pub fn extensions(fast: bool) -> Artifact {
         ("2 x XSchedule", Method::xschedule()),
     ]
     .map(|(workload, m)| {
-        let db = build_db_edited(scale, |o| o.placement = Placement::Shuffled { seed: 41 });
+        let db = build_db_edited(scale, |o| {
+            o.placement = Placement::ChunkShuffled { chunk: 1, seed: 41 }
+        });
         cold_start(&db);
         let batch = db
             .run_batch(

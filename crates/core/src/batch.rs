@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_and_batch_order() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 41 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 41 });
         let work = vec![
             (parse_path("//item").unwrap(), Method::Simple),
             (parse_path("//email").unwrap(), Method::xschedule()),
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn lost_worker_costs_exactly_one_item() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 7 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 7 });
         // One worker whose device panics on its very first read: item 0 is
         // lost, the worker recovers (scrubbed engine state) and runs the
         // remaining items over the now-healthy device.
@@ -536,7 +536,7 @@ mod tests {
     #[test]
     fn unlimited_budgets_match_ungoverned_batch() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 41 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 41 });
         let work = governed_work();
         let mut cfg = PlanConfig::new(Method::Simple);
         cfg.sort = true;
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn admission_sheds_a_deterministic_prefix_overflow() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 41 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 41 });
         let work = governed_work();
         let mut cfg = PlanConfig::new(Method::Simple);
         cfg.sort = true;
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn tight_hard_deadline_aborts_with_elapsed() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 41 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 41 });
         let work = governed_work();
         let cfg = PlanConfig::new(Method::Simple);
         // 1 sim-ns hard deadline: every admitted item aborts.

@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn scans_every_page_exactly_once_in_order() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 2 });
         let cx = ExecCtx::new(&store, None);
         {
             let mut dev = store.buffer.device_mut();
@@ -353,7 +353,7 @@ mod tests {
     fn a_scanned_frame_stays_pinned_only_while_its_instances_are_out() {
         let doc = sample_doc();
         for path_len in [0u16, 2] {
-            let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
+            let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 2 });
             let cx = ExecCtx::new(&store, None);
             // A weak handle on every resident frame: a frame is pinned
             // while anyone but the buffer holds a strong one.
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn a_scanned_clusters_instances_share_one_pin() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 2 });
         let cx = ExecCtx::new(&store, None);
         let frames: IdMap<PageId, Weak<Cluster>> = store
             .meta

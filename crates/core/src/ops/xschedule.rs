@@ -44,35 +44,14 @@ pub struct QEntry {
     pub li: bool,
 }
 
-/// Within-page portion of a [`QEntry`], in the paper's lexicographic queue
-/// order (step `S_R` first). Keying `Q` by page and then by this tuple
-/// preserves the exact iteration order of the former flat
-/// `BTreeSet<QEntry>`.
-type QKey = (u16, u16, bool, u16, NodeId, bool);
-
-fn qkey(e: QEntry) -> QKey {
-    (e.sr, e.slot, e.resume, e.sl, e.nl, e.li)
-}
-
-fn qentry(page: PageId, k: QKey) -> QEntry {
-    let (sr, slot, resume, sl, nl, li) = k;
-    QEntry {
-        page,
-        sr,
-        slot,
-        resume,
-        sl,
-        nl,
-        li,
-    }
-}
-
 /// The queue `Q` shared between `XSchedule` and `XAssembly`, keyed by page:
 /// dedup on `push`, `pop_for_page`, and the page-membership probes are all
-/// O(log |Q|) map operations instead of scans over unrelated entries.
+/// O(log |Q|) map operations instead of scans over unrelated entries. The
+/// entries of one page share it, so its set iterates in the rest of
+/// `QEntry`'s order, step `S_R` first.
 #[derive(Debug, Default)]
 pub struct SchedShared {
-    q: BTreeMap<PageId, BTreeSet<QKey>>,
+    q: BTreeMap<PageId, BTreeSet<QEntry>>,
     /// Total entries across all pages (every per-page set is non-empty).
     entries: usize,
     /// Clusters for which speculative instances were already generated.
@@ -86,7 +65,7 @@ pub struct SchedShared {
 impl SchedShared {
     /// Inserts an entry; returns false if it was already queued.
     pub fn push(&mut self, e: QEntry) -> bool {
-        let inserted = self.q.entry(e.page).or_default().insert(qkey(e));
+        let inserted = self.q.entry(e.page).or_default().insert(e);
         if inserted {
             self.entries += 1;
         }
@@ -105,13 +84,12 @@ impl SchedShared {
 
     fn pop_for_page(&mut self, page: PageId) -> Option<QEntry> {
         let set = self.q.get_mut(&page)?;
-        let first = *set.iter().next()?;
-        set.remove(&first);
+        let first = set.pop_first()?;
         if set.is_empty() {
             self.q.remove(&page);
         }
         self.entries -= 1;
-        Some(qentry(page, first))
+        Some(first)
     }
 
     /// True if at least one entry targets `page`.
@@ -137,9 +115,7 @@ impl SchedShared {
     /// All entries in queue order (page, then within-page key).
     #[cfg(test)]
     fn entries_in_order(&self) -> impl Iterator<Item = QEntry> + '_ {
-        self.q
-            .iter()
-            .flat_map(|(&page, set)| set.iter().map(move |&k| qentry(page, k)))
+        self.q.values().flatten().copied()
     }
 }
 
@@ -380,7 +356,7 @@ mod tests {
     #[test]
     fn emits_context_instances_with_swizzled_ends() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 512, Placement::Shuffled { seed: 4 });
+        let store = mem_store(&doc, 512, Placement::ChunkShuffled { chunk: 1, seed: 4 });
         let cx = ExecCtx::new(&store, None);
         let src = ContextSource::new(vec![store.root()]);
         let mut sched = XSchedule::new(Box::new(src), shared(), 100, false, 2);
@@ -397,7 +373,7 @@ mod tests {
     #[test]
     fn serves_feedback_entries_pushed_by_consumer() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 4 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 4 });
         let cx = ExecCtx::new(&store, None);
         let sh = shared();
         let src = ContextSource::new(vec![store.root()]);

@@ -458,7 +458,7 @@ mod tests {
         let ranks = doc.preorder_ranks();
         for (path, placement) in [
             ("/regions//item", Placement::Sequential),
-            ("//email", Placement::Shuffled { seed: 9 }),
+            ("//email", Placement::ChunkShuffled { chunk: 1, seed: 9 }),
         ] {
             let path = pathix_xpath::parse_path(path).unwrap().normalize();
             let mut want: Vec<u64> = pathix_xpath::eval_path(&doc, doc.root(), &path)
@@ -768,7 +768,10 @@ mod tests {
                 ..pathix_xmlgen::GenConfig::at_scale(0.001).with_seed(31 + d as u64)
             };
             let doc = pathix_xmlgen::generate(&cfg);
-            let placement = Placement::Shuffled { seed: 7 + d as u64 };
+            let placement = Placement::ChunkShuffled {
+                chunk: 1,
+                seed: 7 + d as u64,
+            };
             let fresh = || mem_store(&doc, page_size, placement);
             let symbols = fresh();
             for len in lens {

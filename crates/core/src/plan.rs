@@ -535,8 +535,8 @@ mod tests {
         let doc = sample_doc();
         for placement in [
             Placement::Sequential,
-            Placement::Shuffled { seed: 11 },
-            Placement::Strided { stride: 3 },
+            Placement::ChunkShuffled { chunk: 1, seed: 11 },
+            Placement::ChunkShuffled { chunk: 3, seed: 11 },
         ] {
             for path in [
                 "/regions//item",
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn results_are_duplicate_free_and_sorted() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 7 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 7 });
         let mut cfg = PlanConfig::new(Method::XScan);
         cfg.sort = true;
         let run =
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn xscan_reads_every_page_once_methods_differ_in_io() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 3 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 3 });
         let pages = store.meta.page_count as u64;
         let run = execute_path(
             &store,
@@ -615,7 +615,7 @@ mod tests {
         .expect("plan executes");
         assert_eq!(run.report.device.reads, pages, "XScan reads each page once");
         // A fresh store for the Simple method (cold buffer).
-        let store2 = mem_store(&doc, 256, Placement::Shuffled { seed: 3 });
+        let store2 = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 3 });
         let run2 = execute_path(
             &store2,
             &parse_path("//email").unwrap(),
@@ -673,7 +673,7 @@ mod tests {
         let doc = sample_doc();
         let want = reference(&doc, "//item");
         for method in [Method::xschedule(), Method::XScan] {
-            let store = mem_store(&doc, 256, Placement::Shuffled { seed: 5 });
+            let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 5 });
             let mut cfg = PlanConfig::new(method);
             cfg.mem_limit = Some(1); // force fallback almost immediately
             cfg.sort = true;
@@ -691,7 +691,7 @@ mod tests {
         // with a zero memory limit the first parked instance flips the
         // plan into fallback mode.
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 2 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 2 });
         let mut cfg = PlanConfig::new(Method::XScan);
         cfg.mem_limit = Some(0);
         let run =
@@ -704,7 +704,7 @@ mod tests {
         // With speculative on, re-entrant paths must not re-read clusters:
         // device reads ≤ number of pages.
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 13 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 13 });
         let cfg = PlanConfig::new(Method::XSchedule {
             k: 100,
             speculative: true,
@@ -733,7 +733,7 @@ mod tests {
             ("/regions//item/name", sorted),
         ] {
             let path = parse_path(path).unwrap();
-            let placement = Placement::Shuffled { seed: 5 };
+            let placement = Placement::ChunkShuffled { chunk: 1, seed: 5 };
             let solo = execute_path(&mem_store(&doc, 256, placement), &path, &cfg).unwrap();
             let store = mem_store(&doc, 256, placement);
             let batch = execute_interleaved(&store, &[(path, cfg.method)], &cfg).unwrap();
@@ -747,7 +747,7 @@ mod tests {
 
         // The XScan items of a batch share one scan, yet each is charged
         // like its path alone, next to an XSchedule item.
-        let placement = Placement::Shuffled { seed: 5 };
+        let placement = Placement::ChunkShuffled { chunk: 1, seed: 5 };
         let paths = ["/regions//item", "//email", "//name/text()", "//item/.."];
         let mut work: Vec<_> = paths
             .iter()
@@ -790,7 +790,7 @@ mod tests {
     #[test]
     fn interleaved_plans_all_correct() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 17 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 17 });
         let work = vec![
             (parse_path("/regions//item").unwrap(), Method::Simple),
             (parse_path("//email").unwrap(), Method::xschedule()),
@@ -812,7 +812,7 @@ mod tests {
     #[test]
     fn two_schedules_share_the_device_queue() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 3 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 3 });
         let work = vec![
             (parse_path("//item").unwrap(), Method::xschedule()),
             (parse_path("//email").unwrap(), Method::xschedule()),
@@ -831,7 +831,7 @@ mod tests {
     #[test]
     fn per_plan_reports_sum_to_combined() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 23 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 23 });
         let work = vec![
             (parse_path("//item").unwrap(), Method::Simple),
             (parse_path("//email").unwrap(), Method::xschedule()),
@@ -891,7 +891,7 @@ mod tests {
     #[test]
     fn shared_scan_matches_reference_per_path() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 21 });
+        let store = mem_store(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 21 });
         let paths = ["/regions//item", "//email", "//name/text()", "//item/.."];
         let mut cfg = PlanConfig::new(Method::XScan);
         cfg.sort = true;

@@ -184,12 +184,11 @@ mod tests {
 
     #[test]
     fn roundtrip_shuffled() {
-        roundtrip(&rich_doc(), 256, Placement::Shuffled { seed: 42 });
-    }
-
-    #[test]
-    fn roundtrip_strided() {
-        roundtrip(&rich_doc(), 256, Placement::Strided { stride: 4 });
+        roundtrip(
+            &rich_doc(),
+            256,
+            Placement::ChunkShuffled { chunk: 1, seed: 42 },
+        );
     }
 
     #[test]
@@ -209,7 +208,7 @@ mod tests {
         let mut dev = SimDisk::with_profile(256, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 256,
-            placement: Placement::Shuffled { seed: 12 },
+            placement: Placement::ChunkShuffled { chunk: 1, seed: 12 },
         };
         let (meta, _) = import_into(&mut dev, &doc, &cfg).unwrap();
         let store = TreeStore::open(
@@ -230,7 +229,7 @@ mod tests {
         let mut dev = SimDisk::with_profile(256, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 256,
-            placement: Placement::Shuffled { seed: 12 },
+            placement: Placement::ChunkShuffled { chunk: 1, seed: 12 },
         };
         let (meta, _) = import_into(&mut dev, &doc, &cfg).unwrap();
         let store = TreeStore::open(
@@ -252,6 +251,6 @@ mod tests {
         for _ in 0..800 {
             d.add_element(d.root(), "c");
         }
-        roundtrip(&d, 256, Placement::Shuffled { seed: 1 });
+        roundtrip(&d, 256, Placement::ChunkShuffled { chunk: 1, seed: 1 });
     }
 }

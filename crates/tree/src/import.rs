@@ -22,9 +22,9 @@
 //!
 //! Cluster creation order is DFS order. [`Placement`] maps creation order to
 //! physical page positions: `Sequential` models a freshly bulk-loaded
-//! database (related clusters physically adjacent), `Shuffled` models a
-//! heavily updated, fragmented database, and `Strided` models a regularly
-//! interleaved layout (e.g. after round-robin space allocation).
+//! database (related clusters physically adjacent), and `ChunkShuffled`
+//! permutes runs of `chunk` clusters: a moderately aged database, or with
+//! `chunk: 1` a fully shuffled, heavily updated one.
 
 use crate::node::{
     encode_cluster, encoded_size, put_attr, Cluster, Node, NodeId, NodeKind, Span, BORDER_SIZE,
@@ -50,19 +50,10 @@ fn seeded_shuffle(v: &mut [usize], seed: u64) {
 pub enum Placement {
     /// Pages in cluster-creation (DFS) order — a freshly loaded database.
     Sequential,
-    /// Random permutation — a fragmented database.
-    Shuffled {
-        /// Permutation seed.
-        seed: u64,
-    },
-    /// Logically adjacent clusters end up `n/stride` pages apart.
-    Strided {
-        /// Number of interleaved groups.
-        stride: usize,
-    },
     /// Chunks of `chunk` consecutive clusters keep their internal order but
     /// the chunks themselves are permuted — a moderately aged database:
     /// traversal is sequential within a chunk, with a seek between chunks.
+    /// `chunk: 1` permutes every cluster: a fragmented database.
     ChunkShuffled {
         /// Run length preserved.
         chunk: usize,
@@ -105,11 +96,14 @@ pub struct ImportReport {
 /// Import failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImportError {
-    /// A single record (e.g. a giant text node) exceeds the page budget.
+    /// A single record (e.g. a giant text node) does not fit the room a
+    /// page has for it.
     RecordTooLarge {
         /// The encoded record size.
         size: usize,
-        /// The page budget it must fit into.
+        /// The room left for it: the page budget less the records already
+        /// on the page and the borders reserved for its open nodes (the
+        /// record's own, if it has children).
         budget: usize,
     },
 }
@@ -118,7 +112,10 @@ impl fmt::Display for ImportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ImportError::RecordTooLarge { size, budget } => {
-                write!(f, "record of {size} bytes exceeds page budget {budget}")
+                write!(
+                    f,
+                    "record of {size} bytes exceeds the {budget} bytes left on its page"
+                )
             }
         }
     }
@@ -223,7 +220,7 @@ fn partition(
     if root_size + BORDER_SIZE > budget {
         return Err(ImportError::RecordTooLarge {
             size: root_size,
-            budget,
+            budget: budget.saturating_sub(BORDER_SIZE),
         });
     }
     clusters[0].add(
@@ -328,9 +325,12 @@ fn partition(
 
             // Re-check: the node itself (plus liabilities) must fit.
             let c = &clusters[target_idx];
-            let open_after = c.open + usize::from(has_children);
-            if c.used + size + open_after * BORDER_SIZE > budget {
-                return Err(ImportError::RecordTooLarge { size, budget });
+            let reserved = c.used + (c.open + usize::from(has_children)) * BORDER_SIZE;
+            if reserved + size > budget {
+                return Err(ImportError::RecordTooLarge {
+                    size,
+                    budget: budget.saturating_sub(reserved),
+                });
             }
             (target_idx, up_slot)
         };
@@ -356,21 +356,6 @@ fn placement_positions(n: usize, placement: Placement) -> Vec<usize> {
         Placement::Sequential => {
             for (i, p) in pos.iter_mut().enumerate() {
                 *p = i;
-            }
-        }
-        Placement::Shuffled { seed } => {
-            let mut order: Vec<usize> = (0..n).collect();
-            seeded_shuffle(&mut order, seed);
-            for (position, &cluster) in order.iter().enumerate() {
-                pos[cluster] = position;
-            }
-        }
-        Placement::Strided { stride } => {
-            let stride = stride.max(1);
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&i| (i % stride, i / stride));
-            for (position, &cluster) in order.iter().enumerate() {
-                pos[cluster] = position;
             }
         }
         Placement::ChunkShuffled { chunk, seed } => {
@@ -652,7 +637,7 @@ mod tests {
         let mut dev = SimDisk::with_profile(512, DiskProfile::instant());
         let cfg = ImportConfig {
             page_size: 512,
-            placement: Placement::Shuffled { seed: 7 },
+            placement: Placement::ChunkShuffled { chunk: 1, seed: 7 },
         };
         let (meta, report) = import_into(&mut dev, &doc, &cfg).unwrap();
         assert_eq!(meta.page_count, report.clusters);
@@ -663,15 +648,8 @@ mod tests {
     }
 
     #[test]
-    fn strided_placement_positions() {
-        let pos = placement_positions(6, Placement::Strided { stride: 2 });
-        // clusters 0,2,4 land first, then 1,3,5.
-        assert_eq!(pos, vec![0, 3, 1, 4, 2, 5]);
-    }
-
-    #[test]
     fn shuffled_positions_are_permutation() {
-        let pos = placement_positions(100, Placement::Shuffled { seed: 3 });
+        let pos = placement_positions(100, Placement::ChunkShuffled { chunk: 1, seed: 3 });
         let mut sorted = pos.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
@@ -708,6 +686,49 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ImportError::RecordTooLarge { .. }));
+    }
+
+    /// A record that does not fit is reported against the room that was
+    /// left for it, so the error never names a record that would fit: root
+    /// records around the size where the root's reserved border no longer
+    /// fits, nodes that do not fit even a fresh continuation cluster, and
+    /// long XMark texts on 1 KiB pages all report `size > budget`.
+    #[test]
+    fn record_too_large_reports_the_room_left() {
+        let import = |doc: &Document, page_size: usize| {
+            let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
+            let cfg = ImportConfig {
+                page_size,
+                placement: Placement::Sequential,
+            };
+            import_into(&mut dev, doc, &cfg).map(|_| ())
+        };
+        let mut cases = Vec::new();
+        for len in 800..900 {
+            let mut doc = Document::new("r");
+            doc.set_attr(doc.root(), "a", &"x".repeat(len));
+            cases.push((doc, 1024));
+        }
+        // Texts of every length up to ~1 KiB, under elements still open.
+        let mut texts = Document::new("r");
+        let mut parent = texts.root();
+        for i in 0..40 {
+            parent = texts.add_element(parent, "e");
+            texts.add_text(parent, &"x".repeat(29 * i));
+        }
+        for page_size in [256, 512, 1024] {
+            cases.push((texts.clone(), page_size));
+        }
+        let xmark = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.01));
+        cases.push((xmark, 1024));
+        let mut provoked = 0;
+        for (doc, page_size) in &cases {
+            if let Err(ImportError::RecordTooLarge { size, budget }) = import(doc, *page_size) {
+                assert!(size > budget, "{size} B reported as not fitting {budget} B");
+                provoked += 1;
+            }
+        }
+        assert!(provoked > 4, "only {provoked} imports outgrew their pages");
     }
 
     #[test]

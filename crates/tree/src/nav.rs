@@ -984,7 +984,10 @@ mod tests {
         ];
         let mut widest = 0;
         for page_size in [256, 512, 8192] {
-            for placement in [Placement::Sequential, Placement::Shuffled { seed: 11 }] {
+            for placement in [
+                Placement::Sequential,
+                Placement::ChunkShuffled { chunk: 1, seed: 11 },
+            ] {
                 let store = store_for(&doc, page_size, placement);
                 let name_b =
                     ResolvedTest::resolve(&NodeTest::Name("b".into()), &store.meta.symbols);
@@ -1036,7 +1039,11 @@ mod tests {
         });
         let (mut fresh, mut resumed) = (0, 0);
         for page_size in [512, 1024, 2048, 4096, 8192] {
-            let store = store_for(&doc, page_size, Placement::Shuffled { seed: 3 });
+            let store = store_for(
+                &doc,
+                page_size,
+                Placement::ChunkShuffled { chunk: 1, seed: 3 },
+            );
             let tests = [
                 ResolvedTest::resolve(&NodeTest::Name("item".into()), &store.meta.symbols),
                 ResolvedTest::AnyNode,
@@ -1222,7 +1229,7 @@ mod tests {
         let doc = fixture_doc();
         for axis in [Axis::Descendant, Axis::Child, Axis::Ancestor] {
             let seq = store_for(&doc, 256, Placement::Sequential);
-            let shuf = store_for(&doc, 256, Placement::Shuffled { seed: 5 });
+            let shuf = store_for(&doc, 256, Placement::ChunkShuffled { chunk: 1, seed: 5 });
             let clock = SimClock::new();
             let counters = NavCounters::default();
             let charge = charge_ctx(&clock, &counters);

@@ -919,7 +919,7 @@ mod tests {
             for placement in [
                 Placement::Sequential,
                 Placement::ChunkShuffled { chunk: 4, seed: 7 },
-                Placement::Shuffled { seed: 7 },
+                Placement::ChunkShuffled { chunk: 1, seed: 7 },
             ] {
                 assert_pages_match_reference(&store_of(&doc, page_size, placement));
             }

@@ -18,7 +18,7 @@ fn main() {
         .map(|s| s.parse().expect("numeric scale"))
         .unwrap_or(0.25);
     let opts = DatabaseOptions {
-        placement: Placement::Shuffled { seed: 99 },
+        placement: Placement::ChunkShuffled { chunk: 1, seed: 99 },
         buffer_pages: 100,
         ..Default::default()
     };

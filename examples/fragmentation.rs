@@ -33,7 +33,10 @@ fn main() {
             "chunk-shuffled 4 (heavily aged)",
             Placement::ChunkShuffled { chunk: 4, seed: 1 },
         ),
-        ("shuffled (worst case)", Placement::Shuffled { seed: 1 }),
+        (
+            "shuffled (worst case)",
+            Placement::ChunkShuffled { chunk: 1, seed: 1 },
+        ),
     ];
 
     println!(

@@ -19,7 +19,7 @@ fn main() {
     let opts = DatabaseOptions {
         page_size: 2048,
         buffer_pages: 4,
-        placement: Placement::Shuffled { seed: 7 },
+        placement: Placement::ChunkShuffled { chunk: 1, seed: 7 },
         ..Default::default()
     };
     let db = Database::from_xmark(0.01, &opts).expect("import");

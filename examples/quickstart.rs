@@ -29,7 +29,7 @@ fn main() {
     let opts = DatabaseOptions {
         page_size: 256,
         buffer_pages: 4,
-        placement: Placement::Shuffled { seed: 42 },
+        placement: Placement::ChunkShuffled { chunk: 1, seed: 42 },
         ..Default::default()
     };
     let db = Database::from_xml(xml, &opts).expect("import");

@@ -68,7 +68,10 @@ fn parse_args(mut argv: Vec<String>) -> Result<(String, Args), String> {
                         chunk: 8,
                         seed: 0xA6E,
                     },
-                    "shuffled" => Placement::Shuffled { seed: 0xA6E },
+                    "shuffled" => Placement::ChunkShuffled {
+                        chunk: 1,
+                        seed: 0xA6E,
+                    },
                     other => return Err(format!("unknown placement `{other}`")),
                 }
             }

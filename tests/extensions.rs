@@ -1,54 +1,29 @@
-//! Integration tests for the paper-outlook extensions (§7): multi-path
-//! shared scan, the cost-model optimizer, concurrent execution, and
-//! scan-based export.
+//! Integration tests for the paper-outlook extensions (§7): the multi-path
+//! shared scan, the cost-model optimizer and scan-based export. That the
+//! shared scan and concurrent execution answer as each plan alone does is
+//! `tests/oracle.rs`'s interleaved and pooled execution paths.
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::storage::DiskProfile;
+mod support;
+
 use pathix::{Batch, Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
-use pathix_xpath::{eval_path, parse_path};
+use support::{doc, mem_opts};
 
-/// A database on the default disk profile, which the optimizer prices
-/// I/O with.
-fn db(scale: f64) -> Database {
-    Database::from_document(
-        &pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(scale)),
-        &DatabaseOptions {
-            page_size: 2048,
-            placement: Placement::Shuffled { seed: 77 },
-            buffer_pages: 24,
-            ..Default::default()
-        },
-    )
-    .unwrap()
-}
-
-#[test]
-fn shared_scan_agrees_with_independent_plans() {
-    let db = db(0.04);
-    let paths = [
-        "/site//description",
-        "/site//annotation",
-        "/site//email",
-        "/site/regions//item",
-    ];
-    let mut cfg = PlanConfig::new(Method::XScan);
-    cfg.sort = true;
-    let work = paths.map(|p| (p, Method::XScan));
-    let multi = db.run_batch(&work, &cfg, Batch::Interleaved).unwrap();
-    for (run, p) in multi.runs.iter().zip(paths) {
-        let single = db.run(p, cfg).unwrap();
-        assert_eq!(run.as_ref().unwrap().nodes, single.nodes, "path {p}");
-    }
-    // One scan total.
-    assert_eq!(multi.runs.len(), paths.len());
+/// A fragmented store of the small XMark document.
+fn shuffled_db() -> Database {
+    let opts = DatabaseOptions {
+        placement: Placement::ChunkShuffled { chunk: 1, seed: 3 },
+        ..mem_opts()
+    };
+    Database::from_document(doc(), &opts).unwrap()
 }
 
 #[test]
 fn shared_scan_reads_document_once() {
-    let db = db(0.04);
+    let db = shuffled_db();
     db.trace_device(true);
     db.clear_buffers();
     db.reset_device_stats();
@@ -67,47 +42,18 @@ fn shared_scan_reads_document_once() {
 }
 
 #[test]
-fn concurrent_execution_matches_solo_results() {
-    let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.03));
-    let db = Database::from_document(
-        &doc,
+fn optimizer_recommendations_and_auto_run() {
+    // The optimizer prices I/O with the default disk profile.
+    let db = Database::from_xmark(
+        0.1,
         &DatabaseOptions {
             page_size: 2048,
-            placement: Placement::Shuffled { seed: 9 },
-            buffer_pages: 16,
-            profile: DiskProfile::instant(),
+            placement: Placement::ChunkShuffled { chunk: 1, seed: 77 },
+            buffer_pages: 24,
+            ..Default::default()
         },
     )
     .unwrap();
-    let ranks = doc.preorder_ranks();
-    let work: Vec<(&str, Method)> = vec![
-        ("/site/regions//item", Method::Simple),
-        ("/site//email", Method::xschedule()),
-        ("//keyword", Method::XScan),
-    ];
-    let mut cfg = PlanConfig::new(Method::Simple);
-    cfg.sort = true;
-    let runs = db.run_batch(&work, &cfg, Batch::Interleaved).unwrap().runs;
-    for (i, (p, _)) in work.iter().enumerate() {
-        let path = parse_path(p).unwrap().rooted().normalize();
-        let want: Vec<u64> = eval_path(&doc, doc.root(), &path)
-            .iter()
-            .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
-            .collect();
-        let got: Vec<u64> = runs[i]
-            .as_ref()
-            .unwrap()
-            .nodes
-            .iter()
-            .map(|&(_, o)| o)
-            .collect();
-        assert_eq!(got, want, "{p} under concurrency");
-    }
-}
-
-#[test]
-fn optimizer_recommendations_and_auto_run() {
-    let db = db(0.1);
     // Low selectivity → scan; deep selective chain → schedule.
     let q7_est = db.estimate("/site//description").unwrap();
     assert_eq!(q7_est.recommend().label(), "XScan");
@@ -125,21 +71,11 @@ fn optimizer_recommendations_and_auto_run() {
 
 #[test]
 fn export_scan_roundtrips_and_matches_walk() {
-    let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
-    let db = Database::from_document(
-        &doc,
-        &DatabaseOptions {
-            page_size: 2048,
-            placement: Placement::Shuffled { seed: 3 },
-            buffer_pages: 8,
-            profile: DiskProfile::instant(),
-        },
-    )
-    .unwrap();
+    let db = shuffled_db();
     let walked = db.export();
     let scanned = db.export_scan();
-    assert!(doc.logically_equal(&walked));
-    assert!(doc.logically_equal(&scanned));
+    assert!(doc().logically_equal(&walked));
+    assert!(doc().logically_equal(&scanned));
     // And the serialized forms are identical.
     assert_eq!(
         pathix_xml::serialize(&walked),

@@ -1,7 +1,8 @@
 //! Fault-injection property tests (DESIGN.md §11): under *arbitrary*
 //! fault schedules — transient and permanent read errors, torn pages,
 //! latency spikes, at random pages and occurrence counts — every query
-//! either returns exactly the oracle result or aborts cleanly with
+//! either returns exactly the reference evaluator's answer or aborts
+//! cleanly with
 //! `ExecError::Io`. Never a panic, never a wrong answer, never a hang,
 //! and never a poisoned engine: re-running after an abort behaves the
 //! same way.
@@ -9,79 +10,27 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::storage::DiskProfile;
-use pathix::{
-    Database, DatabaseOptions, DbError, ExecError, FaultKind, FaultPlan, FaultRule, Method,
-    PlanConfig,
-};
-use pathix_tree::NodeId;
+mod support;
+
+use pathix::{Database, DbError, ExecError, FaultKind, FaultPlan, FaultRule};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-const PATHS: [&str; 3] = ["/site/people//email", "/site/regions//item", "//keyword"];
-
-/// One small XMark document shared by every schedule (the schedules vary,
-/// the data does not — that is what makes the oracle an oracle).
-fn doc() -> &'static pathix::xml::Document {
-    static DOC: OnceLock<pathix::xml::Document> = OnceLock::new();
-    DOC.get_or_init(|| pathix::xmlgen::generate(&pathix::xmlgen::GenConfig::at_scale(0.008)))
-}
-
-fn mem_opts() -> DatabaseOptions {
-    DatabaseOptions {
-        page_size: 1024,
-        buffer_pages: 8,
-        profile: DiskProfile::instant(),
-        ..Default::default()
-    }
-}
-
-fn corpus() -> Vec<(&'static str, Method)> {
-    let mut work = Vec::new();
-    for m in [Method::Simple, Method::xschedule(), Method::XScan] {
-        for p in PATHS {
-            work.push((p, m));
-        }
-    }
-    work
-}
-
-fn cfg_for(m: Method) -> PlanConfig {
-    let mut cfg = PlanConfig::new(m);
-    cfg.sort = true;
-    cfg
-}
-
-/// Fault-free reference results plus the page geometry every schedule
-/// draws its target pages from (placement-deterministic, so one clean
-/// import settles both).
-#[allow(clippy::type_complexity)]
-fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
-    static ORACLE: OnceLock<(Vec<Vec<(NodeId, u64)>>, u32, u32)> = OnceLock::new();
-    ORACLE.get_or_init(|| {
-        let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
-        let reference = corpus()
-            .iter()
-            .map(|(p, m)| db.run(p, cfg_for(*m)).expect("clean run").nodes)
-            .collect::<Vec<_>>();
-        assert!(reference.iter().any(|nodes| !nodes.is_empty()));
-        (
-            reference,
-            db.store().meta.base_page,
-            db.store().meta.page_count,
-        )
-    })
-}
+use support::{corpus, doc, keys, mem_opts, oracle, sorted};
 
 /// Runs one corpus item cold (buffers cleared, so the schedule sees real
 /// device traffic) and checks the only two legal outcomes. Returns true
 /// if the item aborted with a clean I/O error.
-fn check_item(db: &Database, item: usize, want: &[(NodeId, u64)]) -> Result<bool, String> {
+fn check_item(db: &Database, item: usize, want: &[u64]) -> Result<bool, String> {
     let (path, method) = corpus()[item];
     db.clear_buffers();
-    match db.run(path, cfg_for(method)) {
+    match db.run(path, sorted(method)) {
         Ok(run) => {
-            prop_assert_eq!(&run.nodes, want, "wrong answer on {} ({:?})", path, method);
+            prop_assert_eq!(
+                &keys(&run.nodes),
+                want,
+                "wrong answer on {} ({:?})",
+                path,
+                method
+            );
             Ok(false)
         }
         Err(DbError::Exec(ExecError::Io { attempts, .. })) => {
@@ -122,11 +71,11 @@ proptest! {
         seed in any::<u64>(),
         n_rules in 1usize..24,
     ) {
-        let (reference, base_page, page_count) = oracle();
-        let plan = FaultPlan::random(seed, *base_page, *page_count, n_rules);
+        let oracle = oracle();
+        let plan = FaultPlan::random(seed, oracle.base_page, oracle.page_count, n_rules);
         let db = Database::from_document_with_faults(doc(), &mem_opts(), plan)
             .expect("import writes a clean store; faults hit query-time reads");
-        for (i, want) in reference.iter().enumerate() {
+        for (i, want) in oracle.keys.iter().enumerate() {
             let aborted = check_item(&db, i, want)?;
             if aborted {
                 // Re-run the afflicted item once: still oracle-or-abort.
@@ -153,25 +102,25 @@ proptest! {
         skips in prop::collection::vec(0u32..60, 1..4),
         target_mid in any::<bool>(),
     ) {
-        let (reference, base_page, page_count) = oracle();
+        let oracle = oracle();
         // Each rule fires once; at most 3 rules can be armed on the same
         // access run, so no read ever sees 4 consecutive faults.
         let rules = skips
             .iter()
             .map(|&skip| {
-                let page = target_mid.then(|| base_page + page_count / 2);
+                let page = target_mid.then(|| oracle.base_page + oracle.page_count / 2);
                 FaultRule::new(page, FaultKind::TransientRead).after(skip).times(1)
             })
             .collect::<Vec<_>>();
         let plan = FaultPlan::new(0xFEED ^ skips.len() as u64, rules);
         let db = Database::from_document_with_faults(doc(), &mem_opts(), plan)
             .expect("import");
-        for (i, want) in reference.iter().enumerate() {
+        for (i, want) in oracle.keys.iter().enumerate() {
             let (path, method) = corpus()[i];
             db.clear_buffers();
-            let run = db.run(path, cfg_for(method));
+            let run = db.run(path, sorted(method));
             let run = run.expect("bounded transient faults must heal");
-            prop_assert_eq!(&run.nodes, want, "healed run diverged on {}", path);
+            prop_assert_eq!(&keys(&run.nodes), want, "healed run diverged on {}", path);
         }
     }
 }
@@ -187,8 +136,8 @@ fn transient_only_schedule_is_absorbed_with_retries() {
     let db = Database::from_document_with_faults(doc(), &mem_opts(), plan.clone()).expect("import");
     let (path, method) = corpus()[0];
     db.clear_buffers();
-    let run = db.run(path, cfg_for(method)).expect("transients heal");
-    assert_eq!(run.nodes, oracle().0[0]);
+    let run = db.run(path, sorted(method)).expect("transients heal");
+    assert_eq!(keys(&run.nodes), oracle().keys[0]);
     assert!(plan.stats().transient > 0, "schedule actually fired");
     assert!(
         db.store().buffer.device_stats().retries > 0,

@@ -9,84 +9,24 @@
 //! * `Overloaded` (shed by admission control, batch-order prefix),
 //! * `Io` (the fault schedule won; clean typed abort),
 //!
-//! and a wrong answer is never among them. An unlimited-budget run of the
-//! same corpus on a clean store must match the oracle bit-for-bit — the
-//! governor adds outcomes, never alters answers.
+//! and a wrong answer is never among them: every answer is the reference
+//! evaluator's. (That unlimited budgets on a clean store change nothing is
+//! one of the execution paths of `tests/oracle.rs`.)
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::storage::DiskProfile;
-use pathix::{
-    AdmissionConfig, Batch, Database, DatabaseOptions, ExecError, FaultPlan, Method, PlanConfig,
-    QueryBudget,
-};
-use pathix_tree::NodeId;
+mod support;
+
+use pathix::{AdmissionConfig, Batch, Database, ExecError, FaultPlan, Method, QueryBudget};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-const PATHS: [&str; 3] = ["/site/people//email", "/site/regions//item", "//keyword"];
-
-fn doc() -> &'static pathix::xml::Document {
-    static DOC: OnceLock<pathix::xml::Document> = OnceLock::new();
-    DOC.get_or_init(|| pathix::xmlgen::generate(&pathix::xmlgen::GenConfig::at_scale(0.008)))
-}
-
-fn mem_opts() -> DatabaseOptions {
-    DatabaseOptions {
-        page_size: 1024,
-        buffer_pages: 8,
-        profile: DiskProfile::instant(),
-        ..Default::default()
-    }
-}
-
-fn corpus() -> Vec<(&'static str, Method)> {
-    let mut work = Vec::new();
-    for m in [Method::Simple, Method::xschedule(), Method::XScan] {
-        for p in PATHS {
-            work.push((p, m));
-        }
-    }
-    work
-}
-
-fn sorted_cfg() -> PlanConfig {
-    let mut cfg = PlanConfig::new(Method::Simple);
-    cfg.sort = true;
-    cfg
-}
-
-/// Fault-free reference results plus page geometry (as in
-/// `fault_injection.rs`: one clean import settles both).
-#[allow(clippy::type_complexity)]
-fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
-    static ORACLE: OnceLock<(Vec<Vec<(NodeId, u64)>>, u32, u32)> = OnceLock::new();
-    ORACLE.get_or_init(|| {
-        let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
-        let cfg = sorted_cfg();
-        let reference = corpus()
-            .iter()
-            .map(|(p, m)| {
-                db.run(p, PlanConfig { method: *m, ..cfg })
-                    .expect("clean run")
-                    .nodes
-            })
-            .collect::<Vec<_>>();
-        assert!(reference.iter().any(|nodes| !nodes.is_empty()));
-        (
-            reference,
-            db.store().meta.base_page,
-            db.store().meta.page_count,
-        )
-    })
-}
+use support::{corpus, doc, keys, mem_opts, oracle, sorted};
 
 /// Checks one governed batch against the closed outcome set. Returns a
 /// compact class label per item (used by the determinism test).
 fn classify(
     runs: &[Result<pathix::core::PathRun, ExecError>],
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[Vec<u64>],
     admitted_cap: usize,
     hard_ns: u64,
 ) -> Result<Vec<&'static str>, String> {
@@ -95,7 +35,7 @@ fn classify(
         let class = match run {
             Ok(r) => {
                 prop_assert_eq!(
-                    &r.nodes,
+                    &keys(&r.nodes),
                     &reference[i],
                     "wrong answer on item {} (degraded={})",
                     i,
@@ -168,9 +108,9 @@ proptest! {
         // 0 means "no admission cap" (the vendored proptest stub has no
         // Option strategy).
         let cap = (cap_raw > 0).then_some(cap_raw);
-        let (reference, base_page, page_count) = oracle();
+        let oracle = oracle();
         let work = corpus();
-        let plan = FaultPlan::random(seed, *base_page, *page_count, n_rules);
+        let plan = FaultPlan::random(seed, oracle.base_page, oracle.page_count, n_rules);
         let db = Database::from_document_with_faults(doc(), &mem_opts(), plan)
             .expect("import writes a clean store; faults hit query-time reads");
 
@@ -181,7 +121,7 @@ proptest! {
             .collect();
         let admission = AdmissionConfig { max_admitted: cap };
         let batch = db
-            .run_batch(&work, &sorted_cfg(), Batch::Governed {
+            .run_batch(&work, &sorted(Method::Simple), Batch::Governed {
                 workers: 2,
                 budgets: &budgets,
                 admission,
@@ -189,7 +129,7 @@ proptest! {
             .expect("SimDisk forks");
 
         let admitted_cap = cap.unwrap_or(usize::MAX);
-        let classes = classify(&batch.runs, reference, admitted_cap, hard_ns)?;
+        let classes = classify(&batch.runs, &oracle.keys, admitted_cap, hard_ns)?;
 
         // The governor report tallies exactly what the runs show.
         let shed = classes.iter().filter(|&&c| c == "overloaded").count();
@@ -204,35 +144,6 @@ proptest! {
             "every item is admitted or shed, never both or neither"
         );
     }
-
-    /// The no-budget control: the same corpus on a clean store with
-    /// unlimited budgets and no admission pressure matches the oracle
-    /// bit-for-bit. The governor machinery being *present* changes nothing.
-    #[test]
-    fn unlimited_budgets_on_a_clean_store_match_the_oracle(
-        workers in 1usize..4,
-    ) {
-        let (reference, _, _) = oracle();
-        let work = corpus();
-        let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
-        let budgets = vec![QueryBudget::unlimited(); work.len()];
-        let batch = db
-            .run_batch(&work, &sorted_cfg(), Batch::Governed {
-                workers,
-                budgets: &budgets,
-                admission: AdmissionConfig::unlimited(),
-            })
-            .expect("SimDisk forks");
-        for (i, run) in batch.runs.iter().enumerate() {
-            let run = run.as_ref().expect("no budget, no faults: no aborts");
-            prop_assert_eq!(&run.nodes, &reference[i]);
-            prop_assert!(!run.report.degraded);
-        }
-        prop_assert_eq!(batch.governor.admitted as usize, work.len());
-        prop_assert_eq!(batch.governor.shed, 0);
-        prop_assert_eq!(batch.governor.degraded, 0);
-        prop_assert_eq!(batch.governor.deadline_aborted, 0);
-    }
 }
 
 /// Deadline outcomes are a pure function of the item, not of scheduling:
@@ -241,7 +152,6 @@ proptest! {
 /// and across repeated runs.
 #[test]
 fn governed_outcomes_are_deterministic_across_workers_and_runs() {
-    let (reference, _, _) = oracle();
     let work = corpus();
     let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
     // Tight enough that some items abort, loose enough that some answer:
@@ -261,7 +171,7 @@ fn governed_outcomes_are_deterministic_across_workers_and_runs() {
         let batch = db
             .run_batch(
                 &work,
-                &sorted_cfg(),
+                &sorted(Method::Simple),
                 Batch::Governed {
                     workers,
                     budgets: &budgets,
@@ -271,7 +181,7 @@ fn governed_outcomes_are_deterministic_across_workers_and_runs() {
             .expect("SimDisk forks");
         classify(
             &batch.runs,
-            reference,
+            &oracle().keys,
             work.len() - 2,
             0, // per-item hard deadlines vary; skip the elapsed lower bound
         )

@@ -5,28 +5,26 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
+mod support;
+
 use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_storage::{Device, DiskProfile, QueuePolicy, SimClock, SimDisk};
 use pathix_tree::Placement;
 
-fn db(scale: f64, placement: Placement) -> Database {
-    Database::from_document(
-        &pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(scale)),
-        &DatabaseOptions {
-            page_size: 2048,
-            placement,
-            buffer_pages: 16,
-            profile: DiskProfile::instant(),
-        },
-    )
-    .unwrap()
+/// The small XMark document under `placement`.
+fn db(placement: Placement) -> Database {
+    let opts = DatabaseOptions {
+        placement,
+        ..support::mem_opts()
+    };
+    Database::from_document(support::doc(), &opts).unwrap()
 }
 
 /// Invariant 3a: `XScan` fixes every document page exactly once, in
 /// physical order.
 #[test]
 fn xscan_single_visit_in_physical_order() {
-    let db = db(0.04, Placement::Shuffled { seed: 5 });
+    let db = db(Placement::ChunkShuffled { chunk: 1, seed: 5 });
     db.trace_device(true);
     db.clear_buffers();
     db.reset_device_stats();
@@ -40,7 +38,7 @@ fn xscan_single_visit_in_physical_order() {
 /// twice.
 #[test]
 fn speculative_xschedule_never_rereads() {
-    let db = db(0.04, Placement::Shuffled { seed: 6 });
+    let db = db(Placement::ChunkShuffled { chunk: 1, seed: 6 });
     db.trace_device(true);
     for q in [
         "count(//item/..//name)",
@@ -74,7 +72,7 @@ fn speculative_xschedule_never_rereads() {
 /// counts: every buffer fix in an XScan plan happens for the scan itself.
 #[test]
 fn xscan_fix_count_equals_page_count() {
-    let db = db(0.04, Placement::Sequential);
+    let db = db(Placement::Sequential);
     db.clear_buffers();
     db.reset_device_stats();
     let _ = db.run("count(//email)", Method::XScan).unwrap();
@@ -88,7 +86,7 @@ fn xscan_fix_count_equals_page_count() {
 /// generate massive intermediate duplication.
 #[test]
 fn duplicate_heavy_path_is_deduplicated() {
-    let db = db(0.03, Placement::Shuffled { seed: 8 });
+    let db = db(Placement::ChunkShuffled { chunk: 1, seed: 8 });
     // ancestor-or-self from every node: each ancestor reached many times.
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
@@ -158,40 +156,4 @@ fn sequential_scan_is_cheapest_order() {
     }
     assert!(costs[0] <= costs[1]);
     assert!(costs[0] <= costs[2]);
-}
-
-/// The `//` optimization produces the same results with and without:
-/// plans always normalize, but a leading `descendant-or-self::node()` that
-/// no child step follows survives it and arms XScan's §5.4.5.4 shortcut,
-/// while `//keyword` collapses into one `descendant` step. Both answer as
-/// the reference evaluator does.
-#[test]
-fn slash_slash_optimization_equivalent() {
-    let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.03));
-    let db = Database::from_document(
-        &doc,
-        &DatabaseOptions {
-            page_size: 2048,
-            placement: Placement::Shuffled { seed: 2 },
-            buffer_pages: 16,
-            profile: DiskProfile::instant(),
-        },
-    )
-    .unwrap();
-    let mut cfg = PlanConfig::new(Method::XScan);
-    cfg.sort = true;
-    let keys = |q: &str| -> Vec<u64> {
-        let run = db.run(q, cfg).unwrap();
-        run.nodes.iter().map(|&(_, order)| order).collect()
-    };
-    let shortcut = "/descendant-or-self::node()/descendant::keyword";
-    let ranks = doc.preorder_ranks();
-    let path = pathix_xpath::parse_path(shortcut).unwrap();
-    let want: Vec<u64> = pathix_xpath::eval_path(&doc, doc.root(), &path)
-        .iter()
-        .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
-        .collect();
-    assert!(!want.is_empty());
-    assert_eq!(keys(shortcut), want);
-    assert_eq!(keys("//keyword"), want);
 }

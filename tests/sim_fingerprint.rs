@@ -15,17 +15,19 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
+mod support;
+
 use pathix::core::plan::execute_path;
 use pathix::core::{
     execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_query,
-    AdmissionConfig, ExecError, ExecReport, Method, PathRun, PlanConfig, WorkerSeed,
+    AdmissionConfig, ExecError, ExecReport, Method, PathRun, PlanConfig,
 };
-use pathix::storage::{BufferStats, DeviceStats, SharedCacheDevice, SharedPageCache};
+use pathix::storage::{BufferStats, DeviceStats};
 use pathix::tree::NodeId;
 use pathix::xml::Document;
 use pathix::xpath::{parse_path, parse_query, LocationPath};
 use pathix::{Database, DatabaseOptions};
-use std::sync::Arc;
+use support::{cached_seeds, plain_seeds, sorted};
 
 const PATHS: [&str; 4] = [
     "/site/regions//item",
@@ -61,12 +63,6 @@ fn db(doc: &Document) -> Database {
     let db = Database::from_document(doc, &opts).unwrap();
     assert!(db.pages() as usize > 2 * opts.buffer_pages);
     db
-}
-
-fn sorted(method: Method) -> PlanConfig {
-    let mut cfg = PlanConfig::new(method);
-    cfg.sort = true;
-    cfg
 }
 
 fn paths() -> Vec<LocationPath> {
@@ -150,28 +146,6 @@ fn item(run: &Result<PathRun, ExecError>) -> String {
 
 fn check(got: &[String], golden: &[&str]) {
     assert_eq!(got, golden, "actual fingerprint:\n{got:#?}");
-}
-
-fn plain_seeds(db: &Database, workers: usize) -> Vec<WorkerSeed> {
-    let store = db.store();
-    (0..workers)
-        .map(|_| WorkerSeed {
-            device: store.buffer.device_mut().try_fork().unwrap(),
-            meta: store.meta.clone(),
-            params: store.buffer.params(),
-        })
-        .collect()
-}
-
-fn cached_seeds(db: &Database, workers: usize) -> Vec<WorkerSeed> {
-    let cache = Arc::new(SharedPageCache::new());
-    plain_seeds(db, workers)
-        .into_iter()
-        .map(|seed| WorkerSeed {
-            device: Box::new(SharedCacheDevice::new(seed.device, Arc::clone(&cache))),
-            ..seed
-        })
-        .collect()
 }
 
 const GOLDEN_PATHS: &[&str] = &[

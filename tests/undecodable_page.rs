@@ -6,11 +6,13 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::storage::DiskProfile;
+mod support;
+
 use pathix::storage::{seal_page, verify_page, DecodeError, IoErrorKind, SlottedPageReader};
-use pathix::{Database, DatabaseOptions, DbError, ExecError, Method, PlanConfig};
-use pathix_xpath::{eval_path, parse_path};
+use pathix::{Database, DbError, ExecError, Method};
+use pathix_xpath::parse_path;
 use std::collections::BTreeSet;
+use support::{doc, keys, mem_opts, reference, sorted};
 
 /// Reads every page of the document, whatever the method.
 const AFFECTED: &str = "//keyword";
@@ -23,22 +25,9 @@ const UNAFFECTED: [&str; 3] = [
     "/site/catgraph/edge",
 ];
 
-fn sorted(method: Method) -> PlanConfig {
-    let mut cfg = PlanConfig::new(method);
-    cfg.sort = true;
-    cfg
-}
-
 #[test]
 fn undecodable_page_fails_its_queries_once_and_no_others() {
-    let doc = pathix::xmlgen::generate(&pathix::xmlgen::GenConfig::at_scale(0.008));
-    let opts = DatabaseOptions {
-        page_size: 1024,
-        buffer_pages: 8,
-        profile: DiskProfile::instant(),
-        ..Default::default()
-    };
-    let db = Database::from_document(&doc, &opts).unwrap();
+    let db = Database::from_document(doc(), &mem_opts()).unwrap();
     let navigating = [Method::Simple, Method::xschedule()];
 
     // A page no unaffected query reads.
@@ -93,16 +82,11 @@ fn undecodable_page_fails_its_queries_once_and_no_others() {
         assert!(!store.buffer.is_resident(victim));
     }
 
-    let ranks = doc.preorder_ranks();
     for (path, method) in UNAFFECTED.iter().flat_map(|p| navigating.map(|m| (p, m))) {
         db.clear_buffers();
         let run = db.run(path, sorted(method)).unwrap();
-        let got: Vec<u64> = run.nodes.iter().map(|&(_, order)| order).collect();
-        let want: Vec<u64> = eval_path(&doc, doc.root(), &parse_path(path).unwrap().rooted())
-            .iter()
-            .map(|n| pathix::tree::node::order_key(ranks[n.0 as usize]))
-            .collect();
+        let want = reference(doc(), &parse_path(path).unwrap().rooted());
         assert!(!want.is_empty(), "{path}");
-        assert_eq!(got, want, "{path} ({method:?})");
+        assert_eq!(keys(&run.nodes), want, "{path} ({method:?})");
     }
 }

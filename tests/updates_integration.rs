@@ -6,10 +6,13 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
+mod support;
+
 use pathix::storage::DiskProfile;
-use pathix::{Database, DatabaseOptions, Method, PlanConfig};
+use pathix::{Database, DatabaseOptions, Method};
 use pathix_tree::{InsertPos, NewNode, NodeId, Placement};
 use pathix_xml::Document;
+use pathix_xpath::parse_path;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -101,20 +104,17 @@ fn queries_stay_correct_after_random_updates() {
     }
 
     // Every plan still matches the reference on the mutated document.
-    let ranks = doc.preorder_ranks();
     for q in [
         "//keyword",
         "/site/item/name",
         "//name/text()",
         "//item//keyword",
     ] {
-        let path = pathix_xpath::parse_path(q).unwrap().rooted();
-        let want = pathix_xpath::eval_path(&doc, doc.root(), &path.normalize()).len();
-        let _ = &ranks;
+        // Updated nodes carry gapped order keys, so the answers compare
+        // by size and order, not by preorder rank.
+        let want = support::reference(&doc, &parse_path(q).unwrap().rooted()).len();
         for m in [Method::Simple, Method::xschedule(), Method::XScan] {
-            let mut cfg = PlanConfig::new(m);
-            cfg.sort = true;
-            let run = db.run(q, cfg).unwrap();
+            let run = db.run(q, support::sorted(m)).unwrap();
             assert_eq!(run.nodes.len(), want, "{q} via {m:?} after updates");
             // Document order is preserved by the gapped keys.
             assert!(run.nodes.windows(2).all(|w| w[0].1 < w[1].1));
@@ -129,17 +129,11 @@ fn queries_stay_correct_after_random_updates() {
 fn updates_fragment_the_layout() {
     // The paper's premise, measured: updates allocate overflow pages at
     // the end of the file, away from their logical neighbours.
-    let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
-    let mut db = Database::from_document(
-        &doc,
-        &DatabaseOptions {
-            page_size: 2048,
-            placement: Placement::Sequential,
-            buffer_pages: 16,
-            profile: DiskProfile::instant(),
-        },
-    )
-    .unwrap();
+    let opts = DatabaseOptions {
+        placement: Placement::Sequential,
+        ..support::mem_opts()
+    };
+    let mut db = Database::from_document(support::doc(), &opts).unwrap();
     let pages_before = db.pages();
     let mut rng = StdRng::seed_from_u64(7);
     let mut inserted = 0;
@@ -176,11 +170,6 @@ fn updates_fragment_the_layout() {
     );
     // Still answers correctly.
     let run = db.run("count(//item)", Method::XScan).unwrap();
-    let want = pathix_xpath::eval_query(
-        &doc,
-        doc.root(),
-        &pathix_xpath::parse_query("count(//item)").unwrap().rooted(),
-    )
-    .as_number();
-    assert_eq!(run.value, want);
+    let want = support::reference(support::doc(), &parse_path("//item").unwrap().rooted());
+    assert_eq!(run.value, want.len() as u64);
 }
