@@ -9,6 +9,10 @@
 //!   alone passes an encoder change that moves import and re-encode alike;
 //!   the digest fails if any stored bit moves. A deliberate format change
 //!   updates the golden values (the failure prints the new ones).
+//!
+//! Import is also pinned under both shuffled placements, whose border
+//! records name pages that depend on the permutation, and on 2 KiB pages,
+//! which hold many scrap-bin continuations and border pairs.
 
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
@@ -31,13 +35,27 @@ const PAGE: usize = 8192;
 const GOLDEN_IMPORT: (u32, u64) = (111, 0xd07c_3ae7_2b9f_7f26);
 /// The same after the update script.
 const GOLDEN_UPDATED: (u32, u64) = (114, 0xbd75_34f7_f1e7_f5df);
+/// The import under `ChunkShuffled { chunk: 4 }`.
+const GOLDEN_CHUNK_4: (u32, u64) = (111, 0x033e_fb66_b157_31ec);
+/// The import under `ChunkShuffled { chunk: 1 }`.
+const GOLDEN_CHUNK_1: (u32, u64) = (111, 0x8d91_c4b1_28fd_e880);
+/// The sequential import on 2 KiB pages.
+const GOLDEN_2K: (u32, u64) = (482, 0xbccb_c445_d316_94e5);
+
+/// The shuffle seed of the shuffled placements.
+const SEED: u64 = 0xA6E;
 
 fn xmark_store() -> TreeStore {
+    store_of(PAGE, Placement::Sequential)
+}
+
+/// The SF 0.1 XMark document imported onto `page_size`-byte pages.
+fn store_of(page_size: usize, placement: Placement) -> TreeStore {
     let doc = generate(&GenConfig::at_scale(0.1));
-    let mut dev = SimDisk::with_profile(PAGE, DiskProfile::instant());
+    let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
     let cfg = ImportConfig {
-        page_size: PAGE,
-        placement: Placement::Sequential,
+        page_size,
+        placement,
     };
     let (meta, _) = import_into(&mut dev, &doc, &cfg).unwrap();
     TreeStore::open(
@@ -53,6 +71,7 @@ fn xmark_store() -> TreeStore {
 /// images against `golden`. Returns how many records of each interesting
 /// kind the pages hold: (attributed elements, text, borders, tombstones).
 fn assert_pages_pinned(store: &TreeStore, golden: (u32, u64)) -> [usize; 4] {
+    let page_size = store.buffer.device_mut().page_size();
     let clock = SimClock::new();
     let mut seen = [0; 4];
     let mut digest = 0xcbf2_9ce4_8422_2325_u64;
@@ -62,7 +81,7 @@ fn assert_pages_pinned(store: &TreeStore, golden: (u32, u64)) -> [usize; 4] {
             digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
         let cluster = decode_cluster(p, &image, &clock).unwrap();
-        let mut again = encode_cluster(&cluster, PAGE);
+        let mut again = encode_cluster(&cluster, page_size);
         seal_page(&mut again);
         assert!(again[..] == image[..], "page {p} re-encodes differently");
         for n in &cluster.nodes {
@@ -110,6 +129,25 @@ fn is_inner_core(n: &Node) -> bool {
 fn imported_pages_reencode_to_their_image() {
     let [attributed, texts, borders, _] = assert_pages_pinned(&xmark_store(), GOLDEN_IMPORT);
     assert!(attributed > 0 && texts > 0 && borders > 0);
+}
+
+#[test]
+fn shuffled_imports_reencode_to_their_image() {
+    for (chunk, golden) in [(4, GOLDEN_CHUNK_4), (1, GOLDEN_CHUNK_1)] {
+        let placement = Placement::ChunkShuffled { chunk, seed: SEED };
+        let [_, _, borders, _] = assert_pages_pinned(&store_of(PAGE, placement), golden);
+        assert!(borders > 0);
+    }
+}
+
+#[test]
+fn small_page_import_reencodes_to_its_image() {
+    let store = store_of(2048, Placement::Sequential);
+    let [_, _, borders, _] = assert_pages_pinned(&store, GOLDEN_2K);
+    assert!(
+        borders >= 2 * (store.meta.page_count as usize - 1),
+        "a border pair per page"
+    );
 }
 
 #[test]
