@@ -33,8 +33,12 @@
 #      perfbench/) builds against this tree and passes its tiny-scale
 #      self-tests, so a change to `Device` or the core exports that
 #      breaks the benchmark fails the gate
-#   9. examples               — every program under examples/ is built in
-#      release and runs to exit 0 (`cargo test` only compiles them)
+#   9. examples and the CLI   — every program under examples/ is built in
+#      release and runs to exit 0 (`cargo test` only compiles them); the
+#      release `pathix` CLI stops quietly (exit 0, nothing on stderr) when
+#      its reader closes the pipe early (`gen --scale 0.1 | head -c 100`),
+#      and `info --scale 1` imports SF 1 and prints its known page count,
+#      border edges and record bytes
 #  10. report all chaos overload, simulated identity — every artifact in
 #      full mode, run in a fresh temporary directory, must write
 #      PAPER.json, ABLATIONS.json, EXTENSIONS.json, CHAOS.json and
@@ -83,12 +87,27 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 echo "==> perfbench self-tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> examples: each runs to exit 0"
+echo "==> examples and the CLI: each runs to exit 0"
 cargo build -q --release --examples
 for example in examples/*.rs; do
   name=$(basename "$example" .rs)
   echo "--> $name"
   "./target/release/examples/$name" >/dev/null
+done
+echo "--> pathix gen --scale 0.1 | head -c 100"
+gen_err=$( { ./target/release/pathix gen --scale 0.1 | head -c 100 >/dev/null; } 2>&1 )
+if [ -n "$gen_err" ]; then
+  echo "$gen_err"
+  exit 1
+fi
+echo "--> pathix info --scale 1"
+info=$(./target/release/pathix info --scale 1 2>&1)
+for want in "pages:        1092" "border edges: 3844" "record bytes: 7848603 "; do
+  if ! grep -qF "$want" <<<"$info" || grep -q panicked <<<"$info"; then
+    echo "$info"
+    echo "pathix info --scale 1: expected \`$want\`"
+    exit 1
+  fi
 done
 
 echo "==> report all chaos overload: every artifact reproduces byte for byte"

@@ -25,9 +25,30 @@
 //! database (related clusters physically adjacent), and `ChunkShuffled`
 //! permutes runs of `chunk` clusters: a moderately aged database, or with
 //! `chunk: 1` a fully shuffled, heavily updated one.
+//!
+//! ## Memory
+//!
+//! Import holds the document, its preorder ranks and the encoded page
+//! images; of the clusters being built, only the ones that can still grow.
+//! A cluster grows while an open DFS frame fills it (its `open` count of
+//! nodes with unfinished children is above 0) or while it is the scrap bin.
+//! It *closes* when the last frame leaves it and it is not the bin, or when
+//! the bin moves on from it and no frame is left in it. From then on no
+//! record of it changes, so it is encoded into its page image at once and
+//! its build state is reused by the next cluster: at most one build
+//! cluster per open frame plus the bin is alive (5 of 1,092 at SF 1).
+//!
+//! The one thing a closed cluster does not know is the page numbers of
+//! its border companions: they depend on the placement of all clusters,
+//! and so on how many there are. Borders are encoded with the companion's
+//! creation index as its page; once the last cluster closes, one pass over
+//! each image rewrites those fields to physical pages
+//! (`node::retarget_borders`), and the pages are sealed and appended in
+//! physical order. No page is encoded twice.
 
 use crate::node::{
-    encode_cluster, encoded_size, put_attr, Cluster, Node, NodeId, NodeKind, Span, BORDER_SIZE,
+    encode_records, encoded_size, put_attr, retarget_borders, Node, NodeId, NodeKind, Span,
+    BORDER_SIZE,
 };
 use crate::store::TreeMeta;
 use pathix_storage::{seal_page, splitmix64, Device, PageId, CHECKSUM_LEN};
@@ -106,6 +127,12 @@ pub enum ImportError {
         /// record's own, if it has children).
         budget: usize,
     },
+    /// The page is too small for its own slot directory and checksum
+    /// trailer, so no record fits on it.
+    PageTooSmall {
+        /// The configured page size in bytes.
+        page_size: usize,
+    },
 }
 
 impl fmt::Display for ImportError {
@@ -117,13 +144,30 @@ impl fmt::Display for ImportError {
                     "record of {size} bytes exceeds the {budget} bytes left on its page"
                 )
             }
+            ImportError::PageTooSmall { page_size } => {
+                write!(f, "a page of {page_size} bytes has no room for records")
+            }
         }
     }
 }
 
 impl std::error::Error for ImportError {}
 
+/// The record bytes a page of `page_size` bytes has room for: the page less
+/// its slot directory (count + (n+1) offsets; with records ≥ 17 bytes,
+/// slots per page ≤ page/17, so 2 bytes per record + 4 fixed is a safe
+/// bound) and the checksum trailer at its end.
+fn page_budget(page_size: usize) -> Result<usize, ImportError> {
+    page_size
+        .checked_sub(4 + CHECKSUM_LEN + 2 * (page_size / 17 + 1))
+        .ok_or(ImportError::PageTooSmall { page_size })
+}
+
+/// A cluster while it can still grow.
+#[derive(Default)]
 struct BuildCluster {
+    /// Creation index: the placeholder page its companions' borders name.
+    id: u32,
     nodes: Vec<Node>,
     bytes: Vec<u8>,          // the nodes' payloads, back to back
     lasts: Vec<Option<u16>>, // last child per slot
@@ -132,16 +176,6 @@ struct BuildCluster {
 }
 
 impl BuildCluster {
-    fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            bytes: Vec::new(),
-            lasts: Vec::new(),
-            used: 0,
-            open: 0,
-        }
-    }
-
     /// Appends a node with its `payload`, linking it under `parent`
     /// (`None` = a new root of this cluster's forest).
     fn add(&mut self, kind: NodeKind, payload: &[u8], parent: Option<u16>, order: u64) -> u16 {
@@ -170,12 +204,93 @@ impl BuildCluster {
         self.used += size;
         slot
     }
+
+    /// Whether a chain-split continuation fits within `budget`: a
+    /// `BorderUp` and a record of `size` bytes, next to one border reserved
+    /// per open node, the record's own and the BorderUp's included.
+    fn fits_continuation(&self, size: usize, has_children: bool, budget: usize) -> bool {
+        let open_after = self.open + 1 + usize::from(has_children);
+        self.used + BORDER_SIZE + size + open_after * BORDER_SIZE <= budget
+    }
+}
+
+/// The clusters of one import: the few still growing, in reusable slots,
+/// and the page image of every closed one.
+#[derive(Default)]
+struct Packer {
+    page_size: usize,
+    /// Build clusters by slot. A slot on `free` holds a closed cluster's
+    /// cleared buffers for the next one to reuse, so the slot count is the
+    /// most clusters ever alive at once.
+    slots: Vec<BuildCluster>,
+    free: Vec<usize>,
+    /// Slot of the scrap bin: the cluster collecting continuations.
+    scrap: Option<usize>,
+    /// Encoded page images by creation index, each empty until its cluster
+    /// closes; border target pages are creation indices.
+    pages: Vec<Vec<u8>>,
+    /// Clusters, border edges, core nodes and record bytes so far.
+    report: ImportReport,
+    /// The most live clusters beyond the open DFS frames seen at the start
+    /// of a step (at most 1: the scrap bin).
+    live_over_frames: usize,
+}
+
+impl Packer {
+    /// Starts a new, empty cluster and returns its slot.
+    fn open(&mut self) -> usize {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(BuildCluster::default());
+            self.slots.len() - 1
+        });
+        self.slots[slot].id = self.pages.len() as u32;
+        self.pages.push(Vec::new());
+        self.report.clusters += 1;
+        slot
+    }
+
+    /// Starts a new cluster as the scrap bin, closing the old bin if no
+    /// frame is left in it.
+    fn open_scrap(&mut self) -> usize {
+        let slot = self.open();
+        if let Some(old) = self.scrap.replace(slot) {
+            self.close_if_done(old);
+        }
+        slot
+    }
+
+    /// Closes the cluster at `slot` if it can no longer grow: no frame is
+    /// left in it and it is not the scrap bin.
+    fn close_if_done(&mut self, slot: usize) {
+        if self.slots[slot].open == 0 && self.scrap != Some(slot) {
+            self.close(slot);
+        }
+    }
+
+    /// Encodes the cluster at `slot` into its page image and frees the slot.
+    fn close(&mut self, slot: usize) {
+        let c = &mut self.slots[slot];
+        self.pages[c.id as usize] = encode_records(&c.nodes, &c.bytes, self.page_size);
+        self.report.record_bytes += c.used as u64;
+        self.report.nodes += c.nodes.iter().filter(|n| n.kind.is_core()).count() as u64;
+        c.nodes.clear();
+        c.bytes.clear();
+        c.lasts.clear();
+        c.used = 0;
+        self.free.push(slot);
+    }
+
+    /// Notes how many clusters are alive while `frames` DFS frames are open.
+    fn observe(&mut self, frames: usize) {
+        let live = self.slots.len() - self.free.len();
+        self.live_over_frames = self.live_over_frames.max(live.saturating_sub(frames));
+    }
 }
 
 struct Frame {
     /// Document node whose children are being processed.
     next_child: Option<NodeRef>,
-    /// Cluster currently receiving the children.
+    /// Slot of the cluster currently receiving the children.
     cluster: usize,
     /// Slot of the parent (core node or BorderUp) in that cluster.
     parent_slot: u16,
@@ -202,16 +317,19 @@ fn node_kind(doc: &Document, n: NodeRef, payload: &mut Vec<u8>) -> NodeKind {
     }
 }
 
-/// Builds the clusters (with cluster-index placeholders in border targets).
+/// Packs `doc` into clusters, encoding each into its page image as it
+/// closes (border target pages are creation indices), and returns the
+/// packer with every cluster closed.
 fn partition(
     doc: &Document,
+    page_size: usize,
     budget: usize,
     ranks: &[u64],
-) -> Result<(Vec<BuildCluster>, u64), ImportError> {
-    let mut clusters: Vec<BuildCluster> = vec![BuildCluster::new()];
-    let mut border_edges = 0u64;
-    // Scrap bin: cluster currently collecting chain-split continuations.
-    let mut scrap: Option<usize> = None;
+) -> Result<Packer, ImportError> {
+    let mut pack = Packer {
+        page_size,
+        ..Packer::default()
+    };
     let mut payload = Vec::new();
 
     // Root node always goes to cluster 0, slot 0.
@@ -223,24 +341,31 @@ fn partition(
             budget: budget.saturating_sub(BORDER_SIZE),
         });
     }
-    clusters[0].add(
+    let root = pack.open();
+    pack.slots[root].add(
         root_kind,
         &payload,
         None,
         crate::node::order_key(ranks[doc.root().0 as usize]),
     );
-    clusters[0].open = 1;
+    pack.slots[root].open = 1;
 
     let mut stack = vec![Frame {
         next_child: doc.first_child(doc.root()),
-        cluster: 0,
+        cluster: root,
         parent_slot: 0,
     }];
 
-    while let Some(frame) = stack.last_mut() {
+    loop {
+        pack.observe(stack.len());
+        let Some(frame) = stack.last_mut() else {
+            break;
+        };
         let Some(child) = frame.next_child else {
-            clusters[frame.cluster].open -= 1;
+            let cluster = frame.cluster;
             stack.pop();
+            pack.slots[cluster].open -= 1;
+            pack.close_if_done(cluster);
             continue;
         };
         frame.next_child = doc.next_sibling(child);
@@ -253,7 +378,7 @@ fn partition(
 
         // Would inlining keep the cluster within budget, including one
         // reserved border per open node (liability invariant)?
-        let c = &clusters[cluster_idx];
+        let c = &pack.slots[cluster_idx];
         let open_after = c.open + usize::from(has_children);
         let inline_ok = c.used + size + open_after * BORDER_SIZE <= budget;
 
@@ -264,33 +389,23 @@ fn partition(
             // and continue the remaining children behind a BorderUp in
             // another cluster — the scrap bin if the continuation fits
             // there, a fresh cluster otherwise.
-            let target_idx = match scrap {
-                Some(b) if b != cluster_idx => {
-                    let c = &clusters[b];
-                    let open_after = c.open + 1 + usize::from(has_children);
-                    if c.used + BORDER_SIZE + size + open_after * BORDER_SIZE <= budget {
-                        b
-                    } else {
-                        let idx = clusters.len();
-                        clusters.push(BuildCluster::new());
-                        scrap = Some(idx);
-                        idx
-                    }
+            let target_idx = match pack.scrap {
+                Some(b)
+                    if b != cluster_idx
+                        && pack.slots[b].fits_continuation(size, has_children, budget) =>
+                {
+                    b
                 }
-                _ => {
-                    let idx = clusters.len();
-                    clusters.push(BuildCluster::new());
-                    scrap = Some(idx);
-                    idx
-                }
+                _ => pack.open_scrap(),
             };
+            let (from_id, to_id) = (pack.slots[cluster_idx].id, pack.slots[target_idx].id);
             let down_slot = {
-                let c = &mut clusters[cluster_idx];
+                let c = &mut pack.slots[cluster_idx];
                 // The liability reservation guarantees this fits; the
                 // target slot is patched right below.
                 let slot = c.add(
                     NodeKind::BorderDown {
-                        target: NodeId::new(target_idx as u32, 0),
+                        target: NodeId::new(to_id, 0),
                     },
                     &[],
                     Some(parent_slot),
@@ -300,23 +415,26 @@ fn partition(
                 debug_assert!(c.used <= budget, "border liability violated");
                 slot
             };
-            let up_slot = clusters[target_idx].add(
+            let up_slot = pack.slots[target_idx].add(
                 NodeKind::BorderUp {
-                    target: NodeId::new(cluster_idx as u32, down_slot),
+                    target: NodeId::new(from_id, down_slot),
                 },
                 &[],
                 None,
                 order,
             );
-            clusters[target_idx].open += 1;
+            pack.slots[target_idx].open += 1;
             // Patch the BorderDown's target slot (forest clusters may hold
             // several BorderUp roots).
             if let NodeKind::BorderDown { target } =
-                &mut clusters[cluster_idx].nodes[down_slot as usize].kind
+                &mut pack.slots[cluster_idx].nodes[down_slot as usize].kind
             {
                 target.slot = up_slot;
             }
-            border_edges += 1;
+            pack.report.border_edges += 1;
+            // That was the last record of the cluster this frame leaves,
+            // unless another frame is still in it.
+            pack.close_if_done(cluster_idx);
             // The current frame's remaining children now flow to the
             // continuation under the new BorderUp.
             let frame = stack.last_mut().expect("frame still on stack");
@@ -324,7 +442,7 @@ fn partition(
             frame.parent_slot = up_slot;
 
             // Re-check: the node itself (plus liabilities) must fit.
-            let c = &clusters[target_idx];
+            let c = &pack.slots[target_idx];
             let reserved = c.used + (c.open + usize::from(has_children)) * BORDER_SIZE;
             if reserved + size > budget {
                 return Err(ImportError::RecordTooLarge {
@@ -335,9 +453,9 @@ fn partition(
             (target_idx, up_slot)
         };
 
-        let slot = clusters[target_cluster].add(kind, &payload, Some(target_parent), order);
+        let slot = pack.slots[target_cluster].add(kind, &payload, Some(target_parent), order);
         if has_children {
-            clusters[target_cluster].open += 1;
+            pack.slots[target_cluster].open += 1;
             stack.push(Frame {
                 next_child: doc.first_child(child),
                 cluster: target_cluster,
@@ -346,7 +464,12 @@ fn partition(
         }
     }
 
-    Ok((clusters, border_edges))
+    // Every frame has left; the scrap bin is the one cluster still open.
+    if let Some(bin) = pack.scrap.take() {
+        pack.close_if_done(bin);
+    }
+    debug_assert_eq!(pack.free.len(), pack.slots.len(), "a cluster left open");
+    Ok(pack)
 }
 
 /// Computes the cluster-index → page-position permutation for a placement.
@@ -375,6 +498,35 @@ fn placement_positions(n: usize, placement: Placement) -> Vec<usize> {
     pos
 }
 
+/// Per-tag element counts and descendant-or-self totals
+/// ([`TreeMeta::tag_counts`], [`TreeMeta::tag_descendants`]) in one
+/// preorder walk, from the preorder `ranks` of the `total` nodes reachable
+/// from the root.
+///
+/// A subtree occupies a contiguous rank interval, so its size is `end −
+/// rank`, where `end` is the rank of the next node outside it: the next
+/// sibling's rank, else the parent's `end`. The walk overwrites each
+/// node's rank with its `end` in place: a next sibling comes later in
+/// preorder, so its rank is still there when read, and a parent comes
+/// earlier, so its `end` already is.
+fn tag_stats(doc: &Document, mut ranks: Vec<u64>, total: u64) -> (Vec<u64>, Vec<u64>) {
+    let mut tag_counts = vec![0u64; doc.symbols().len()];
+    let mut tag_descendants = vec![0u64; doc.symbols().len()];
+    for node in doc.descendants_or_self(doc.root()) {
+        let end = match doc.next_sibling(node) {
+            Some(ns) => ranks[ns.0 as usize],
+            None => doc.parent(node).map_or(total, |p| ranks[p.0 as usize]),
+        };
+        let size = end - ranks[node.0 as usize];
+        ranks[node.0 as usize] = end;
+        if let Some(tag) = doc.tag(node) {
+            tag_counts[tag.index() as usize] += 1;
+            tag_descendants[tag.index() as usize] += size;
+        }
+    }
+    (tag_counts, tag_descendants)
+}
+
 /// Imports `doc` into `device`, returning the tree metadata and a report.
 ///
 /// Pages are appended starting at the device's current end, so several
@@ -389,81 +541,32 @@ pub fn import_into(
         device.page_size(),
         "config page size must match device"
     );
-    // Leave room for the slot directory (count + (n+1) offsets; with records
-    // ≥ 17 bytes, slots per page ≤ page/17, so 2 bytes per record + 4 fixed
-    // is a safe bound) and for the checksum trailer at the page end.
-    let budget = cfg.page_size - 4 - CHECKSUM_LEN - 2 * (cfg.page_size / 17 + 1);
+    let budget = page_budget(cfg.page_size)?;
     let ranks = doc.preorder_ranks();
-    let (clusters, border_edges) = partition(doc, budget, &ranks)?;
+    let Packer {
+        mut pages, report, ..
+    } = partition(doc, cfg.page_size, budget, &ranks)?;
 
-    let n = clusters.len();
+    // Border targets name creation indices until here: point them at
+    // physical pages, then append the pages in physical order.
+    let n = pages.len();
     let positions = placement_positions(n, cfg.placement);
     let base = device.num_pages();
-
-    // Fix border targets: placeholder page = cluster index.
-    let mut finals: Vec<Cluster> = Vec::with_capacity(n);
-    let mut record_bytes = 0u64;
-    let mut nodes = 0u64;
-    for (idx, mut c) in clusters.into_iter().enumerate() {
-        record_bytes += c.used as u64;
-        nodes += c.nodes.iter().filter(|x| x.kind.is_core()).count() as u64;
-        for node in &mut c.nodes {
-            if let NodeKind::BorderDown { target } | NodeKind::BorderUp { target } = &mut node.kind
-            {
-                target.page = base + positions[target.page as usize] as PageId;
-            }
-        }
-        finals.push(Cluster {
-            page: base + positions[idx] as PageId,
-            nodes: c.nodes,
-            bytes: c.bytes.into(),
-        });
-    }
-
-    // Write in physical page order.
-    finals.sort_by_key(|c| c.page);
-    for c in &finals {
-        let mut bytes = encode_cluster(c, cfg.page_size);
+    let mut by_position: Vec<usize> = (0..n).collect();
+    by_position.sort_unstable_by_key(|&idx| positions[idx]);
+    for (pos, &idx) in by_position.iter().enumerate() {
+        let mut bytes = std::mem::take(&mut pages[idx]);
+        retarget_borders(&mut bytes, |id| base + positions[id as usize] as PageId);
         seal_page(&mut bytes);
         let pid = device.append_page(bytes);
-        assert_eq!(pid, c.page, "device page allocation out of sync");
+        assert_eq!(
+            pid,
+            base + pos as PageId,
+            "device page allocation out of sync"
+        );
     }
 
-    let mut tag_counts = vec![0u64; doc.symbols().len()];
-    let mut tag_descendants = vec![0u64; doc.symbols().len()];
-    // Subtree sizes via the preorder-rank trick: the nodes of a subtree
-    // occupy a contiguous rank interval, so size = next-outside rank − own.
-    let preorder: Vec<_> = doc.descendants_or_self(doc.root()).collect();
-    let total = preorder.len() as u64;
-    let mut subtree_end = vec![0u64; doc.len()];
-    {
-        let mut rank_of = vec![0u64; doc.len()];
-        for (rank, &node) in preorder.iter().enumerate() {
-            rank_of[node.0 as usize] = rank as u64;
-        }
-        // end(node) = rank of the next node outside its subtree: the next
-        // sibling's rank, else the parent's end. Parents precede children
-        // in preorder, so one top-down pass suffices.
-        let mut end_of = vec![total; doc.len()];
-        for &node in &preorder {
-            let e = match doc.next_sibling(node) {
-                Some(ns) => rank_of[ns.0 as usize],
-                None => match doc.parent(node) {
-                    Some(p) => end_of[p.0 as usize],
-                    None => total,
-                },
-            };
-            end_of[node.0 as usize] = e;
-            subtree_end[node.0 as usize] = e - rank_of[node.0 as usize];
-        }
-    }
-    for node in doc.descendants_or_self(doc.root()) {
-        if let Some(tag) = doc.tag(node) {
-            tag_counts[tag.index() as usize] += 1;
-            tag_descendants[tag.index() as usize] += subtree_end[node.0 as usize];
-        }
-    }
-
+    let (tag_counts, tag_descendants) = tag_stats(doc, ranks, report.nodes);
     let root_page = base + positions[0] as PageId;
     let meta = TreeMeta {
         root: NodeId::new(root_page, 0),
@@ -474,13 +577,7 @@ pub fn import_into(
         element_count: doc.element_count() as u64,
         tag_counts,
         tag_descendants,
-        border_edges,
-    };
-    let report = ImportReport {
-        clusters: n as u32,
-        border_edges,
-        nodes,
-        record_bytes,
+        border_edges: report.border_edges,
     };
     Ok((meta, report))
 }
@@ -729,6 +826,95 @@ mod tests {
             }
         }
         assert!(provoked > 4, "only {provoked} imports outgrew their pages");
+    }
+
+    /// The clusters of `doc` on `page_size`-byte pages, all closed.
+    fn packed(doc: &Document, page_size: usize) -> Packer {
+        let budget = page_budget(page_size).unwrap();
+        partition(doc, page_size, budget, &doc.preorder_ranks()).unwrap()
+    }
+
+    /// Import builds at most one cluster per open DFS frame plus the scrap
+    /// bin, so its build state is bounded by the document's depth, not by
+    /// its size: holding every cluster until the end fails here.
+    #[test]
+    fn build_state_is_bounded_by_the_open_frames() {
+        let xmark = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.1));
+        for (doc, page_size) in [
+            (deep_doc(2000), 1024),
+            (wide_doc(500), 1024),
+            (xmark.clone(), 8192),
+            (xmark.clone(), 2048),
+        ] {
+            let pack = packed(&doc, page_size);
+            let pages = pack.report.clusters as usize;
+            assert!(pages > 10, "{pages} pages at {page_size} B");
+            assert!(
+                pack.live_over_frames <= 1,
+                "more than the bin beyond frames"
+            );
+            assert!(
+                pack.pages.iter().all(|p| p.len() == page_size),
+                "unencoded page"
+            );
+            let peak = pack.slots.len();
+            if doc.len() == xmark.len() {
+                assert!(4 * peak <= pages, "{peak} clusters alive of {pages}");
+            }
+        }
+        // The wide document needs one frame, so at most two clusters.
+        assert!(packed(&wide_doc(500), 1024).slots.len() <= 2);
+    }
+
+    /// `tag_counts` and `tag_descendants` equal per-element counts of each
+    /// subtree, walked node by node; a detached subtree counts for nothing.
+    #[test]
+    fn tag_stats_match_subtree_counts() {
+        let mut detached = wide_doc(20);
+        let gone = detached.first_child(detached.root()).unwrap();
+        detached.detach(gone);
+        let docs = [
+            pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.01)),
+            wide_doc(200),
+            deep_doc(300),
+            detached,
+        ];
+        for doc in &docs {
+            let (_, meta, _) = import_mem(doc, 8192);
+            let mut counts = vec![0u64; doc.symbols().len()];
+            let mut descendants = vec![0u64; doc.symbols().len()];
+            for node in doc.descendants_or_self(doc.root()) {
+                if let Some(tag) = doc.tag(node) {
+                    counts[tag.index() as usize] += 1;
+                    descendants[tag.index() as usize] +=
+                        doc.descendants_or_self(node).count() as u64;
+                }
+            }
+            assert_eq!(meta.tag_counts, counts);
+            assert_eq!(meta.tag_descendants, descendants);
+        }
+    }
+
+    /// A page too small for its directory and checksum is an error, not a
+    /// panic; small pages that have room report the record that does not
+    /// fit.
+    #[test]
+    fn tiny_pages_are_errors() {
+        let mut doc = wide_doc(3);
+        doc.add_text(doc.root(), &"x".repeat(100));
+        for page_size in 0..=100 {
+            let mut dev = SimDisk::with_profile(page_size, DiskProfile::instant());
+            let cfg = ImportConfig {
+                page_size,
+                placement: Placement::Sequential,
+            };
+            let err = import_into(&mut dev, &doc, &cfg).unwrap_err();
+            match page_size {
+                0..10 => assert_eq!(err, ImportError::PageTooSmall { page_size }),
+                _ => assert!(matches!(err, ImportError::RecordTooLarge { .. })),
+            }
+            assert_eq!(dev.num_pages(), 0, "a failed import writes no page");
+        }
     }
 
     #[test]

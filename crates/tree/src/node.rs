@@ -290,23 +290,12 @@ impl Cluster {
         self.nodes.iter().filter(|n| n.kind.is_core()).count()
     }
 
-    /// The payload bytes of `kind`. Decode checked every span against its
-    /// record, so the fallback to no bytes is never taken.
-    fn payload(&self, kind: &NodeKind) -> &[u8] {
-        match kind {
-            NodeKind::Text(s) | NodeKind::Element { attrs: s, .. } => {
-                self.bytes.get(s.range()).unwrap_or_default()
-            }
-            _ => &[],
-        }
-    }
-
     /// Content of a text node (`""` for any other kind), or
     /// [`DecodeError::Utf8`] if the stored bytes are not UTF-8. Decode
     /// leaves payloads unchecked; this is where they are checked.
     pub fn text(&self, node: &Node) -> Result<&str, DecodeError> {
         match node.kind {
-            NodeKind::Text(_) => utf8(self.payload(&node.kind)),
+            NodeKind::Text(_) => utf8(payload_in(&self.bytes, &node.kind)),
             _ => Ok(""),
         }
     }
@@ -315,7 +304,7 @@ impl Cluster {
     /// kind); a value that is not UTF-8 is [`DecodeError::Utf8`].
     pub fn attrs(&self, node: &Node) -> impl Iterator<Item = Result<(Symbol, &str), DecodeError>> {
         let entries = match node.kind {
-            NodeKind::Element { .. } => self.payload(&node.kind),
+            NodeKind::Element { .. } => payload_in(&self.bytes, &node.kind),
             _ => &[],
         };
         AttrEntries(entries).map(|(name, value)| Ok((name, utf8(value)?)))
@@ -325,7 +314,7 @@ impl Cluster {
     /// cluster's bytes. Copies the byte store: meant for the updater's few
     /// new, relocated and rewritten records, not for bulk building.
     pub(crate) fn adopt(&mut self, from: &Cluster, kind: NodeKind) -> NodeKind {
-        self.append(kind, from.payload(&kind))
+        self.append(kind, payload_in(&from.bytes, &kind))
     }
 
     /// A new text record holding `text`, appended to this cluster's bytes.
@@ -339,6 +328,18 @@ impl Cluster {
             self.bytes = [self.bytes.as_ref(), payload].concat().into();
         }
         kind.with_payload(span)
+    }
+}
+
+/// The payload bytes of `kind` in `bytes`, the store its span points into.
+/// Decode checked every span against its record, and the importer's spans
+/// are its own, so the fallback to no bytes is never taken.
+fn payload_in<'a>(bytes: &'a [u8], kind: &NodeKind) -> &'a [u8] {
+    match kind {
+        NodeKind::Text(s) | NodeKind::Element { attrs: s, .. } => {
+            bytes.get(s.range()).unwrap_or_default()
+        }
+        _ => &[],
     }
 }
 
@@ -411,7 +412,8 @@ fn put_link(buf: &mut Vec<u8>, link: Option<u16>) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_node(cluster: &Cluster, node: &Node, buf: &mut Vec<u8>) {
+/// Appends `node`'s record, its payload read from `bytes`.
+fn encode_node(bytes: &[u8], node: &Node, buf: &mut Vec<u8>) {
     let kind_byte = match &node.kind {
         NodeKind::Element { .. } => 0u8,
         NodeKind::Text(_) => 1,
@@ -428,7 +430,7 @@ fn encode_node(cluster: &Cluster, node: &Node, buf: &mut Vec<u8>) {
     put_link(buf, node.next_sibling);
     put_link(buf, node.prev_sibling);
     buf.extend_from_slice(&node.order.to_le_bytes());
-    let payload = cluster.payload(&node.kind);
+    let payload = payload_in(bytes, &node.kind);
     match &node.kind {
         NodeKind::Free => {} // the kind byte alone, written above
         NodeKind::Element { tag, .. } => {
@@ -456,11 +458,47 @@ fn encode_node(cluster: &Cluster, node: &Node, buf: &mut Vec<u8>) {
 /// Panics if the cluster exceeds the page size; the importer's budget
 /// arithmetic guarantees it never does.
 pub fn encode_cluster(cluster: &Cluster, page_size: usize) -> Vec<u8> {
-    let mut builder = SlottedPageBuilder::new(page_size, cluster.nodes.len());
-    for node in &cluster.nodes {
-        builder.push_with(|page| encode_node(cluster, node, page));
+    encode_records(&cluster.nodes, &cluster.bytes, page_size)
+}
+
+/// Serializes `nodes`, whose payload spans point into `bytes`, into page
+/// bytes: [`encode_cluster`] for the importer's clusters, whose nodes and
+/// payloads are still in their build buffers.
+///
+/// # Panics
+/// As [`encode_cluster`].
+pub(crate) fn encode_records(nodes: &[Node], bytes: &[u8], page_size: usize) -> Vec<u8> {
+    let mut builder = SlottedPageBuilder::new(page_size, nodes.len());
+    for node in nodes {
+        builder.push_with(|page| encode_node(bytes, node, page));
     }
     builder.finish()
+}
+
+/// Rewrites the target page of every border record of an encoded page
+/// image in place, to `retarget` of the page it names. The importer encodes
+/// a cluster before the placement has given its companions page numbers,
+/// so it writes placeholders and fixes them here, once, before sealing;
+/// nothing else on the page moves. A page whose directory does not read is
+/// left as it is.
+pub(crate) fn retarget_borders(page: &mut [u8], retarget: impl Fn(PageId) -> PageId) {
+    let count = SlottedPageReader::try_new(page).map_or(0, |r| r.len());
+    for slot in 0..count as u16 {
+        let Ok(record) = SlottedPageReader::try_new(page).and_then(|r| r.record_range(slot)) else {
+            continue;
+        };
+        // Kind byte 2 or 3: border-down or border-up, whose payload starts
+        // with the target page.
+        if !matches!(page.get(record.start), Some(2 | 3)) {
+            continue;
+        }
+        let field = page
+            .get_mut(record.start + FIXED_HEAD..record.end)
+            .and_then(|p| p.first_chunk_mut::<4>());
+        if let Some(field) = field {
+            *field = retarget(u32::from_le_bytes(*field)).to_le_bytes();
+        }
+    }
 }
 
 /// Decodes record `slot`, at `range` of `page`, of a page holding `count`
@@ -799,9 +837,27 @@ mod tests {
         let c = sample_cluster();
         for n in &c.nodes {
             let mut buf = Vec::new();
-            encode_node(&c, n, &mut buf);
+            encode_node(&c.bytes, n, &mut buf);
             assert_eq!(buf.len(), encoded_size(&n.kind));
         }
+    }
+
+    #[test]
+    fn retargeting_moves_only_border_pages() {
+        let c = sample_cluster();
+        let mut page = encode_cluster(&c, 4096);
+        retarget_borders(&mut page, |p| p * 100 + 1);
+        seal_page(&mut page);
+        let back = decode_cluster(7, &page.into(), &SimClock::new()).unwrap();
+        let mut want = c.clone();
+        for n in &mut want.nodes {
+            if let NodeKind::BorderDown { target } | NodeKind::BorderUp { target } = &mut n.kind {
+                target.page = target.page * 100 + 1;
+            }
+        }
+        assert_eq!(logical(&back), logical(&want));
+        assert_eq!(back.node(0).kind.target(), Some(NodeId::new(301, 9)));
+        assert_eq!(back.node(3).kind.target(), Some(NodeId::new(901, 0)));
     }
 
     #[test]
@@ -842,7 +898,7 @@ mod tests {
         let mut buf = Vec::with_capacity(64);
         for node in &cluster.nodes {
             buf.clear();
-            encode_node(cluster, node, &mut buf);
+            encode_node(&cluster.bytes, node, &mut buf);
             let used = 2 + (ends.len() + 1) * 2 + records.len();
             let remaining = page_size.saturating_sub(used + 2);
             assert!(buf.len() <= remaining, "record does not fit in page");

@@ -12,13 +12,44 @@
 //! A query is a location path, `count(path)`, or a `+`-sum of counts.
 //! `--method auto` and `explain` estimate the query's first path;
 //! `--sort` returns path results in document order.
+//!
+//! Output goes to a locked stdout; when its reader goes away early (a
+//! closed pipe, as in `pathix gen | head`), the command stops quietly and
+//! exits 0.
 
-// Demo binaries print to stdout and unwrap for brevity.
-#![allow(clippy::unwrap_used, clippy::print_stdout)]
+// Demo binaries unwrap for brevity.
+#![allow(clippy::unwrap_used)]
 
 use pathix::{Database, DatabaseOptions, DbError, Method, PlanConfig};
 use pathix_tree::Placement;
+use std::io::{self, Write};
 use std::process::ExitCode;
+
+/// Why a command stopped early.
+enum Failure {
+    /// A usage, input or engine error, printed as the message.
+    Msg(String),
+    /// Writing the output failed.
+    Io(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure::Msg(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Failure::Msg(e.to_owned())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Io(e)
+    }
+}
 
 struct Args {
     scale: f64,
@@ -106,7 +137,7 @@ fn pick_method(name: &str) -> Result<Option<Method>, String> {
     }
 }
 
-fn run() -> Result<(), String> {
+fn run(out: &mut impl Write) -> Result<(), Failure> {
     let (cmd, args) = parse_args(std::env::args().skip(1).collect())?;
     match cmd.as_str() {
         "query" => {
@@ -119,43 +150,45 @@ fn run() -> Result<(), String> {
             let mut cfg = PlanConfig::new(method);
             cfg.sort = args.sort;
             let run = db.run(query, cfg).map_err(|e| e.to_string())?;
-            println!("result: {}", run.value);
-            println!("plan:   {}", method.label());
-            println!("{}", run.report);
+            writeln!(out, "result: {}", run.value)?;
+            writeln!(out, "plan:   {}", method.label())?;
+            writeln!(out, "{}", run.report)?;
             Ok(())
         }
         "explain" => {
             let query = args.rest.first().ok_or("explain: missing query")?;
             let db = open_db(&args)?;
             let est = db.estimate(query).map_err(|e| e.to_string())?;
-            println!("query:             {query}");
-            println!(
+            writeln!(out, "query:             {query}")?;
+            writeln!(
+                out,
                 "touched fraction:  {:.1}% (≈ {:.0} pages of {})",
                 100.0 * est.touched_fraction,
                 est.touched_pages,
                 db.pages()
-            );
+            )?;
             for (method, total_ns) in [
                 (Method::Simple, est.simple_ns),
                 (Method::xschedule(), est.xschedule_ns),
                 (Method::XScan, est.xscan_ns),
             ] {
-                println!(
+                writeln!(
+                    out,
                     "est. {:<14}{:>10.3} s (CPU {:.3} s)",
                     format!("{}:", method.label()),
                     total_ns / 1e9,
                     est.cpu_ns(method) / 1e9
-                );
+                )?;
             }
-            println!("recommended plan:  {}", est.recommend().label());
+            writeln!(out, "recommended plan:  {}", est.recommend().label())?;
             Ok(())
         }
         "gen" => {
             let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(args.scale));
             if args.rest.iter().any(|r| r == "--pretty") {
-                print!("{}", pathix_xml::serialize_pretty(&doc));
+                write!(out, "{}", pathix_xml::serialize_pretty(&doc))?;
             } else {
-                println!("{}", pathix_xml::serialize(&doc));
+                writeln!(out, "{}", pathix_xml::serialize(&doc))?;
             }
             Ok(())
         }
@@ -163,18 +196,20 @@ fn run() -> Result<(), String> {
             let db = open_db(&args)?;
             let meta = &db.store().meta;
             let rep = db.import_report();
-            println!("pages:        {}", meta.page_count);
-            println!(
+            writeln!(out, "pages:        {}", meta.page_count)?;
+            writeln!(
+                out,
                 "nodes:        {} ({} elements)",
                 meta.node_count, meta.element_count
-            );
-            println!("border edges: {}", rep.border_edges);
-            println!(
+            )?;
+            writeln!(out, "border edges: {}", rep.border_edges)?;
+            writeln!(
+                out,
                 "record bytes: {} ({:.1}% page fill)",
                 rep.record_bytes,
                 100.0 * rep.record_bytes as f64 / (meta.page_count as f64 * 8192.0)
-            );
-            println!("tags:         {}", meta.symbols.len());
+            )?;
+            writeln!(out, "tags:         {}", meta.symbols.len())?;
             let mut tags: Vec<(&str, u64)> = meta
                 .symbols
                 .iter()
@@ -182,20 +217,24 @@ fn run() -> Result<(), String> {
                 .collect();
             tags.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
             for (name, count) in tags.iter().take(10) {
-                println!("  {name:<16} {count}");
+                writeln!(out, "  {name:<16} {count}")?;
             }
             Ok(())
         }
-        other => Err(format!(
-            "unknown subcommand `{other}` (query | explain | gen | info)"
-        )),
+        other => Err(format!("unknown subcommand `{other}` (query | explain | gen | info)").into()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Io(e)) => {
+            eprintln!("pathix: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(e)) => {
             eprintln!("pathix: {e}");
             ExitCode::FAILURE
         }

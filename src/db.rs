@@ -356,6 +356,7 @@ mod tests {
 
     use super::*;
     use pathix_storage::{FaultKind, FaultRule};
+    use pathix_tree::import::ImportError;
 
     fn mem_opts() -> DatabaseOptions {
         DatabaseOptions {
@@ -407,6 +408,38 @@ mod tests {
             Err(e @ DbError::Xml(_)) => assert!(e.to_string().starts_with("XML parse error")),
             other => panic!("expected an XML error, got {:?}", other.err()),
         }
+    }
+
+    /// No page size panics the facade: pages too small for their own
+    /// directory are `PageTooSmall`, and small pages with room report the
+    /// record that does not fit.
+    #[test]
+    fn tiny_pages_are_import_errors() {
+        let xml = format!("<a><b>{}</b><c/></a>", "x".repeat(100));
+        for page_size in 0..=100 {
+            let opts = DatabaseOptions {
+                page_size,
+                ..mem_opts()
+            };
+            let got = std::panic::catch_unwind(|| Database::from_xml(&xml, &opts).err());
+            let err = got.unwrap_or_else(|_| panic!("page size {page_size} panicked"));
+            match (page_size, err) {
+                (16.., Some(DbError::Import(ImportError::RecordTooLarge { .. }))) => {}
+                (..16, Some(DbError::Import(_))) => {}
+                (_, other) => panic!("page size {page_size}: {other:?}"),
+            }
+        }
+        let err = Database::from_xml(
+            &xml,
+            &DatabaseOptions {
+                page_size: 8,
+                ..mem_opts()
+            },
+        );
+        assert_eq!(
+            err.err().map(|e| e.to_string()).as_deref(),
+            Some("a page of 8 bytes has no room for records")
+        );
     }
 
     #[test]
